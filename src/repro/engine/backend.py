@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
-from repro.nn.losses import Loss, get_loss
+from repro.nn.losses import Loss
 from repro.nn.model import Sequential
 from repro.registry import registry as _registry
 
@@ -264,14 +264,7 @@ class NumpyBackend(ExecutionBackend):
         targets: np.ndarray,
         loss: Union[str, Loss],
     ) -> Tuple[float, np.ndarray]:
-        loss_fn = get_loss(loss)
-        model.zero_grad()
-        logits = model.forward(x, training=False)
-        value, grad_logits = loss_fn.value_and_grad(logits, targets)
-        model.backward(grad_logits)
-        flat = model.parameter_view().flat_grads()
-        model.zero_grad()
-        return value, flat
+        return model.loss_parameter_gradients(x, targets, loss)
 
 
 _BACKENDS: Dict[str, Type[ExecutionBackend]] = {}

@@ -45,6 +45,7 @@ import signal
 import time
 from collections import OrderedDict
 from multiprocessing import get_context, shared_memory
+from multiprocessing.connection import wait as wait_ready
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,7 +55,7 @@ from repro.engine.cache import CacheStats
 from repro.faults import inject
 from repro.faults.errors import DispatchTimeoutError, WorkerCrashError, is_transient
 from repro.faults.policy import FaultPolicy
-from repro.nn.losses import Loss, get_loss
+from repro.nn.losses import Loss
 from repro.nn.model import Sequential
 from repro.nn.serialization import parameter_digest
 from repro.utils.logging import get_logger
@@ -69,6 +70,9 @@ DEFAULT_MAX_PUBLISHED = 4
 #: a dead worker goes undetected without adding measurable latency to
 #: healthy dispatches (the wait returns as soon as results are ready)
 SUPERVISION_POLL_S = 0.05
+
+#: how long to wait for a killed worker, or a pool handler thread, to exit
+EXIT_GRACE_S = 5.0
 
 
 def default_worker_count() -> int:
@@ -179,14 +183,7 @@ def _worker_run(task: tuple) -> Any:
         return model.input_gradient(x, targets, loss)
     if op == "loss_parameter_gradients":
         targets, loss = options
-        loss_fn = get_loss(loss)
-        model.zero_grad()
-        logits = model.forward(x, training=False)
-        value, grad_logits = loss_fn.value_and_grad(logits, targets)
-        model.backward(grad_logits)
-        flat = model.parameter_view().flat_grads()
-        model.zero_grad()
-        return value, flat
+        return model.loss_parameter_gradients(x, targets, loss)
     raise ValueError(f"unknown parallel op {op!r}")  # pragma: no cover
 
 
@@ -219,24 +216,32 @@ def _terminate_pool(pool) -> None:
     (or was SIGKILLed, or sits SIGSTOPped) while blocked on the queue never
     completes that handshake and teardown deadlocks.  Workers are stateless
     shard evaluators, so the unconditional path is both safe and immune:
-    stop the worker handler from respawning, hard-kill and reap every
-    worker, then release the queue locks the dead workers took with them —
-    with no live worker left, releasing on their behalf cannot race another
-    reader — and only then run the ordinary terminate/join.
+    stop the worker handler and wait for it to exit (no respawn behind the
+    kill), hard-kill and reap every worker, then release the queue locks
+    the dead workers took with them, and only then run the ordinary
+    terminate/join.  The task-queue reader lock is taken only by workers,
+    so with none alive it is released unconditionally.  The task handler
+    takes the result-queue writer lock to post its exit sentinel, so that
+    lock is released only if the handler is still blocked on it after a
+    grace period: freeing it mid-write would interleave two sentinels and
+    leave the result handler waiting forever on a torn message.
     """
     try:
         from multiprocessing.pool import TERMINATE
 
         pool._worker_handler._state = TERMINATE
+        pool._change_notifier.put(None)  # wake it from its wait
+        pool._worker_handler.join(EXIT_GRACE_S)
     except Exception:  # pragma: no cover - interpreter internals moved
         pass
     procs = _signal_pool_workers(pool, signal.SIGCONT, signal.SIGKILL)
     for proc in procs:
         proc.join()
-    for lock in (
-        getattr(pool._inqueue, "_rlock", None),
-        getattr(pool._outqueue, "_wlock", None),
-    ):
+    locks = [getattr(pool._inqueue, "_rlock", None)]
+    pool._task_handler.join(EXIT_GRACE_S)
+    if pool._task_handler.is_alive():  # blocked behind a dead worker's write
+        locks.append(getattr(pool._outqueue, "_wlock", None))
+    for lock in locks:
         if lock is None:  # pragma: no cover - win32 write pipes
             continue
         try:
@@ -408,15 +413,14 @@ class ParallelBackend(ExecutionBackend):
         self._stats.restarts += 1
         logger.warning("respawning worker pool: %s", reason)
 
-    def _apply_injected_fault(self, fault) -> None:
+    def _apply_injected_fault(self, fault, procs: list) -> None:
         """Execute a ``kill_worker``/``stall_worker`` fault from the chaos plan.
 
-        ``fault.worker`` indexes the current worker processes; a negative
-        index targets *every* worker — the deterministic way to force the
-        crash-detection + respawn path (killing one worker often heals
-        transparently via the pool's own repopulation and work stealing).
+        ``fault.worker`` indexes ``procs``, the dispatch's worker snapshot; a
+        negative index targets *every* worker — the deterministic way to
+        force the crash-detection + respawn path.  A kill returns once its
+        targets have exited, so the dispatch's death check always sees them.
         """
-        procs = list(self._pool()._pool)
         targets = procs if fault.worker < 0 else [procs[fault.worker % len(procs)]]
         sig = signal.SIGKILL if fault.action == "kill_worker" else signal.SIGSTOP
         for target in targets:
@@ -426,32 +430,38 @@ class ParallelBackend(ExecutionBackend):
                 target.pid,
             )
             os.kill(target.pid, sig)
+        if sig == signal.SIGKILL:
+            for target in targets:
+                target.join(EXIT_GRACE_S)
 
     def _await_results(self, async_result, procs, timeout_s: Optional[float]) -> list:
         """Await a dispatch with liveness supervision.
 
-        Raises :class:`WorkerCrashError` the moment any worker from the
-        dispatch-time snapshot dies with results still pending (``Pool``
-        transparently replaces dead workers, but the dead worker's task is
-        lost and a bare ``map`` would block forever), and
-        :class:`DispatchTimeoutError` when ``timeout_s`` elapses — the hung
-        case, e.g. a stopped or livelocked worker.
+        Raises :class:`WorkerCrashError` once any worker from the
+        dispatch-time snapshot has died (``Pool`` transparently replaces dead
+        workers, but the dead worker's task is lost and a bare ``map`` would
+        block forever), and :class:`DispatchTimeoutError` when ``timeout_s``
+        elapses — the hung case, e.g. a stopped or livelocked worker.  Deaths
+        are read from process sentinels, whichever thread reaps the process,
+        and checked before results are accepted, so replacement workers
+        finishing the map cannot mask one.
         """
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        by_sentinel = {p.sentinel: p for p in procs}
         while True:
-            async_result.wait(SUPERVISION_POLL_S)
-            if async_result.ready():
-                return async_result.get()
-            dead = [p for p in procs if not p.is_alive()]
+            dead = [by_sentinel[s] for s in wait_ready(list(by_sentinel), timeout=0)]
             if dead:
                 raise WorkerCrashError(
                     f"{len(dead)} worker(s) died mid-dispatch "
                     f"(pids {[p.pid for p in dead]})"
                 )
+            if async_result.ready():
+                return async_result.get()
             if deadline is not None and time.monotonic() > deadline:
                 raise DispatchTimeoutError(
                     f"dispatch exceeded the {timeout_s:g}s timeout"
                 )
+            async_result.wait(SUPERVISION_POLL_S)
 
     def _dispatch(
         self,
@@ -496,13 +506,14 @@ class ParallelBackend(ExecutionBackend):
         policy = self.fault_policy
         attempts = 0
         while True:
+            pool = self._pool()
+            procs = list(pool._pool)
             if inject.active():
                 fault = inject.check("parallel.dispatch", op=op)
                 if fault is not None:
-                    self._apply_injected_fault(fault)
-            pool = self._pool()
-            procs = list(pool._pool)
-            async_result = pool.map_async(_worker_run, tasks)
+                    self._apply_injected_fault(fault, procs)
+            # the default chunksize divides by the live worker count: 0 mid-respawn
+            async_result = pool.map_async(_worker_run, tasks, chunksize=1)
             try:
                 return self._await_results(
                     async_result, procs, policy.dispatch_timeout_s

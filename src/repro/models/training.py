@@ -90,7 +90,8 @@ class Trainer:
                 model.zero_grad()
                 logits = model.forward(images, training=True)
                 loss, grad = loss_fn.value_and_grad(logits, labels)
-                model.backward(grad)
+                # the network-input gradient is never read here
+                model.backward(grad, need_input_grad=False)
                 optimizer.step(model.parameters())
                 epoch_losses.append(loss)
                 correct += int(np.sum(np.argmax(logits, axis=1) == labels))

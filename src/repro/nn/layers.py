@@ -9,6 +9,9 @@ dense layers use ``(N, features)``.  Each layer caches what it needs during
 * returns the gradient with respect to the layer input (needed to chain the
   backward pass and, at the network input, by the gradient-based test
   generation of Algorithm 2).
+
+A caller that reads only one of the two skips the other (see
+:meth:`Layer.backward`).
 """
 
 from __future__ import annotations
@@ -53,7 +56,16 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True, need_param_grads: bool = True
+    ) -> Optional[np.ndarray]:
+        """Chain ``grad_out`` back through the layer; returns the input gradient.
+
+        Parameter gradients accumulate into ``Parameter.grad`` unless
+        ``need_param_grads`` is false; ``need_input_grad=False`` skips the
+        input gradient and returns ``None``.  Parameterless layers ignore
+        both flags: their backward *is* the input gradient.
+        """
         raise NotImplementedError
 
     def backward_batch(
@@ -183,16 +195,19 @@ class Dense(Layer):
         self._cache = {"x": x, "z": z, "y": y}
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True, need_param_grads: bool = True
+    ) -> Optional[np.ndarray]:
         if not self._cache:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
         x, z, y = self._cache["x"], self._cache["z"], self._cache["y"]
         grad_z = self.activation.backward(z, y, grad_out)
         assert self.weight is not None
-        self.weight.grad += x.T @ grad_z
-        if self.bias is not None:
-            self.bias.grad += grad_z.sum(axis=0)
-        return grad_z @ self.weight.value.T
+        if need_param_grads:
+            self.weight.grad += x.T @ grad_z
+            if self.bias is not None:
+                self.bias.grad += grad_z.sum(axis=0)
+        return grad_z @ self.weight.value.T if need_input_grad else None
 
     def backward_batch(
         self, grad_out: np.ndarray, need_input_grad: bool = True
@@ -288,41 +303,6 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-#: memoized patch-index arrays; keyed by the full geometry, so the handful of
-#: distinct layer shapes in a model each build their indices exactly once
-_INDEX_CACHE: Dict[
-    Tuple[int, int, int, int, int, int, int],
-    Tuple[np.ndarray, np.ndarray, np.ndarray, int, int],
-] = {}
-
-
-def _im2col_indices(
-    c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Index arrays mapping an image to its patch matrix (memoized)."""
-    key = (c, h, w, kh, kw, stride, padding)
-    cached = _INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    out_h = _conv_output_size(h, kh, stride, padding)
-    out_w = _conv_output_size(w, kw, stride, padding)
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)  # (c*kh*kw, out_h*out_w)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
-    if len(_INDEX_CACHE) >= 256:  # bound the cache for long-lived processes
-        _INDEX_CACHE.clear()
-    _INDEX_CACHE[key] = (k, i, j, out_h, out_w)
-    return k, i, j, out_h, out_w
-
-
 def im2col(
     x: np.ndarray,
     kh: int,
@@ -376,24 +356,23 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col` with accumulation of overlapping patches."""
+    """Adjoint of :func:`im2col`: sum every patch back onto its image pixels.
+
+    One strided-slice add per kernel tap, in ``(ki, kj)`` row-major order.
+    That is the order in which a scatter-add (``np.add.at``) over the patch
+    rows meets each pixel, so every pixel sums the same terms in the same
+    order from the same zero: the result is bitwise equal to the scatter,
+    for every stride, padding and overlap, at a fraction of its cost.
+    """
     n, c, h, w = x_shape
-    if padding == 0 and stride == kh == kw:
-        # non-overlapping tiling (the pooling layout): every input pixel is
-        # touched by at most one patch, so the scatter-add degenerates into a
-        # reshape/transpose assignment — much faster than np.add.at
-        out_h = _conv_output_size(h, kh, stride, 0)
-        out_w = _conv_output_size(w, kw, stride, 0)
-        x = np.zeros((n, c, h, w), dtype=cols.dtype)
-        g = cols.reshape(n, c, kh, kw, out_h, out_w)
-        x[:, :, : out_h * kh, : out_w * kw] = g.transpose(0, 1, 4, 2, 5, 3).reshape(
-            n, c, out_h * kh, out_w * kw
-        )
-        return x
-    h_pad, w_pad = h + 2 * padding, w + 2 * padding
-    x_pad = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
-    k, i, j, _, _ = _im2col_indices(c, h, w, kh, kw, stride, padding)
-    np.add.at(x_pad, (slice(None), k, i, j), cols)
+    out_h = _conv_output_size(h, kh, stride, padding)
+    out_w = _conv_output_size(w, kw, stride, padding)
+    x_pad = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    patches = cols.reshape(n, c, kh, kw, out_h, out_w)
+    for ki in range(kh):
+        rows = slice(ki, ki + stride * out_h, stride)
+        for kj in range(kw):
+            x_pad[:, :, rows, kj : kj + stride * out_w : stride] += patches[:, :, ki, kj]
     if padding == 0:
         return x_pad
     return x_pad[:, :, padding:-padding, padding:-padding]
@@ -521,28 +500,32 @@ class Conv2D(Layer):
         self._cache = {"x_shape": np.array(x.shape), "cols": cols, "z": z, "y": y}
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True, need_param_grads: bool = True
+    ) -> Optional[np.ndarray]:
         if not self._cache:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
-        cols = self._cache["cols"]
         z, y = self._cache["z"], self._cache["y"]
         x_shape = tuple(int(v) for v in self._cache["x_shape"])
         n = x_shape[0]
         kh, kw = self.kernel_size
-        pad = self._padding()
 
         grad_z = self.activation.backward(z, y, grad_out)
         grad_z_mat = grad_z.reshape(n, self.filters, -1)  # (N, F, P)
 
         assert self.weight is not None
+        if need_param_grads:
+            grad_w = np.einsum("nfp,nkp->fk", grad_z_mat, self._cache["cols"])
+            self.weight.grad += grad_w.reshape(self.weight.value.shape)
+            if self.bias is not None:
+                self.bias.grad += grad_z_mat.sum(axis=(0, 2))
+        if not need_input_grad:
+            return None
+        # keep the einsum: a matmul here reorders the sums and moves
+        # trained weights by an ulp
         w_mat = self.weight.value.reshape(self.filters, -1)
-        grad_w = np.einsum("nfp,nkp->fk", grad_z_mat, cols)
-        self.weight.grad += grad_w.reshape(self.weight.value.shape)
-        if self.bias is not None:
-            self.bias.grad += grad_z_mat.sum(axis=(0, 2))
-
         grad_cols = np.einsum("fk,nfp->nkp", w_mat, grad_z_mat)
-        return col2im(grad_cols, x_shape, kh, kw, self.stride, pad)
+        return col2im(grad_cols, x_shape, kh, kw, self.stride, self._padding())
 
     def backward_batch(
         self, grad_out: np.ndarray, need_input_grad: bool = True
@@ -575,7 +558,7 @@ class Conv2D(Layer):
         if self.stride == 1 and kh == kw and flip_pad >= 0:
             # input gradient as a *full correlation* of grad_z with the
             # spatially flipped kernels: an im2col gather plus one batched
-            # matmul, avoiding col2im's scatter-add entirely.  The cached
+            # matmul, with no col2im accumulation at all.  The cached
             # forward patch matrix is still leased here, so this acquire can
             # never alias it even when the geometries coincide
             grad_z_img = grad_z_mat.reshape(n, self.filters, *z.shape[2:])
@@ -748,7 +731,7 @@ class MaxPool2D(Layer):
         }
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
         if not self._cache:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
         argmax = self._cache["argmax"]
@@ -803,7 +786,7 @@ class AvgPool2D(Layer):
         self._cache = {"cols_shape": np.array(cols.shape), "x_shape": np.array(x.shape)}
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
         if not self._cache:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
         cols_shape = tuple(int(v) for v in self._cache["cols_shape"])
@@ -831,7 +814,7 @@ class Flatten(Layer):
         self._input_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
         if self._input_shape is None:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
         return grad_out.reshape(self._input_shape)
@@ -856,7 +839,7 @@ class Dropout(Layer):
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
         if self._mask is None:
             return grad_out
         return grad_out * self._mask
@@ -875,7 +858,7 @@ class ActivationLayer(Layer):
         self._cache = {"x": x, "y": y}
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
         if not self._cache:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
         return self.activation.backward(self._cache["x"], self._cache["y"], grad_out)

@@ -4,8 +4,8 @@ paper's method needs.
 Beyond the usual ``forward``/``predict``/``fit``-style API, the model exposes
 three gradient queries used throughout the library:
 
-* :meth:`Sequential.loss_gradients` — parameter gradients of a training loss
-  (used by the trainer and by the gradient-descent attack).
+* :meth:`Sequential.loss_parameter_gradients` — flat parameter gradient of a
+  loss (the execution backends' primitive behind the gradient-descent attack).
 * :meth:`Sequential.output_gradients` — parameter gradients of a scalarised
   network output ``F(x)`` for a single sample (the quantity ``∇θ F(x)`` that
   defines *activated parameters* in Section IV-A).
@@ -154,16 +154,23 @@ class Sequential:
             outputs.append(out)
         return outputs
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True, need_param_grads: bool = True
+    ) -> Optional[np.ndarray]:
         """Backpropagate an output gradient; returns the input gradient.
 
         Parameter gradients are *accumulated*; call :meth:`zero_grad` first if
-        fresh gradients are required.
+        fresh gradients are required.  ``need_param_grads=False`` leaves every
+        ``Parameter.grad`` untouched; ``need_input_grad=False`` lets the bottom
+        layer skip its input gradient and returns ``None``.  What is computed
+        is bitwise the same as with both flags on.
         """
         grad = grad_out
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+        for i in range(len(self.layers) - 1, -1, -1):
+            grad = self.layers[i].backward(
+                grad, need_input_grad=(i > 0 or need_input_grad), need_param_grads=need_param_grads
+            )
+        return grad if need_input_grad else None
 
     def backward_batch(
         self, grad_out: np.ndarray, need_input_grad: bool = True
@@ -251,32 +258,34 @@ class Sequential:
         return e / e.sum(axis=1, keepdims=True)
 
     # -- gradient queries ---------------------------------------------------------------
-    def loss_gradients(
+    def loss_parameter_gradients(
         self, x: np.ndarray, targets: np.ndarray, loss: str | Loss = "cross_entropy"
     ) -> Tuple[float, np.ndarray]:
-        """Loss value and parameter gradients for a batch.
+        """Loss value and flat parameter gradient of a loss for a batch.
 
-        Returns ``(loss_value, input_gradient)``; parameter gradients are left
-        accumulated in the parameters (read them via :meth:`parameter_view`).
+        Inference-mode forward; the bottom layer skips its input gradient.
+        ``Parameter.grad`` is zero on return.
         """
-        loss_fn = get_loss(loss)
         self.zero_grad()
-        logits = self.forward(x, training=True)
-        value, grad = loss_fn.value_and_grad(logits, targets)
-        input_grad = self.backward(grad)
-        return value, input_grad
+        logits = self.forward(x, training=False)
+        value, grad = get_loss(loss).value_and_grad(logits, targets)
+        self.backward(grad, need_input_grad=False)
+        flat = self.parameter_view().flat_grads()
+        self.zero_grad()
+        return value, flat
 
     def input_gradient(
         self, x: np.ndarray, targets: np.ndarray, loss: str | Loss = "cross_entropy"
     ) -> Tuple[float, np.ndarray]:
-        """Gradient of a loss with respect to the input batch.
+        """Loss value and gradient of the loss with respect to the input batch.
 
-        Used by Algorithm 2 (gradient-based test generation) and the GDA
-        attack.  The parameter gradients computed along the way are discarded.
+        Used by Algorithm 2 (gradient-based test generation).  Runs an
+        input-only backward: no parameter gradient is computed, and
+        ``Parameter.grad`` is left exactly as it was.
         """
-        value, input_grad = self.loss_gradients(x, targets, loss)
-        self.zero_grad()
-        return value, input_grad
+        logits = self.forward(x, training=True)
+        value, grad = get_loss(loss).value_and_grad(logits, targets)
+        return value, self.backward(grad, need_param_grads=False)
 
     def output_gradients(
         self, x: np.ndarray, scalarization: str = "sum"
@@ -304,7 +313,7 @@ class Sequential:
         else:
             idx = int(np.argmax(logits[0]))
             grad_out[0, idx] = 1.0
-        self.backward(grad_out)
+        self.backward(grad_out, need_input_grad=False)
         flat = self.parameter_view().flat_grads()
         self.zero_grad()
         return flat

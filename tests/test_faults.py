@@ -16,6 +16,7 @@ The campaign gates run on every chaos backend; set ``REPRO_CHAOS_BACKEND``
 from __future__ import annotations
 
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -466,17 +467,24 @@ class TestParallelSupervision:
     def expected(self, model, batch):
         return Engine(model, cache=False).forward(batch)
 
-    def test_killed_workers_respawn_and_requeue(self, model, batch, expected):
+    def test_killed_workers_respawn_and_requeue(self, model, batch, expected, caplog):
         plan = FaultPlan()
         plan.kill_worker(worker=-1, at=(0,))
-        with ParallelBackend(workers=2, fault_policy=FAST_POLICY) as backend:
+        # the timeout bounds every attempt, so a death that goes unseen
+        # fails the crash-reason assertion below instead of hanging
+        policy = FaultPolicy(backoff_base_s=0.0, dispatch_timeout_s=20.0)
+        with ParallelBackend(workers=2, fault_policy=policy) as backend:
             engine = Engine(model, backend=backend, cache=False)
-            with inject.activate(plan):
+            with inject.activate(plan), caplog.at_level(
+                logging.WARNING, logger="repro.engine.parallel"
+            ):
                 out = engine.forward(batch)
             assert np.array_equal(out, expected)
-            assert backend.cache_stats.restarts >= 1
-            assert engine.stats.restarts >= 1
+            assert backend.cache_stats.restarts == 1
+            assert engine.stats.restarts == 1
         assert plan.fired("parallel.dispatch") == 1
+        respawns = [r.getMessage() for r in caplog.records if "respawning" in r.getMessage()]
+        assert len(respawns) == 1 and "died mid-dispatch" in respawns[0], respawns
 
     def test_stalled_workers_hit_dispatch_timeout_and_heal(
         self, model, batch, expected

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.data.datasets import Dataset
+from repro.models.training import Trainer
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
+from repro.nn.optimizers import get_optimizer
 from repro.models.zoo import small_cnn, small_mlp
+from repro.utils.config import TrainingConfig
+from repro.utils.rng import as_generator
 
 
 def _tiny_cnn(activation="relu", rng=0):
@@ -147,6 +152,80 @@ class TestGradientQueries:
         loss_after, _ = model.input_gradient(stepped, y)
         assert grad.shape == x.shape
         assert loss_after < loss_before
+
+
+def _two_conv_cnn(rng=0):
+    """Two convs (same/stride-1 and padded stride-2) around a pooling layer."""
+    model = Sequential(
+        [
+            Conv2D(3, 3, padding="same", activation="relu", name="conv1"),
+            MaxPool2D(2, name="pool1"),
+            Conv2D(4, 3, stride=2, padding=1, activation="tanh", name="conv2"),
+            Flatten(name="flatten"),
+            Dense(4, name="logits"),
+        ]
+    )
+    return model.build((1, 8, 8), rng=rng)
+
+
+class TestBackwardFlags:
+    """The backward flags skip work without changing a bit of the rest."""
+
+    def _batch(self, seed=0, n=6):
+        rng = np.random.default_rng(seed)
+        return rng.random((n, 1, 8, 8)), rng.integers(0, 4, size=n)
+
+    def test_input_gradient_equals_full_backward_bitwise(self):
+        model = _two_conv_cnn(rng=1)
+        x, y = self._batch()
+        value, grad = model.input_gradient(x, y)
+        model.zero_grad()
+        logits = model.forward(x, training=True)
+        ref_value, grad_logits = SoftmaxCrossEntropy().value_and_grad(logits, y)
+        ref = model.backward(grad_logits)
+        assert value == ref_value
+        assert grad.dtype == ref.dtype and grad.tobytes() == ref.tobytes()
+
+    def test_input_gradient_leaves_parameter_grads_untouched(self):
+        model = _two_conv_cnn(rng=2)
+        rng = np.random.default_rng(3)
+        for p in model.parameters():
+            p.grad[...] = rng.normal(size=p.grad.shape)
+        seeded = [p.grad.copy() for p in model.parameters()]
+        model.input_gradient(*self._batch(seed=4))
+        for p, before in zip(model.parameters(), seeded):
+            assert p.grad.tobytes() == before.tobytes(), p.name
+
+    def test_backward_without_input_grad_returns_none_and_same_param_grads(self):
+        model = _two_conv_cnn(rng=5)
+        x, y = self._batch(seed=6)
+        _, grad_logits = SoftmaxCrossEntropy().value_and_grad(model.forward(x), y)
+        model.zero_grad()
+        model.backward(grad_logits)
+        full = model.parameter_view().flat_grads()
+        model.zero_grad()
+        assert model.backward(grad_logits, need_input_grad=False) is None
+        assert model.parameter_view().flat_grads().tobytes() == full.tobytes()
+
+    def test_trainer_fit_matches_full_backward_reference_bitwise(self):
+        images, labels = self._batch(seed=7, n=20)
+        train = Dataset(images, labels)
+        cfg = TrainingConfig(epochs=2, batch_size=8, learning_rate=0.01, seed=8)
+        trained = _two_conv_cnn(rng=9)
+        Trainer(cfg).fit(trained, train)
+
+        reference = _two_conv_cnn(rng=9)
+        optimizer = get_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay)
+        loss_fn = SoftmaxCrossEntropy()
+        rng = as_generator(cfg.seed)
+        for _ in range(cfg.epochs):
+            for batch, targets in train.batches(cfg.batch_size, shuffle=cfg.shuffle, rng=rng):
+                reference.zero_grad()
+                _, grad = loss_fn.value_and_grad(reference.forward(batch, training=True), targets)
+                reference.backward(grad)
+                optimizer.step(reference.parameters())
+        for got, want in zip(trained.parameters(), reference.parameters()):
+            assert got.value.tobytes() == want.value.tobytes(), got.name
 
 
 class TestState:

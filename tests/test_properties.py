@@ -69,6 +69,47 @@ def test_im2col_col2im_adjointness(n, c, size, kernel, padding):
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
+def _col2im_scatter(cols, x_shape, kh, kw, stride, padding):
+    """Reference col2im: one ``np.add.at`` scatter of every patch row."""
+    n, c, h, w = x_shape
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    rows = np.arange(c * kh * kw)
+    channel, ki, kj = rows // (kh * kw), (rows // kw) % kh, rows % kw
+    pos = np.arange(out_h * out_w)
+    i = ki[:, None] + stride * (pos // out_w)[None, :]
+    j = kj[:, None] + stride * (pos % out_w)[None, :]
+    x_pad = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    np.add.at(x_pad, (slice(None), channel[:, None], i, j), cols)
+    return x_pad[:, :, padding : padding + h, padding : padding + w]
+
+
+@pytest.mark.parametrize("kernel", [2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_col2im_is_bitwise_equal_to_scatter_add(kernel, stride, padding, dtype):
+    """The shifted-slice col2im sums each pixel's terms in the scatter's order.
+
+    Terms spread over 16 decades, so any other summation order changes low
+    bits somewhere; signed zeros pin the zero-start semantics.  The
+    ``kernel == stride, padding == 0`` cells are the pooling layout.
+    """
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+    for n, c, h, w in [(2, 3, 7, 7), (1, 2, 8, 5), (3, 1, 6, 9)]:
+        out_h = (h + 2 * padding - kernel) // stride + 1
+        out_w = (w + 2 * padding - kernel) // stride + 1
+        shape = (n, c * kernel * kernel, out_h * out_w)
+        cols = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        cols[rng.random(shape) < 0.05] = -0.0
+        cols = cols.astype(dtype)
+        got = col2im(cols, (n, c, h, w), kernel, kernel, stride, padding)
+        want = _col2im_scatter(cols, (n, c, h, w), kernel, kernel, stride, padding)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     labels=st.lists(st.integers(0, 6), min_size=1, max_size=12),
