@@ -59,6 +59,7 @@ from repro.engine import Engine, default_worker_count
 from repro.nn.model import Sequential
 from repro.registry import registry
 from repro.utils.logging import get_logger
+from repro.validation.user import compare_outputs
 
 logger = get_logger("bench.workloads")
 
@@ -365,7 +366,7 @@ def run_workloads(
                 for copy in copies:
                     trial_engine = Engine(copy, backend=backend, dtype=dtype, cache=False)
                     observed = trial_engine.forward(images)
-                    if np.abs(observed - expected).max() > 1e-6:
+                    if compare_outputs(observed, expected, 1e-6)[1].any():
                         detections += 1
                 return detections / len(copies)
 

@@ -55,6 +55,7 @@ from repro.campaign.store import (
     diff_against_expectations,
     expectations_from_records,
 )
+from repro.engine import available_backends
 from repro.faults import CampaignAbortedError, FaultPolicy
 
 
@@ -75,7 +76,7 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--backend",
             default="numpy",
-            help="engine backend for the whole campaign (numpy or parallel)",
+            help=f"engine backend for the whole campaign ({', '.join(available_backends())})",
         )
         cmd.add_argument("--workers", type=int, default=None, help="parallel-backend worker count")
         cmd.add_argument("--report", default=None, help="also write the markdown report here")

@@ -14,7 +14,7 @@ same-architecture models (the detection experiments' perturbed copies) into
 one batched dispatch per layer along a leading model axis.  Selecting a
 backend is the only call-site change either optimisation needs: the engine's
 ``stacked_forward`` groups models by the backend's advertised
-``model_axis_capacity`` and falls back to a bit-identical per-copy loop on
+``model_axis_capacity``, and runs them one at a time, bit-identically, on
 backends without native support.
 
 Layering: ``repro.engine`` depends only on ``repro.nn`` (plus a lazy default

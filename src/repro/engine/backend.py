@@ -74,10 +74,10 @@ class ExecutionBackend:
         Backends advertising a positive capacity execute
         :meth:`stacked_forward` / :meth:`stacked_forward_collect` /
         :meth:`stacked_packed_masks` with genuinely fused weight stacks, and
-        the detection/campaign runners group their perturbed copies into
-        batches of this size.  The default implementations below loop the
-        models one at a time and stack the results, so every backend
-        supports the stacked API with identical semantics either way.
+        :func:`repro.validation.detection.replay_trials` builds its perturbed
+        copies in groups of this size.  The default implementations below
+        loop the models one at a time and stack the results, so every
+        backend supports the stacked API with identical semantics either way.
         """
         return 0
 

@@ -29,10 +29,9 @@ Key properties:
   one batch.  The model-axis dispatch is chosen per backend: when
   ``backend.model_axis_capacity > 0`` (the ``model_axis`` backend), copies
   are grouped up to that capacity and each group rides one fused dispatch
-  per layer through :class:`~repro.nn.stacked.StackedSequential`; a zero
-  capacity (numpy/parallel) falls back to a per-copy loop with bit-identical
-  results.  ``DetectionExperiment`` and the campaign runner switch onto this
-  query automatically when their backend advertises the capability.
+  per layer through :class:`~repro.nn.stacked.StackedSequential`; with a
+  zero capacity (numpy/parallel) the same query runs the copies one at a
+  time, with bit-identical results.
 
 Use :class:`Engine` whenever the same model is queried for more than a
 handful of samples; use raw ``Model.forward`` for one-off single-sample
@@ -473,7 +472,7 @@ class Engine:
         ``Engine(models[m]).forward(batch)`` bit for bit.  Backends with a
         positive :attr:`~repro.engine.backend.ExecutionBackend.model_axis_capacity`
         fuse up to that many copies per dispatch (one batched matmul per
-        layer); others fall back to a per-model loop with identical results.
+        layer); others run the models one at a time with identical results.
         Memoization keys on the *tuple* of parameter digests, so revisiting
         the same set of copies is a cache hit.
         """
@@ -488,7 +487,6 @@ class Engine:
                 raise ValueError(
                     "stacked models must share this engine's input shape"
                 )
-        digests = tuple(parameter_digest(model) for model in models)
 
         def compute() -> np.ndarray:
             if self.dtype_policy.is_default:
@@ -516,6 +514,11 @@ class Engine:
                 )
             return np.concatenate(outputs, axis=0)
 
+        if self._cache is None:
+            return compute()
+        # the digest tuple is only a memo key: an engine without a memo
+        # (every trial replay) never hashes the copies
+        digests = tuple(parameter_digest(model) for model in models)
         return self._memoized_for("stacked_forward", digests, batch, (), compute)
 
     # -- gradient queries ----------------------------------------------------

@@ -40,7 +40,7 @@ from repro.validation.sequential import (
     query_order,
     sprt_thresholds,
 )
-from repro.validation.user import BlackBoxIP, _query
+from repro.validation.user import BlackBoxIP, _query, compare_outputs
 
 
 class OnlineVerifier:
@@ -116,14 +116,9 @@ class OnlineVerifier:
                 _query(self.ip, package.tests[indices]), dtype=np.float64
             )
             used += take
-            if observed.shape != expected.shape:
-                # same rule as report_from_outputs: wrong output shape is a
-                # total mismatch, not an error
-                deviations = np.full(take, np.inf)
-            else:
-                deviations = np.abs(observed - expected).max(axis=1)
+            deviations, mismatches = compare_outputs(observed, expected, package.output_atol)
             for j in range(take):
-                is_mismatch = bool(deviations[j] > package.output_atol)
+                is_mismatch = bool(mismatches[j])
                 max_deviation = max(max_deviation, float(deviations[j]))
                 if is_mismatch:
                     mismatched.append(int(indices[j]))

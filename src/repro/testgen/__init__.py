@@ -4,8 +4,7 @@ combination, and the neuron-coverage / random baselines.
 Strategies register in the ``strategies`` namespace of the cross-subsystem
 :mod:`repro.registry` (see :mod:`repro.testgen.strategies`), so declarative
 specs (``repro.campaign``) and the :class:`repro.api.Session` facade look
-generators up by name without hardcoding constructors.  The deprecated
-per-name helpers of :mod:`repro.testgen.registry` still resolve but warn.
+generators up by name without hardcoding constructors.
 """
 
 from repro.testgen.base import GenerationResult, TestGenerator, stack_samples
@@ -13,12 +12,6 @@ from repro.testgen.combined import CombinedGenerator
 from repro.testgen.gradient_gen import TARGET_MODES, GradientTestGenerator
 from repro.testgen.neuron_testgen import NeuronCoverageSelector
 from repro.testgen.random_select import RandomSelector
-from repro.testgen.registry import (
-    available_strategies,
-    get_strategy,
-    register_strategy,
-    strategy_knobs,
-)
 from repro.testgen.selection import TrainingSetSelector
 from repro.testgen.strategies import StrategyFactory, build_generator
 
@@ -33,9 +26,5 @@ __all__ = [
     "RandomSelector",
     "TrainingSetSelector",
     "StrategyFactory",
-    "available_strategies",
     "build_generator",
-    "get_strategy",
-    "register_strategy",
-    "strategy_knobs",
 ]

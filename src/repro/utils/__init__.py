@@ -8,7 +8,7 @@ from repro.utils.config import (
     TrainingConfig,
     env_int,
 )
-from repro.utils.logging import Timer, enable_console_logging, get_logger, progress
+from repro.utils.logging import Timer, enable_console_logging, get_logger
 from repro.utils.rng import (
     RngLike,
     as_generator,
@@ -28,7 +28,6 @@ __all__ = [
     "Timer",
     "enable_console_logging",
     "get_logger",
-    "progress",
     "RngLike",
     "as_generator",
     "check_probability",

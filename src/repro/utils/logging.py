@@ -1,9 +1,9 @@
 """Lightweight logging helpers used across the library.
 
 The library deliberately avoids configuring the root logger; it exposes a
-namespaced logger factory plus a couple of helpers for progress reporting in
-long-running experiment drivers (training, greedy selection, detection-rate
-sweeps).
+namespaced logger factory, a console handler switch and a wall-clock timer
+for long-running experiment drivers (training, greedy selection,
+detection-rate sweeps).
 """
 
 from __future__ import annotations
@@ -11,9 +11,6 @@ from __future__ import annotations
 import logging
 import sys
 import time
-from typing import Iterable, Iterator, Optional, TypeVar
-
-T = TypeVar("T")
 
 _LIBRARY_NAMESPACE = "repro"
 
@@ -68,18 +65,4 @@ class Timer:
         self.elapsed = time.perf_counter() - self.start
 
 
-def progress(
-    iterable: Iterable[T],
-    every: int = 10,
-    label: str = "progress",
-    logger: Optional[logging.Logger] = None,
-) -> Iterator[T]:
-    """Yield from ``iterable`` while logging progress every ``every`` items."""
-    log = logger or get_logger()
-    for i, item in enumerate(iterable):
-        if every > 0 and i % every == 0:
-            log.debug("%s: item %d", label, i)
-        yield item
-
-
-__all__ = ["get_logger", "enable_console_logging", "Timer", "progress"]
+__all__ = ["get_logger", "enable_console_logging", "Timer"]

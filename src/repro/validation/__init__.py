@@ -7,6 +7,7 @@ from repro.validation.detection import (
     DetectionExperiment,
     DetectionTable,
     default_attack_factories,
+    replay_trials,
     run_detection_experiment,
     stack_package_prefixes,
 )
@@ -22,6 +23,7 @@ from repro.validation.user import (
     BlackBoxIP,
     IPUser,
     ValidationReport,
+    compare_outputs,
     report_from_outputs,
     validate_ip,
 )
@@ -29,6 +31,7 @@ from repro.validation.vendor import IPVendor
 
 __all__ = [
     "ATTACK_NAMES",
+    "replay_trials",
     "stack_package_prefixes",
     "DetectionCell",
     "DetectionExperiment",
@@ -46,6 +49,7 @@ __all__ = [
     "BlackBoxIP",
     "IPUser",
     "ValidationReport",
+    "compare_outputs",
     "report_from_outputs",
     "validate_ip",
     "IPVendor",

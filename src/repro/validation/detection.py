@@ -14,20 +14,20 @@ trials that were detected — exactly the quantity reported in Tables II/III.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.attacks.base import ParameterAttack
-from repro.data.datasets import Dataset
+from repro.attacks.base import ParameterAttack, PerturbationRecord
 from repro.engine import Engine
 from repro.engine.backend import BackendSpec, get_backend
 from repro.nn.model import Sequential
 from repro.utils.config import DetectionConfig
 from repro.utils.logging import get_logger
-from repro.utils.rng import RngLike, as_generator, spawn
+from repro.utils.rng import spawn
 from repro.validation.package import ValidationPackage
-from repro.validation.user import validate_ip
+from repro.validation.user import compare_outputs
 
 logger = get_logger("validation.detection")
 
@@ -65,6 +65,38 @@ def stack_package_prefixes(
     )
     offsets = {m: i * budget for i, m in enumerate(methods)}
     return methods, stacked_tests, expected, offsets
+
+
+def replay_trials(
+    engine: Engine,
+    attacks: Iterable[ParameterAttack],
+    tests: np.ndarray,
+    expected: np.ndarray,
+    output_atol: float,
+) -> Tuple[np.ndarray, List[PerturbationRecord]]:
+    """Replay ``tests`` against one perturbed copy of ``engine.model`` per attack.
+
+    Returns ``(mismatches, records)``: the ``(trials, tests)`` bool matrix
+    whose row ``t`` flags the tests on which attack ``t``'s copy deviates
+    from ``expected`` (:func:`~repro.validation.user.compare_outputs`), and
+    each trial's perturbation record.  Copies are built lazily, in groups
+    of the backend's model-axis capacity (one at a time on backends without
+    one), and each group replays in one :meth:`Engine.stacked_forward`, so
+    at most one group of copies is alive at a time.  Detection counts,
+    queries-to-decision and discrimination scores are reductions of this
+    matrix.
+    """
+    group_size = max(1, engine.backend.model_axis_capacity)
+    attacks = iter(attacks)
+    rows: List[np.ndarray] = []
+    records: List[PerturbationRecord] = []
+    while outcomes := [attack.apply(engine.model) for attack in islice(attacks, group_size)]:
+        observed = engine.stacked_forward([o.model for o in outcomes], tests)
+        rows.append(compare_outputs(observed, expected[None], output_atol)[1])
+        records.extend(o.record for o in outcomes)
+    if not rows:
+        raise ValueError("replay_trials needs at least one attack")
+    return np.concatenate(rows, axis=0), records
 
 
 @dataclass
@@ -213,10 +245,7 @@ class DetectionExperiment:
         attack from a per-trial RNG; see :func:`default_attack_factories`.
     config: trial counts, budgets, attack list, tolerance and seed.
     backend: engine backend the trial replays run on (name, instance or
-        class).  Backends advertising a positive ``model_axis_capacity``
-        (the ``model_axis`` backend) evaluate that many perturbed copies per
-        fused dispatch instead of one engine pass per trial; detection
-        counts are bit-identical either way.
+        class); detection counts are bit-identical on every backend.
     """
 
     def __init__(
@@ -253,76 +282,39 @@ class DetectionExperiment:
         budgets within an attack (paired trials), so differences between
         methods are not washed out by attack sampling noise.
 
-        Per trial, the tests of *all* packages are replayed with a single
-        stacked batched forward pass over the perturbed copy (one engine
-        dispatch instead of one ``predict`` per method); smaller budgets are
-        derived from the same outputs via prefix slicing.  When the backend
-        advertises a model-axis capacity, that many perturbed copies share
-        one fused dispatch per group instead of one engine pass each.
+        The tests of *all* packages are stacked once and replayed by
+        :func:`replay_trials`; every (method, budget) cell counts the trials
+        with any mismatch in its prefix slice of the stacked batch.
         """
         cfg = self.config
         table = DetectionTable()
         attack_rngs = spawn(cfg.seed, len(cfg.attacks))
-        max_budget = max(cfg.test_budgets)
-
-        # stack every package's test prefix once; per-method slices of the
-        # stacked batch are recovered from the offsets below
         methods, stacked_tests, expected, offsets = stack_package_prefixes(
-            self.packages, max_budget
+            self.packages, max(cfg.test_budgets)
         )
-
-        capacity = self.backend.model_axis_capacity
-        group_size = capacity if capacity > 0 else 1
-        # perturbed copies are each used for exactly one batch, so engine
-        # memo caches are disabled throughout
-        stacked_engine = (
-            Engine(self.model, backend=self.backend, cache=False)
-            if capacity > 0
-            else None
-        )
-
+        # perturbed copies are each used for exactly one batch, so the memo
+        # cache is off
+        engine = Engine(self.model, backend=self.backend, cache=False)
         for attack_name, attack_rng in zip(cfg.attacks, attack_rngs):
             factory = self.attack_factories[attack_name]
-            trial_rngs = spawn(attack_rng, cfg.trials)
             logger.info(
                 "running %d %s perturbation trials", cfg.trials, attack_name
             )
-
-            # detections[method][budget] -> count
-            detections: Dict[str, Dict[int, int]] = {
-                method: {n: 0 for n in cfg.test_budgets} for method in self.packages
-            }
-            for start in range(0, cfg.trials, group_size):
-                group = trial_rngs[start : start + group_size]
-                copies = [factory(rng).apply(self.model).model for rng in group]
-                if stacked_engine is not None:
-                    observed_group = stacked_engine.stacked_forward(
-                        copies, stacked_tests
-                    )
-                else:
-                    observed_group = [
-                        Engine(
-                            copy, backend=self.backend, cache=False
-                        ).forward(stacked_tests)
-                        for copy in copies
-                    ]
-                for observed in observed_group:
-                    deviations = np.abs(observed - expected).max(axis=1)
-                    for method in methods:
-                        lo = offsets[method]
-                        for n in cfg.test_budgets:
-                            if np.any(deviations[lo : lo + n] > cfg.output_atol):
-                                detections[method][n] += 1
-
-            for method in self.packages:
+            attacks = (factory(rng) for rng in spawn(attack_rng, cfg.trials))
+            mismatches, _ = replay_trials(
+                engine, attacks, stacked_tests, expected, cfg.output_atol
+            )
+            for method in methods:
+                lo = offsets[method]
                 for n in cfg.test_budgets:
+                    detected = mismatches[:, lo : lo + n].any(axis=1)
                     table.add(
                         DetectionCell(
                             method=method,
                             attack=attack_name,
                             num_tests=n,
                             trials=cfg.trials,
-                            detections=detections[method][n],
+                            detections=int(detected.sum()),
                         )
                     )
         return table
@@ -350,6 +342,7 @@ __all__ = [
     "DetectionTable",
     "DetectionExperiment",
     "default_attack_factories",
+    "replay_trials",
     "run_detection_experiment",
     "stack_package_prefixes",
 ]

@@ -80,7 +80,7 @@ class ValidationPackage:
     ----------
     tests: the functional test inputs, shape ``(N, *input_shape)``.
     expected_outputs: reference logits ``Y = F(X)`` from the untampered model,
-        shape ``(N, num_classes)``.
+        shape ``(N, num_classes)``, all finite.
     expected_labels: reference predicted classes (redundant with the logits
         but convenient for label-only comparison modes).
     output_atol: tolerance used when comparing observed logits against the
@@ -116,6 +116,9 @@ class ValidationPackage:
             )
         if self.expected_outputs.ndim != 2:
             raise ValueError("expected_outputs must be a 2-D (N, num_classes) array")
+        if not np.all(np.isfinite(self.expected_outputs)):
+            # reference outputs are finite, so a NaN can only come from a suspect
+            raise ValueError("expected_outputs must be finite")
         if self.output_atol < 0:
             raise ValueError("output_atol must be non-negative")
         if self.expected_labels is None:

@@ -9,7 +9,7 @@ as tampered on any mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -67,37 +67,51 @@ def _query(ip: BlackBoxIP, inputs: np.ndarray) -> np.ndarray:
     return np.asarray(outputs, dtype=np.float64)
 
 
+def compare_outputs(
+    observed: np.ndarray, expected: np.ndarray, atol: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The scheme's one output-comparison rule: ``(deviations, mismatched)``.
+
+    ``deviations`` is each test's largest absolute logit difference from the
+    reference and ``mismatched`` flags every test whose deviation is not
+    within ``atol``.  A non-finite deviation (a NaN or inf output) is
+    reported as ``inf`` and always mismatches.  An output of the wrong shape
+    is itself unambiguous tampering: every test mismatches at deviation
+    ``inf``.  Shapes are ``(N,)`` for one copy's ``(N, C)`` outputs; a stack
+    of copies ``(T, N, C)`` compared against ``expected[None]`` broadcasts to
+    ``(T, N)``.
+    """
+    observed = np.asarray(observed)
+    if observed.ndim != expected.ndim or observed.shape[-2:] != expected.shape[-2:]:
+        deviations = np.full(expected.shape[:-1], np.inf)
+    else:
+        deviations = np.abs(observed - expected).max(axis=-1)
+        deviations[np.isnan(deviations)] = np.inf
+    return deviations, ~(deviations <= atol)
+
+
 def report_from_outputs(
     observed: np.ndarray, package: ValidationPackage
 ) -> ValidationReport:
     """Compare observed logits against a package's reference outputs.
 
-    The single comparison rule of the scheme, shared by the in-process
-    :meth:`IPUser.validate` and the serving layer's coalesced replay
-    (:mod:`repro.serve`), so a request answered from a merged batched
-    dispatch can never score differently from a direct call on the same
-    logits.  A test mismatches when any of its output logits deviates from
-    the reference by more than the package's ``output_atol``.
+    Applies :func:`compare_outputs`, shared by the in-process
+    :meth:`IPUser.validate`, the serving layer's coalesced replay
+    (:mod:`repro.serve`), the sequential verifier and the trial replay of
+    the detection experiments, so no verdict path can score the same logits
+    differently.
     """
-    if observed.shape != package.expected_outputs.shape:
-        # output shape change is itself unambiguous tampering
-        return ValidationReport(
-            passed=False,
-            num_tests=package.num_tests,
-            mismatched_indices=list(range(package.num_tests)),
-            max_output_deviation=float("inf"),
-            label_mismatches=package.num_tests,
-        )
-    deviations = np.abs(observed - package.expected_outputs)
-    per_test_max = deviations.max(axis=1)
-    mismatched = np.where(per_test_max > package.output_atol)[0]
-    observed_labels = np.argmax(observed, axis=1)
-    label_mismatches = int(np.sum(observed_labels != package.expected_labels))
+    expected = package.expected_outputs
+    deviations, mismatched = compare_outputs(observed, expected, package.output_atol)
+    if observed.shape == expected.shape:
+        label_mismatches = int(np.sum(np.argmax(observed, axis=1) != package.expected_labels))
+    else:
+        label_mismatches = package.num_tests
     return ValidationReport(
-        passed=mismatched.size == 0,
+        passed=not mismatched.any(),
         num_tests=package.num_tests,
-        mismatched_indices=[int(i) for i in mismatched],
-        max_output_deviation=float(per_test_max.max()) if package.num_tests else 0.0,
+        mismatched_indices=[int(i) for i in np.flatnonzero(mismatched)],
+        max_output_deviation=float(deviations.max()),
         label_mismatches=label_mismatches,
     )
 
@@ -122,6 +136,7 @@ def validate_ip(ip: BlackBoxIP, package: ValidationPackage) -> ValidationReport:
 
 __all__ = [
     "IPUser",
+    "compare_outputs",
     "ValidationReport",
     "report_from_outputs",
     "validate_ip",

@@ -90,7 +90,8 @@ class IPVendor:
         the sequential verifier's query order, so the user's most telling
         queries are spent first.  Fully deterministic for a given seed.
         """
-        from repro.validation.detection import default_attack_factories
+        from repro.engine import Engine
+        from repro.validation.detection import default_attack_factories, replay_trials
 
         test_array = np.asarray(tests, dtype=np.float64)
         if test_array.shape[0] == 0:
@@ -100,19 +101,15 @@ class IPVendor:
         if expected is None:
             expected = self.model.predict(test_array)
         factories = default_attack_factories(test_array)
-        detections = np.zeros(test_array.shape[0], dtype=np.float64)
-        copies = 0
         base = as_generator(seed)
-        for name in sorted(factories):
-            factory = factories[name]
-            for _ in range(trials):
-                rng = np.random.default_rng(base.integers(0, 2**63 - 1))
-                perturbed = factory(rng).apply(self.model).model
-                observed = perturbed.predict(test_array)
-                deviations = np.abs(observed - expected).max(axis=1)
-                detections += deviations > output_atol
-                copies += 1
-        return detections / copies
+        attacks = (
+            factories[name](np.random.default_rng(base.integers(0, 2**63 - 1)))
+            for name in sorted(factories)
+            for _ in range(trials)
+        )
+        engine = Engine(self.model, cache=False)
+        mismatches, _ = replay_trials(engine, attacks, test_array, expected, output_atol)
+        return mismatches.mean(axis=0)
 
     # -- packaging ------------------------------------------------------------
     def build_package(

@@ -421,61 +421,6 @@ class TestDeprecatedShims:
         assert "deprecated" in str(deprecations[0].message)
         return result
 
-    def test_available_strategies_shim(self):
-        from repro.testgen.registry import available_strategies
-
-        names = self._single_deprecation(available_strategies)
-        assert "combined" in names
-
-    def test_get_strategy_shim(self):
-        from repro.registry import registry
-        from repro.testgen.registry import get_strategy
-
-        factory = self._single_deprecation(get_strategy, "random")
-        assert factory is registry.get("strategies", "random")
-
-    def test_strategy_knobs_shim(self):
-        from repro.testgen.registry import strategy_knobs
-
-        knobs = self._single_deprecation(strategy_knobs, "combined")
-        assert knobs == {
-            "candidate_pool": "candidate_pool",
-            "max_updates": "gradient_updates",
-        }
-
-    def test_register_strategy_shim(self):
-        from repro.registry import registry
-        from repro.testgen.registry import register_strategy
-
-        self._single_deprecation(
-            register_strategy, "test-shim", lambda *a, **k: None, knobs={"x": "y"}
-        )
-        try:
-            assert registry.knobs("strategies", "test-shim") == {"x": "y"}
-        finally:
-            registry.unregister("strategies", "test-shim")
-
-    def test_build_generator_shim(self, trained_cnn, digit_dataset):
-        from repro.testgen.registry import build_generator
-
-        generator = self._single_deprecation(
-            build_generator, "random", trained_cnn, digit_dataset, rng=0
-        )
-        assert generator.generate(2).num_tests == 2
-
-    def test_shim_imports_resolve_without_warning(self):
-        # importing the deprecated module (and the names re-exported through
-        # repro.testgen) must stay silent; only *calls* warn
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import importlib
-
-            import repro.testgen.registry as shim
-
-            importlib.reload(shim)
-            from repro.testgen import available_strategies  # noqa: F401
-        assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
-
     def test_one_shot_validate_adhoc_kwargs_shim(self, released):
         from repro.api import validate
 

@@ -4,7 +4,8 @@ The acceptance bar: fusing perturbed copies along a leading model axis must
 be *observably free* — stacked logits, gradients, collected activations,
 detection tables and greedy selections are bit-identical to running each
 copy through its own engine on the numpy backend, on both Table-I
-architectures.  Speed is asserted in ``benchmarks/bench_engine.py``;
+architectures; trial replay matches per-copy ``validate_ip`` and a campaign
+writes the same store bytes on either backend.  Speed is asserted in ``benchmarks/bench_engine.py``;
 correctness lives here.
 """
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.attacks.base import bias_flat_indices
 from repro.attacks.sba import SingleBiasAttack
+from repro.campaign import CampaignSpec, run_campaign
 from repro.data.datasets import Dataset
 from repro.engine import Engine, ModelAxisBackend
 from repro.engine.backend import NumpyBackend, get_backend
@@ -23,7 +25,13 @@ from repro.models.zoo import cifar_cnn, mnist_cnn
 from repro.nn.stacked import StackedSequential
 from repro.testgen.selection import TrainingSetSelector
 from repro.utils.config import DetectionConfig
-from repro.validation.detection import DetectionExperiment, default_attack_factories
+from repro.validation.detection import (
+    ATTACK_NAMES,
+    DetectionExperiment,
+    default_attack_factories,
+    replay_trials,
+)
+from repro.validation.user import validate_ip
 from repro.validation.vendor import IPVendor
 
 
@@ -268,6 +276,63 @@ class TestConsumerEquivalence:
             model, packages, factories, config, backend=ModelAxisBackend(max_models=4)
         ).run().as_rows()
         assert rows_np == rows_ma
+
+    @pytest.mark.parametrize(
+        "backend", [NumpyBackend(), ModelAxisBackend(max_models=4)], ids=["numpy", "model_axis"]
+    )
+    def test_replay_trials_rows_match_validate_ip(self, backend, mnist_model, mnist_pool):
+        # a loose tolerance lets some copies pass, so rows differ by trial
+        package = IPVendor(mnist_model).build_package(mnist_pool[:6], output_atol=0.1)
+        factories = default_attack_factories(mnist_pool[:4])
+
+        def attacks():
+            # 9 trials: two full model-axis groups of 4 plus a remainder of 1
+            return [
+                factories[ATTACK_NAMES[t % 4]](np.random.default_rng(t)) for t in range(9)
+            ]
+
+        # reference: one validate_ip per perturbed copy
+        reference_rows, reference_records = [], []
+        for attack in attacks():
+            outcome = attack.apply(mnist_model)
+            reference_rows.append(validate_ip(outcome.model, package).mismatched_indices)
+            reference_records.append(outcome.record.to_dict())
+
+        mismatches, records = replay_trials(
+            Engine(mnist_model, backend=backend, cache=False),
+            attacks(),
+            package.tests,
+            package.expected_outputs,
+            package.output_atol,
+        )
+        assert mismatches.shape == (9, package.num_tests)
+        assert [np.flatnonzero(row).tolist() for row in mismatches] == reference_rows
+        assert [record.to_dict() for record in records] == reference_records
+        assert len({tuple(row) for row in reference_rows}) > 1, "every row alike: vacuous"
+
+    def test_campaign_store_identical(self, tmp_path):
+        spec = CampaignSpec(
+            name="backend-identity",
+            attacks=ATTACK_NAMES,
+            models=("mnist",),
+            criteria=("default",),
+            strategies=("random",),
+            budgets=(2, 3),
+            trials=5,
+            train_size=24,
+            test_size=12,
+            epochs=1,
+            width_multiplier=0.08,
+            candidate_pool=12,
+            gradient_updates=3,
+            reference_inputs=6,
+        )
+        stores = {}
+        for name, backend in (("numpy", "numpy"), ("model_axis", ModelAxisBackend(max_models=2))):
+            stores[name] = tmp_path / f"{name}.jsonl"
+            summary = run_campaign(spec, str(stores[name]), backend=backend)
+            assert summary.executed == 8 and summary.failed == 0
+        assert stores["numpy"].read_bytes() == stores["model_axis"].read_bytes()
 
     def test_greedy_selection_identical(self, mnist_model, mnist_pool):
         dataset = Dataset(

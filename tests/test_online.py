@@ -454,6 +454,17 @@ class TestOnlineVerifier:
         assert report.queries_used == 1
         assert report.max_output_deviation == np.inf
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_outputs_are_detected(self, value, scored_package):
+        # nan > atol is False: a NaN suspect used to be scored clean
+        def suspect(inputs):
+            return np.full((len(inputs), scored_package.expected_outputs.shape[1]), value)
+
+        report = verify_online(suspect, scored_package)
+        assert report.verdict == VERDICT_TAMPERED and report.decided
+        assert report.queries_used == 1
+        assert report.max_output_deviation == np.inf
+
     def test_report_round_trips_as_dict(self, trained_cnn, scored_package):
         report = verify_online(trained_cnn, scored_package)
         clone = type(report).from_dict(report.to_dict())

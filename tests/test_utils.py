@@ -18,7 +18,6 @@ from repro.utils import (
     derive_seed,
     enable_console_logging,
     get_logger,
-    progress,
     spawn,
 )
 
@@ -79,9 +78,6 @@ class TestLogging:
         with Timer() as t:
             sum(range(1000))
         assert t.elapsed >= 0.0
-
-    def test_progress_yields_everything(self):
-        assert list(progress(range(7), every=2)) == list(range(7))
 
 
 class TestConfigs:

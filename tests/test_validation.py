@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.attacks import RandomPerturbation, SingleBiasAttack
+from repro.attacks.base import ParameterAttack, PerturbationRecord
+from repro.engine import Engine
 from repro.testgen import TrainingSetSelector
 from repro.utils.config import DetectionConfig
 from repro.validation import (
@@ -11,7 +13,9 @@ from repro.validation import (
     IPUser,
     IPVendor,
     ValidationPackage,
+    compare_outputs,
     default_attack_factories,
+    replay_trials,
     validate_ip,
 )
 
@@ -41,6 +45,13 @@ class TestValidationPackage:
             )
         with pytest.raises(ValueError):
             ValidationPackage(tests=np.zeros((2, 4)), expected_outputs=np.zeros(2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_expected_outputs_rejected(self, value):
+        outputs = np.zeros((2, 5))
+        outputs[1, 3] = value
+        with pytest.raises(ValueError, match="finite"):
+            ValidationPackage(tests=np.zeros((2, 4)), expected_outputs=outputs)
 
     def test_subset(self, vendor_package):
         sub = vendor_package.subset(4)
@@ -138,6 +149,84 @@ class TestUser:
     def test_empty_package_rejected(self):
         with pytest.raises(ValueError):
             ValidationPackage(tests=np.zeros((0, 2)), expected_outputs=np.zeros((0, 3)))
+
+
+class InfWeightAttack(ParameterAttack):
+    """Sets the first weight of the model to a non-finite value."""
+
+    attack_name = "inf-weight"
+
+    def __init__(self, value: float = np.inf) -> None:
+        super().__init__(rng=0)
+        self.value = value
+
+    def _perturb(self, model):
+        weight = model.parameters()[0].value
+        delta = self.value - weight.flat[0]
+        weight.flat[0] = self.value
+        return PerturbationRecord("inf-weight", np.array([0]), np.array([delta]))
+
+
+class TestCompareOutputs:
+    def test_rule(self):
+        expected = np.zeros((3, 2))
+        observed = np.array([[0.0, 1e-7], [0.0, 1e-3], [np.nan, 0.0]])
+        deviations, mismatched = compare_outputs(observed, expected, 1e-6)
+        assert deviations.tolist() == [1e-7, 1e-3, np.inf]
+        assert mismatched.tolist() == [False, True, True]
+
+    def test_wrong_shape_mismatches_every_test(self):
+        deviations, mismatched = compare_outputs(np.zeros((3, 4)), np.zeros((3, 2)), 1.0)
+        assert deviations.tolist() == [np.inf] * 3
+        assert mismatched.all()
+        # one copy answering with an extra axis is a wrong shape, not a stack
+        _, mismatched = compare_outputs(np.zeros((1, 3, 2)), np.zeros((3, 2)), 1.0)
+        assert mismatched.shape == (3,) and mismatched.all()
+
+    def test_stack_broadcasts_over_trials(self):
+        expected = np.zeros((3, 2))
+        observed = np.zeros((2, 3, 2))
+        observed[1, 2, 0] = np.inf
+        deviations, mismatched = compare_outputs(observed, expected[None], 1e-6)
+        assert deviations.shape == mismatched.shape == (2, 3)
+        assert mismatched.tolist() == [[False, False, False], [False, False, True]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteSuspect:
+    """A suspect whose outputs are NaN or inf must never pass validation."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_callable_detected(self, value, vendor_package):
+        def suspect(x):
+            return np.full(vendor_package.expected_outputs.shape, value)
+
+        report = validate_ip(suspect, vendor_package)
+        assert report.detected
+        assert report.num_mismatched == vendor_package.num_tests
+        assert report.max_output_deviation == np.inf
+
+    def test_inf_weight_model_detected(self, trained_cnn, vendor_package):
+        tampered = InfWeightAttack().apply(trained_cnn).model
+        assert not np.isfinite(tampered.predict(vendor_package.tests)).all()
+        report = validate_ip(tampered, vendor_package)
+        assert report.detected
+        assert report.max_output_deviation == np.inf
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_replay_trials_flags_non_finite_copies(self, value, trained_cnn, vendor_package):
+        mismatches, records = replay_trials(
+            Engine(trained_cnn, cache=False),
+            [SingleBiasAttack(magnitude=20.0, rng=0), InfWeightAttack(value)],
+            vendor_package.tests,
+            vendor_package.expected_outputs,
+            vendor_package.output_atol,
+        )
+        sba_copy = SingleBiasAttack(magnitude=20.0, rng=0).apply(trained_cnn).model
+        sba_report = validate_ip(sba_copy, vendor_package)
+        assert np.flatnonzero(mismatches[0]).tolist() == sba_report.mismatched_indices
+        assert mismatches[1].all()
+        assert [r.attack for r in records] == ["sba", "inf-weight"]
 
 
 class TestDetectionExperiment:
