@@ -9,8 +9,7 @@ model, comparing
   image (the pre-engine hot path),
 * ``mean_validation_coverage`` — chunked batched passes through
   :class:`repro.engine.Engine` (``NumpyBackend``),
-* the memoized revisit (greedy-loop / ablation-sweep access pattern),
-* on hosts with ≥ 4 usable cores, the multi-core ``ParallelBackend``, and
+* the memoized revisit (greedy-loop / ablation-sweep access pattern), and
 * the ``ModelAxisBackend``: one fused ``stacked_forward`` dispatch over 8
   perturbed model copies vs the bit-identical per-copy loop (the Tables
   II/III detection inner loop).
@@ -18,8 +17,6 @@ model, comparing
 Asserted acceptance criteria:
 
 * ≥ 5× batched-vs-per-sample wall-clock speedup and ≤ 1e-8 equivalence;
-* on ≥ 4-core hosts, ≥ 2× parallel-vs-numpy wall-clock on the 100-image
-  coverage+detection workload at ≤ 1e-8 equivalence;
 * ≥ 3× fused-vs-loop wall-clock on the 8-copy stacked replay at exact
   (bitwise) equality of the stacked logits.
 
@@ -47,15 +44,13 @@ from repro.coverage.parameter_coverage import (
     mean_validation_coverage_reference,
 )
 from repro.data.synth_digits import generate_digits
-from repro.engine import Engine, ParallelBackend, default_worker_count
+from repro.engine import Engine
 from repro.models.zoo import mnist_cnn
 
 POOL_SIZE = 100
 REQUIRED_SPEEDUP = 5.0
-REQUIRED_PARALLEL_SPEEDUP = 2.0
 REQUIRED_MODEL_AXIS_SPEEDUP = 3.0
 MODEL_AXIS_COPIES = 8
-PARALLEL_MIN_CORES = 4
 TOLERANCE = 1e-8
 
 
@@ -117,35 +112,6 @@ def main() -> None:
     print(f"\nspeedup (batched vs per-sample): {speedup:.1f}x")
     print(f"numerical difference:            {error:.2e}")
 
-    cores = default_worker_count()
-    parallel_speedup = None
-    parallel_error = None
-    if cores >= PARALLEL_MIN_CORES:
-        backend = ParallelBackend()
-        try:
-            # shared backend keeps the worker pool warm across repeats; the
-            # measured quantity is the coverage+detection-style batched pass
-            par = measure(
-                "coverage",
-                lambda: mean_validation_coverage(
-                    model, images, engine=Engine(model, backend=backend, cache=False)
-                ),
-                samples=POOL_SIZE,
-                backend="parallel",
-                repeats=5,
-            )
-        finally:
-            backend.close()
-        results.append(par)
-        parallel_speedup = batched.wall_s / par.wall_s
-        parallel_error = abs(par.value - batched.value)
-        print(
-            f"parallel backend:     {par.wall_s * 1e3:9.1f} ms  "
-            f"({cores} cores, {parallel_speedup:.1f}x vs numpy)"
-        )
-    else:
-        print(f"parallel backend:     skipped ({cores} usable core(s) < {PARALLEL_MIN_CORES})")
-
     # model-axis fused dispatch vs the bit-identical per-copy loop: the
     # detection inner loop at MODEL_AXIS_COPIES perturbed copies per group.
     # Each copy carries a large fault on a distinct output-head bias (the
@@ -192,10 +158,6 @@ def main() -> None:
         f"batched coverage differs from reference by {error:.2e} > {TOLERANCE:.0e}"
     )
     assert abs(cached.value - batched.value) <= TOLERANCE
-    if parallel_error is not None:
-        assert parallel_error <= TOLERANCE, (
-            f"parallel coverage differs from numpy by {parallel_error:.2e} > {TOLERANCE:.0e}"
-        )
     assert model_axis_identical, (
         "model-axis stacked logits are not bitwise identical to the per-copy loop"
     )
@@ -205,11 +167,6 @@ def main() -> None:
     assert speedup >= REQUIRED_SPEEDUP, (
         f"batched path is only {speedup:.1f}x faster; required ≥{REQUIRED_SPEEDUP}x"
     )
-    if parallel_speedup is not None:
-        assert parallel_speedup >= REQUIRED_PARALLEL_SPEEDUP, (
-            f"parallel backend is only {parallel_speedup:.1f}x faster; "
-            f"required ≥{REQUIRED_PARALLEL_SPEEDUP}x on ≥{PARALLEL_MIN_CORES} cores"
-        )
     assert model_axis_speedup >= REQUIRED_MODEL_AXIS_SPEEDUP, (
         f"model-axis fused dispatch is only {model_axis_speedup:.1f}x faster; "
         f"required ≥{REQUIRED_MODEL_AXIS_SPEEDUP}x at {MODEL_AXIS_COPIES} copies"

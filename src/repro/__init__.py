@@ -38,7 +38,7 @@ Subsystem map:
 * :mod:`repro.nn` — from-scratch NumPy deep-learning substrate (layers,
   losses, optimisers, batched per-sample gradient extraction).
 * :mod:`repro.engine` — the batched execution engine: memoizing
-  forward/gradient/mask queries, pluggable ``numpy``/``parallel`` backends,
+  forward/gradient/mask queries, pluggable ``numpy``/``model_axis`` backends,
   compute-dtype policies.
 * :mod:`repro.bench` — the benchmark harness and CI regression gate.
 * :mod:`repro.data` — synthetic stand-ins for MNIST, CIFAR-10, ImageNet and

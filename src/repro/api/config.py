@@ -1,8 +1,8 @@
 """Session-level run configuration, plus the shared dataclass (de)serialiser.
 
 A :class:`RunConfig` gathers every knob that describes *how* work executes —
-backend, compute dtype, parallelism, chunking, cache and memory budgets, rng
-seeding — as opposed to the request objects (:mod:`repro.api.requests`),
+backend, compute dtype, campaign shards, chunking, cache and memory budgets,
+rng seeding — as opposed to the request objects (:mod:`repro.api.requests`),
 which describe *what* to compute.  One config serves a whole
 :class:`~repro.api.session.Session`; every engine the session builds
 inherits it.
@@ -11,7 +11,7 @@ Like :class:`~repro.campaign.CampaignSpec`, a config is resolvable from a
 plain dict or a TOML/JSON file (optionally nested under a ``[run]``
 table)::
 
-    config = RunConfig(backend="parallel", workers=4, dtype="float32")
+    config = RunConfig(backend="model_axis", dtype="float32")
     config = RunConfig.from_dict({"backend": "numpy", "batch_size": 128})
     config = RunConfig.load("run.toml")
 
@@ -108,11 +108,8 @@ class RunConfig(TableSerde):
     Attributes
     ----------
     backend:
-        Engine backend name (``"numpy"``, ``"parallel"`` or
-        ``"model_axis"``; any registered ``backends`` entry of
-        :mod:`repro.registry` resolves).
-    workers:
-        Worker count when ``backend="parallel"`` (``None`` = auto).
+        Engine backend name (``"numpy"`` or ``"model_axis"``; any
+        registered ``backends`` entry of :mod:`repro.registry` resolves).
     shards:
         Default worker-process shard count for campaign sweeps (``None`` =
         follow the spec; above 1 routes :meth:`Session.sweep` through the
@@ -149,7 +146,7 @@ class RunConfig(TableSerde):
     faults:
         Optional fault-tolerance policy as a plain table of
         :class:`repro.faults.FaultPolicy` fields (e.g. ``{"max_retries": 3,
-        "dispatch_timeout_s": 30.0}``); ``None`` disables retries entirely
+        "breaker_threshold": 5}``); ``None`` disables retries entirely
         (failures propagate on first occurrence).  Resolved via
         :meth:`fault_policy`.
     """
@@ -157,7 +154,6 @@ class RunConfig(TableSerde):
     _TABLE = "run"
 
     backend: str = "numpy"
-    workers: Optional[int] = None
     shards: Optional[int] = None
     model_axis_size: Optional[int] = None
     dtype: Optional[str] = None
@@ -183,12 +179,6 @@ class RunConfig(TableSerde):
     def validate(self) -> None:
         if self.faults is not None:
             self.fault_policy()  # raises on unknown fields / bad values
-        if self.workers is not None and self.backend != "parallel":
-            raise ValueError(
-                "workers is only meaningful with backend='parallel'"
-            )
-        if self.workers is not None and self.workers <= 0:
-            raise ValueError("workers must be positive when given")
         if self.shards is not None and self.shards < 1:
             raise ValueError("shards must be at least 1 when given")
         if self.model_axis_size is not None and self.backend != "model_axis":

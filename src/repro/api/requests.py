@@ -351,7 +351,6 @@ class SweepRequest(WireSerde, TableSerde):
     store: str = "campaign-results.jsonl"
     #: ``None`` runs on the session's configured backend instance
     backend: Optional[str] = None
-    workers: Optional[int] = None
     #: worker-process shards of the distributed campaign runner (``None``
     #: follows the session config, then the spec; above 1 each shard
     #: appends to its own ``<store>.shard<k>.jsonl``)
@@ -364,8 +363,6 @@ class SweepRequest(WireSerde, TableSerde):
             raise ValueError("spec is required (a CampaignSpec, dict or path)")
         if not self.store:
             raise ValueError("store is required")
-        if self.workers is not None and self.backend != "parallel":
-            raise ValueError("workers is only meaningful with backend='parallel'")
         if self.shards is not None and self.shards < 1:
             raise ValueError("shards must be at least 1 when given")
 

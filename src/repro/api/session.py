@@ -27,7 +27,6 @@ re-run in a fresh session reproduces its artefacts exactly.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
@@ -42,7 +41,7 @@ from repro.api.requests import (
     ValidateRequest,
     ValidationOutcome,
 )
-from repro.engine import Engine, ExecutionBackend, ParallelBackend, get_backend
+from repro.engine import Engine, ExecutionBackend, ModelAxisBackend, get_backend
 from repro.nn.model import Sequential
 from repro.nn.serialization import parameter_digest
 from repro.utils.logging import get_logger
@@ -61,19 +60,19 @@ class Session:
     config:
         A :class:`RunConfig`, a plain dict of its fields, or ``None`` for
         defaults; keyword arguments override individual fields either way
-        (``Session(backend="parallel", workers=2)``).
+        (``Session(backend="model_axis", model_axis_size=4)``).
 
     Engines built by the session share its backend, dtype policy, batch size
     and memory budget; they are memoizing and pooled per parameter digest,
     so repeated requests against the same trained model reuse cached
     gradient/mask matrices.  Sessions are context managers — leaving the
-    ``with`` block releases the backend's worker pools.
+    ``with`` block closes the backend and drops the cached engines.
 
     **Concurrency contract.**  A session's *bookkeeping* is thread-safe: the
-    lazy backend build, the engine pool, the prepared-experiment cache and
-    :meth:`close` all run under one re-entrant lock, so concurrent callers
-    (the :mod:`repro.serve` worker tier) can share a session without
-    corrupting its LRUs.  The *compute* they hand back is not serialised
+    engine pool, the prepared-experiment cache and :meth:`close` all run
+    under one re-entrant lock, so concurrent callers (the
+    :mod:`repro.serve` worker tier) can share a session without corrupting
+    its LRUs.  The *compute* they hand back is not serialised
     here — engines memoize through the thread-safe
     :class:`~repro.engine.cache.BatchResultCache`, but the numerical kernels
     reuse per-engine workspace buffers, so callers that need bit-stable
@@ -92,48 +91,39 @@ class Session:
             from repro.registry import discover_entry_points
 
             discover_entry_points()
-        self._backend: Optional[ExecutionBackend] = None
+        # resolved eagerly so an unknown backend name fails here, not on the
+        # first request
+        self._backend: Optional[ExecutionBackend] = self._build_backend()
         self._engines: "OrderedDict[Tuple[str, object], Engine]" = OrderedDict()
         self._prepared: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
         # resolved once: every engine/backend the session builds shares it
         self._fault_policy = self.config.fault_policy()
         self._closed = False
-        # guards the lazy backend build and both LRUs (see the class
-        # docstring's concurrency contract); re-entrant because release()
+        # guards both LRUs and close() (see the class docstring's
+        # concurrency contract); re-entrant because release()
         # calls prepare() and engine_for() while conceptually one operation
         self._lock = threading.RLock()
 
     # -- lifecycle -----------------------------------------------------------
+    def _build_backend(self) -> ExecutionBackend:
+        cfg = self.config
+        if cfg.backend == "model_axis" and cfg.model_axis_size is not None:
+            return ModelAxisBackend(max_models=cfg.model_axis_size)
+        return get_backend(cfg.backend)
+
     @property
     def backend(self) -> ExecutionBackend:
-        """The session's shared backend, built lazily on first use."""
+        """The session's shared backend."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("session is closed")
-            if self._backend is None:
-                cfg = self.config
-                if cfg.backend == "parallel" and (
-                    cfg.workers is not None or self._fault_policy is not None
-                ):
-                    kwargs: Dict[str, object] = {}
-                    if cfg.workers is not None:
-                        kwargs["workers"] = cfg.workers
-                    if self._fault_policy is not None:
-                        kwargs["fault_policy"] = self._fault_policy
-                    self._backend = ParallelBackend(**kwargs)
-                elif cfg.backend == "model_axis" and cfg.model_axis_size is not None:
-                    from repro.engine import ModelAxisBackend
-
-                    self._backend = ModelAxisBackend(max_models=cfg.model_axis_size)
-                else:
-                    self._backend = get_backend(cfg.backend)
             return self._backend
 
     def close(self) -> None:
-        """Release the backend's worker pools and drop cached engines.
+        """Close the backend and drop cached engines.
 
         The session always owns its backend (it is built from the config in
-        :attr:`backend`), so closing it here cannot strand another owner.
+        the constructor), so closing it here cannot strand another owner.
         Closing is idempotent and safe to call concurrently with other
         session methods: late callers observe the closed flag and raise.
         """
@@ -509,7 +499,6 @@ class Session:
             )
         )
         backend: Union[str, ExecutionBackend]
-        workers = None
         if shards > 1:
             # shard workers build their own backends, so ship the *name*
             # (the request's override, else the session's configured one)
@@ -536,16 +525,11 @@ class Session:
                 )
             return summary
         store = ResultStore(req.store)
-        if req.backend is not None:
-            backend = req.backend
-            workers = req.workers
-        else:
-            backend = self.backend
+        backend = req.backend if req.backend is not None else self.backend
         summary = run_campaign(
             spec,
             store,
             backend=backend,
-            workers=workers,
             progress=logger.info,
             fault_policy=self._fault_policy,
             spill_dir=self.config.spill_dir,
@@ -563,55 +547,32 @@ class Session:
 # ---------------------------------------------------------------------------
 
 
-def _warn_adhoc_kwargs(func: str, overrides: Dict[str, object]) -> None:
-    """Deprecation shim: the one-shot helpers used to accept request fields
-    as ad-hoc keyword arguments; typed request objects (or plain dicts /
-    wire envelopes) are the supported spelling now that the same payloads
-    travel over the serving wire."""
-    warnings.warn(
-        f"passing request fields as keyword arguments to repro.api.{func}() "
-        f"({', '.join(sorted(overrides))}) is deprecated; build a "
-        f"{func.capitalize()}Request (or pass a dict / wire envelope) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def release(
     request: Union[ReleaseRequest, Dict[str, object], None] = None,
     config: Union[RunConfig, Dict[str, object], None] = None,
-    **overrides: object,
 ) -> ReleasePackage:
     """One-shot :meth:`Session.release` in a throwaway session."""
-    if overrides:
-        _warn_adhoc_kwargs("release", overrides)
     with Session(config) as session:
-        return session.release(request, **overrides)
+        return session.release(request)
 
 
 def validate(
     request: Union[ValidateRequest, Dict[str, object], None] = None,
     ip: Optional[BlackBox] = None,
     config: Union[RunConfig, Dict[str, object], None] = None,
-    **overrides: object,
 ) -> ValidationOutcome:
     """One-shot :meth:`Session.validate` in a throwaway session."""
-    if overrides:
-        _warn_adhoc_kwargs("validate", overrides)
     with Session(config) as session:
-        return session.validate(request, ip=ip, **overrides)
+        return session.validate(request, ip=ip)
 
 
 def sweep(
     request: Union[SweepRequest, Dict[str, object], None] = None,
     config: Union[RunConfig, Dict[str, object], None] = None,
-    **overrides: object,
 ):
     """One-shot :meth:`Session.sweep` in a throwaway session."""
-    if overrides:
-        _warn_adhoc_kwargs("sweep", overrides)
     with Session(config) as session:
-        return session.sweep(request, **overrides)
+        return session.sweep(request)
 
 
 __all__ = ["BlackBox", "Session", "release", "sweep", "validate"]

@@ -44,7 +44,6 @@ from repro.bench.workloads import (
     campaign_shards_speedup,
     default_backends,
     model_axis_speedup,
-    parallel_speedup,
     run_benchmark_matrix,
     run_workloads,
     serve_coalesce_speedup,
@@ -78,7 +77,6 @@ __all__ = [
     "campaign_shards_speedup",
     "default_backends",
     "model_axis_speedup",
-    "parallel_speedup",
     "run_benchmark_matrix",
     "run_workloads",
     "serve_coalesce_speedup",

@@ -38,7 +38,6 @@ from repro.bench.workloads import (
     campaign_shards_speedup,
     default_backends,
     model_axis_speedup,
-    parallel_speedup,
     run_benchmark_matrix,
     serve_coalesce_speedup,
 )
@@ -71,7 +70,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backends",
         default=None,
-        help="comma-separated backend names (default: numpy and model_axis, plus parallel on multi-core hosts)",
+        help="comma-separated backend names (default: numpy,model_axis)",
     )
     parser.add_argument(
         "--dtypes", default="float64,float32", help="comma-separated compute dtypes"
@@ -80,9 +79,6 @@ def _parser() -> argparse.ArgumentParser:
         "--workloads",
         default=None,
         help=f"comma-separated subset of {','.join(WORKLOAD_NAMES)}",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, help="worker count of the parallel backend"
     )
     return parser
 
@@ -105,7 +101,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         dtypes=dtypes,
         repeats=repeats,
         workloads=workloads,
-        workers=args.workers,
     )
     for r in results:
         print(
@@ -113,10 +108,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{r.wall_s * 1e3:9.1f} ms  {r.throughput:10.0f} samples/s"
             + (f"  hit_rate={r.cache_hit_rate:.2f}" if r.cache_hit_rate else "")
         )
-    speedups = parallel_speedup(results)
-    if speedups:
-        line = ", ".join(f"{k}={v:.2f}x" for k, v in speedups.items())
-        print(f"parallel speedup vs numpy (float64): {line}")
     fused = model_axis_speedup(results)
     if fused is not None:
         print(f"model-axis fused speedup vs per-copy loop (float64): {fused:.2f}x")

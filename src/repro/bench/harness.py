@@ -51,7 +51,7 @@ def best_of(fn: Callable[[], Any], repeats: int = 3, warmup: int = 1) -> Tuple[f
     """Best wall-clock seconds over ``repeats`` timed calls of ``fn``.
 
     ``warmup`` untimed calls precede the measurements so allocator, index-
-    cache and worker-pool startup effects do not pollute the numbers.
+    cache and one-off startup effects do not pollute the numbers.
     Returns ``(best_seconds, last_value)``.
     """
     if repeats < 1:

@@ -30,32 +30,31 @@ The workloads cover the library's hot paths end to end:
 ``campaign_shards`` the same campaign shape widened to four attack units and
                    executed by the distributed runner at
                    :data:`CAMPAIGN_SHARDS` worker shards (numpy × float64
-                   cell only: the shard workers are the parallelism);
+                   cell only: the shard workers are what is measured);
                    a one-shot serial reference wall rides along in
                    ``extra["serial_wall_s"]`` for the speedup gate
 ``serve_coalesce`` :data:`SERVE_CONCURRENT` concurrent same-digest validates
                    through :class:`repro.serve.ValidationService`'s batching
                    coalescer (numpy × float64 cell only: the coalescer's
-                   stacked dedup is the parallelism); a one-shot uncoalesced
+                   stacked dedup is what is measured); a one-shot uncoalesced
                    reference wall rides along in
                    ``extra["uncoalesced_wall_s"]`` for the speedup gate
 =================  ========================================================
 
-Each runs on every requested backend (``numpy``, and ``parallel`` when more
-than one core is available) and dtype (float64, float32), producing the
-matrix that ``BENCH_engine.json`` records and the CI regression gate
-consumes.
+Each runs on every requested backend (``numpy`` and ``model_axis`` by
+default) and dtype (float64, float32), producing the matrix that
+``BENCH_engine.json`` records and the CI regression gate consumes.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.bench.harness import BenchmarkResult, measure
-from repro.engine import Engine, default_worker_count
+from repro.engine import Engine
 from repro.nn.model import Sequential
 from repro.registry import registry
 from repro.utils.logging import get_logger
@@ -157,11 +156,8 @@ CAMPAIGN_SHARDS_SPEC = dict(
 
 
 def default_backends() -> List[str]:
-    """Backends worth timing on this host: ``parallel`` needs real cores."""
-    backends = ["numpy", "model_axis"]
-    if default_worker_count() >= 2:
-        backends.append("parallel")
-    return backends
+    """The backends the matrix times: every shipped in-process backend."""
+    return ["numpy", "model_axis"]
 
 
 def build_model(width: float = 0.125, input_size: int = 28, rng: int = 0) -> Sequential:
@@ -206,29 +202,19 @@ def run_workloads(
     dtype: str,
     repeats: int = 3,
     workloads: Optional[Iterable[str]] = None,
-    workers: Optional[int] = None,
 ) -> List[BenchmarkResult]:
     """Measure the requested workloads on one backend × dtype configuration.
 
-    A fresh backend instance is built (and closed) per call so worker pools
-    never leak; the pool startup cost is excluded from the timings by the
-    warm-up call inside :func:`~repro.bench.harness.measure`.
+    A fresh backend instance is built (and closed) per call; one-off set-up
+    cost is excluded from the timings by the warm-up call inside
+    :func:`~repro.bench.harness.measure`.
     """
     selected = tuple(workloads) if workloads is not None else WORKLOAD_NAMES
     unknown = set(selected) - set(WORKLOAD_NAMES)
     if unknown:
         raise ValueError(f"unknown workloads {sorted(unknown)}; choose from {WORKLOAD_NAMES}")
 
-    if backend_name == "parallel":
-        # the detection workload cycles through DETECTION_TRIALS perturbed
-        # digests plus the clean model; a smaller publication LRU would make
-        # every trial a 100%-miss re-ship and bench the transport, not the
-        # compute
-        backend = registry.create(
-            "backends", "parallel", workers=workers, max_published=DETECTION_TRIALS + 2
-        )
-    else:
-        backend = registry.create("backends", backend_name)
+    backend = registry.create("backends", backend_name)
     n = images.shape[0]
     results: List[BenchmarkResult] = []
     try:
@@ -460,9 +446,8 @@ def run_workloads(
             and dtype == "float64"
             and backend_name == "numpy"
         ):
-            # numpy × float64 cell only: the shard *workers* are the
-            # parallelism being measured — nesting them inside the parallel
-            # backend's matrix cell would time pool-on-pool contention
+            # numpy × float64 cell only: the shard *workers* are what is
+            # measured, so one backend cell suffices
             import itertools
             import tempfile
             from pathlib import Path
@@ -511,8 +496,8 @@ def run_workloads(
             and backend_name == "numpy"
         ):
             # numpy × float64 cell only: the coalescer's stacked dedup — not
-            # the matrix backend — is the parallelism being measured, and
-            # float64 is the package-replay dtype
+            # the matrix backend — is what is measured, and float64 is the
+            # package-replay dtype
             import asyncio
 
             from repro.api import ReleaseRequest, RunConfig, Session, ValidateRequest
@@ -588,7 +573,6 @@ def run_benchmark_matrix(
     dtypes: Sequence[str] = ("float64", "float32"),
     repeats: int = 3,
     workloads: Optional[Iterable[str]] = None,
-    workers: Optional[int] = None,
     width: float = 0.125,
     input_size: int = 28,
 ) -> List[BenchmarkResult]:
@@ -609,22 +593,9 @@ def run_benchmark_matrix(
                     dtype,
                     repeats=repeats,
                     workloads=workloads,
-                    workers=workers,
                 )
             )
     return results
-
-
-def parallel_speedup(results: Sequence[BenchmarkResult]) -> Dict[str, float]:
-    """Per-workload ``numpy_wall / parallel_wall`` ratios (float64 only)."""
-    by_key = {r.key: r for r in results}
-    speedups: Dict[str, float] = {}
-    for name in WORKLOAD_NAMES:
-        base = by_key.get((name, "numpy", "float64"))
-        par = by_key.get((name, "parallel", "float64"))
-        if base is not None and par is not None and par.wall_s > 0:
-            speedups[name] = base.wall_s / par.wall_s
-    return speedups
 
 
 def campaign_shards_speedup(results: Sequence[BenchmarkResult]) -> Optional[float]:
@@ -692,7 +663,6 @@ __all__ = [
     "campaign_shards_speedup",
     "default_backends",
     "model_axis_speedup",
-    "parallel_speedup",
     "run_benchmark_matrix",
     "run_workloads",
     "serve_coalesce_speedup",

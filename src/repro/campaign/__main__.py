@@ -78,7 +78,6 @@ def _parser() -> argparse.ArgumentParser:
             default="numpy",
             help=f"engine backend for the whole campaign ({', '.join(available_backends())})",
         )
-        cmd.add_argument("--workers", type=int, default=None, help="parallel-backend worker count")
         cmd.add_argument("--report", default=None, help="also write the markdown report here")
         cmd.add_argument(
             "--durable",
@@ -97,13 +96,6 @@ def _parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="max transient-failure retries per engine dispatch "
-            "(enables the fault policy)",
-        )
-        cmd.add_argument(
-            "--dispatch-timeout",
-            type=float,
-            default=None,
-            help="per-dispatch timeout in seconds on the parallel backend "
             "(enables the fault policy)",
         )
         cmd.add_argument(
@@ -213,22 +205,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{len(spec.budgets)} budgets)"
     )
     fault_policy = None
-    if args.retries is not None or args.dispatch_timeout is not None:
-        overrides = {}
-        if args.retries is not None:
-            overrides["max_retries"] = args.retries
-        if args.dispatch_timeout is not None:
-            overrides["dispatch_timeout_s"] = args.dispatch_timeout
-        fault_policy = FaultPolicy().with_overrides(**overrides)
+    if args.retries is not None:
+        fault_policy = FaultPolicy().with_overrides(max_retries=args.retries)
     shards = args.shards if args.shards is not None else spec.shards
     distributed = shards > 1
-    if distributed and args.workers is not None:
-        print(
-            "--workers applies to the parallel backend, not --shards; "
-            "each shard worker runs its own backend",
-            file=sys.stderr,
-        )
-        return 2
     store = None if distributed else ResultStore(args.store, durable=args.durable)
     try:
         if distributed:
@@ -251,7 +231,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 spec,
                 store,
                 backend=args.backend,
-                workers=args.workers,
                 progress=print,
                 fault_policy=fault_policy,
                 max_failures=args.max_failures,

@@ -127,7 +127,7 @@ def plan_shards(scenarios: Sequence[Scenario], shards: int) -> List[List[WorkUni
     *models* to shards longest-processing-time-first so training and engine
     caches stay shard-local.  When there are fewer models than shards, the
     spare shards are seeded by splitting the largest queues (locality is
-    unattainable, parallelism is not).
+    unattainable, keeping every shard busy is not).
     """
     if shards < 1:
         raise ValueError("shards must be at least 1")
@@ -178,11 +178,9 @@ def plan_shards(scenarios: Sequence[Scenario], shards: int) -> List[List[WorkUni
 class ModelExchange:
     """File-based digest-keyed publication of prepared (trained) models.
 
-    The :class:`~repro.engine.ParallelBackend` publishes perturbed models to
-    its pool workers by parameter digest exactly once; this is the same
-    idiom at process granularity — keyed by
-    :meth:`CampaignSpec.training_digest`, so a stolen work unit attaches the
-    victim its home shard already trained instead of retraining it.
+    Keyed by :meth:`CampaignSpec.training_digest`, so a stolen work unit
+    attaches the victim its home shard already trained instead of
+    retraining it.
     Publication is atomic (tmp file + rename) and first-writer-wins;
     readers keep a local cache so each worker unpickles a model at most
     once.

@@ -40,7 +40,7 @@ from repro.campaign.store import FailureRecord, ResultStore, ScenarioRecord
 from repro.faults import CampaignAbortedError, FaultPolicy, inject
 from repro.coverage.activation import resolve_criterion
 from repro.coverage.bitmap import CoverageMap
-from repro.engine import Engine, ExecutionBackend, ParallelBackend, get_backend
+from repro.engine import Engine, ExecutionBackend, get_backend
 from repro.models.zoo import MODEL_LEARNING_RATES
 from repro.registry import registry
 from repro.testgen.strategies import build_generator
@@ -139,13 +139,12 @@ class CampaignRunner:
     store: the append-only result store; scenarios whose digest is already
         present are skipped (resume semantics).
     backend: engine backend shared by the whole campaign — a name
-        (``"numpy"``, ``"parallel"``), an instance, or a class, as accepted
+        (``"numpy"``, ``"model_axis"``), an instance, or a class, as accepted
         by :func:`repro.engine.get_backend`.  A passed-in instance is not
         closed by the runner.
-    workers: worker count when ``backend="parallel"``.
     progress: optional callback receiving human-readable progress lines.
     fault_policy: retry/backoff/breaker policy threaded into every engine
-        and an owned parallel backend (see :class:`repro.faults.FaultPolicy`).
+        (see :class:`repro.faults.FaultPolicy`).
     max_failures: abort the campaign (``CampaignAbortedError``) once more
         than this many scenarios have been quarantined in this run; ``None``
         means never abort — every failure is quarantined and the run
@@ -162,8 +161,7 @@ class CampaignRunner:
     workers call it once per work unit): trained models, their memoizing
     engines and generated packages are cached across calls in a small LRU
     (:data:`MODEL_CACHE_SLOTS` models), and an owned backend is built once
-    and kept until :meth:`close` — use the runner as a context manager when
-    running on the parallel backend.
+    and kept until :meth:`close` (the runner is a context manager).
     """
 
     def __init__(
@@ -171,7 +169,6 @@ class CampaignRunner:
         spec: CampaignSpec,
         store: ResultStore,
         backend: Union[str, ExecutionBackend, type] = "numpy",
-        workers: Optional[int] = None,
         progress: Optional[ProgressCallback] = None,
         fault_policy: Union[FaultPolicy, Dict[str, object], None] = None,
         max_failures: Optional[int] = None,
@@ -179,17 +176,11 @@ class CampaignRunner:
         model_exchange: Optional[object] = None,
     ) -> None:
         spec.validate()
-        if workers is not None and backend != "parallel":
-            raise ValueError(
-                "workers is only meaningful with backend='parallel'; "
-                "configure instances/classes directly instead"
-            )
         if max_failures is not None and max_failures < 0:
             raise ValueError("max_failures must be non-negative")
         self.spec = spec
         self.store = store
         self._backend_spec = backend
-        self._workers = workers
         self._progress = progress
         self.fault_policy = FaultPolicy.coerce(fault_policy)
         self.max_failures = max_failures
@@ -211,14 +202,6 @@ class CampaignRunner:
         """Resolve the shared backend; returns ``(backend, owned)``."""
         if isinstance(self._backend_spec, ExecutionBackend):
             return self._backend_spec, False
-        if self._backend_spec == "parallel":
-            kwargs: Dict[str, object] = {}
-            if self._workers is not None:
-                kwargs["workers"] = self._workers
-            if self.fault_policy is not None:
-                kwargs["fault_policy"] = self.fault_policy
-            if kwargs:
-                return ParallelBackend(**kwargs), True
         return get_backend(self._backend_spec), True
 
     def _backend_instance(self) -> ExecutionBackend:
@@ -592,7 +575,6 @@ def run_campaign(
     spec: CampaignSpec,
     store: Union[ResultStore, str],
     backend: Union[str, ExecutionBackend, type] = "numpy",
-    workers: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     fault_policy: Union[FaultPolicy, Dict[str, object], None] = None,
     max_failures: Optional[int] = None,
@@ -633,7 +615,6 @@ def run_campaign(
         spec,
         store,
         backend=backend,
-        workers=workers,
         progress=progress,
         fault_policy=fault_policy,
         max_failures=max_failures,

@@ -247,9 +247,7 @@ class CampaignSpec:
         Binds exactly the inputs of :meth:`CampaignRunner._prepare_model` —
         spec seed, data sizes, epochs, width and the code version — so the
         distributed runner's model exchange can ship one prepared model
-        between shard workers by digest (the
-        :class:`~repro.engine.ParallelBackend` publication idiom at process
-        granularity).
+        between shard workers by digest.
         """
         from repro import __version__
 

@@ -171,11 +171,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _add_run_config_flags(cmd: argparse.ArgumentParser) -> None:
+    from repro.engine import available_backends
+
     cmd.add_argument(
-        "--backend", default="numpy", help="engine backend (numpy or parallel)"
-    )
-    cmd.add_argument(
-        "--workers", type=int, default=None, help="parallel-backend worker count"
+        "--backend",
+        default="numpy",
+        help=f"engine backend ({', '.join(available_backends())})",
     )
     cmd.add_argument(
         "--dtype", default=None, help="compute dtype (float64 or float32)"
@@ -186,11 +187,7 @@ def _session(args: argparse.Namespace):
     from repro.api import RunConfig, Session
 
     return Session(
-        RunConfig(
-            backend=args.backend,
-            workers=args.workers,
-            dtype=args.dtype,
-        )
+        RunConfig(backend=args.backend, dtype=args.dtype)
     )
 
 

@@ -3,10 +3,10 @@
 The :class:`~repro.engine.engine.Engine` never touches a model's forward or
 backward passes directly — it goes through an :class:`ExecutionBackend`.  The
 default :class:`NumpyBackend` simply delegates to the model's own NumPy
-implementation; the seam exists so future work can add multiprocessing,
-sharded or alternative array backends (the ROADMAP's scaling directions)
-without another cross-cutting rewrite of the coverage/testgen/attack
-consumers.
+implementation; :class:`~repro.engine.model_axis.ModelAxisBackend` fuses
+perturbed copies along a model axis.  The seam lets alternative array
+backends plug in without a cross-cutting rewrite of the
+coverage/testgen/attack consumers.
 
 Backends are registered by name through :func:`register_backend` and resolved
 with :func:`get_backend`, which accepts a name, a backend instance or a
@@ -28,32 +28,14 @@ def threshold_and_pack(grads: np.ndarray, epsilon: float) -> np.ndarray:
     """Gradient matrix → packed activation-mask words.
 
     The single thresholding definition — delegated to
-    :meth:`repro.coverage.activation.ActivationCriterion.activated` — shared
-    by the default backend implementation and the parallel workers, so the
-    activation rule can never diverge between transport paths.
+    :meth:`repro.coverage.activation.ActivationCriterion.activated` — used
+    by every backend's packed-mask path, so the activation rule can never
+    diverge between backends.
     """
     from repro.coverage.activation import ActivationCriterion
     from repro.coverage.bitmap import pack_bool
 
     return pack_bool(ActivationCriterion(epsilon=epsilon).activated(grads))
-
-
-def pack_neuron_outputs(
-    outputs: List[np.ndarray],
-    num_samples: int,
-    threshold: float,
-    layer_indices: Tuple[int, ...],
-) -> np.ndarray:
-    """Per-layer forward outputs → packed neuron-mask words.
-
-    Shared by the default backend implementation and the parallel workers.
-    """
-    from repro.coverage.bitmap import pack_bool
-
-    parts = [
-        (outputs[i] > threshold).reshape(num_samples, -1) for i in layer_indices
-    ]
-    return pack_bool(np.concatenate(parts, axis=1))
 
 
 class ExecutionBackend:
@@ -81,34 +63,19 @@ class ExecutionBackend:
         """
         return 0
 
-    @property
-    def parallelism(self) -> int:
-        """Number of shards a batch is split across (1 = no sharding).
-
-        The engine multiplies its chunk size by this, so each worker of a
-        sharded backend still processes ``batch_size`` samples per dispatch.
-        """
-        return 1
-
-    @property
-    def cache_stats(self):
-        """Transport-level cache counters (``None`` for stateless backends).
-
-        Sharded backends report how often the published model could be
-        reused versus re-shipped; the engine merges these into its
-        :attr:`~repro.engine.engine.Engine.stats`.
-        """
-        return None
-
     def close(self) -> None:
-        """Release any worker pools / shared resources (idempotent)."""
+        """Release any resources the backend owns (idempotent).
+
+        The shipped backends own none; the hook stays so plugin backends
+        that hold devices, pools or files can be context-managed.
+        """
 
     def __enter__(self) -> "ExecutionBackend":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        # context-managed use guarantees worker processes and shared-memory
-        # segments are reaped even when a dispatch raised mid-flight
+        # context-managed use releases owned resources even when a dispatch
+        # raised mid-flight
         self.close()
 
     def forward(self, model: Sequential, x: np.ndarray) -> np.ndarray:
@@ -161,9 +128,9 @@ class ExecutionBackend:
 
         Row ``i`` is the little-endian bit-packing of
         ``|∇θ F(x_i)| > epsilon`` (strict non-zero when ``epsilon == 0``).
-        The default derives from :meth:`output_gradients`; sharded backends
-        override it to threshold *and pack inside the workers*, so only the
-        1/8-size word matrix crosses the process boundary.
+        The default derives from :meth:`output_gradients`; a backend may
+        override it to threshold and pack without materialising the dense
+        gradient matrix.
         """
         return threshold_and_pack(self.output_gradients(model, x, scalarization), epsilon)
 
@@ -178,12 +145,16 @@ class ExecutionBackend:
         ``(N, ceil(num_neurons / 64))``.
 
         Concatenates, per sample, the thresholded post-activation outputs of
-        the given layers and packs them.  Overridable for the same transport
-        reason as :meth:`packed_masks`.
+        the given layers and packs them.  Overridable for the same reason as
+        :meth:`packed_masks`.
         """
-        return pack_neuron_outputs(
-            self.forward_collect(model, x), x.shape[0], threshold, layer_indices
-        )
+        from repro.coverage.bitmap import pack_bool
+
+        outputs = self.forward_collect(model, x)
+        parts = [
+            (outputs[i] > threshold).reshape(x.shape[0], -1) for i in layer_indices
+        ]
+        return pack_bool(np.concatenate(parts, axis=1))
 
     # -- model-axis (stacked) primitives ------------------------------------
     def stacked_forward(
@@ -317,7 +288,6 @@ __all__ = [
     "ExecutionBackend",
     "NumpyBackend",
     "BackendSpec",
-    "pack_neuron_outputs",
     "register_backend",
     "available_backends",
     "get_backend",

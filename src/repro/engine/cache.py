@@ -55,20 +55,18 @@ def array_fingerprint(array: np.ndarray) -> str:
 class CacheStats:
     """Hit/miss/eviction counters of a :class:`BatchResultCache`.
 
-    Also used for the transport-level caches of sharded backends (model
-    publications reused vs re-shipped); :meth:`merge` folds several counters
-    into one so :attr:`Engine.stats` can report a single merged view across
-    the memo cache and every worker-facing cache.
+    :meth:`merge` folds several counters into one, so :attr:`Engine.stats`
+    can add the fault policy's counters and a session can report one view
+    across its pooled engines.
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     #: fault-tolerance counters (see :mod:`repro.faults`): dispatches retried
-    #: after a transient failure, worker pools respawned, and circuit-breaker
-    #: backend downgrades — zero everywhere outside failure scenarios
+    #: after a transient failure and circuit-breaker backend downgrades —
+    #: zero everywhere outside failure scenarios
     retries: int = 0
-    restarts: int = 0
     downgrades: int = 0
 
     @property
@@ -86,7 +84,6 @@ class CacheStats:
             self.misses,
             self.evictions,
             self.retries,
-            self.restarts,
             self.downgrades,
         )
         for other in others:
@@ -94,7 +91,6 @@ class CacheStats:
             merged.misses += other.misses
             merged.evictions += other.evictions
             merged.retries += other.retries
-            merged.restarts += other.restarts
             merged.downgrades += other.downgrades
         return merged
 

@@ -30,8 +30,8 @@ Key properties:
   ``backend.model_axis_capacity > 0`` (the ``model_axis`` backend), copies
   are grouped up to that capacity and each group rides one fused dispatch
   per layer through :class:`~repro.nn.stacked.StackedSequential`; with a
-  zero capacity (numpy/parallel) the same query runs the copies one at a
-  time, with bit-identical results.
+  zero capacity (numpy) the same query runs the copies one at a time, with
+  bit-identical results.
 
 Use :class:`Engine` whenever the same model is queried for more than a
 handful of samples; use raw ``Model.forward`` for one-off single-sample
@@ -125,9 +125,6 @@ class Engine:
         omitted.
     backend:
         Backend name, instance or class; see :mod:`repro.engine.backend`.
-        Sharded backends (``"parallel"``) multiply the effective chunk size
-        by their worker count so every worker still processes ``batch_size``
-        samples per dispatch.
     dtype:
         Compute-dtype policy (``None``/``"float64"`` default, or
         ``"float32"`` for halved memory traffic at documented tolerances —
@@ -161,10 +158,10 @@ class Engine:
         packed masks in RAM.
     fault_policy:
         :class:`~repro.faults.FaultPolicy` (or its dict form) making every
-        backend dispatch fault-tolerant: transient failures (I/O errors,
-        worker crashes, dispatch timeouts) are retried with deterministic
-        backoff, and ``breaker_threshold`` consecutive failures trip a
-        circuit breaker that swaps the backend for the policy's serial
+        backend dispatch fault-tolerant: transient failures (I/O and OS
+        errors, timeouts) are retried with deterministic backoff, and
+        ``breaker_threshold`` consecutive failures trip a circuit breaker
+        that swaps the backend for the policy's serial
         ``downgrade_backend`` — recorded in :attr:`stats` (``downgrades``)
         and :attr:`fault_events`.  ``None`` (default) dispatches directly
         with zero added overhead.
@@ -222,25 +219,19 @@ class Engine:
 
     @property
     def stats(self) -> CacheStats:
-        """Merged hit/miss statistics of the memo cache and the backend.
+        """Hit/miss statistics of the memo cache, plus the fault policy's
+        retry and downgrade counters.
 
-        Sharded backends contribute their transport-level counters (model
-        publications reused vs re-shipped), merged into one view so callers
-        observing cache behaviour under sharding need no backend-specific
-        code.  Zeros when memoization is disabled and the backend is
-        stateless.
+        Without a fault policy this is the live memo-cache counter object;
+        zeros when memoization is disabled.
         """
         memo = self._cache.stats if self._cache is not None else CacheStats()
-        backend_stats = self.backend.cache_stats
-        merged = memo if backend_stats is None else memo.merge(backend_stats)
-        if self._faults is not None:
-            fault_stats = self._faults.stats
-            merged = merged.merge(
-                CacheStats(
-                    retries=fault_stats.retries, downgrades=fault_stats.downgrades
-                )
-            )
-        return merged
+        if self._faults is None:
+            return memo
+        fault_stats = self._faults.stats
+        return memo.merge(
+            CacheStats(retries=fault_stats.retries, downgrades=fault_stats.downgrades)
+        )
 
     @property
     def fault_events(self) -> List[Dict[str, object]]:
@@ -368,9 +359,7 @@ class Engine:
         return self.dtype_policy.asarray(batch)
 
     def _chunks(self, n: int, max_chunk: Optional[int] = None) -> Iterator[slice]:
-        # sharded backends split every dispatched chunk across their workers,
-        # so scale the chunk size to keep each worker at batch_size samples
-        step = self.batch_size * max(1, self.backend.parallelism)
+        step = self.batch_size
         if max_chunk is not None:
             step = max(1, min(step, max_chunk))
         for start in range(0, n, step):
@@ -662,9 +651,9 @@ class Engine:
         truncated files from interrupted runs are detected and rebuilt.
 
         Plain :class:`~repro.coverage.activation.ActivationCriterion`
-        thresholds are pushed down to the backend, which may pack inside its
-        workers (the parallel backend ships 1/8-size results); criteria with
-        a custom ``activated`` run through a generic dense-chunk fallback.
+        thresholds are pushed down to the backend's packed-mask primitive;
+        criteria with a custom ``activated`` run through a generic
+        dense-chunk fallback.
         """
         from repro.coverage.activation import ActivationCriterion
         from repro.coverage.bitmap import MaskMatrix, pack_bool

@@ -5,19 +5,18 @@ them without cycles:
 
 * :mod:`repro.faults.errors` — the transient/logic failure taxonomy.
 * :mod:`repro.faults.policy` — :class:`FaultPolicy` (retries, deterministic
-  seeded backoff, dispatch timeout, circuit breaker) and the
-  :class:`RetryController` that enforces it.
+  seeded backoff, circuit breaker) and the :class:`RetryController` that
+  enforces it.
 * :mod:`repro.faults.inject` — the deterministic fault-plan API driving
-  ``tests/test_faults.py``: kill worker N at dispatch K, raise IOError on
-  the Jth mmap window read, add latency to a named layer's forward.
+  ``tests/test_faults.py``: kill campaign shard worker N at unit K, raise
+  IOError on the Jth mmap window read, add latency to a named layer's
+  forward.
 """
 
 from repro.faults.errors import (
     CampaignAbortedError,
     CircuitOpenError,
-    DispatchTimeoutError,
     FaultError,
-    WorkerCrashError,
     is_transient,
 )
 from repro.faults.inject import Fault, FaultPlan
@@ -26,13 +25,11 @@ from repro.faults.policy import FaultPolicy, FaultStats, RetryController
 __all__ = [
     "CampaignAbortedError",
     "CircuitOpenError",
-    "DispatchTimeoutError",
     "Fault",
     "FaultError",
     "FaultPlan",
     "FaultPolicy",
     "FaultStats",
     "RetryController",
-    "WorkerCrashError",
     "is_transient",
 ]

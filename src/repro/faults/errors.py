@@ -2,14 +2,14 @@
 
 Two families matter operationally:
 
-* **Transient** failures — a worker died, a dispatch timed out, an I/O
-  window tore — are retried under a :class:`~repro.faults.FaultPolicy`
+* **Transient** failures — an I/O window tore, a connection or timer timed
+  out — are retried under a :class:`~repro.faults.FaultPolicy`
   and, past the circuit-breaker threshold, trigger a backend downgrade.
 * **Logic** failures — bad shapes, unknown ops, assertion-grade bugs —
   propagate immediately: retrying a deterministic error only hides it.
 
-:func:`is_transient` encodes the split in one place so the engine, the
-parallel backend, and the campaign runner agree on what is retryable.
+:func:`is_transient` encodes the split in one place so the engine and the
+campaign runner agree on what is retryable.
 """
 
 from __future__ import annotations
@@ -17,14 +17,6 @@ from __future__ import annotations
 
 class FaultError(RuntimeError):
     """Base class for failures raised by the fault-tolerance layer itself."""
-
-
-class WorkerCrashError(FaultError):
-    """A pool worker died mid-dispatch (killed, OOMed, or segfaulted)."""
-
-
-class DispatchTimeoutError(FaultError):
-    """A dispatch exceeded the policy's ``dispatch_timeout_s`` budget."""
 
 
 class CircuitOpenError(FaultError):
@@ -38,10 +30,8 @@ class CampaignAbortedError(FaultError):
 #: exception types retried under a :class:`FaultPolicy`; everything else is
 #: treated as a logic error and propagates on the first occurrence
 TRANSIENT_TYPES = (
-    OSError,  # covers IOError, ConnectionError, and shared-memory errors
+    OSError,  # covers IOError and ConnectionError
     TimeoutError,
-    WorkerCrashError,
-    DispatchTimeoutError,
 )
 
 
@@ -53,9 +43,7 @@ def is_transient(exc: BaseException) -> bool:
 __all__ = [
     "CampaignAbortedError",
     "CircuitOpenError",
-    "DispatchTimeoutError",
     "FaultError",
     "TRANSIENT_TYPES",
-    "WorkerCrashError",
     "is_transient",
 ]

@@ -14,7 +14,6 @@ Sites currently instrumented:
 site               where                                   context keys
 ================== ====================================== =================
 ``engine.dispatch``   every ``Engine`` backend call        ``op, backend``
-``parallel.dispatch`` ``ParallelBackend._dispatch`` entry  ``op``
 ``mmap.window``       each ``MmapMaskMatrix`` window read  ``path, window``
 ``layer.forward``     per-layer in ``Sequential.forward``  ``layer, index, model``
 ``campaign.scenario`` per attack group in the runner       ``model, attack``
@@ -28,7 +27,8 @@ fault fires when the 0-based ordinal is in ``at``, or divisible by
 ``every``, capped by ``times``.  ``raise`` and ``latency`` actions are
 executed by :func:`check` itself; site-specific actions
 (``kill_worker``/``stall_worker``) are returned to the caller, which
-knows how to apply them (the parallel backend signals the target pid).
+knows how to apply them: at ``campaign.shard`` the targeted shard worker
+SIGKILLs or hangs itself.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ class FaultPlan:
         self,
         worker: int = 0,
         *,
-        site: str = "parallel.dispatch",
+        site: str = "campaign.shard",
         at: Optional[Tuple[int, ...]] = None,
         every: Optional[int] = None,
         times: Optional[int] = None,
@@ -175,7 +175,7 @@ class FaultPlan:
         self,
         worker: int = 0,
         *,
-        site: str = "parallel.dispatch",
+        site: str = "campaign.shard",
         at: Optional[Tuple[int, ...]] = None,
         every: Optional[int] = None,
         times: Optional[int] = None,

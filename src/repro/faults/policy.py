@@ -29,13 +29,11 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """Knobs governing retries, backoff, timeouts, and the circuit breaker.
+    """Knobs governing retries, backoff, and the circuit breaker.
 
     ``backoff_delay(attempt)`` grows geometrically from ``backoff_base_s``
     by ``backoff_factor``, scaled by ``1 + backoff_jitter * u`` with ``u``
-    drawn deterministically from the policy seed.  ``dispatch_timeout_s``
-    bounds a single parallel dispatch (``None`` = wait forever for results,
-    though dead workers are still detected by liveness polling).  After
+    drawn deterministically from the policy seed.  After
     ``breaker_threshold`` consecutive transient failures the breaker trips
     and the engine downgrades to ``downgrade_backend`` (``None`` disables
     downgrade and surfaces :class:`CircuitOpenError` semantics instead).
@@ -45,7 +43,6 @@ class FaultPolicy:
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
     backoff_jitter: float = 0.5
-    dispatch_timeout_s: Optional[float] = None
     breaker_threshold: int = 3
     downgrade_backend: Optional[str] = "numpy"
     seed: int = 0
@@ -59,8 +56,6 @@ class FaultPolicy:
             raise ValueError("backoff_factor must be >= 1")
         if self.backoff_jitter < 0:
             raise ValueError("backoff_jitter must be >= 0")
-        if self.dispatch_timeout_s is not None and self.dispatch_timeout_s <= 0:
-            raise ValueError("dispatch_timeout_s must be positive or None")
         if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
 

@@ -101,10 +101,10 @@ class Layer:
         """Pickle without transient forward/backward state.
 
         Layer caches hold whole activation/patch-matrix batches; shipping
-        them with every model publication (parallel backend) or deep copy
-        (attacks) would multiply the payload for data that is recomputed on
-        the next forward anyway.  Workspace leases are per-process and must
-        never survive the trip.
+        them with every pickle (the distributed campaign ships prepared
+        models between shard workers) or deep copy (attacks) would multiply
+        the payload for data that is recomputed on the next forward anyway.
+        Workspace leases are per-process and must never survive the trip.
         """
         state = self.__dict__.copy()
         if "_cache" in state:

@@ -118,8 +118,8 @@ class WorkspacePool:
 
     # Buffers are scratch space, not state: models carrying pools are deep-
     # copied by the attacks and pickled across process boundaries by the
-    # parallel backend, and shipping megabytes of garbage along would defeat
-    # the point.  Copies and pickles therefore start with an empty pool.
+    # distributed campaign's model exchange, and shipping megabytes of
+    # garbage along would defeat the point.  Copies and pickles therefore start with an empty pool.
     def __deepcopy__(self, memo: dict) -> "WorkspacePool":
         return WorkspacePool(self.max_slots, self.per_key)
 

@@ -16,7 +16,7 @@ ladders.  This module unifies them into a single :class:`Registry` with
                 ``random``, ``bitflip``)
 ``criteria``    activation-criterion resolvers (``default``, ``exact``,
                 ``eps``)
-``backends``    execution backends (``numpy``, ``parallel``)
+``backends``    execution backends (``numpy``, ``model_axis``)
 ``datasets``    dataset loaders (``mnist``, ``cifar``, ``digits``,
                 ``noise``, ``imagenet``)
 ``models``      model-zoo builders (``mnist``, ``cifar``, ``small_cnn``, …)

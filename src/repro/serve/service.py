@@ -160,7 +160,7 @@ class ValidationService:
         )
         # engine kernels reuse per-engine workspace buffers; one dispatch at
         # a time keeps results bit-stable (coalescing, not thread fan-out,
-        # is this service's parallelism)
+        # is how this service scales)
         self._dispatch_lock = threading.Lock()
         # package fingerprints are content hashes over the full test payload;
         # the same (immutable, integrity-digested) package object is replayed
@@ -463,7 +463,6 @@ class ValidationService:
                 "misses": engine_stats.misses,
                 "evictions": engine_stats.evictions,
                 "retries": engine_stats.retries,
-                "restarts": engine_stats.restarts,
                 "downgrades": engine_stats.downgrades,
                 "hit_rate": round(engine_stats.hit_rate, 4),
             },

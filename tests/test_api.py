@@ -1,5 +1,5 @@
-"""Tests of the repro.api façade: Session, RunConfig, typed requests, and
-the deprecation shims left behind by the registry migration."""
+"""Tests of the repro.api façade: Session, RunConfig, typed requests, the
+one-shot helpers and the wire envelope."""
 
 from __future__ import annotations
 
@@ -66,8 +66,6 @@ class TestRunConfig:
             RunConfig.from_dict({"turbo": True})
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError, match="workers is only meaningful"):
-            RunConfig(workers=2).validate()
         with pytest.raises(ValueError, match="unknown dtype"):
             RunConfig(dtype="float16").validate()
         with pytest.raises(ValueError, match="batch_size"):
@@ -401,61 +399,30 @@ class TestOneShotHelpers:
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims
+# retired options
 # ---------------------------------------------------------------------------
 
 
-class TestDeprecatedShims:
-    """Every pre-existing public entry point still works, warning exactly once."""
+class TestRetiredOptions:
+    """Options of the removed ``parallel`` backend fail loudly, naming the
+    offending value."""
 
-    def _single_deprecation(self, fn, *args, **kwargs):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = fn(*args, **kwargs)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1, (
-            f"{fn.__name__} must warn exactly once, got {len(deprecations)}"
-        )
-        assert "deprecated" in str(deprecations[0].message)
-        return result
+    def test_parallel_backend_options_fail_loudly(self, capsys):
+        from repro.cli import main
 
-    def test_one_shot_validate_adhoc_kwargs_shim(self, released):
-        from repro.api import validate
-
-        outcome = self._single_deprecation(
-            validate, package=released.package, ip=released.model
-        )
-        assert outcome.passed
-
-    def test_one_shot_release_adhoc_kwargs_shim(self):
-        # the warning fires before coercion, so an invalid field both warns
-        # and raises — no training needed to pin the shim
-        from repro.api import release
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="train_size"):
-                release(train_size=-1)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "ReleaseRequest" in str(deprecations[0].message)
-
-    def test_one_shot_sweep_adhoc_kwargs_shim(self):
-        from repro.api import sweep
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="spec is required"):
-                sweep(store="never-written.jsonl")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "SweepRequest" in str(deprecations[0].message)
+        with pytest.raises(ValueError, match="unknown backend 'parallel'"):
+            Session(backend="parallel")
+        with pytest.raises(ValueError, match=r"unknown RunConfig fields \['workers'\]"):
+            RunConfig.from_dict({"backend": "numpy", "workers": 2})
+        with pytest.raises(ValueError, match=r"unknown SweepRequest fields \['workers'\]"):
+            SweepRequest.coerce({"spec": {"attacks": ["sba"]}, "workers": 2})
+        with pytest.raises(ValueError, match="dispatch_timeout_s"):
+            RunConfig(faults={"dispatch_timeout_s": 30.0}).validate()
+        argv = ["campaign", "run", "--spec", "s.toml", "--store", "s.jsonl"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

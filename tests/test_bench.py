@@ -25,7 +25,7 @@ from repro.bench import (
     write_report,
 )
 from repro.bench.__main__ import main as bench_main
-from repro.bench.workloads import WORKLOAD_NAMES, parallel_speedup
+from repro.bench.workloads import WORKLOAD_NAMES
 from repro.models.zoo import small_cnn
 
 
@@ -112,7 +112,7 @@ class TestRegressionGate:
         assert compare_reports(cur, base, threshold=0.0) == []
 
     def test_unmatched_configurations_are_ignored(self):
-        cur = {"schema": SCHEMA_VERSION, "results": [_result(backend="parallel", wall_s=9.9).to_dict()]}
+        cur = {"schema": SCHEMA_VERSION, "results": [_result(backend="model_axis", wall_s=9.9).to_dict()]}
         base = {"schema": SCHEMA_VERSION, "results": [_result(backend="numpy", wall_s=0.1).to_dict()]}
         assert compare_reports(cur, base) == []
 
@@ -172,13 +172,6 @@ class TestWorkloads:
         images = np.random.default_rng(3).random((4, *model.input_shape))
         with pytest.raises(ValueError):
             run_workloads(model, images, "numpy", "float64", workloads=["warp-drive"])
-
-    def test_parallel_speedup_helper(self):
-        results = [
-            _result(name="forward", backend="numpy", wall_s=0.4),
-            _result(name="forward", backend="parallel", wall_s=0.1),
-        ]
-        assert parallel_speedup(results) == {"forward": pytest.approx(4.0)}
 
 
 class TestCli:

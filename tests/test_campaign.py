@@ -512,11 +512,6 @@ class TestRunner:
         with pytest.raises(ValueError, match="is empty"):
             CampaignRunner(tiny_spec(attacks=()), store)
 
-    def test_workers_requires_parallel_backend(self, tmp_path):
-        store = ResultStore(tmp_path / "s.jsonl")
-        with pytest.raises(ValueError, match="backend='parallel'"):
-            CampaignRunner(tiny_spec(), store, backend="numpy", workers=4)
-
 
 # ---------------------------------------------------------------------------
 # aggregation + CLI

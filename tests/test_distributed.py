@@ -604,40 +604,6 @@ class TestDistributedCLI:
         assert rc == 1
         assert "cutoff" in capsys.readouterr().err
 
-    def test_run_rejects_workers_with_shards(self, tmp_path, capsys):
-        spec_file = tmp_path / "spec.toml"
-        spec_file.write_text(
-            "\n".join(
-                [
-                    "[campaign]",
-                    'name = "tiny"',
-                    'attacks = ["sba"]',
-                    'models = ["mnist"]',
-                    "budgets = [2]",
-                    "trials = 2",
-                    "train_size = 24",
-                    "test_size = 12",
-                    "epochs = 1",
-                    "reference_inputs = 6",
-                ]
-            )
-        )
-        rc = campaign_main(
-            [
-                "run",
-                "--spec",
-                str(spec_file),
-                "--store",
-                str(tmp_path / "s.jsonl"),
-                "--shards",
-                "2",
-                "--workers",
-                "3",
-            ]
-        )
-        assert rc == 2
-        assert "--workers" in capsys.readouterr().err
-
 
 # ---------------------------------------------------------------------------
 # api plumbing

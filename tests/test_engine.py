@@ -23,6 +23,7 @@ from repro.coverage.parameter_coverage import (
 )
 from repro.engine import (
     BatchResultCache,
+    CacheStats,
     Engine,
     ExecutionBackend,
     NumpyBackend,
@@ -301,6 +302,16 @@ class TestBackendsAndCache:
 
         with pytest.raises(ValueError):
             register_backend(Nameless)
+
+    def test_cache_stats_merge_semantics(self):
+        a = CacheStats(hits=2, misses=1, evictions=0, retries=1)
+        b = CacheStats(hits=3, misses=4, evictions=5, downgrades=1)
+        merged = a + b
+        assert (merged.hits, merged.misses, merged.evictions) == (5, 5, 5)
+        assert (merged.retries, merged.downgrades) == (1, 1)
+        # inputs untouched
+        assert (a.hits, b.hits) == (2, 3)
+        assert a.merge(b, b).hits == 8
 
     def test_array_fingerprint_semantics(self):
         a = np.arange(12, dtype=np.float64).reshape(3, 4)

@@ -1,22 +1,20 @@
 """Chaos suite for the fault-tolerant execution layer.
 
 Covers the ``repro.faults`` primitives (policy, retry controller, injection
-plans), the engine's retry/downgrade path, parallel-backend worker
-supervision (kill/stall/respawn), mmap read retries and corrupt-store
-quarantine, the result store's failure records and torn-line recovery, and
-the campaign-level chaos gates: a campaign with injected worker kills and
-mmap faults must finish with a store **byte-identical** to the fault-free
+plans), the engine's retry/downgrade path, mmap read retries and
+corrupt-store quarantine, the result store's failure records and torn-line
+recovery, and the campaign-level chaos gates: a campaign with injected
+dispatch failures and mmap faults must finish with a store **byte-identical** to the fault-free
 run, and a deterministically-failing scenario must be quarantined and heal
 on ``resume``.
 
 The campaign gates run on every chaos backend; set ``REPRO_CHAOS_BACKEND``
-(``parallel`` or ``model_axis``) to restrict a CI matrix entry to one.
+(``numpy`` or ``model_axis``) to restrict a CI matrix entry to one.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import signal
 import subprocess
@@ -36,16 +34,14 @@ from repro.campaign import (
 )
 from repro.campaign.__main__ import main as campaign_main
 from repro.coverage.bitmap import MaskMatrix, MmapMaskWriter, quarantine_store
-from repro.engine import Engine, ParallelBackend, get_backend
+from repro.engine import Engine, get_backend
 from repro.engine.backend import ExecutionBackend
 from repro.faults import (
     CampaignAbortedError,
     CircuitOpenError,
-    DispatchTimeoutError,
     FaultPlan,
     FaultPolicy,
     RetryController,
-    WorkerCrashError,
     inject,
     is_transient,
 )
@@ -56,7 +52,7 @@ from repro.models.zoo import small_mlp
 CHAOS_BACKENDS = (
     [os.environ["REPRO_CHAOS_BACKEND"]]
     if os.environ.get("REPRO_CHAOS_BACKEND")
-    else ["parallel", "model_axis"]
+    else ["numpy", "model_axis"]
 )
 
 #: zero-sleep policy for tests that retry
@@ -133,7 +129,6 @@ class TestFaultPolicy:
             ("backoff_base_s", -0.1),
             ("backoff_factor", 0.5),
             ("backoff_jitter", -1.0),
-            ("dispatch_timeout_s", 0.0),
             ("breaker_threshold", 0),
         ],
     )
@@ -150,7 +145,7 @@ class TestFaultPolicy:
             FaultPolicy.coerce(3)
 
     def test_roundtrip(self):
-        policy = FaultPolicy(max_retries=7, dispatch_timeout_s=2.5)
+        policy = FaultPolicy(max_retries=7, breaker_threshold=5)
         assert FaultPolicy.from_dict(policy.to_dict()) == policy
 
 
@@ -450,94 +445,6 @@ class TestEngineFaults:
 
 
 # ---------------------------------------------------------------------------
-# parallel-backend supervision
-# ---------------------------------------------------------------------------
-
-
-class TestParallelSupervision:
-    @pytest.fixture(scope="class")
-    def model(self):
-        return small_mlp(rng=0)
-
-    @pytest.fixture(scope="class")
-    def batch(self):
-        return np.random.default_rng(1).normal(size=(16, 16))
-
-    @pytest.fixture(scope="class")
-    def expected(self, model, batch):
-        return Engine(model, cache=False).forward(batch)
-
-    def test_killed_workers_respawn_and_requeue(self, model, batch, expected, caplog):
-        plan = FaultPlan()
-        plan.kill_worker(worker=-1, at=(0,))
-        # the timeout bounds every attempt, so a death that goes unseen
-        # fails the crash-reason assertion below instead of hanging
-        policy = FaultPolicy(backoff_base_s=0.0, dispatch_timeout_s=20.0)
-        with ParallelBackend(workers=2, fault_policy=policy) as backend:
-            engine = Engine(model, backend=backend, cache=False)
-            with inject.activate(plan), caplog.at_level(
-                logging.WARNING, logger="repro.engine.parallel"
-            ):
-                out = engine.forward(batch)
-            assert np.array_equal(out, expected)
-            assert backend.cache_stats.restarts == 1
-            assert engine.stats.restarts == 1
-        assert plan.fired("parallel.dispatch") == 1
-        respawns = [r.getMessage() for r in caplog.records if "respawning" in r.getMessage()]
-        assert len(respawns) == 1 and "died mid-dispatch" in respawns[0], respawns
-
-    def test_stalled_workers_hit_dispatch_timeout_and_heal(
-        self, model, batch, expected
-    ):
-        plan = FaultPlan()
-        plan.stall_worker(worker=-1, at=(0,))
-        policy = FaultPolicy(backoff_base_s=0.0, dispatch_timeout_s=1.0)
-        with ParallelBackend(workers=2, fault_policy=policy) as backend:
-            engine = Engine(model, backend=backend, cache=False)
-            with inject.activate(plan):
-                out = engine.forward(batch)
-            assert np.array_equal(out, expected)
-            assert backend.cache_stats.restarts >= 1
-
-    def test_persistent_kills_exhaust_retries(self, model, batch):
-        plan = FaultPlan()
-        plan.kill_worker(worker=-1, every=1)
-        policy = FaultPolicy(backoff_base_s=0.0, max_retries=1)
-        with ParallelBackend(workers=2, fault_policy=policy) as backend:
-            engine = Engine(model, backend=backend, cache=False)
-            with inject.activate(plan), pytest.raises(WorkerCrashError):
-                engine.forward(batch)
-
-    def test_close_reaps_workers_and_shm(self, model, batch):
-        shm_dir = Path("/dev/shm")
-        before = set(os.listdir(shm_dir)) if shm_dir.is_dir() else set()
-        backend = ParallelBackend(workers=2)
-        engine = Engine(model, backend=backend, cache=False)
-        engine.forward(batch)
-        procs = list(backend._pool()._pool)
-        assert all(p.is_alive() for p in procs)
-        backend.close()
-        deadline = time.monotonic() + 5.0
-        while any(p.is_alive() for p in procs) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert not any(p.is_alive() for p in procs)
-        if shm_dir.is_dir():
-            leaked = set(os.listdir(shm_dir)) - before
-            assert not leaked, f"orphaned shared-memory blocks: {leaked}"
-        backend.close()  # idempotent
-
-    def test_context_manager_closes(self, model, batch):
-        with ParallelBackend(workers=2) as backend:
-            assert isinstance(backend, ParallelBackend)
-            Engine(model, backend=backend, cache=False).forward(batch)
-            procs = list(backend._pool()._pool)
-        deadline = time.monotonic() + 5.0
-        while any(p.is_alive() for p in procs) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert not any(p.is_alive() for p in procs)
-
-
-# ---------------------------------------------------------------------------
 # mmap read retries + spill quarantine
 # ---------------------------------------------------------------------------
 
@@ -789,13 +696,10 @@ class TestCampaignChaos:
     def test_store_byte_identical_under_injected_faults(
         self, backend, baseline, tmp_path
     ):
-        """The headline chaos gate: worker kills on every other dispatch plus
-        one mmap read failure must not change a single stored byte."""
+        """The headline chaos gate: dispatch failures on every other dispatch
+        plus one mmap read failure must not change a single stored byte."""
         plan = FaultPlan()
-        if backend == "parallel":
-            plan.kill_worker(worker=-1, every=2, times=2)
-        else:
-            plan.raise_error("engine.dispatch", exception="OSError", every=2, times=2)
+        plan.raise_error("engine.dispatch", exception="OSError", every=2, times=2)
         plan.raise_error("mmap.window", exception="OSError", at=(0,))
         store = tmp_path / "chaos.jsonl"
         with inject.activate(plan):
@@ -803,7 +707,6 @@ class TestCampaignChaos:
                 tiny_spec(),
                 str(store),
                 backend=backend,
-                workers=2 if backend == "parallel" else None,
                 fault_policy=FAST_POLICY,
                 spill_dir=tmp_path / "spill",
             )
@@ -949,8 +852,6 @@ class TestCampaignCLI:
                     "5",
                     "--retries",
                     "4",
-                    "--dispatch-timeout",
-                    "9.5",
                     "--spill-dir",
                     str(tmp_path / "spill"),
                 )
@@ -960,13 +861,10 @@ class TestCampaignCLI:
         assert captured["durable"] is True
         assert captured["max_failures"] == 5
         assert captured["fault_policy"].max_retries == 4
-        assert captured["fault_policy"].dispatch_timeout_s == 9.5
         assert captured["spill_dir"] == str(tmp_path / "spill")
 
     def test_is_transient_taxonomy(self):
         assert is_transient(OSError("x"))
         assert is_transient(TimeoutError("x"))
-        assert is_transient(WorkerCrashError("x"))
-        assert is_transient(DispatchTimeoutError("x"))
         assert not is_transient(ValueError("x"))
         assert not is_transient(KeyboardInterrupt())

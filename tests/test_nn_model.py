@@ -256,3 +256,28 @@ class TestState:
         x = np.random.default_rng(0).random((1, 1, 8, 8))
         # clone still computes (structure intact)
         assert clone.forward(x).shape == (1, 4)
+
+    def test_pickling_a_warm_model_ships_no_caches(self):
+        """A model whose layers hold forward caches (it was just trained or
+        queried in-process) pickles as lean as a cold one and round-trips
+        bit-exactly — the distributed campaign ships prepared models this
+        way."""
+        import pickle
+
+        from repro.models.zoo import mnist_cnn
+
+        model = mnist_cnn(width_multiplier=0.125, input_size=12, rng=9)
+        images = np.random.default_rng(23).random((6, *model.input_shape))
+        expected = model.forward(images)  # fills every layer cache
+        payload = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+        cold = pickle.dumps(
+            mnist_cnn(width_multiplier=0.125, input_size=12, rng=9),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        assert len(payload) < len(cold) * 1.1  # caches stripped from the pickle
+        restored = pickle.loads(payload)
+        assert restored.forward(images).tobytes() == expected.tobytes()
+        assert (
+            restored.output_gradients_batch(images, "sum").tobytes()
+            == model.output_gradients_batch(images, "sum").tobytes()
+        )

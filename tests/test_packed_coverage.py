@@ -34,7 +34,7 @@ from repro.coverage import (
 from repro.coverage.bitmap import MMAP_HEADER_BYTES, MMAP_MAGIC, num_words
 from repro.coverage.activation import default_criterion_for
 from repro.data.datasets import Dataset
-from repro.engine import Engine, ParallelBackend
+from repro.engine import Engine
 from repro.models.zoo import cifar_cnn, mnist_cnn
 from repro.testgen.base import GenerationResult
 from repro.testgen.neuron_testgen import NeuronCoverageSelector
@@ -153,28 +153,23 @@ class TestBackendDeterminism:
             mnist_model, dataset, rng=0, engine=Engine(mnist_model, backend="numpy")
         ).generate(num_tests=6)
 
-        backend = ParallelBackend(workers=2)
-        try:
-            parallel = TrainingSetSelector(
-                mnist_model, dataset, rng=0, engine=Engine(mnist_model, backend=backend)
-            ).generate(num_tests=6)
-        finally:
-            backend.close()
+        fused = TrainingSetSelector(
+            mnist_model,
+            dataset,
+            rng=0,
+            engine=Engine(mnist_model, backend="model_axis"),
+        ).generate(num_tests=6)
 
-        np.testing.assert_array_equal(single.dataset_indices, parallel.dataset_indices)
-        assert single.gains == parallel.gains
-        assert single.coverage_history == parallel.coverage_history
+        np.testing.assert_array_equal(single.dataset_indices, fused.dataset_indices)
+        assert single.gains == fused.gains
+        assert single.coverage_history == fused.coverage_history
 
     def test_packed_masks_identical_across_backends(self, mnist_model, mnist_pool):
-        backend = ParallelBackend(workers=2)
-        try:
-            par = Engine(mnist_model, backend=backend).packed_activation_masks(
-                mnist_pool
-            )
-        finally:
-            backend.close()
+        fused = Engine(mnist_model, backend="model_axis").packed_activation_masks(
+            mnist_pool
+        )
         ref = Engine(mnist_model).packed_activation_masks(mnist_pool)
-        assert par == ref
+        assert fused == ref
 
     def test_packed_neuron_masks_match_dense_and_backends(
         self, mnist_model, mnist_pool
@@ -182,12 +177,8 @@ class TestBackendDeterminism:
         dense = neuron_activation_masks(mnist_model, mnist_pool)
         packed = Engine(mnist_model).packed_neuron_masks(mnist_pool)
         np.testing.assert_array_equal(packed.dense(), dense)
-        backend = ParallelBackend(workers=2)
-        try:
-            par = Engine(mnist_model, backend=backend).packed_neuron_masks(mnist_pool)
-        finally:
-            backend.close()
-        assert par == packed
+        fused = Engine(mnist_model, backend="model_axis").packed_neuron_masks(mnist_pool)
+        assert fused == packed
 
 
 class TestMemoryBudget:

@@ -145,7 +145,7 @@ class TestBuiltinEntries:
         assert set(registry.names("criteria")) >= {"default", "exact", "eps"}
 
     def test_backends(self):
-        assert set(registry.names("backends")) >= {"numpy", "parallel"}
+        assert set(registry.names("backends")) >= {"numpy", "model_axis"}
 
     def test_datasets(self):
         assert set(registry.names("datasets")) >= {
