@@ -1,9 +1,8 @@
 """Micro-benchmark: batched engine vs per-sample reference, plus backends.
 
-Built on the shared :mod:`repro.bench` harness (one timing/assertion codepath
-for this script, ``python -m repro.bench`` and CI).  Measures mean validation
-coverage (the Fig. 2 quantity) over a 100-image pool on a Table-I-style MNIST
-model, comparing
+Measures mean validation coverage (the Fig. 2 quantity) over a 100-image
+pool on a Table-I-style MNIST model, timed warmed best-of-N with
+:func:`_timing.best_of`, comparing
 
 * ``mean_validation_coverage_reference`` — one forward/backward pass per
   image (the pre-engine hot path),
@@ -26,8 +25,7 @@ Run with::
 
 Set ``BENCH_ENGINE_SKIP_SPEEDUP=1`` to enforce only the numerical-equivalence
 assertions (for shared CI runners whose wall-clock is too noisy for reliable
-speedup ratios).  A ``BENCH_engine.json`` report of every measurement is
-written next to the working directory.
+speedup ratios).
 """
 
 from __future__ import annotations
@@ -35,9 +33,9 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from _timing import best_of
 
 from repro.attacks.base import bias_flat_indices
-from repro.bench import measure, write_report
 from repro.engine.model_axis import ModelAxisBackend
 from repro.coverage.parameter_coverage import (
     mean_validation_coverage,
@@ -60,55 +58,29 @@ def main() -> None:
     print(f"model: {model.name} ({model.num_parameters()} parameters)")
     print(f"pool:  {POOL_SIZE} images of shape {images.shape[1:]}")
 
-    results = []
-
-    reference = measure(
-        "coverage_reference",
-        lambda: mean_validation_coverage_reference(model, images),
-        samples=POOL_SIZE,
-        backend="per-sample",
-        repeats=3,
+    reference_s, reference = best_of(
+        lambda: mean_validation_coverage_reference(model, images), repeats=3
     )
-    results.append(reference)
-    print(
-        f"per-sample reference: {reference.wall_s * 1e3:9.1f} ms  "
-        f"(coverage {reference.value:.6f})"
-    )
+    print(f"per-sample reference: {reference_s * 1e3:9.1f} ms  (coverage {reference:.6f})")
 
     # fresh uncached engine each call: measures the batched compute, not the
     # memo cache
-    batched = measure(
-        "coverage",
+    batched_s, batched = best_of(
         lambda: mean_validation_coverage(model, images, engine=Engine(model, cache=False)),
-        samples=POOL_SIZE,
-        backend="numpy",
         repeats=5,
     )
-    results.append(batched)
-    print(
-        f"batched engine:       {batched.wall_s * 1e3:9.1f} ms  "
-        f"(coverage {batched.value:.6f})"
-    )
+    print(f"batched engine:       {batched_s * 1e3:9.1f} ms  (coverage {batched:.6f})")
 
     engine = Engine(model)
     engine.mean_validation_coverage(images)  # warm the memo cache
-    cached = measure(
-        "revisit",
-        lambda: engine.mean_validation_coverage(images),
-        samples=POOL_SIZE,
-        backend="numpy",
-        repeats=3,
-    )
-    # read the hit rate after the timed revisits so they are counted
-    cached.cache_hit_rate = engine.stats.hit_rate
-    results.append(cached)
+    cached_s, cached = best_of(lambda: engine.mean_validation_coverage(images), repeats=3)
     print(
-        f"memoized revisit:     {cached.wall_s * 1e3:9.1f} ms  "
-        f"(coverage {cached.value:.6f})"
+        f"memoized revisit:     {cached_s * 1e3:9.1f} ms  "
+        f"(coverage {cached:.6f}, hit rate {engine.stats.hit_rate:.3f})"
     )
 
-    speedup = reference.wall_s / batched.wall_s
-    error = abs(reference.value - batched.value)
+    speedup = reference_s / batched_s
+    error = abs(reference - batched)
     print(f"\nspeedup (batched vs per-sample): {speedup:.1f}x")
     print(f"numerical difference:            {error:.2e}")
 
@@ -124,40 +96,24 @@ def main() -> None:
         copy.parameter_view().add_scalar(int(biases[-1 - trial]), 10.0)
         copies.append(copy)
     loop_engine = Engine(model, cache=False)
-    looped = measure(
-        "model_axis",
-        lambda: loop_engine.stacked_forward(copies, images),
-        samples=POOL_SIZE * MODEL_AXIS_COPIES,
-        backend="numpy",
-        repeats=5,
-    )
-    results.append(looped)
+    looped_s, _ = best_of(lambda: loop_engine.stacked_forward(copies, images), repeats=5)
     fused_engine = Engine(model, backend=ModelAxisBackend(), cache=False)
-    fused = measure(
-        "model_axis",
-        lambda: fused_engine.stacked_forward(copies, images),
-        samples=POOL_SIZE * MODEL_AXIS_COPIES,
-        backend="model_axis",
-        repeats=5,
-    )
-    results.append(fused)
-    model_axis_speedup = looped.wall_s / fused.wall_s
+    fused_s, _ = best_of(lambda: fused_engine.stacked_forward(copies, images), repeats=5)
+    model_axis_speedup = looped_s / fused_s
     model_axis_identical = np.array_equal(
         loop_engine.stacked_forward(copies, images),
         fused_engine.stacked_forward(copies, images),
     )
     print(
-        f"model-axis fused:     {fused.wall_s * 1e3:9.1f} ms  "
+        f"model-axis fused:     {fused_s * 1e3:9.1f} ms  "
         f"({MODEL_AXIS_COPIES} copies, {model_axis_speedup:.1f}x vs per-copy loop "
-        f"{looped.wall_s * 1e3:.1f} ms)"
+        f"{looped_s * 1e3:.1f} ms)"
     )
-
-    write_report(results, "BENCH_engine.json", meta={"pool_size": POOL_SIZE})
 
     assert error <= TOLERANCE, (
         f"batched coverage differs from reference by {error:.2e} > {TOLERANCE:.0e}"
     )
-    assert abs(cached.value - batched.value) <= TOLERANCE
+    assert abs(cached - batched) <= TOLERANCE
     assert model_axis_identical, (
         "model-axis stacked logits are not bitwise identical to the per-copy loop"
     )

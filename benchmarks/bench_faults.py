@@ -13,8 +13,7 @@ Run with::
 
 Set ``BENCH_FAULTS_SKIP_OVERHEAD=1`` to enforce only the output-equality
 assertion (for shared CI runners whose wall-clock jitter exceeds the 2%
-budget).  A ``BENCH_faults.json`` report is written to the working
-directory.
+budget).
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from _timing import best_of
 
-from repro.bench import measure, write_report
 from repro.engine import Engine
 from repro.faults import FaultPolicy
 from repro.models.zoo import small_mlp
@@ -49,26 +48,13 @@ def main() -> None:
     print(f"model: {model.name} ({model.num_parameters()} parameters)")
     print(f"workload: {CALLS_PER_REP} forward calls x {BATCH} samples")
 
-    # interleave-by-repeat (both measured with best-of timing) so drift in
-    # machine load hits both engines alike
-    plain = measure(
-        "forward_plain",
-        lambda: _forward_loop(bare, batch),
-        samples=BATCH * CALLS_PER_REP,
-        backend="numpy",
-        repeats=7,
-    )
-    faulted = measure(
-        "forward_fault_policy",
-        lambda: _forward_loop(wrapped, batch),
-        samples=BATCH * CALLS_PER_REP,
-        backend="numpy",
-        repeats=7,
-    )
-    print(f"bare engine:    {plain.wall_s * 1e3:9.2f} ms")
-    print(f"policy-wrapped: {faulted.wall_s * 1e3:9.2f} ms")
+    # best-of timing keeps transient load spikes out of both readings
+    plain_s, _ = best_of(lambda: _forward_loop(bare, batch), repeats=7)
+    faulted_s, _ = best_of(lambda: _forward_loop(wrapped, batch), repeats=7)
+    print(f"bare engine:    {plain_s * 1e3:9.2f} ms")
+    print(f"policy-wrapped: {faulted_s * 1e3:9.2f} ms")
 
-    overhead = faulted.wall_s / plain.wall_s - 1.0
+    overhead = faulted_s / plain_s - 1.0
     print(f"retry-wrapper overhead: {overhead * 100:+.2f}% (budget {OVERHEAD_BUDGET:.0%})")
 
     out_plain = bare.forward(batch)
@@ -77,12 +63,6 @@ def main() -> None:
         "fault-policy engine must be bitwise-identical on the fault-free path"
     )
     assert wrapped.stats.retries == 0 and wrapped.stats.downgrades == 0
-
-    write_report(
-        [plain, faulted],
-        "BENCH_faults.json",
-        meta={"overhead_fraction": overhead, "budget": OVERHEAD_BUDGET},
-    )
 
     if os.environ.get("BENCH_FAULTS_SKIP_OVERHEAD"):
         print("BENCH_FAULTS_SKIP_OVERHEAD set: overhead gate skipped")

@@ -19,7 +19,7 @@ Run with::
 
 Set ``BENCH_SERVE_SKIP_SPEEDUP=1`` to enforce only the byte-identity and
 dedup assertions (for shared CI runners whose wall-clock jitter swamps the
-ratio).  A ``BENCH_serve.json`` report is written to the working directory.
+ratio).
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import asyncio
 import os
 
 import numpy as np
+from _timing import best_of
 
 from repro.api import ReleaseRequest, RunConfig, Session, ValidateRequest
-from repro.bench import measure, write_report
 from repro.serve import SERVE_BATCH_SIZE, ServeConfig, ValidationService
 from repro.validation.user import validate_ip
 
@@ -93,35 +93,21 @@ def main() -> None:
 
     uncoalesced = _service(False)
     try:
-        plain = measure(
-            "serve_uncoalesced",
-            lambda: _drive(uncoalesced, released),
-            samples=CONCURRENT * len(released.package.tests),
-            backend="numpy",
-            repeats=REPEATS,
-            value_of=lambda outcomes: sum(o.passed for o in outcomes) / len(outcomes),
-        )
+        plain_s, _ = best_of(lambda: _drive(uncoalesced, released), repeats=REPEATS)
         assert uncoalesced.coalescer.stats.deduped == 0
     finally:
         uncoalesced.close()
 
     coalesced = _service(True)
     try:
-        merged = measure(
-            "serve_coalesced",
-            lambda: _drive(coalesced, released),
-            samples=CONCURRENT * len(released.package.tests),
-            backend="numpy",
-            repeats=REPEATS,
-            value_of=lambda outcomes: sum(o.passed for o in outcomes) / len(outcomes),
-        )
+        merged_s, _ = best_of(lambda: _drive(coalesced, released), repeats=REPEATS)
         outcomes = _drive(coalesced, released)
         stats = coalesced.coalescer.stats
     finally:
         coalesced.close()
 
-    print(f"uncoalesced: {plain.wall_s * 1e3:9.2f} ms")
-    print(f"coalesced:   {merged.wall_s * 1e3:9.2f} ms")
+    print(f"uncoalesced: {plain_s * 1e3:9.2f} ms")
+    print(f"coalesced:   {merged_s * 1e3:9.2f} ms")
     drives = REPEATS + 2  # warm-up + timed repeats + the identity drive
     print(
         f"coalescer: {stats.requests} requests -> "
@@ -142,19 +128,8 @@ def main() -> None:
             reference.max_output_deviation
         ), "coalesced replay must be bitwise-identical to validate_ip"
 
-    speedup = plain.wall_s / merged.wall_s if merged.wall_s > 0 else float("inf")
+    speedup = plain_s / merged_s if merged_s > 0 else float("inf")
     print(f"coalesced speedup: {speedup:.2f}x (floor {SPEEDUP_FLOOR:.1f}x)")
-
-    write_report(
-        [plain, merged],
-        "BENCH_serve.json",
-        meta={
-            "concurrent": CONCURRENT,
-            "speedup": speedup,
-            "floor": SPEEDUP_FLOOR,
-            "coalesce_hit_rate": stats.hit_rate,
-        },
-    )
 
     if os.environ.get("BENCH_SERVE_SKIP_SPEEDUP"):
         print("BENCH_SERVE_SKIP_SPEEDUP set: speedup gate skipped")

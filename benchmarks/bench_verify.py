@@ -20,8 +20,8 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_verify.py
 
 Set ``BENCH_VERIFY_SKIP_REMOTE=1`` to skip the loopback HTTP leg (for
-sandboxes without sockets).  A ``BENCH_verify.json`` report is written to
-the working directory.
+sandboxes without sockets).  A loopback server that fails to start, or does
+not bind within :data:`SERVER_START_TIMEOUT_S`, fails the gate.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import threading
 import numpy as np
 
 from repro.api import ReleaseRequest, RunConfig, Session
-from repro.bench import measure, write_report
 from repro.online import CallableTransport, RemoteModel, verify_online
 from repro.validation import default_attack_factories, validate_ip
 
@@ -46,6 +45,8 @@ SEED = 2019
 TRIALS = 3
 #: total full-replay queries must exceed sequential queries by this factor
 QUERY_RATIO_FLOOR = 3.0
+#: seconds the loopback server may take to bind before the remote leg fails
+SERVER_START_TIMEOUT_S = 30.0
 
 RELEASE_SPEC = dict(
     num_tests=24,
@@ -94,6 +95,7 @@ def _remote_leg(session, released) -> None:
     tmp = tempfile.mkdtemp(prefix="bench_verify_")
     released.save(tmp)
     holder: dict = {}
+    ready = threading.Event()
 
     def run_server() -> None:
         async def main() -> None:
@@ -105,17 +107,25 @@ def _remote_leg(session, released) -> None:
             holder["loop"] = asyncio.get_running_loop()
             stop = asyncio.Event()
             holder["stop"] = stop
+            ready.set()
             await stop.wait()
             await server.stop()
 
-        asyncio.run(main())
+        try:
+            asyncio.run(main())
+        except BaseException as exc:
+            holder["error"] = exc
+        finally:
+            ready.set()
 
     thread = threading.Thread(target=run_server, daemon=True)
     thread.start()
-    import time
-
-    while "port" not in holder:
-        time.sleep(0.01)
+    if not ready.wait(SERVER_START_TIMEOUT_S):
+        raise TimeoutError(
+            f"loopback server did not bind within {SERVER_START_TIMEOUT_S:g} s"
+        )
+    if "error" in holder:
+        raise holder["error"]
     url = f"http://127.0.0.1:{holder['port']}"
     try:
         remote = RemoteModel(
@@ -155,33 +165,16 @@ def main() -> None:
     full_queries = 0
     sequential_queries = 0
     mismatched_verdicts = []
-
-    def sweep():
-        nonlocal full_queries, sequential_queries, mismatched_verdicts
-        full_queries = 0
-        sequential_queries = 0
-        mismatched_verdicts = []
-        for label, ip, package, expect_detected in cells:
-            full = validate_ip(ip, package)
-            full_queries += package.num_tests
-            remote = RemoteModel(CallableTransport(ip.predict), cache=False)
-            report = verify_online(remote, package)
-            sequential_queries += report.queries_used
-            if report.detected != full.detected:
-                mismatched_verdicts.append(label)
-            if expect_detected is not None and full.detected != expect_detected:
-                mismatched_verdicts.append(f"{label} (full replay surprise)")
-        return sequential_queries
-
-    result = measure(
-        "verify_sequential_sweep",
-        sweep,
-        samples=len(cells),
-        backend="numpy",
-        repeats=1,
-        warmup=0,
-        value_of=lambda q: q,
-    )
+    for label, ip, package, expect_detected in cells:
+        full = validate_ip(ip, package)
+        full_queries += package.num_tests
+        remote = RemoteModel(CallableTransport(ip.predict), cache=False)
+        report = verify_online(remote, package)
+        sequential_queries += report.queries_used
+        if report.detected != full.detected:
+            mismatched_verdicts.append(label)
+        if expect_detected is not None and full.detected != expect_detected:
+            mismatched_verdicts.append(f"{label} (full replay surprise)")
 
     ratio = full_queries / sequential_queries if sequential_queries else float("inf")
     print(f"full replay:  {full_queries} queries")
@@ -205,17 +198,6 @@ def main() -> None:
         )
         _remote_leg(session, released)
 
-    write_report(
-        [result],
-        "BENCH_verify.json",
-        meta={
-            "scenarios": len(cells),
-            "full_queries": full_queries,
-            "sequential_queries": sequential_queries,
-            "query_ratio": ratio,
-            "floor": QUERY_RATIO_FLOOR,
-        },
-    )
     print("PASS")
 
 

@@ -23,10 +23,10 @@ subsystems load only when touched::
         assert outcome.detected
 
 The same operations run from the command line (``python -m repro release``,
-``validate``, ``campaign``, ``bench``, ``registry``), and every pluggable
-component — test-generation strategies, attacks, coverage criteria,
-backends, datasets, models — resolves by name through the cross-subsystem
-:mod:`repro.registry`.
+``validate``, ``verify``, ``campaign``, ``serve``, ``registry``), and every
+pluggable component — test-generation strategies, attacks, coverage
+criteria, backends, datasets, models — resolves by name through the
+cross-subsystem :mod:`repro.registry`.
 
 Subsystem map:
 
@@ -40,7 +40,6 @@ Subsystem map:
 * :mod:`repro.engine` — the batched execution engine: memoizing
   forward/gradient/mask queries, pluggable ``numpy``/``model_axis`` backends,
   compute-dtype policies.
-* :mod:`repro.bench` — the benchmark harness and CI regression gate.
 * :mod:`repro.data` — synthetic stand-ins for MNIST, CIFAR-10, ImageNet and
   noise populations.
 * :mod:`repro.models` — the Table-I architectures and a trainer.

@@ -9,13 +9,12 @@ One front door over every operational surface of the library::
         --remote http://127.0.0.1:8420 --model model.npz
     python -m repro campaign run --spec spec.toml --store results.jsonl
     python -m repro serve --port 8420
-    python -m repro bench --quick
     python -m repro registry --namespace strategies
     python -m repro version
 
-``campaign``, ``serve`` and ``bench`` delegate to the existing subsystem
-CLIs (``python -m repro.campaign`` / ``python -m repro.serve`` /
-``python -m repro.bench``), which keep working standalone; ``release`` and ``validate`` drive the
+``campaign`` and ``serve`` delegate to the existing subsystem CLIs
+(``python -m repro.campaign`` / ``python -m repro.serve``), which keep
+working standalone; ``release`` and ``validate`` drive the
 :class:`repro.api.Session` façade; ``registry`` lists the cross-subsystem
 plugin registry.
 """
@@ -32,7 +31,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description=(
             "Functional test generation for DNN IPs: release packages, "
-            "validate black-box IPs, run campaigns and benchmarks."
+            "validate black-box IPs and run campaigns."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -163,7 +162,6 @@ def _parser() -> argparse.ArgumentParser:
     for name, doc in (
         ("campaign", "declarative evaluation sweeps (python -m repro.campaign)"),
         ("serve", "validation-as-a-service HTTP endpoint (python -m repro.serve)"),
-        ("bench", "engine benchmark matrix (python -m repro.bench)"),
     ):
         delegate = sub.add_parser(name, help=doc, add_help=False)
         delegate.add_argument("rest", nargs=argparse.REMAINDER)
@@ -316,10 +314,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.serve.__main__ import main as serve_main
 
         return serve_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.bench.__main__ import main as bench_main
-
-        return bench_main(argv[1:])
     args = _parser().parse_args(argv)
     handlers = {
         "release": _cmd_release,

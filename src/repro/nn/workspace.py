@@ -6,8 +6,7 @@ shapes over and over.  Allocating a fresh ``(N, C*kh*kw, P)`` buffer per
 chunk is churn; but naively *pinning* one buffer per layer is worse — it
 grows the working set of a pass from the largest single patch matrix to the
 sum over all layers, and the measured cache misses cost more than the
-allocations saved (see ``benchmarks/BENCH_baseline.json`` history; the
-regression harness is what caught this).
+allocations saved.
 
 :class:`WorkspacePool` therefore works like a tiny free-list allocator with
 explicit hand-back, shared by *all* layers of one model:

@@ -404,8 +404,8 @@ class TestOneShotHelpers:
 
 
 class TestRetiredOptions:
-    """Options of the removed ``parallel`` backend fail loudly, naming the
-    offending value."""
+    """Options of the removed ``parallel`` backend and the removed ``bench``
+    subcommand fail loudly, naming the offending value."""
 
     def test_parallel_backend_options_fail_loudly(self, capsys):
         from repro.cli import main
@@ -423,6 +423,14 @@ class TestRetiredOptions:
             main([*argv, "--workers", "2"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--quick"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

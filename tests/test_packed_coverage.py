@@ -411,6 +411,7 @@ class TestMmapMaskStore:
         assert raw[: len(MMAP_MAGIC)] == MMAP_MAGIC
         header = np.frombuffer(raw[:MMAP_HEADER_BYTES], dtype="<u8", offset=8)
         assert header.tolist() == [70, 3]
+        assert raw[MMAP_HEADER_BYTES:] == np.ones((3, 2), dtype="<u8").tobytes()
 
     def test_budget_must_be_positive(self, tmp_path):
         with MmapMaskWriter(tmp_path / "b.masks", nbits=8) as writer:
