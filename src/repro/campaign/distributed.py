@@ -32,14 +32,17 @@ liveness, prunes a dead worker's completed digests from its in-flight unit
 worker — bounded by ``max_restarts``, after which the shard's queue is
 drained by the surviving workers.  The zero-re-execution resume guarantee
 therefore holds across shard boundaries and mid-run SIGKILL of any worker.
+Each worker reports on its own result pipe, so a worker killed while
+sending can leave a lock or a torn message only on the pipe its respawn
+replaces, never on a channel the other workers share.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
-import queue as queue_module
 import re
 import shutil
 import signal
@@ -61,7 +64,7 @@ logger = get_logger("campaign.distributed")
 
 PathLike = Union[str, Path]
 
-#: how often the parent polls worker liveness and the result queue
+#: how often the parent polls worker liveness and the result pipes
 _POLL_S = 0.2
 
 #: per-shard worker respawns before its queue is left to the other shards
@@ -236,7 +239,7 @@ def _worker_main(
     spill_dir: Optional[str],
     exchange_dir: str,
     task_queue: "multiprocessing.Queue",
-    result_queue: "multiprocessing.Queue",
+    results: "multiprocessing.connection.Connection",
     fault_plan: Optional[FaultPlan],
 ) -> None:
     """One shard worker: pull units, run them into this shard's store.
@@ -257,13 +260,13 @@ def _worker_main(
                 spec,
                 store,
                 backend=backend,
-                progress=lambda msg: result_queue.put(("progress", shard, msg)),
+                progress=lambda msg: results.send(("progress", shard, msg)),
                 fault_policy=fault_policy,
                 max_failures=None,
                 spill_dir=spill_dir,
                 model_exchange=exchange,
             ) as runner:
-                result_queue.put(("ready", shard))
+                results.send(("ready", shard))
                 while True:
                     message = task_queue.get()
                     if message[0] == "stop":
@@ -283,7 +286,7 @@ def _worker_main(
                                 time.sleep(3600.0)
                     try:
                         summary = runner.run(list(unit.scenarios))
-                        result_queue.put(
+                        results.send(
                             ("done", shard, unit_index, summary.executed, summary.failed)
                         )
                     except Exception as exc:  # noqa: BLE001 — quarantine the unit
@@ -305,8 +308,8 @@ def _worker_main(
                                 )
                             )
                             failed += 1
-                        result_queue.put(("done", shard, unit_index, 0, failed))
-    except (KeyboardInterrupt, SystemExit):
+                        results.send(("done", shard, unit_index, 0, failed))
+    except (KeyboardInterrupt, SystemExit, BrokenPipeError):  # broken pipe: parent gone
         pass
 
 
@@ -319,6 +322,8 @@ def _worker_main(
 class _WorkerState:
     process: object
     task_queue: object
+    #: read end of the worker's own result pipe; ``None`` once it hits EOF
+    results: Optional[object]
     inflight: Optional[int] = None
     restarts: int = 0
     ready: bool = False
@@ -415,7 +420,6 @@ def run_distributed_campaign(
     )
 
     ctx = _mp_context()
-    result_queue = ctx.Queue()
     owns_exchange = exchange_dir is None
     exchange_root = (
         Path(tempfile.mkdtemp(prefix="repro-exchange-"))
@@ -429,6 +433,7 @@ def run_distributed_campaign(
 
     def spawn(shard: int, restarts: int, with_plan: bool) -> None:
         task_queue = ctx.Queue()
+        results, sender = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_worker_main,
             args=(
@@ -441,13 +446,17 @@ def run_distributed_campaign(
                 str(spill_dir) if spill_dir is not None else None,
                 str(exchange_root),
                 task_queue,
-                result_queue,
+                sender,
                 fault_plan if with_plan else None,
             ),
             daemon=True,
         )
         process.start()
-        states[shard] = _WorkerState(process=process, task_queue=task_queue, restarts=restarts)
+        # the worker holds the only write end, so its exit reads as EOF
+        sender.close()
+        states[shard] = _WorkerState(
+            process=process, task_queue=task_queue, results=results, restarts=restarts
+        )
 
     def next_unit_index(shard: int) -> Optional[int]:
         if home[shard]:
@@ -481,9 +490,15 @@ def run_distributed_campaign(
             unit_done[index] = True
             remaining_units -= 1
 
+    def close_results(state: _WorkerState) -> None:
+        if state.results is not None:
+            state.results.close()
+            state.results = None
+
     def handle_death(shard: int) -> None:
         state = states[shard]
         state.process.join()
+        close_results(state)
         exitcode = state.process.exitcode
         emit(f"[shard {shard}] worker died (exit code {exitcode})")
         index = state.inflight
@@ -542,6 +557,7 @@ def run_distributed_campaign(
             if state.process.is_alive():  # pragma: no cover — hung worker
                 state.process.terminate()
                 state.process.join(timeout=5.0)
+            close_results(state)
             state.retired = True
 
     try:
@@ -549,11 +565,14 @@ def run_distributed_campaign(
             spawn(shard, restarts=0, with_plan=fault_plan is not None)
         while remaining_units > 0:
             dispatch()
-            try:
-                message = result_queue.get(timeout=_POLL_S)
-            except queue_module.Empty:
-                message = None
-            if message is not None:
+            readers = {s.results: s for s in states.values() if s.results is not None}
+            messages = []
+            for conn in multiprocessing.connection.wait(list(readers), timeout=_POLL_S):
+                try:
+                    messages.append(conn.recv())
+                except (EOFError, OSError):  # worker gone, maybe mid-message: reaped below
+                    close_results(readers[conn])
+            for message in messages:
                 kind = message[0]
                 if kind == "ready":
                     state = states.get(message[1])
@@ -580,6 +599,7 @@ def run_distributed_campaign(
                             f"{failed_total} scenarios quarantined, exceeding "
                             f"--max-failures={max_failures}"
                         )
+            if messages:
                 continue
             # no message this tick: poll liveness and stalls
             now = time.monotonic()

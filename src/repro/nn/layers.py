@@ -429,7 +429,9 @@ class Conv2D(Layer):
         if self._padding_spec == "same":
             if self.stride != 1:
                 raise ValueError("'same' padding requires stride 1")
-            kh, _ = self.kernel_size
+            kh, kw = self.kernel_size
+            if kh != kw or kh % 2 == 0:
+                raise ValueError("'same' padding requires an odd square kernel")
             return (kh - 1) // 2
         if self._padding_spec == "valid":
             return 0
@@ -515,16 +517,17 @@ class Conv2D(Layer):
 
         assert self.weight is not None
         if need_param_grads:
-            grad_w = np.einsum("nfp,nkp->fk", grad_z_mat, self._cache["cols"])
+            # the per-sample (N, F, P) @ (N, P, K) products of backward_batch,
+            # summed over samples: batched BLAS, and no copy of cols
+            grad_w = np.matmul(grad_z_mat, self._cache["cols"].transpose(0, 2, 1)).sum(axis=0)
             self.weight.grad += grad_w.reshape(self.weight.value.shape)
             if self.bias is not None:
                 self.bias.grad += grad_z_mat.sum(axis=(0, 2))
         if not need_input_grad:
             return None
-        # keep the einsum: a matmul here reorders the sums and moves
-        # trained weights by an ulp
+        # BLAS sums in its own order: CHANGES.md's numeric contract, not bitwise, holds it
         w_mat = self.weight.value.reshape(self.filters, -1)
-        grad_cols = np.einsum("fk,nfp->nkp", w_mat, grad_z_mat)
+        grad_cols = np.matmul(w_mat.T, grad_z_mat)  # (N, K, P)
         return col2im(grad_cols, x_shape, kh, kw, self.stride, self._padding())
 
     def backward_batch(

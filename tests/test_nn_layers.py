@@ -139,6 +139,10 @@ class TestConv2D:
         conv = Conv2D(4, 3, stride=2, padding="same")
         with pytest.raises(ValueError, match="stride 1"):
             conv.output_shape((1, 8, 8))
+        # one symmetric pad keeps the size only for odd square kernels
+        for kernel in [2, 4, (3, 5), (1, 3)]:
+            with pytest.raises(ValueError, match="odd square kernel"):
+                Conv2D(4, kernel, padding="same").output_shape((1, 8, 8))
 
     def test_known_convolution_value(self):
         conv = Conv2D(1, 3, padding="valid", activation=None, use_bias=True)

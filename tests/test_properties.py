@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.coverage import ActivationCriterion, CoverageTracker
 from repro.nn.activations import ReLU, Sigmoid, Softmax, Tanh
-from repro.nn.layers import col2im, im2col
+from repro.nn.layers import Conv2D, col2im, im2col
 from repro.nn.losses import SoftmaxCrossEntropy, one_hot
 from repro.nn.tensor import Parameter, ParameterView
 
@@ -108,6 +108,62 @@ def test_col2im_is_bitwise_equal_to_scatter_add(kernel, stride, padding, dtype):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+def _conv_after_forward(kernel, stride, padding, dtype, n=3, c=2, h=7, w=6, filters=4):
+    """A built linear ``Conv2D`` in ``dtype`` after one training forward."""
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+    conv = Conv2D(filters, kernel, stride=stride, padding=padding, activation=None)
+    conv.build((c, h, w), rng)
+    for param in conv.parameters():
+        param.value = rng.normal(size=param.value.shape).astype(dtype)
+        param.grad = np.zeros_like(param.value)
+    x = rng.normal(size=(n, c, h, w)).astype(dtype)
+    out = conv.forward(x, training=True)
+    return conv, x, rng.normal(size=out.shape).astype(dtype)
+
+
+@pytest.mark.parametrize("kernel", [2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv_backward_matches_einsum_reference(kernel, stride, padding, dtype):
+    """Weight, bias and input gradients agree with the einsum contraction."""
+    conv, x, grad_out = _conv_after_forward(kernel, stride, padding, dtype)
+    grad_x = conv.backward(grad_out)
+
+    cols, _, _ = im2col(x, kernel, kernel, stride, padding)
+    grad_z = grad_out.reshape(x.shape[0], conv.filters, -1)
+    w_mat = conv.weight.value.reshape(conv.filters, -1)
+    want_w = np.einsum("nfp,nkp->fk", grad_z, cols).reshape(conv.weight.value.shape)
+    want_cols = np.einsum("fk,nfp->nkp", w_mat, grad_z)
+    want_x = col2im(want_cols, x.shape, kernel, kernel, stride, padding)
+
+    # entries that cancel to near zero get the tolerance of the largest one
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
+    for got, want in [
+        (conv.weight.grad, want_w),
+        (conv.bias.grad, grad_z.sum(axis=(0, 2))),
+        (grad_x, want_x),
+    ]:
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("kernel", [2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv_weight_gradient_is_bitwise_sum_of_per_sample_gradients(
+    kernel, stride, padding, dtype
+):
+    """``backward`` sums the very per-sample products ``backward_batch`` returns."""
+    conv, _, grad_out = _conv_after_forward(kernel, stride, padding, dtype)
+    _, per_sample = conv.backward_batch(grad_out, need_input_grad=False)
+    conv.backward(grad_out, need_input_grad=False)
+    want = per_sample[0].sum(axis=0)
+    assert conv.weight.grad.dtype == want.dtype
+    assert conv.weight.grad.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
