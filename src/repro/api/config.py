@@ -1,8 +1,8 @@
 """Session-level run configuration, plus the shared dataclass (de)serialiser.
 
 A :class:`RunConfig` gathers every knob that describes *how* work executes —
-backend, compute dtype, campaign shards, chunking, cache and memory budgets,
-rng seeding — as opposed to the request objects (:mod:`repro.api.requests`),
+backend, campaign shards, chunking, cache and memory budgets, rng
+seeding — as opposed to the request objects (:mod:`repro.api.requests`),
 which describe *what* to compute.  One config serves a whole
 :class:`~repro.api.session.Session`; every engine the session builds
 inherits it.
@@ -11,7 +11,7 @@ Like :class:`~repro.campaign.CampaignSpec`, a config is resolvable from a
 plain dict or a TOML/JSON file (optionally nested under a ``[run]``
 table)::
 
-    config = RunConfig(backend="model_axis", dtype="float32")
+    config = RunConfig(backend="model_axis", model_axis_size=8)
     config = RunConfig.from_dict({"backend": "numpy", "batch_size": 128})
     config = RunConfig.load("run.toml")
 
@@ -117,10 +117,6 @@ class RunConfig(TableSerde):
     model_axis_size:
         Perturbed copies fused per dispatch when ``backend="model_axis"``
         (``None`` = the backend's default capacity).
-    dtype:
-        Compute-dtype policy for every engine (``None``/``"float64"``
-        default, ``"float32"`` for halved memory traffic at documented
-        tolerances — see :mod:`repro.nn.dtypes`).
     batch_size:
         Engine chunk size for large pools.
     memory_budget_bytes:
@@ -144,11 +140,16 @@ class RunConfig(TableSerde):
         Run :func:`repro.registry.discover_entry_points` when the session is
         created, loading third-party registrations from installed packages.
     faults:
-        Optional fault-tolerance policy as a plain table of
-        :class:`repro.faults.FaultPolicy` fields (e.g. ``{"max_retries": 3,
-        "breaker_threshold": 5}``); ``None`` disables retries entirely
-        (failures propagate on first occurrence).  Resolved via
-        :meth:`fault_policy`.
+        Retry/backoff/breaker policy of the remote transport only: a plain
+        table of :class:`repro.faults.FaultPolicy` fields (e.g.
+        ``{"max_retries": 3, "breaker_threshold": 5}``) handed to the
+        :class:`repro.online.RemoteModel` that
+        :meth:`~repro.api.session.Session.validate` builds for a request
+        with a ``remote_url`` or ``transport``.  ``None`` leaves that
+        transport on the ``FaultPolicy()`` defaults (2 retries).  In-process
+        engine calls are never retried, and campaign shard supervision and
+        spill-store healing are separate mechanisms that do not read it.
+        Resolved via :meth:`fault_policy`.
     """
 
     _TABLE = "run"
@@ -156,7 +157,6 @@ class RunConfig(TableSerde):
     backend: str = "numpy"
     shards: Optional[int] = None
     model_axis_size: Optional[int] = None
-    dtype: Optional[str] = None
     batch_size: int = 64
     memory_budget_bytes: Optional[int] = None
     spill_dir: Optional[str] = None
@@ -187,10 +187,6 @@ class RunConfig(TableSerde):
             )
         if self.model_axis_size is not None and self.model_axis_size <= 0:
             raise ValueError("model_axis_size must be positive when given")
-        if self.dtype is not None and self.dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"unknown dtype {self.dtype!r}; choose 'float64' or 'float32'"
-            )
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:

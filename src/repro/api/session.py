@@ -7,7 +7,7 @@ an LRU cache of trained experiments.  The paper-level operations —
 :meth:`release`, :meth:`validate` and :meth:`sweep` — accept the typed
 request objects of :mod:`repro.api.requests` (or plain dicts / keyword
 arguments) and route all compute through the managed engines, so callers
-never hand-wire Engine/backend/dtype plumbing per call site::
+never hand-wire Engine/backend plumbing per call site::
 
     from repro.api import ReleaseRequest, Session, ValidateRequest
 
@@ -62,9 +62,9 @@ class Session:
         defaults; keyword arguments override individual fields either way
         (``Session(backend="model_axis", model_axis_size=4)``).
 
-    Engines built by the session share its backend, dtype policy, batch size
-    and memory budget; they are memoizing and pooled per parameter digest,
-    so repeated requests against the same trained model reuse cached
+    Engines built by the session share its backend, batch size and memory
+    budget; they are memoizing and pooled per parameter digest, so
+    repeated requests against the same trained model reuse cached
     gradient/mask matrices.  Sessions are context managers — leaving the
     ``with`` block closes the backend and drops the cached engines.
 
@@ -96,7 +96,7 @@ class Session:
         self._backend: Optional[ExecutionBackend] = self._build_backend()
         self._engines: "OrderedDict[Tuple[str, object], Engine]" = OrderedDict()
         self._prepared: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
-        # resolved once: every engine/backend the session builds shares it
+        # resolved once: every remote transport the session builds shares it
         self._fault_policy = self.config.fault_policy()
         self._closed = False
         # guards both LRUs and close() (see the class docstring's
@@ -169,11 +169,9 @@ class Session:
                 model,
                 criterion=criterion,
                 backend=self.backend,
-                dtype=cfg.dtype,
                 batch_size=cfg.batch_size,
                 memory_budget_bytes=cfg.memory_budget_bytes,
                 spill_dir=cfg.spill_dir,
-                fault_policy=self._fault_policy,
             )
             self._engines[key] = engine
             self._engines.move_to_end(key)
@@ -183,7 +181,7 @@ class Session:
 
     def engine_stats(self):
         """Merged :class:`~repro.engine.cache.CacheStats` across the pooled
-        engines — the serving layer's ``/stats`` fault/cache counters."""
+        engines — the serving layer's ``/stats`` cache counters."""
         from repro.engine.cache import CacheStats
 
         with self._lock:
@@ -192,15 +190,6 @@ class Session:
         for engine in engines:
             merged = merged.merge(engine.stats)
         return merged
-
-    def fault_events(self):
-        """Fault-tolerance events recorded by every pooled engine, merged."""
-        with self._lock:
-            engines = list(self._engines.values())
-        events = []
-        for engine in engines:
-            events.extend(engine.fault_events)
-        return events
 
     # -- preparation ---------------------------------------------------------
     def prepare(
@@ -508,7 +497,6 @@ class Session:
                 req.store,
                 backend=backend,
                 progress=logger.info,
-                fault_policy=self._fault_policy,
                 spill_dir=self.config.spill_dir,
                 shards=shards,
             )
@@ -531,7 +519,6 @@ class Session:
             store,
             backend=backend,
             progress=logger.info,
-            fault_policy=self._fault_policy,
             spill_dir=self.config.spill_dir,
             shards=1,
         )

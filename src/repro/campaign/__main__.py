@@ -56,7 +56,7 @@ from repro.campaign.store import (
     expectations_from_records,
 )
 from repro.engine import available_backends
-from repro.faults import CampaignAbortedError, FaultPolicy
+from repro.faults import CampaignAbortedError
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -90,13 +90,6 @@ def _parser() -> argparse.ArgumentParser:
             default=None,
             help="abort once more than this many scenarios are quarantined "
             "(default: quarantine everything, never abort)",
-        )
-        cmd.add_argument(
-            "--retries",
-            type=int,
-            default=None,
-            help="max transient-failure retries per engine dispatch "
-            "(enables the fault policy)",
         )
         cmd.add_argument(
             "--spill-dir",
@@ -204,9 +197,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{len(spec.criteria)} criteria x {len(spec.strategies)} strategies x "
         f"{len(spec.budgets)} budgets)"
     )
-    fault_policy = None
-    if args.retries is not None:
-        fault_policy = FaultPolicy().with_overrides(max_retries=args.retries)
     shards = args.shards if args.shards is not None else spec.shards
     distributed = shards > 1
     store = None if distributed else ResultStore(args.store, durable=args.durable)
@@ -220,7 +210,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 shards=shards,
                 backend=args.backend,
                 progress=print,
-                fault_policy=fault_policy,
                 max_failures=args.max_failures,
                 spill_dir=args.spill_dir,
                 durable=args.durable,
@@ -232,7 +221,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 store,
                 backend=args.backend,
                 progress=print,
-                fault_policy=fault_policy,
                 max_failures=args.max_failures,
                 spill_dir=args.spill_dir,
             )

@@ -57,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.campaign.runner import CampaignRunner, CampaignSummary, ProgressCallback
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import FailureRecord, ResultStore, ScenarioRecord
-from repro.faults import CampaignAbortedError, FaultPolicy, FaultPlan, inject
+from repro.faults import CampaignAbortedError, FaultPlan, inject
 from repro.utils.logging import get_logger
 
 logger = get_logger("campaign.distributed")
@@ -235,7 +235,6 @@ def _worker_main(
     store_path: str,
     durable: bool,
     backend: str,
-    fault_policy: Optional[FaultPolicy],
     spill_dir: Optional[str],
     exchange_dir: str,
     task_queue: "multiprocessing.Queue",
@@ -261,7 +260,6 @@ def _worker_main(
                 store,
                 backend=backend,
                 progress=lambda msg: results.send(("progress", shard, msg)),
-                fault_policy=fault_policy,
                 max_failures=None,
                 spill_dir=spill_dir,
                 model_exchange=exchange,
@@ -344,7 +342,6 @@ def run_distributed_campaign(
     shards: int,
     backend: str = "numpy",
     progress: Optional[ProgressCallback] = None,
-    fault_policy: Union[FaultPolicy, Dict[str, object], None] = None,
     max_failures: Optional[int] = None,
     spill_dir: Optional[PathLike] = None,
     durable: bool = False,
@@ -378,7 +375,6 @@ def run_distributed_campaign(
         )
     if max_failures is not None and max_failures < 0:
         raise ValueError("max_failures must be non-negative")
-    policy = FaultPolicy.coerce(fault_policy)
     base = Path(store_path)
 
     def emit(message: str) -> None:
@@ -442,7 +438,6 @@ def run_distributed_campaign(
                 str(shard_paths[shard]),
                 durable,
                 backend,
-                policy,
                 str(spill_dir) if spill_dir is not None else None,
                 str(exchange_root),
                 task_queue,

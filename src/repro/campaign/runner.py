@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.campaign.spec import CampaignSpec, Scenario, derive_scenario_seed
 from repro.campaign.store import FailureRecord, ResultStore, ScenarioRecord
-from repro.faults import CampaignAbortedError, FaultPolicy, inject
+from repro.faults import CampaignAbortedError, inject
 from repro.coverage.activation import resolve_criterion
 from repro.coverage.bitmap import CoverageMap
 from repro.engine import Engine, ExecutionBackend, get_backend
@@ -143,8 +143,6 @@ class CampaignRunner:
         by :func:`repro.engine.get_backend`.  A passed-in instance is not
         closed by the runner.
     progress: optional callback receiving human-readable progress lines.
-    fault_policy: retry/backoff/breaker policy threaded into every engine
-        (see :class:`repro.faults.FaultPolicy`).
     max_failures: abort the campaign (``CampaignAbortedError``) once more
         than this many scenarios have been quarantined in this run; ``None``
         means never abort — every failure is quarantined and the run
@@ -170,7 +168,6 @@ class CampaignRunner:
         store: ResultStore,
         backend: Union[str, ExecutionBackend, type] = "numpy",
         progress: Optional[ProgressCallback] = None,
-        fault_policy: Union[FaultPolicy, Dict[str, object], None] = None,
         max_failures: Optional[int] = None,
         spill_dir: Optional[Union[str, Path]] = None,
         model_exchange: Optional[object] = None,
@@ -182,7 +179,6 @@ class CampaignRunner:
         self.store = store
         self._backend_spec = backend
         self._progress = progress
-        self.fault_policy = FaultPolicy.coerce(fault_policy)
         self.max_failures = max_failures
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.model_exchange = model_exchange
@@ -407,7 +403,6 @@ class CampaignRunner:
         engine = Engine(
             prepared.model,
             backend=backend,
-            fault_policy=self.fault_policy,
             spill_dir=self.spill_dir,
         )
         context = (prepared, engine, {})
@@ -517,9 +512,7 @@ class CampaignRunner:
         )
 
         # one memo-free engine: each perturbed copy serves exactly one batch
-        engine = Engine(
-            prepared.model, backend=backend, cache=False, fault_policy=self.fault_policy
-        )
+        engine = Engine(prepared.model, backend=backend, cache=False)
         attacks = (factory(trial_rng) for trial_rng in trial_rngs)
         mismatches, perturbations = replay_trials(
             engine, attacks, stacked_tests, expected, spec.output_atol
@@ -576,7 +569,6 @@ def run_campaign(
     store: Union[ResultStore, str],
     backend: Union[str, ExecutionBackend, type] = "numpy",
     progress: Optional[ProgressCallback] = None,
-    fault_policy: Union[FaultPolicy, Dict[str, object], None] = None,
     max_failures: Optional[int] = None,
     spill_dir: Optional[Union[str, Path]] = None,
     durable: bool = False,
@@ -604,7 +596,6 @@ def run_campaign(
             shards=effective_shards,
             backend=backend,
             progress=progress,
-            fault_policy=fault_policy,
             max_failures=max_failures,
             spill_dir=spill_dir,
             durable=(store.durable if isinstance(store, ResultStore) else durable),
@@ -616,7 +607,6 @@ def run_campaign(
         store,
         backend=backend,
         progress=progress,
-        fault_policy=fault_policy,
         max_failures=max_failures,
         spill_dir=spill_dir,
     ) as runner:

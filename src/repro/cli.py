@@ -176,17 +176,12 @@ def _add_run_config_flags(cmd: argparse.ArgumentParser) -> None:
         default="numpy",
         help=f"engine backend ({', '.join(available_backends())})",
     )
-    cmd.add_argument(
-        "--dtype", default=None, help="compute dtype (float64 or float32)"
-    )
 
 
 def _session(args: argparse.Namespace):
     from repro.api import RunConfig, Session
 
-    return Session(
-        RunConfig(backend=args.backend, dtype=args.dtype)
-    )
+    return Session(RunConfig(backend=args.backend))
 
 
 def _cmd_release(args: argparse.Namespace) -> int:

@@ -55,19 +55,13 @@ def array_fingerprint(array: np.ndarray) -> str:
 class CacheStats:
     """Hit/miss/eviction counters of a :class:`BatchResultCache`.
 
-    :meth:`merge` folds several counters into one, so :attr:`Engine.stats`
-    can add the fault policy's counters and a session can report one view
-    across its pooled engines.
+    :meth:`merge` folds several counters into one, so a session can report
+    one view across its pooled engines.
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: fault-tolerance counters (see :mod:`repro.faults`): dispatches retried
-    #: after a transient failure and circuit-breaker backend downgrades —
-    #: zero everywhere outside failure scenarios
-    retries: int = 0
-    downgrades: int = 0
 
     @property
     def requests(self) -> int:
@@ -79,19 +73,11 @@ class CacheStats:
 
     def merge(self, *others: "CacheStats") -> "CacheStats":
         """A new counter summing this one with ``others`` (inputs untouched)."""
-        merged = CacheStats(
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.retries,
-            self.downgrades,
-        )
+        merged = CacheStats(self.hits, self.misses, self.evictions)
         for other in others:
             merged.hits += other.hits
             merged.misses += other.misses
             merged.evictions += other.evictions
-            merged.retries += other.retries
-            merged.downgrades += other.downgrades
         return merged
 
     def __add__(self, other: "CacheStats") -> "CacheStats":

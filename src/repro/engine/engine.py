@@ -44,7 +44,7 @@ import hashlib
 import os
 import warnings
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,8 +57,6 @@ from repro.engine.cache import (
     array_fingerprint,
 )
 from repro.faults import inject
-from repro.faults.policy import FaultPolicy, RetryController
-from repro.nn.dtypes import DtypePolicy, DtypeSpec
 from repro.nn.layers import ActivationLayer, Conv2D, Dense
 from repro.nn.losses import Loss
 from repro.nn.model import SCALARIZATIONS, Sequential
@@ -125,12 +123,6 @@ class Engine:
         omitted.
     backend:
         Backend name, instance or class; see :mod:`repro.engine.backend`.
-    dtype:
-        Compute-dtype policy (``None``/``"float64"`` default, or
-        ``"float32"`` for halved memory traffic at documented tolerances —
-        see :mod:`repro.nn.dtypes`).  Under float32 the engine runs passes
-        against a float32 shadow copy of the model, re-cast whenever the
-        caller's parameters change; the caller's model is never touched.
     batch_size:
         Chunk size used when a query's batch is larger; bounds the transient
         memory of im2col buffers and per-sample gradient stacks.
@@ -156,15 +148,10 @@ class Engine:
         (:class:`~repro.coverage.bitmap.MmapMaskMatrix`); per-call
         ``spill_dir`` arguments override it.  ``None`` (default) keeps
         packed masks in RAM.
-    fault_policy:
-        :class:`~repro.faults.FaultPolicy` (or its dict form) making every
-        backend dispatch fault-tolerant: transient failures (I/O and OS
-        errors, timeouts) are retried with deterministic backoff, and
-        ``breaker_threshold`` consecutive failures trip a circuit breaker
-        that swaps the backend for the policy's serial
-        ``downgrade_backend`` — recorded in :attr:`stats` (``downgrades``)
-        and :attr:`fault_events`.  ``None`` (default) dispatches directly
-        with zero added overhead.
+
+    The engine computes in float64 and dispatches straight to its backend:
+    an in-process backend call has no transient failure mode, so an error
+    propagates on its first occurrence.
     """
 
     def __init__(
@@ -172,14 +159,12 @@ class Engine:
         model: Sequential,
         criterion: Optional[object] = None,
         backend: BackendSpec = "numpy",
-        dtype: DtypeSpec = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         cache: bool = True,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         memory_budget_bytes: Optional[int] = None,
         spill_dir: Optional[Union[str, Path]] = None,
-        fault_policy: Union[FaultPolicy, Dict[str, object], None] = None,
     ) -> None:
         if not model.built:
             raise ValueError("Engine requires a built model")
@@ -197,19 +182,10 @@ class Engine:
             criterion = default_criterion_for(model)
         self.criterion = criterion
         self.backend: ExecutionBackend = get_backend(backend)
-        self.dtype_policy = DtypePolicy.resolve(dtype)
         self.batch_size = int(batch_size)
         self.memory_budget_bytes = memory_budget_bytes
         self._cache: Optional[BatchResultCache] = (
             BatchResultCache(cache_entries, cache_bytes) if cache else None
-        )
-        # float32 shadow copy of the model, rebuilt when the caller's
-        # parameters change (tracked by digest); None under the default policy
-        self._shadow_model: Optional[Sequential] = None
-        self._shadow_digest: Optional[str] = None
-        self.fault_policy = FaultPolicy.coerce(fault_policy)
-        self._faults: Optional[RetryController] = (
-            RetryController(self.fault_policy) if self.fault_policy else None
         )
 
     # -- cache plumbing ------------------------------------------------------
@@ -219,91 +195,9 @@ class Engine:
 
     @property
     def stats(self) -> CacheStats:
-        """Hit/miss statistics of the memo cache, plus the fault policy's
-        retry and downgrade counters.
-
-        Without a fault policy this is the live memo-cache counter object;
-        zeros when memoization is disabled.
-        """
-        memo = self._cache.stats if self._cache is not None else CacheStats()
-        if self._faults is None:
-            return memo
-        fault_stats = self._faults.stats
-        return memo.merge(
-            CacheStats(retries=fault_stats.retries, downgrades=fault_stats.downgrades)
-        )
-
-    @property
-    def fault_events(self) -> List[Dict[str, object]]:
-        """Structured fault-tolerance log: transient failures, breaker trips,
-        and backend downgrades (empty without a fault policy)."""
-        return list(self._faults.events) if self._faults is not None else []
-
-    # -- fault-tolerant dispatch --------------------------------------------
-    def _backend_call(self, op: str, *args, **kwargs):
-        """Invoke a backend primitive under the engine's fault policy.
-
-        Without a policy this is a plain attribute call plus one injection
-        guard — the fault-free hot path stays unmeasurable (gated in
-        ``benchmarks/bench_faults.py``).  With a policy, transient failures
-        are retried with deterministic backoff and the circuit breaker can
-        downgrade to the policy's serial fallback backend mid-query.
-        """
-        faults = self._faults
-        if faults is None:
-            if inject.active():
-                inject.check("engine.dispatch", op=op, backend=self.backend.name)
-            return getattr(self.backend, op)(*args, **kwargs)
-        if inject.active():
-            # an injection plan is live: take the full controller path so
-            # injected engine.dispatch faults are retried like real ones
-            return self._retry_call(op, args, kwargs, None)
-        # inlined happy path — the controller frame is only paid when a
-        # dispatch actually raises
-        try:
-            result = getattr(self.backend, op)(*args, **kwargs)
-        except Exception as exc:
-            return self._retry_call(op, args, kwargs, exc)
-        faults.consecutive_failures = 0
-        return result
-
-    def _retry_call(self, op: str, args, kwargs, pending):
-        def attempt():
-            if inject.active():
-                inject.check("engine.dispatch", op=op, backend=self.backend.name)
-            return getattr(self.backend, op)(*args, **kwargs)
-
-        downgrade = None
-        target = self.fault_policy.downgrade_backend
-        if target is not None and self.backend.name != target:
-            downgrade = self._downgrade_backend
-        return self._faults.run(attempt, key=op, downgrade=downgrade, pending=pending)
-
-    def _downgrade_backend(self, exc: BaseException) -> None:
-        """Breaker action: swap in the policy's serial fallback backend.
-
-        The failing backend is *not* closed — one backend instance may serve
-        several engines, and a shared pool must not be torn down because one
-        engine's breaker tripped.  Owners release it as usual via
-        ``close()``/GC.
-        """
-        target = self.fault_policy.downgrade_backend
-        previous = self.backend.name
-        self.backend = get_backend(target)
-        self._faults.events.append(
-            {
-                "event": "downgrade",
-                "from": previous,
-                "to": target,
-                "reason": f"{type(exc).__name__}: {exc}",
-            }
-        )
-        logger.warning(
-            "circuit breaker tripped: downgrading backend %s -> %s (%s)",
-            previous,
-            target,
-            exc,
-        )
+        """Hit/miss statistics of the memo cache (the live counter object;
+        zeros when memoization is disabled)."""
+        return self._cache.stats if self._cache is not None else CacheStats()
 
     def invalidate(self) -> None:
         """Drop all memoized results.
@@ -339,6 +233,14 @@ class Engine:
             self._cache.put(key, value)
         return value
 
+    # -- dispatch ------------------------------------------------------------
+    def _backend_call(self, op: str, *args, **kwargs):
+        """Invoke a backend primitive, behind the ``engine.dispatch``
+        fault-injection site (one guard when no plan is active)."""
+        if inject.active():
+            inject.check("engine.dispatch", op=op, backend=self.backend.name)
+        return getattr(self.backend, op)(*args, **kwargs)
+
     # -- batching plumbing ---------------------------------------------------
     def _as_batch(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch)
@@ -356,7 +258,7 @@ class Engine:
         # cast/contiguize only when needed: a conforming pool array is
         # returned as-is, so repeated queries on the same pool never pay a
         # per-call copy (pinned by a no-copy assertion in the test suite)
-        return self.dtype_policy.asarray(batch)
+        return np.ascontiguousarray(batch, dtype=np.float64)
 
     def _chunks(self, n: int, max_chunk: Optional[int] = None) -> Iterator[slice]:
         step = self.batch_size
@@ -412,32 +314,15 @@ class Engine:
             total += int(np.prod(shape))
         return total
 
-    def _execution_model(self) -> Sequential:
-        """The model the backend should run: the caller's, or its shadow.
-
-        Under the default float64 policy this is the caller's model itself.
-        Under float32 it is a cast copy, re-cast whenever the caller's
-        parameter digest changes (attack loops perturb parameters between
-        calls; results must always reflect the current values).
-        """
-        if self.dtype_policy.is_default:
-            return self.model
-        digest = parameter_digest(self.model)
-        if self._shadow_model is None or self._shadow_digest != digest:
-            self._shadow_model = self.dtype_policy.cast_model(self.model)
-            self._shadow_digest = digest
-        return self._shadow_model
-
     # -- forward queries -----------------------------------------------------
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """Inference-mode logits for a batch, chunked and memoized."""
         batch = self._as_batch(batch)
 
         def compute() -> np.ndarray:
-            model = self._execution_model()
             return np.concatenate(
                 [
-                    self._backend_call("forward", model, batch[s])
+                    self._backend_call("forward", self.model, batch[s])
                     for s in self._chunks(batch.shape[0])
                 ],
                 axis=0,
@@ -478,23 +363,19 @@ class Engine:
                 )
 
         def compute() -> np.ndarray:
-            if self.dtype_policy.is_default:
-                run = models
-            else:
-                run = [self.dtype_policy.cast_model(model) for model in models]
-            # the engine's own model is the unperturbed base the copies were
-            # derived from: fused backends share its activation trunk up to
-            # each copy's first divergent layer
-            base = self._execution_model()
-            capacity = self.backend.model_axis_capacity or len(run)
+            capacity = self.backend.model_axis_capacity or len(models)
             outputs = []
-            for start in range(0, len(run), capacity):
-                group = run[start : start + capacity]
+            for start in range(0, len(models), capacity):
+                group = models[start : start + capacity]
                 outputs.append(
                     np.concatenate(
                         [
+                            # the engine's own model is the unperturbed base
+                            # the copies were derived from: fused backends
+                            # share its activation trunk up to each copy's
+                            # first divergent layer
                             self._backend_call(
-                                "stacked_forward", group, batch[s], base=base
+                                "stacked_forward", group, batch[s], base=self.model
                             )
                             for s in self._chunks(batch.shape[0])
                         ],
@@ -527,10 +408,9 @@ class Engine:
             )
 
         def compute() -> np.ndarray:
-            model = self._execution_model()
             return np.concatenate(
                 [
-                    self._backend_call("output_gradients", model, batch[s], scal)
+                    self._backend_call("output_gradients", self.model, batch[s], scal)
                     for s in self._chunks(batch.shape[0])
                 ],
                 axis=0,
@@ -556,7 +436,7 @@ class Engine:
         """
         batch = self._as_batch(batch)
         return self._backend_call(
-            "input_gradients", self._execution_model(), batch, targets, loss
+            "input_gradients", self.model, batch, targets, loss
         )
 
     def loss_parameter_gradients(
@@ -572,7 +452,7 @@ class Engine:
         """
         batch = self._as_batch(batch)
         return self._backend_call(
-            "loss_parameter_gradients", self._execution_model(), batch, targets, loss
+            "loss_parameter_gradients", self.model, batch, targets, loss
         )
 
     # -- mask queries --------------------------------------------------------
@@ -609,11 +489,10 @@ class Engine:
                 return crit.activated(grads)
 
         def compute() -> np.ndarray:
-            model = self._execution_model()
             return np.concatenate(
                 [
                     crit.activated(
-                        self._backend_call("output_gradients", model, batch[s], scal)
+                        self._backend_call("output_gradients", self.model, batch[s], scal)
                     )
                     for s in self._chunks(batch.shape[0])
                 ],
@@ -675,16 +554,15 @@ class Engine:
         if spill is not None:
 
             def spill_chunks():
-                model = self._execution_model()
                 for s in self._chunks(batch.shape[0], max_chunk):
                     if plain:
                         yield self._backend_call(
-                            "packed_masks", model, batch[s], scal, crit.epsilon
+                            "packed_masks", self.model, batch[s], scal, crit.epsilon
                         )
                     else:
                         yield pack_bool(
                             crit.activated(
-                                self._backend_call("output_gradients", model, batch[s], scal)
+                                self._backend_call("output_gradients", self.model, batch[s], scal)
                             )
                         )
 
@@ -724,20 +602,19 @@ class Engine:
                 return MaskMatrix(nbits, pack_bool(dense))
 
         def compute() -> np.ndarray:
-            model = self._execution_model()
             rows = []
             for s in self._chunks(batch.shape[0], max_chunk):
                 if plain:
                     rows.append(
                         self._backend_call(
-                            "packed_masks", model, batch[s], scal, crit.epsilon
+                            "packed_masks", self.model, batch[s], scal, crit.epsilon
                         )
                     )
                 else:
                     rows.append(
                         pack_bool(
                             crit.activated(
-                                self._backend_call("output_gradients", model, batch[s], scal)
+                                self._backend_call("output_gradients", self.model, batch[s], scal)
                             )
                         )
                     )
@@ -781,10 +658,9 @@ class Engine:
         if spill is not None:
 
             def spill_chunks():
-                model = self._execution_model()
                 for s in self._chunks(batch.shape[0], max_chunk):
                     yield self._backend_call(
-                        "packed_neuron_masks", model, batch[s], threshold, indices
+                        "packed_neuron_masks", self.model, batch[s], threshold, indices
                     )
 
             return self._spilled_masks(
@@ -798,11 +674,10 @@ class Engine:
             )
 
         def compute() -> np.ndarray:
-            model = self._execution_model()
             return np.concatenate(
                 [
                     self._backend_call(
-                        "packed_neuron_masks", model, batch[s], threshold, indices
+                        "packed_neuron_masks", self.model, batch[s], threshold, indices
                     )
                     for s in self._chunks(batch.shape[0], max_chunk)
                 ],
@@ -884,11 +759,10 @@ class Engine:
         indices = neuron_layer_indices(self.model)
 
         def compute() -> np.ndarray:
-            model = self._execution_model()
             rows = []
             for s in self._chunks(batch.shape[0]):
                 chunk = batch[s]
-                outputs = self._backend_call("forward_collect", model, chunk)
+                outputs = self._backend_call("forward_collect", self.model, chunk)
                 parts = [
                     (outputs[i] > threshold).reshape(chunk.shape[0], -1)
                     for i in indices
@@ -944,7 +818,7 @@ class Engine:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Engine(model={self.model.name!r}, backend={self.backend.name!r}, "
-            f"dtype={self.dtype_policy.name!r}, batch_size={self.batch_size}, "
+            f"batch_size={self.batch_size}, "
             f"cache={self.cache_enabled})"
         )
 

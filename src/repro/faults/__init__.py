@@ -1,4 +1,4 @@
-"""Fault-tolerant execution layer: policies, retries, and chaos injection.
+"""Failure taxonomy, the remote-transport retry policy, and chaos injection.
 
 Three pieces, deliberately dependency-free so every subsystem can import
 them without cycles:
@@ -6,7 +6,8 @@ them without cycles:
 * :mod:`repro.faults.errors` — the transient/logic failure taxonomy.
 * :mod:`repro.faults.policy` — :class:`FaultPolicy` (retries, deterministic
   seeded backoff, circuit breaker) and the :class:`RetryController` that
-  enforces it.
+  enforces it for :class:`repro.online.RemoteModel`'s transport, the one
+  place where I/O really fails.  In-process engine calls are not retried.
 * :mod:`repro.faults.inject` — the deterministic fault-plan API driving
   ``tests/test_faults.py``: kill campaign shard worker N at unit K, raise
   IOError on the Jth mmap window read, add latency to a named layer's

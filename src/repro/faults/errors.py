@@ -1,15 +1,17 @@
-"""Exception taxonomy for the fault-tolerant execution layer.
+"""Exception taxonomy for the fault layer.
 
 Two families matter operationally:
 
 * **Transient** failures — an I/O window tore, a connection or timer timed
-  out — are retried under a :class:`~repro.faults.FaultPolicy`
-  and, past the circuit-breaker threshold, trigger a backend downgrade.
+  out — are worth retrying.  A remote transport retries them under a
+  :class:`~repro.faults.FaultPolicy`, whose circuit breaker raises
+  :class:`CircuitOpenError` past its threshold; a memory-mapped mask window
+  read re-maps and retries on its own.
 * **Logic** failures — bad shapes, unknown ops, assertion-grade bugs —
   propagate immediately: retrying a deterministic error only hides it.
 
-:func:`is_transient` encodes the split in one place so the engine and the
-campaign runner agree on what is retryable.
+:func:`is_transient` encodes the split in one place for
+:class:`~repro.faults.RetryController`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ class FaultError(RuntimeError):
 
 
 class CircuitOpenError(FaultError):
-    """The breaker tripped and no downgrade target was configured."""
+    """The breaker tripped: too many consecutive transient failures."""
 
 
 class CampaignAbortedError(FaultError):

@@ -22,13 +22,6 @@ selection on top) rather than calling them or raw ``Model.forward``
 directly whenever a model is queried repeatedly or for many samples.
 """
 
-from repro.nn.dtypes import (
-    FLOAT32_COVERAGE_ATOL,
-    FLOAT32_FORWARD_ATOL,
-    FLOAT32_GRADIENT_ATOL,
-    FLOAT64_TOLERANCE,
-    DtypePolicy,
-)
 from repro.nn.activations import (
     Activation,
     Identity,
@@ -93,12 +86,6 @@ from repro.nn.tensor import Parameter, ParameterView
 from repro.nn.workspace import WorkspacePool
 
 __all__ = [
-    # dtypes
-    "DtypePolicy",
-    "FLOAT64_TOLERANCE",
-    "FLOAT32_FORWARD_ATOL",
-    "FLOAT32_GRADIENT_ATOL",
-    "FLOAT32_COVERAGE_ATOL",
     # workspaces
     "WorkspacePool",
     # activations

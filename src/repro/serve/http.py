@@ -8,7 +8,7 @@ framework, no new dependencies — speaking JSON wire envelopes
 method   path            body / response
 =======  ==============  ===============================================
 GET      ``/healthz``    liveness: ``{"status": "ok" | "draining"}``
-GET      ``/stats``      coalescer, admission, engine and fault counters
+GET      ``/stats``      coalescer, admission and engine cache counters
 POST     ``/v1/validate``  ``validate`` envelope → ``outcome`` envelope
 POST     ``/v1/release``   ``release`` envelope (+ optional top-level
                            ``save_dir``) → ``release_summary`` envelope

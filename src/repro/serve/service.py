@@ -449,7 +449,7 @@ class ValidationService:
         }
 
     def stats(self) -> Dict[str, object]:
-        """The ``/stats`` body: coalescer, admission, engine and fault state."""
+        """The ``/stats`` body: coalescer, admission and engine state."""
         engine_stats = self.session.engine_stats()
         return {
             "uptime_s": round(time.monotonic() - self._started, 3),
@@ -462,11 +462,8 @@ class ValidationService:
                 "hits": engine_stats.hits,
                 "misses": engine_stats.misses,
                 "evictions": engine_stats.evictions,
-                "retries": engine_stats.retries,
-                "downgrades": engine_stats.downgrades,
                 "hit_rate": round(engine_stats.hit_rate, 4),
             },
-            "fault_events": list(self.session.fault_events()),
         }
 
     # -- lifecycle -----------------------------------------------------------

@@ -66,8 +66,6 @@ class TestRunConfig:
             RunConfig.from_dict({"turbo": True})
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError, match="unknown dtype"):
-            RunConfig(dtype="float16").validate()
         with pytest.raises(ValueError, match="batch_size"):
             RunConfig(batch_size=0).validate()
         with pytest.raises(ValueError, match="engine_cache_size"):
@@ -404,8 +402,9 @@ class TestOneShotHelpers:
 
 
 class TestRetiredOptions:
-    """Options of the removed ``parallel`` backend and the removed ``bench``
-    subcommand fail loudly, naming the offending value."""
+    """Options of the removed ``parallel`` backend, the removed ``bench``
+    subcommand, and the removed float32 and engine-retry layers fail
+    loudly, naming the offending value."""
 
     def test_parallel_backend_options_fail_loudly(self, capsys):
         from repro.cli import main
@@ -431,6 +430,31 @@ class TestRetiredOptions:
             main(["bench", "--quick"])
         assert exit_info.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_dtype_and_engine_retry_options_fail_loudly(self, capsys):
+        from repro.cli import main
+        from repro.engine import Engine
+        from repro.faults import FaultPolicy
+        from repro.models.zoo import small_mlp
+
+        with pytest.raises(ValueError, match=r"unknown RunConfig fields \['dtype'\]"):
+            RunConfig.from_dict({"dtype": "float32"})
+        with pytest.raises(ValueError, match="unknown FaultPolicy field"):
+            FaultPolicy.from_dict({"downgrade_backend": "numpy"})
+        model = small_mlp(rng=0)
+        with pytest.raises(TypeError):
+            Engine(model, dtype="float32")
+        with pytest.raises(TypeError):
+            Engine(model, fault_policy={})
+        argv = ["campaign", "run", "--spec", "s.toml", "--store", "s.jsonl"]
+        for args, flag in (
+            (["release", "--out", "out", "--dtype", "float32"], "--dtype float32"),
+            ([*argv, "--retries", "3"], "--retries 3"),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(args)
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -304,11 +304,10 @@ class TestBackendsAndCache:
             register_backend(Nameless)
 
     def test_cache_stats_merge_semantics(self):
-        a = CacheStats(hits=2, misses=1, evictions=0, retries=1)
-        b = CacheStats(hits=3, misses=4, evictions=5, downgrades=1)
+        a = CacheStats(hits=2, misses=1, evictions=0)
+        b = CacheStats(hits=3, misses=4, evictions=5)
         merged = a + b
         assert (merged.hits, merged.misses, merged.evictions) == (5, 5, 5)
-        assert (merged.retries, merged.downgrades) == (1, 1)
         # inputs untouched
         assert (a.hits, b.hits) == (2, 3)
         assert a.merge(b, b).hits == 8

@@ -1,12 +1,13 @@
 """Chaos suite for the fault-tolerant execution layer.
 
 Covers the ``repro.faults`` primitives (policy, retry controller, injection
-plans), the engine's retry/downgrade path, mmap read retries and
-corrupt-store quarantine, the result store's failure records and torn-line
-recovery, and the campaign-level chaos gates: a campaign with injected
-dispatch failures and mmap faults must finish with a store **byte-identical** to the fault-free
-run, and a deterministically-failing scenario must be quarantined and heal
-on ``resume``.
+plans), the engine's fail-fast dispatch, mmap read retries and corrupt-store
+quarantine, the result store's failure records and torn-line recovery, and
+the campaign-level chaos gates: injected dispatch failures must quarantine
+their scenarios while an injected mmap fault heals in-run, a plan-free
+re-run must execute exactly the quarantined scenarios and leave a store
+**byte-identical** to the fault-free run, and a deterministically-failing
+scenario must be quarantined and heal on ``resume``.
 
 The campaign gates run on every chaos backend; set ``REPRO_CHAOS_BACKEND``
 (``numpy`` or ``model_axis``) to restrict a CI matrix entry to one.
@@ -35,7 +36,7 @@ from repro.campaign import (
 from repro.campaign.__main__ import main as campaign_main
 from repro.coverage.bitmap import MaskMatrix, MmapMaskWriter, quarantine_store
 from repro.engine import Engine, get_backend
-from repro.engine.backend import ExecutionBackend
+from repro.engine.backend import NumpyBackend
 from repro.faults import (
     CampaignAbortedError,
     CircuitOpenError,
@@ -54,9 +55,6 @@ CHAOS_BACKENDS = (
     if os.environ.get("REPRO_CHAOS_BACKEND")
     else ["numpy", "model_axis"]
 )
-
-#: zero-sleep policy for tests that retry
-FAST_POLICY = FaultPolicy(backoff_base_s=0.0)
 
 
 def tiny_spec(**overrides: object) -> CampaignSpec:
@@ -152,7 +150,7 @@ class TestFaultPolicy:
 class TestRetryController:
     def _controller(self, **overrides):
         sleeps: list = []
-        policy = FaultPolicy(backoff_base_s=0.01).with_overrides(**overrides)
+        policy = FaultPolicy(backoff_base_s=0.01, **overrides)
         return RetryController(policy, sleeper=sleeps.append), sleeps
 
     def test_success_passthrough(self):
@@ -178,7 +176,6 @@ class TestRetryController:
             policy.backoff_delay(1, "forward"),
             policy.backoff_delay(2, "forward"),
         ]
-        assert [e["event"] for e in controller.events].count("transient_failure") == 2
 
     def test_logic_errors_propagate_immediately(self):
         controller, _ = self._controller(max_retries=5)
@@ -214,24 +211,6 @@ class TestRetryController:
             controller.run(always)
         assert len(calls) == 2
         assert controller.stats.breaker_trips == 1
-        assert any(e["event"] == "breaker_trip" for e in controller.events)
-
-    def test_breaker_downgrade_invoked_once_then_retries(self):
-        controller, _ = self._controller(max_retries=99, breaker_threshold=2)
-        state = {"healthy": False, "downgrades": 0}
-
-        def call():
-            if not state["healthy"]:
-                raise OSError("down")
-            return "healed"
-
-        def downgrade(exc):
-            state["healthy"] = True
-            state["downgrades"] += 1
-
-        assert controller.run(call, downgrade=downgrade) == "healed"
-        assert state["downgrades"] == 1
-        assert controller.stats.downgrades == 1 and controller.downgraded
 
     def test_success_resets_the_breaker(self):
         controller, _ = self._controller(max_retries=2, breaker_threshold=3)
@@ -248,17 +227,6 @@ class TestRetryController:
         # 4 isolated blips never trip a threshold-3 breaker
         assert controller.stats.breaker_trips == 0
         assert controller.consecutive_failures == 0
-
-    def test_pending_handover_counts_as_first_failure(self):
-        controller, sleeps = self._controller(max_retries=2)
-        assert controller.run(lambda: "ok", pending=OSError("handover")) == "ok"
-        assert controller.stats.failures == 1 and controller.stats.retries == 1
-        assert len(sleeps) == 1
-
-    def test_pending_logic_error_propagates(self):
-        controller, _ = self._controller()
-        with pytest.raises(KeyError):
-            controller.run(lambda: "ok", pending=KeyError("nope"))
 
 
 # ---------------------------------------------------------------------------
@@ -352,31 +320,8 @@ class TestInjection:
 
 
 # ---------------------------------------------------------------------------
-# engine retry + downgrade
+# engine dispatch
 # ---------------------------------------------------------------------------
-
-
-_numpy_backend = get_backend("numpy")
-
-
-class FlakyBackend(ExecutionBackend):
-    """Delegates to numpy but fails the first ``fail_times`` forward calls."""
-
-    name = "flaky"
-
-    def __init__(self, fail_times: int, exc: type = OSError) -> None:
-        self.fail_times = fail_times
-        self.exc = exc
-        self.calls = 0
-
-    def forward(self, model, batch):
-        self.calls += 1
-        if self.calls <= self.fail_times:
-            raise self.exc(f"flaky #{self.calls}")
-        return _numpy_backend.forward(model, batch)
-
-    def __getattr__(self, name):
-        return getattr(_numpy_backend, name)
 
 
 class TestEngineFaults:
@@ -388,55 +333,21 @@ class TestEngineFaults:
     def batch(self):
         return np.random.default_rng(0).normal(size=(8, 16))
 
-    def test_no_policy_propagates_first_error(self, model, batch):
-        engine = Engine(model, backend=FlakyBackend(1), cache=False)
+    def test_backend_error_propagates_on_first_occurrence(self, model, batch, monkeypatch):
+        backend = NumpyBackend()
+        calls = []
+
+        def failing_forward(model, batch):
+            calls.append(1)
+            raise OSError("backend down")
+
+        monkeypatch.setattr(backend, "forward", failing_forward)
+        engine = Engine(model, backend=backend, cache=False)
         with pytest.raises(OSError):
             engine.forward(batch)
+        assert len(calls) == 1
 
-    def test_transient_failure_retried_and_counted(self, model, batch):
-        engine = Engine(
-            model, backend=FlakyBackend(1), cache=False, fault_policy=FAST_POLICY
-        )
-        expected = Engine(model, cache=False).forward(batch)
-        assert np.array_equal(engine.forward(batch), expected)
-        assert engine.stats.retries == 1
-        assert engine.stats.downgrades == 0
-
-    def test_breaker_downgrades_to_serial_backend(self, model, batch):
-        engine = Engine(
-            model,
-            backend=FlakyBackend(99),
-            cache=False,
-            fault_policy=FaultPolicy(
-                max_retries=10, breaker_threshold=3, backoff_base_s=0.0
-            ),
-        )
-        expected = Engine(model, cache=False).forward(batch)
-        assert np.array_equal(engine.forward(batch), expected)
-        assert engine.backend.name == "numpy"
-        assert engine.stats.downgrades == 1
-        downgrades = [e for e in engine.fault_events if e.get("event") == "downgrade"]
-        assert downgrades and downgrades[0]["from"] == "flaky"
-        assert downgrades[0]["to"] == "numpy"
-
-    def test_logic_error_never_retried(self, model, batch):
-        backend = FlakyBackend(99, exc=ValueError)
-        engine = Engine(model, backend=backend, cache=False, fault_policy=FAST_POLICY)
-        with pytest.raises(ValueError):
-            engine.forward(batch)
-        assert backend.calls == 1 and engine.stats.retries == 0
-
-    def test_injected_dispatch_fault_heals_under_policy(self, model, batch):
-        engine = Engine(model, cache=False, fault_policy=FAST_POLICY)
-        plan = FaultPlan()
-        plan.raise_error("engine.dispatch", exception="OSError", at=(0,))
-        with inject.activate(plan):
-            out = engine.forward(batch)
-        assert np.array_equal(out, Engine(model, cache=False).forward(batch))
-        assert plan.fired("engine.dispatch") == 1
-        assert engine.stats.retries == 1
-
-    def test_injected_dispatch_fault_fatal_without_policy(self, model, batch):
+    def test_injected_dispatch_fault_propagates(self, model, batch):
         engine = Engine(model, cache=False)
         plan = FaultPlan()
         plan.raise_error("engine.dispatch", exception="OSError", at=(0,))
@@ -693,26 +604,44 @@ def baseline(tmp_path_factory):
 
 class TestCampaignChaos:
     @pytest.mark.parametrize("backend", CHAOS_BACKENDS)
-    def test_store_byte_identical_under_injected_faults(
-        self, backend, baseline, tmp_path
-    ):
-        """The headline chaos gate: dispatch failures on every other dispatch
-        plus one mmap read failure must not change a single stored byte."""
+    def test_store_byte_identical_under_injected_faults(self, backend, baseline, tmp_path):
+        """The headline chaos gate: an engine dispatch error quarantines its
+        scenarios, one mmap read failure heals in-run, and a plan-free
+        re-run of exactly the quarantined scenarios restores every byte."""
+        spec = tiny_spec()
+        # trial replay runs ceil(trials / capacity) stacked dispatches per
+        # attack group, so this ordinal is the last group's first dispatch:
+        # it lands after the package build (whose spilled-mask greedy
+        # selection takes the mmap fault), and a quarantined *last* group
+        # re-appends in the baseline's record order
+        per_group = -(-spec.trials // max(1, get_backend(backend).model_axis_capacity))
+        first_of_last = per_group * (len(spec.attacks) - 1)
         plan = FaultPlan()
-        plan.raise_error("engine.dispatch", exception="OSError", every=2, times=2)
+        plan.raise_error(
+            "engine.dispatch", exception="OSError", op="stacked_forward", at=(first_of_last,)
+        )
         plan.raise_error("mmap.window", exception="OSError", at=(0,))
         store = tmp_path / "chaos.jsonl"
         with inject.activate(plan):
             summary = run_campaign(
-                tiny_spec(),
+                spec,
                 str(store),
                 backend=backend,
-                fault_policy=FAST_POLICY,
                 spill_dir=tmp_path / "spill",
             )
-        assert summary.failed == 0
-        assert plan.fired() > 0, "the chaos plan never fired — gate is vacuous"
+        assert plan.fired("engine.dispatch") == 1, "the chaos plan never fired — gate is vacuous"
         assert plan.fired("mmap.window") == 1
+        # the dispatch error is not retried: the last attack group (both
+        # budgets) is quarantined, the first one completes
+        assert summary.failed == 2 and summary.executed == 2
+        failures = ResultStore(store).failures()
+        assert {f.scenario["attack"] for f in failures} == {spec.attacks[-1]}
+        assert {(f.stage, f.error) for f in failures} == {("trials", "OSError")}
+        quarantined = {f.digest for f in failures}
+
+        resumed = run_campaign(spec, str(store), backend=backend)
+        assert resumed.failed == 0
+        assert {r.digest for r in resumed.records} == quarantined
         assert store.read_bytes() == baseline
 
     def test_failing_scenario_quarantined_then_heals_on_resume(
@@ -850,8 +779,6 @@ class TestCampaignCLI:
                     "--durable",
                     "--max-failures",
                     "5",
-                    "--retries",
-                    "4",
                     "--spill-dir",
                     str(tmp_path / "spill"),
                 )
@@ -860,7 +787,6 @@ class TestCampaignCLI:
         )
         assert captured["durable"] is True
         assert captured["max_failures"] == 5
-        assert captured["fault_policy"].max_retries == 4
         assert captured["spill_dir"] == str(tmp_path / "spill")
 
     def test_is_transient_taxonomy(self):
