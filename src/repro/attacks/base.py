@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.cache import TrunkCache
 from repro.nn.model import Sequential
 from repro.utils.rng import RngLike, as_generator
 
@@ -100,6 +101,12 @@ class ParameterAttack:
 
     #: short name used in detection-rate tables
     attack_name: str = "base"
+
+    #: memo of victims' per-layer activations the attack may read instead of
+    #: re-running the victim (SBA's flip check does); the attacks of one
+    #: :func:`~repro.validation.detection.default_attack_factories` set share
+    #: one, so the victim's side of a trial is computed once per set
+    trunks: Optional[TrunkCache] = None
 
     def __init__(self, rng: RngLike = None) -> None:
         self._rng = as_generator(rng)

@@ -95,8 +95,10 @@ class GradientDescentAttack(ParameterAttack):
         chosen = np.argsort(-np.abs(grads))[:k]
 
         limit = self.max_relative_change * scale
-        for _ in range(self.max_steps):
-            _, grads = engine.loss_parameter_gradients(x, targets, loss_fn)
+        for step in range(self.max_steps):
+            if step:
+                # the first step ascends the gradient that chose the parameters
+                _, grads = engine.loss_parameter_gradients(x, targets, loss_fn)
 
             flat = view.flat_values()
             flat[chosen] += self.step_size * scale * np.sign(grads[chosen])

@@ -16,11 +16,17 @@ evaluation constraints:
    model actually changes some predictions, retrying with a different bias /
    larger magnitude otherwise (mirroring the attacker's goal of causing
    misclassification rather than a silent change).
+
+The flip check reads the victim's activations on the reference inputs (its
+trunk, see :class:`~repro.engine.cache.TrunkCache`) and re-runs only the
+layers from the perturbed bias's layer on; a failed attempt restores the
+saved value, so the copy differs from the victim in the recorded index alone
+and :func:`~repro.attacks.base.apply_record` rebuilds it exactly.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +36,8 @@ from repro.attacks.base import (
     bias_flat_indices,
     parameter_name_of,
 )
-from repro.nn.model import Sequential
+from repro.engine.cache import TrunkCache
+from repro.nn.model import PREDICT_BATCH_SIZE, Sequential
 from repro.utils.rng import RngLike
 
 
@@ -88,31 +95,41 @@ class SingleBiasAttack(ParameterAttack):
             raise ValueError("model has no bias parameters to attack")
         view = model.parameter_view()
 
-        baseline = None
+        trunks = None
         if self.reference_inputs is not None:
-            baseline = model.predict_classes(self.reference_inputs)
+            # ``model`` is still bitwise the victim: its trunks on the
+            # reference inputs (shared by every attack of a factory set) give
+            # the baseline, and each attempt runs only from its bias's layer
+            memo = self.trunks if self.trunks is not None else TrunkCache()
+            # chunked as ``predict_classes`` chunks, so the classes are its own
+            trunks = memo.get(model, self.reference_inputs, PREDICT_BATCH_SIZE)
+            baseline = _classes_from(model, trunks, len(model.layers))
+            layer_of = [
+                idx for idx, layer in enumerate(model.layers) for _ in layer.parameters()
+            ]
 
         magnitude = self.magnitude
-        chosen = int(self._rng.choice(biases))
-        delta = 0.0
+        # this draw is never used, but removing it would shift every trial's
+        # random stream (and so every recorded SBA perturbation)
+        self._rng.choice(biases)
         for attempt in range(self.max_attempts):
             chosen = int(self._rng.choice(biases))
             scale = self._candidate_scale(model, chosen)
             sign = 1.0 if self._rng.random() < 0.5 else -1.0
             delta = sign * magnitude * scale
+            original = view.get_scalar(chosen)
             view.add_scalar(chosen, delta)
-            if baseline is None:
+            if trunks is None:
                 break
-            flipped = np.any(
-                model.predict_classes(self.reference_inputs) != baseline
-            )
-            if flipped:
+            start = layer_of[view.locate(chosen)[0]]
+            if np.any(_classes_from(model, trunks, start) != baseline):
                 break
-            # undo and retry with a larger fault on a different bias
-            view.add_scalar(chosen, -delta)
+            # restore the saved value — ``(b + δ) − δ`` need not be ``b`` —
+            # and retry with a larger fault on a different bias
+            view.set_scalar(chosen, original)
             magnitude *= 2.0
         else:
-            # out of attempts: keep the last (already reverted) choice applied
+            # out of attempts: keep the last (already restored) choice applied
             view.add_scalar(chosen, delta)
 
         return PerturbationRecord(
@@ -122,6 +139,21 @@ class SingleBiasAttack(ParameterAttack):
             parameter_names=[parameter_name_of(model, chosen)],
             metadata={"magnitude": magnitude},
         )
+
+
+def _classes_from(
+    model: Sequential, trunks: List[Tuple[np.ndarray, ...]], start: int
+) -> np.ndarray:
+    """Predicted classes of ``model`` on the trunks' inputs, running only
+    layers ``start`` onwards (every earlier layer must equal the trunks'
+    model bit for bit)."""
+    classes = []
+    for trunk in trunks:
+        out = trunk[start]
+        for layer in model.layers[start:]:
+            out = layer.forward(out)
+        classes.append(np.argmax(out, axis=1))
+    return np.concatenate(classes)
 
 
 __all__ = ["SingleBiasAttack"]

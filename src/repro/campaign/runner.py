@@ -453,6 +453,10 @@ class CampaignRunner:
             random_relative_std=spec.random_relative_std,
         )
 
+        # one memo-free trial engine for every attack group: each perturbed
+        # copy serves exactly one batch, while the victim's trunk on the
+        # stacked tests is computed once and replayed by every group
+        trial_engine = Engine(prepared.model, backend=backend, cache=False)
         records: List[ScenarioRecord] = []
         for attack_name in spec.attacks:
             group = [s for s in model_pending if s.attack == attack_name]
@@ -467,7 +471,7 @@ class CampaignRunner:
                         packages,
                         coverages,
                         factories[attack_name],
-                        backend,
+                        trial_engine,
                     )
                 )
             except Exception as exc:  # noqa: BLE001 — quarantine, don't abort
@@ -484,7 +488,7 @@ class CampaignRunner:
         packages: Dict[PackageKey, ValidationPackage],
         coverages: Dict[PackageKey, Dict[int, float]],
         factory,
-        backend: ExecutionBackend,
+        engine: Engine,
     ) -> List[ScenarioRecord]:
         """Paired perturbation trials shared by every scenario of one
         (model, attack) coordinate: one stacked replay per trial serves all
@@ -511,8 +515,6 @@ class CampaignRunner:
             f"({len(group)} scenarios)"
         )
 
-        # one memo-free engine: each perturbed copy serves exactly one batch
-        engine = Engine(prepared.model, backend=backend, cache=False)
         attacks = (factory(trial_rng) for trial_rng in trial_rngs)
         mismatches, perturbations = replay_trials(
             engine, attacks, stacked_tests, expected, spec.output_atol

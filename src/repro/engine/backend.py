@@ -162,6 +162,7 @@ class ExecutionBackend:
         models: List[Sequential],
         x: np.ndarray,
         base: Optional[Sequential] = None,
+        trunk: Optional[Tuple[np.ndarray, ...]] = None,
     ) -> np.ndarray:
         """Logits for every model of a same-architecture set, shape
         ``(M, N, num_classes)``.
@@ -170,10 +171,12 @@ class ExecutionBackend:
         default loops the models; backends with a positive
         :attr:`model_axis_capacity` fuse them into one dispatch per layer.
         ``base``, when given, is the unperturbed victim the models were
-        derived from — fused backends share its activation trunk up to each
-        copy's first divergent layer (equal parameters on equal inputs are
-        bit-identical, so the shortcut is unobservable); the default loop
-        ignores it.
+        derived from, and ``trunk`` its per-layer activations on ``x`` (see
+        :class:`~repro.engine.cache.TrunkCache`) — fused backends run each
+        copy from its first divergent layer on that trunk (equal parameters
+        on equal inputs are bit-identical, so the shortcut is unobservable)
+        and need ``trunk`` whenever ``base`` is given; the default loop
+        ignores both.
         """
         return np.stack([self.forward(model, x) for model in models])
 

@@ -4,12 +4,15 @@ The engine repeatedly evaluates the *same* immutable quantities — forward
 logits, per-sample output-gradient matrices, activation masks — for the same
 (model, batch) pairs: the greedy selection loop, the combined method's
 switch-point probe and the ablation sweeps all revisit the candidate pool.
-This module provides the two pieces that make those revisits free:
+This module provides the pieces that make those revisits free:
 
 * :func:`array_fingerprint` — a content hash of an ndarray (dtype, shape and
   raw bytes), used together with the model's parameter digest to key results;
 * :class:`BatchResultCache` — a small bounded LRU mapping from those keys to
-  computed arrays, with hit/miss statistics for observability.
+  computed arrays, with hit/miss statistics for observability;
+* :class:`TrunkCache` — a bounded memo of a model's per-layer activations on
+  a batch (its *trunk*), keyed on the exact parameter bytes, which the
+  trial loop reuses across every perturbed copy of one victim.
 
 Keys include the model's parameter digest, so a cache never returns results
 computed against parameters that have since been perturbed (entries for the
@@ -22,7 +25,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +35,12 @@ DEFAULT_CACHE_ENTRIES = 128
 #: default cap on the total ndarray bytes a cache may pin (256 MiB); large
 #: per-sample gradient matrices are evicted LRU-first once the budget is hit
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
+
+#: trunks one owner keeps: every owner replays one batch per victim at a
+#: time (a trial engine its stacked tests, an attack factory set its
+#: reference inputs), so one entry holds the live trunk and a new batch or
+#: victim replaces it
+TRUNK_ENTRIES = 1
 
 
 def array_fingerprint(array: np.ndarray) -> str:
@@ -178,9 +187,66 @@ class BatchResultCache:
             self._nbytes = 0
 
 
+class TrunkCache:
+    """Bounded memo of a model's per-layer activations on a batch.
+
+    A *trunk* is the tuple ``(x, out_0, ..., out_{L-1})``: entry ``i`` is the
+    input of layer ``i`` and the last entry is the logits.  A perturbed copy
+    whose parameters equal the model's bit for bit below layer ``i`` computes
+    exactly ``trunk[i]`` there, so it only has to run layers ``i`` onwards.
+    One entry holds a whole batch, as one trunk per ``rows``-row chunk (the
+    chunks the caller's forward runs, since BLAS results depend on batch
+    shape).
+
+    The key is exact: the architecture signature, the raw bytes of every
+    parameter, the batch fingerprint and the chunk size.  The rounded
+    :func:`~repro.nn.serialization.parameter_digest` is not used — it cannot
+    see a flip of a low mantissa bit or the sign of a zero — and a model
+    mutated in place after its trunk was memoized simply misses.  Each
+    trunk's input is a private copy, so a caller editing its batch in place
+    cannot reach a memoized trunk; returned arrays are read-only.
+    """
+
+    def __init__(self) -> None:
+        self._cache = BatchResultCache(TRUNK_ENTRIES, DEFAULT_CACHE_BYTES)
+
+    @property
+    def stats(self) -> CacheStats:
+        return self._cache.stats
+
+    def get(
+        self, model, batch: np.ndarray, rows: int
+    ) -> List[Tuple[np.ndarray, ...]]:
+        """The trunks of ``model`` on ``batch`` in ``rows``-row chunks,
+        computed on a miss with one inference forward per chunk
+        (``model.forward_collect``)."""
+        key = (
+            model.architecture_signature(),
+            b"".join(p.value.tobytes() for p in model.parameters()),
+            array_fingerprint(batch),
+            rows,
+        )
+        trunks = self._cache.get(key)
+        if trunks is None:
+            trunks = []
+            for start in range(0, batch.shape[0], rows):
+                chunk = batch[start : start + rows].copy()
+                trunk = (chunk, *model.forward_collect(chunk))
+                for activation in trunk:
+                    activation.setflags(write=False)
+                trunks.append(trunk)
+            self._cache.put(key, trunks)
+        return trunks
+
+    def clear(self) -> None:
+        self._cache.clear()
+
+
 __all__ = [
     "DEFAULT_CACHE_ENTRIES",
+    "TRUNK_ENTRIES",
     "array_fingerprint",
     "CacheStats",
     "BatchResultCache",
+    "TrunkCache",
 ]

@@ -31,7 +31,10 @@ Key properties:
   are grouped up to that capacity and each group rides one fused dispatch
   per layer through :class:`~repro.nn.stacked.StackedSequential`; with a
   zero capacity (numpy) the same query runs the copies one at a time, with
-  bit-identical results.
+  bit-identical results.  Fused dispatches feed each copy the engine model's
+  *trunk* (its per-layer activations on the batch), which the engine keeps
+  in a small exactly keyed memo even when ``cache=False``, so the victim's
+  own layers run once per batch rather than once per dispatch.
 
 Use :class:`Engine` whenever the same model is queried for more than a
 handful of samples; use raw ``Model.forward`` for one-off single-sample
@@ -54,6 +57,7 @@ from repro.engine.cache import (
     DEFAULT_CACHE_ENTRIES,
     BatchResultCache,
     CacheStats,
+    TrunkCache,
     array_fingerprint,
 )
 from repro.faults import inject
@@ -187,6 +191,10 @@ class Engine:
         self._cache: Optional[BatchResultCache] = (
             BatchResultCache(cache_entries, cache_bytes) if cache else None
         )
+        # the model's per-layer activations on a batch, kept whatever
+        # ``cache`` says: every stacked replay of its perturbed copies reuses
+        # them (keyed on the exact parameter bytes, never the rounded digest)
+        self._trunks = TrunkCache()
 
     # -- cache plumbing ------------------------------------------------------
     @property
@@ -208,6 +216,7 @@ class Engine:
         """
         if self._cache is not None:
             self._cache.clear()
+        self._trunks.clear()
 
     def _memoized(self, op: str, batch: np.ndarray, extra: tuple, compute):
         return self._memoized_for(
@@ -347,8 +356,11 @@ class Engine:
         positive :attr:`~repro.engine.backend.ExecutionBackend.model_axis_capacity`
         fuse up to that many copies per dispatch (one batched matmul per
         layer); others run the models one at a time with identical results.
-        Memoization keys on the *tuple* of parameter digests, so revisiting
-        the same set of copies is a cache hit.
+        Fused dispatches start each copy at its first divergent layer, fed
+        by the engine model's trunk on the batch, which the engine computes
+        once and keeps (with or without ``cache``).  Memoization keys on the
+        *tuple* of parameter digests, so revisiting the same set of copies is
+        a cache hit.
         """
         models = list(models)
         if not models:
@@ -363,21 +375,27 @@ class Engine:
                 )
 
         def compute() -> np.ndarray:
+            chunks = list(self._chunks(batch.shape[0]))
             capacity = self.backend.model_axis_capacity or len(models)
+            # the engine's own model is the unperturbed base the copies were
+            # derived from: fused backends run each copy from its first
+            # divergent layer on, fed by the base's memoized trunk (one
+            # lookup per call; the default loop ignores both)
+            trunks = (
+                self._trunks.get(self.model, batch, self.batch_size)
+                if self.backend.model_axis_capacity
+                else [None] * len(chunks)
+            )
             outputs = []
             for start in range(0, len(models), capacity):
                 group = models[start : start + capacity]
                 outputs.append(
                     np.concatenate(
                         [
-                            # the engine's own model is the unperturbed base
-                            # the copies were derived from: fused backends
-                            # share its activation trunk up to each copy's
-                            # first divergent layer
                             self._backend_call(
-                                "stacked_forward", group, batch[s], base=self.model
+                                "stacked_forward", group, batch[s], base=self.model, trunk=trunk
                             )
-                            for s in self._chunks(batch.shape[0])
+                            for s, trunk in zip(chunks, trunks)
                         ],
                         axis=1,
                     )

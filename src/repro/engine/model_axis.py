@@ -11,12 +11,14 @@ once per copy.
 
 The big win is **trunk sharing**: when the unperturbed victim is known (the
 engine always passes it), each copy is grouped by the first layer at which
-its parameters diverge from the victim's.  Layers before that point produce
-bitwise the *same* activations the victim produces, so the victim's forward
-trunk is computed once and every copy only re-runs its divergent suffix —
-for the attacks' sparse perturbations that skips most of the network for
-copies perturbed late (the classifier head, the single-bias attack's most
-effective placement).
+its parameters diverge, bit for bit, from the victim's.  Layers before that
+point produce bitwise the *same* activations the victim produces, so every
+copy only re-runs its divergent suffix on the victim's *trunk* (its
+per-layer activations) — for the attacks' sparse perturbations that skips
+most of the network for copies perturbed late (the classifier head, the
+single-bias attack's most effective placement).  The engine memoizes the
+trunk (:class:`~repro.engine.cache.TrunkCache`), so the victim's own layers
+run once per victim and batch, not once per dispatch.
 
 Per-model results are **bit-identical** to the numpy backend (shared
 activations are equal by parameter equality, and the stacked GEMMs
@@ -28,7 +30,7 @@ backend a drop-in replacement anywhere a backend name is accepted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,17 +42,19 @@ from repro.engine.backend import (
 from repro.faults import inject
 from repro.nn.model import Sequential
 from repro.nn.stacked import StackedSequential
+from repro.nn.tensor import bit_pattern
 
 
 def first_divergence(base: Sequential, model: Sequential) -> int:
     """Index of the first layer whose parameters differ from ``base``'s.
 
-    Returns ``len(base.layers)`` when every parameter is bitwise equal —
-    the model *is* the base, observably.
+    Parameters are compared bit for bit, so a ``-0.0`` where the base holds
+    ``0.0`` diverges.  Returns ``len(base.layers)`` when every parameter is
+    bitwise equal — the model *is* the base, observably.
     """
     for idx, layer in enumerate(base.layers):
         for ours, theirs in zip(layer.parameters(), model.layers[idx].parameters()):
-            if not np.array_equal(ours.value, theirs.value):
+            if not np.array_equal(bit_pattern(ours.value), bit_pattern(theirs.value)):
                 return idx
     return len(base.layers)
 
@@ -82,43 +86,35 @@ class ModelAxisBackend(NumpyBackend):
         models: List[Sequential],
         x: np.ndarray,
         base: Optional[Sequential] = None,
+        trunk: Optional[Tuple[np.ndarray, ...]] = None,
     ) -> np.ndarray:
         models = list(models)
         if inject.active():
             inject.check("model_axis.stacked_forward", models=len(models))
         if base is None:
             return StackedSequential(models).forward(x)
+        if trunk is None:
+            raise ValueError(
+                "stacked_forward with a base needs the base's trunk on x "
+                "(see repro.engine.cache.TrunkCache)"
+            )
 
         # group the copies by the first layer where they diverge from the
-        # base; the base trunk up to each group's split is computed once and
-        # is bitwise what every copy of the group would have computed
+        # base: the base's activation feeding that layer is bitwise what
+        # every copy of the group computes there, so each group runs only
+        # its own suffix of the network
         groups: Dict[int, List[int]] = {}
         for i, model in enumerate(models):
             groups.setdefault(first_divergence(base, model), []).append(i)
-        deepest = max(groups)
-        trunk: Dict[int, np.ndarray] = {}
-        out = x
-        for idx in range(min(deepest, len(base.layers))):
-            if idx in groups:
-                trunk[idx] = out
-            out = base.layers[idx].forward(out)
-        trunk[deepest] = out  # input to the deepest split (logits if beyond)
-
-        result: Optional[np.ndarray] = None
-        for split, indices in sorted(groups.items()):
+        logits = trunk[-1]
+        result = np.empty((len(models), *logits.shape), dtype=logits.dtype)
+        for split, indices in groups.items():
             if split >= len(base.layers):
                 # bitwise the base itself: its logits serve every such copy
-                group_out = np.broadcast_to(out, (len(indices), *out.shape))
+                result[indices] = logits
             else:
-                group = StackedSequential(
-                    [models[i] for i in indices], start=split
-                )
-                group_out = group.forward(trunk[split])
-            if result is None:
-                result = np.empty(
-                    (len(models), *group_out.shape[1:]), dtype=group_out.dtype
-                )
-            result[indices] = group_out
+                group = StackedSequential([models[i] for i in indices], start=split)
+                result[indices] = group.forward(trunk[split])
         return result
 
     def stacked_forward_collect(

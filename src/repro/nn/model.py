@@ -30,6 +30,11 @@ from repro.utils.rng import RngLike, as_generator
 #: supported scalarisations of the vector-valued network output F(x)
 SCALARIZATIONS = ("sum", "max", "predicted")
 
+#: rows per chunk of the inference helpers (``predict`` and friends); BLAS
+#: results depend on batch shape, so code that must reproduce their outputs
+#: bit for bit chunks its inputs the same way
+PREDICT_BATCH_SIZE = 256
+
 
 class Sequential:
     """A feed-forward stack of layers.
@@ -238,7 +243,7 @@ class Sequential:
         return self.forward(x, training=False)
 
     # -- inference helpers ----------------------------------------------------------
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray, batch_size: int = PREDICT_BATCH_SIZE) -> np.ndarray:
         """Logits for a (possibly large) batch, evaluated in chunks."""
         self._check_input(x)
         chunks = []
@@ -246,11 +251,11 @@ class Sequential:
             chunks.append(self.forward(x[start : start + batch_size], training=False))
         return np.concatenate(chunks, axis=0)
 
-    def predict_classes(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict_classes(self, x: np.ndarray, batch_size: int = PREDICT_BATCH_SIZE) -> np.ndarray:
         """Predicted class index per sample."""
         return np.argmax(self.predict(x, batch_size=batch_size), axis=1)
 
-    def predict_proba(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict_proba(self, x: np.ndarray, batch_size: int = PREDICT_BATCH_SIZE) -> np.ndarray:
         """Softmax class probabilities per sample."""
         logits = self.predict(x, batch_size=batch_size)
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -423,4 +428,4 @@ class Sequential:
         return "\n".join(lines)
 
 
-__all__ = ["Sequential", "SCALARIZATIONS"]
+__all__ = ["Sequential", "SCALARIZATIONS", "PREDICT_BATCH_SIZE"]

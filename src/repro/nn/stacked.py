@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.model import SCALARIZATIONS, Sequential
+from repro.nn.tensor import bit_pattern
 from repro.nn.workspace import WorkspacePool
 
 
@@ -112,15 +113,16 @@ class StackedSequential:
             raise ValueError("stacked execution needs at least one parametric layer")
         self._first_param = min(self._stacked)
         # first parametric layer whose parameters differ anywhere across the
-        # stack: the forward pass computes everything before it once on the
-        # shared batch (equal parameters on equal inputs are bit-identical)
+        # stack, bit for bit: the forward pass computes everything before it
+        # once on the shared batch (equal parameters on equal inputs are
+        # bit-identical)
         self._first_diff = len(template.layers)
         for idx in sorted(self._stacked):
             if idx < self.start:
                 continue
-            weight, bias = self._stacked[idx]
-            if not (weight == weight[:1]).all() or (
-                bias is not None and not (bias == bias[:1]).all()
+            if any(
+                not (bits == bits[:1]).all()
+                for bits in (bit_pattern(a) for a in self._stacked[idx] if a is not None)
             ):
                 self._first_diff = idx
                 break

@@ -15,6 +15,17 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 
+def bit_pattern(array: np.ndarray) -> np.ndarray:
+    """The raw bits of a float array, as unsigned integers of its width.
+
+    A view, with no copy for a contiguous array.  Comparing bit patterns is
+    the exact identity test for parameter values: unlike ``==`` it tells
+    ``-0.0`` from ``0.0`` (and a NaN equals itself).
+    """
+    array = np.ascontiguousarray(array)
+    return array.view(np.dtype(f"u{array.dtype.itemsize}"))
+
+
 class Parameter:
     """A learnable tensor with an accumulated gradient.
 
@@ -179,4 +190,4 @@ class ParameterView:
         return out
 
 
-__all__ = ["Parameter", "ParameterView"]
+__all__ = ["Parameter", "ParameterView", "bit_pattern"]

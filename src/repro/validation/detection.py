@@ -22,6 +22,7 @@ import numpy as np
 from repro.attacks.base import ParameterAttack, PerturbationRecord
 from repro.engine import Engine
 from repro.engine.backend import BackendSpec, get_backend
+from repro.engine.cache import TrunkCache
 from repro.nn.model import Sequential
 from repro.utils.config import DetectionConfig
 from repro.utils.logging import get_logger
@@ -188,7 +189,10 @@ def default_attack_factories(
 
     Each factory takes a per-trial RNG so that every perturbation trial draws
     an independent fault, matching the "implement each kind of parameter
-    perturbation 10000 times" protocol of Section V-C.
+    perturbation 10000 times" protocol of Section V-C.  The attacks of one
+    call share a :class:`~repro.engine.cache.TrunkCache`, so the victim's
+    activations on the reference inputs (SBA's flip-check baseline) are
+    computed once per victim, not once per trial.
 
     Attack construction resolves through the ``attacks`` namespace of
     :mod:`repro.registry`: every registered family contributes one factory,
@@ -212,6 +216,8 @@ def default_attack_factories(
     }
     settings.update(extra_settings)
 
+    # every attack the set builds reads the victim's trunks from one memo
+    trunks = TrunkCache()
     factories: Dict[str, AttackFactory] = {}
     for name in available_attacks():
         entry_factory = registry.get("attacks", name)
@@ -226,7 +232,10 @@ def default_attack_factories(
             _build: Callable[..., object] = entry_factory,
             _kwargs: Dict[str, object] = kwargs,
         ) -> ParameterAttack:
-            return _build(reference_inputs, rng=rng, **_kwargs)  # type: ignore[return-value]
+            attack = _build(reference_inputs, rng=rng, **_kwargs)
+            if isinstance(attack, ParameterAttack):
+                attack.trunks = trunks
+            return attack  # type: ignore[return-value]
 
         factories[name] = factory
     return factories

@@ -20,6 +20,7 @@ from repro.campaign import CampaignSpec, run_campaign
 from repro.data.datasets import Dataset
 from repro.engine import Engine, ModelAxisBackend
 from repro.engine.backend import NumpyBackend, get_backend
+from repro.engine.cache import TrunkCache
 from repro.engine.model_axis import DEFAULT_MAX_MODELS, first_divergence
 from repro.models.zoo import cifar_cnn, mnist_cnn
 from repro.nn.stacked import StackedSequential
@@ -193,7 +194,8 @@ class TestModelAxisBackend:
         copies = (
             [model.copy()] + head_copies(model, 2) + sba_copies(model, 3)
         )
-        fused = ModelAxisBackend().stacked_forward(copies, pool, base=model)
+        (trunk,) = TrunkCache().get(model, pool, pool.shape[0])
+        fused = ModelAxisBackend().stacked_forward(copies, pool, base=model, trunk=trunk)
         for m, copy in enumerate(copies):
             assert np.array_equal(fused[m], Engine(copy, cache=False).forward(pool))
 
@@ -203,6 +205,12 @@ class TestModelAxisBackend:
         for m, copy in enumerate(copies):
             assert np.array_equal(
                 fused[m], Engine(copy, cache=False).forward(mnist_pool)
+            )
+
+    def test_base_without_trunk_is_rejected(self, mnist_model, mnist_pool):
+        with pytest.raises(ValueError, match="trunk"):
+            ModelAxisBackend().stacked_forward(
+                sba_copies(mnist_model, 1), mnist_pool, base=mnist_model
             )
 
     def test_stacked_packed_masks_match_numpy(self, mnist_model, mnist_pool):
