@@ -1,12 +1,13 @@
 """Machine-readable snapshot of the public façade surface.
 
 :func:`api_surface` walks the ``__all__`` exports of the façade modules
-(``repro``, ``repro.api``, ``repro.registry``) and records each name's kind
-and signature as plain strings.  The committed snapshot
+(``repro``, ``repro.api``, ``repro.registry``) and of the layers under them
+(``repro.engine``, ``repro.nn``, ``repro.coverage``), and records each
+name's kind, signature and public members as plain strings.  The committed snapshot
 (``tests/data/api_surface.json``) pins that surface: the
 ``tests/test_api_surface.py`` test and the ``scripts/check_api_surface.py``
-CI check both fail on any accidental breaking change — removed exports,
-changed signatures, renamed dataclass fields — while intentional changes are
+CI check both fail on any accidental breaking change — removed exports or
+class members, changed signatures, renamed dataclass fields — while intentional changes are
 a one-line ``--update`` away.
 """
 
@@ -17,7 +18,14 @@ import inspect
 from typing import Dict
 
 #: modules whose public surface is pinned
-SURFACE_MODULES = ("repro", "repro.api", "repro.registry")
+SURFACE_MODULES = (
+    "repro",
+    "repro.api",
+    "repro.registry",
+    "repro.engine",
+    "repro.nn",
+    "repro.coverage",
+)
 
 
 def _describe(obj: object) -> Dict[str, str]:

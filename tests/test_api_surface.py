@@ -1,7 +1,8 @@
 """API-stability snapshot: the public façade surface is pinned.
 
-Walks every ``__all__`` export of ``repro``, ``repro.api`` and
-``repro.registry`` with its signature (see ``repro.api.surface``) and
+Walks every ``__all__`` export of ``repro``, ``repro.api``,
+``repro.registry``, ``repro.engine``, ``repro.nn`` and ``repro.coverage``
+with its signature (see ``repro.api.surface``) and
 compares against the committed ``tests/data/api_surface.json``.  Any
 accidental breaking change — removed export, changed signature, renamed
 dataclass field — fails here (and in the CI lint job's ``api-surface``
