@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from repro.coverage import ActivationCriterion, average_sample_coverage
+from repro.coverage import ActivationCriterion, mean_validation_coverage
 from repro.data import (
     generate_imagenet_proxy,
     generate_noise_images,
@@ -36,7 +36,7 @@ def report(model, train, label, epsilons, scals):
         for eps in epsilons:
             crit = ActivationCriterion(epsilon=eps, scalarization=scal)
             vals = {
-                k: average_sample_coverage(model, d.images, crit)
+                k: mean_validation_coverage(model, d.images, crit)
                 for k, d in pops.items()
             }
             print(

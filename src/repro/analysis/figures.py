@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.coverage.activation import ActivationCriterion, default_criterion_for
-from repro.coverage.parameter_coverage import average_sample_coverage
+from repro.coverage.parameter_coverage import mean_validation_coverage
 from repro.data.datasets import Dataset
 from repro.data.imagenet_proxy import generate_imagenet_proxy
 from repro.data.noise import generate_noise_images
@@ -79,9 +79,9 @@ def image_set_coverage(
     return ImageSetCoverage(
         model_name=model.name,
         coverage_by_set={
-            "noise": average_sample_coverage(model, noise.images, crit),
-            "imagenet-proxy": average_sample_coverage(model, natural.images, crit),
-            "training-set": average_sample_coverage(model, train_subset.images, crit),
+            "noise": mean_validation_coverage(model, noise.images, crit),
+            "imagenet-proxy": mean_validation_coverage(model, natural.images, crit),
+            "training-set": mean_validation_coverage(model, train_subset.images, crit),
         },
     )
 

@@ -66,7 +66,7 @@ class Session:
     budget; they are memoizing and pooled per parameter digest, so
     repeated requests against the same trained model reuse cached
     gradient/mask matrices.  Sessions are context managers — leaving the
-    ``with`` block closes the backend and drops the cached engines.
+    ``with`` block drops the cached engines.
 
     **Concurrency contract.**  A session's *bookkeeping* is thread-safe: the
     engine pool, the prepared-experiment cache and :meth:`close` all run
@@ -93,7 +93,7 @@ class Session:
             discover_entry_points()
         # resolved eagerly so an unknown backend name fails here, not on the
         # first request
-        self._backend: Optional[ExecutionBackend] = self._build_backend()
+        self._backend: ExecutionBackend = self._build_backend()
         self._engines: "OrderedDict[Tuple[str, object], Engine]" = OrderedDict()
         self._prepared: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
         # resolved once: every remote transport the session builds shares it
@@ -120,17 +120,13 @@ class Session:
             return self._backend
 
     def close(self) -> None:
-        """Close the backend and drop cached engines.
+        """Drop cached engines and prepared experiments.
 
-        The session always owns its backend (it is built from the config in
-        the constructor), so closing it here cannot strand another owner.
+        Backends are stateless, so there is nothing else to release.
         Closing is idempotent and safe to call concurrently with other
         session methods: late callers observe the closed flag and raise.
         """
         with self._lock:
-            if self._backend is not None:
-                self._backend.close()
-            self._backend = None
             self._engines.clear()
             self._prepared.clear()
             self._closed = True

@@ -140,8 +140,7 @@ class CampaignRunner:
         present are skipped (resume semantics).
     backend: engine backend shared by the whole campaign — a name
         (``"numpy"``, ``"model_axis"``), an instance, or a class, as accepted
-        by :func:`repro.engine.get_backend`.  A passed-in instance is not
-        closed by the runner.
+        by :func:`repro.engine.get_backend`, resolved once here.
     progress: optional callback receiving human-readable progress lines.
     max_failures: abort the campaign (``CampaignAbortedError``) once more
         than this many scenarios have been quarantined in this run; ``None``
@@ -158,8 +157,8 @@ class CampaignRunner:
     A runner may execute several :meth:`run` calls (the distributed shard
     workers call it once per work unit): trained models, their memoizing
     engines and generated packages are cached across calls in a small LRU
-    (:data:`MODEL_CACHE_SLOTS` models), and an owned backend is built once
-    and kept until :meth:`close` (the runner is a context manager).
+    (:data:`MODEL_CACHE_SLOTS` models) until :meth:`close` (the runner is a
+    context manager).
     """
 
     def __init__(
@@ -177,14 +176,12 @@ class CampaignRunner:
             raise ValueError("max_failures must be non-negative")
         self.spec = spec
         self.store = store
-        self._backend_spec = backend
+        self._backend = get_backend(backend)
         self._progress = progress
         self.max_failures = max_failures
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.model_exchange = model_exchange
         self._failures: List[FailureRecord] = []
-        self._backend: Optional[ExecutionBackend] = None
-        self._owns_backend = False
         #: per-model shared work, retained across run() calls:
         #: model name -> (prepared, engine, {package key: package})
         self._model_cache: "OrderedDict[str, tuple]" = OrderedDict()
@@ -194,24 +191,8 @@ class CampaignRunner:
         if self._progress is not None:
             self._progress(message)
 
-    def _build_backend(self) -> Tuple[ExecutionBackend, bool]:
-        """Resolve the shared backend; returns ``(backend, owned)``."""
-        if isinstance(self._backend_spec, ExecutionBackend):
-            return self._backend_spec, False
-        return get_backend(self._backend_spec), True
-
-    def _backend_instance(self) -> ExecutionBackend:
-        """The runner's shared backend, built once and kept until close()."""
-        if self._backend is None:
-            self._backend, self._owns_backend = self._build_backend()
-        return self._backend
-
     def close(self) -> None:
-        """Release the owned backend and every cached per-model engine."""
-        if self._backend is not None and self._owns_backend:
-            self._backend.close()
-        self._backend = None
-        self._owns_backend = False
+        """Drop every cached per-model engine, package and trained model."""
         self._model_cache.clear()
 
     def __enter__(self) -> "CampaignRunner":
@@ -343,8 +324,8 @@ class CampaignRunner:
 
         ``scenarios`` restricts the call to a subset of the spec's
         cross-product (the distributed runner executes one work unit per
-        call); ``None`` runs the full expansion.  An owned backend persists
-        across calls — :meth:`close` (or the context manager) releases it.
+        call); ``None`` runs the full expansion.  The per-model cache
+        persists across calls until :meth:`close` (or the context manager).
         """
         start = time.perf_counter()
         spec = self.spec
@@ -368,13 +349,12 @@ class CampaignRunner:
                 wall_s=time.perf_counter() - start,
             )
 
-        backend = self._backend_instance()
         records: List[ScenarioRecord] = []
         for model_name in spec.models:
             model_pending = [s for s in pending if s.model == model_name]
             if not model_pending:
                 continue
-            records.extend(self._run_model(model_name, model_pending, backend))
+            records.extend(self._run_model(model_name, model_pending))
         return CampaignSummary(
             total=len(scenarios),
             executed=len(records),
@@ -385,7 +365,7 @@ class CampaignRunner:
         )
 
     def _model_context(
-        self, model_name: str, backend: ExecutionBackend
+        self, model_name: str
     ) -> Tuple[object, Engine, Dict[PackageKey, ValidationPackage]]:
         """The model's cached (prepared, engine, packages) triple, LRU-kept.
 
@@ -402,7 +382,7 @@ class CampaignRunner:
         # (criterion, strategy) shares its mask/gradient cache
         engine = Engine(
             prepared.model,
-            backend=backend,
+            backend=self._backend,
             spill_dir=self.spill_dir,
         )
         context = (prepared, engine, {})
@@ -415,11 +395,10 @@ class CampaignRunner:
         self,
         model_name: str,
         model_pending: Sequence[Scenario],
-        backend: ExecutionBackend,
     ) -> List[ScenarioRecord]:
         spec = self.spec
         try:
-            prepared, engine, packages = self._model_context(model_name, backend)
+            prepared, engine, packages = self._model_context(model_name)
         except Exception as exc:  # noqa: BLE001 — quarantine, don't abort
             self._quarantine(model_pending, "prepare", exc)
             return []
@@ -456,7 +435,7 @@ class CampaignRunner:
         # one memo-free trial engine for every attack group: each perturbed
         # copy serves exactly one batch, while the victim's trunk on the
         # stacked tests is computed once and replayed by every group
-        trial_engine = Engine(prepared.model, backend=backend, cache=False)
+        trial_engine = Engine(prepared.model, backend=self._backend, cache=False)
         records: List[ScenarioRecord] = []
         for attack_name in spec.attacks:
             group = [s for s in model_pending if s.attack == attack_name]

@@ -41,7 +41,6 @@ from repro.coverage.parameter_coverage import (
     ParameterCoverage,
     activation_mask,
     activation_masks,
-    average_sample_coverage,
     mean_validation_coverage,
     mean_validation_coverage_reference,
     packed_activation_masks,
@@ -80,7 +79,6 @@ __all__ = [
     "ParameterCoverage",
     "activation_mask",
     "activation_masks",
-    "average_sample_coverage",
     "mean_validation_coverage",
     "mean_validation_coverage_reference",
     "packed_activation_masks",

@@ -179,16 +179,6 @@ def mean_validation_coverage_reference(
     return float(np.mean(values))
 
 
-def average_sample_coverage(
-    model: Sequential,
-    images: np.ndarray,
-    criterion: Optional[ActivationCriterion] = None,
-    engine: Optional[Engine] = None,
-) -> float:
-    """Backwards-compatible alias of :func:`mean_validation_coverage`."""
-    return mean_validation_coverage(model, images, criterion, engine)
-
-
 class ParameterCoverage(CoverageCriterion):
     """The paper's parameter (validation) coverage as a pluggable criterion.
 
@@ -288,7 +278,6 @@ class ActivationMaskCache:
         model: Sequential,
         images: np.ndarray,
         criterion: Optional[ActivationCriterion] = None,
-        log_every: int = 0,  # retained for API compatibility; batching made it moot
         engine: Optional[Engine] = None,
         memory_budget_bytes: Optional[int] = None,
     ) -> None:
@@ -427,7 +416,6 @@ __all__ = [
     "set_validation_coverage",
     "mean_validation_coverage",
     "mean_validation_coverage_reference",
-    "average_sample_coverage",
     "ParameterCoverage",
     "CoverageTracker",
     "ActivationMaskCache",

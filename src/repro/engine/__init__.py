@@ -5,11 +5,15 @@ generation, attacks and validation run as fast as the hardware allows": one
 :class:`~repro.engine.engine.Engine` per model batches every gradient/mask
 query across whole candidate pools, memoizes immutable results keyed by
 ``(parameter digest, array fingerprint)``, and routes all execution through a
-pluggable :class:`~repro.engine.backend.ExecutionBackend`.  Two backends
-ship, both in-process: the :class:`~repro.engine.backend.NumpyBackend`
-(default), and the :class:`~repro.engine.model_axis.ModelAxisBackend`, which
-fuses sets of same-architecture models (the detection experiments' perturbed
-copies) into one batched dispatch per layer along a leading model axis.
+pluggable :class:`~repro.engine.backend.ExecutionBackend`.  A backend is
+just the six calls the engine makes (``forward``, ``forward_collect``,
+``output_gradients``, ``input_gradients``, ``loss_parameter_gradients``,
+``stacked_forward``) and is stateless; chunking, memoization and mask
+packing are the engine's own.  Two backends ship, both in-process: the
+:class:`~repro.engine.backend.NumpyBackend` (default), and the
+:class:`~repro.engine.model_axis.ModelAxisBackend`, which fuses sets of
+same-architecture models (the detection experiments' perturbed copies) into
+one batched dispatch per layer along a leading model axis.
 Selecting a backend is the only call-site change the fused path needs: the
 engine's ``stacked_forward`` groups models by the backend's advertised
 ``model_axis_capacity``, and runs them one at a time, bit-identically, on

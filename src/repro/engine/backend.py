@@ -1,12 +1,15 @@
 """Pluggable execution backends for the batched engine.
 
 The :class:`~repro.engine.engine.Engine` never touches a model's forward or
-backward passes directly — it goes through an :class:`ExecutionBackend`.  The
+backward passes directly — it goes through an :class:`ExecutionBackend`.  A
+backend is the six calls the engine makes (``forward``, ``forward_collect``,
+``output_gradients``, ``input_gradients``, ``loss_parameter_gradients`` and
+``stacked_forward``) plus its ``name`` and ``model_axis_capacity``; packed
+masks, neuron masks and chunking are the engine's own work on top.  The
 default :class:`NumpyBackend` simply delegates to the model's own NumPy
-implementation; :class:`~repro.engine.model_axis.ModelAxisBackend` fuses
-perturbed copies along a model axis.  The seam lets alternative array
-backends plug in without a cross-cutting rewrite of the
-coverage/testgen/attack consumers.
+implementation; :class:`~repro.engine.model_axis.ModelAxisBackend` overrides
+only ``stacked_forward``, fusing perturbed copies along a model axis.
+Backends are stateless: they own no resources and have no lifecycle.
 
 Backends are registered by name through :func:`register_backend` and resolved
 with :func:`get_backend`, which accepts a name, a backend instance or a
@@ -24,26 +27,12 @@ from repro.nn.model import Sequential
 from repro.registry import registry as _registry
 
 
-def threshold_and_pack(grads: np.ndarray, epsilon: float) -> np.ndarray:
-    """Gradient matrix → packed activation-mask words.
-
-    The single thresholding definition — delegated to
-    :meth:`repro.coverage.activation.ActivationCriterion.activated` — used
-    by every backend's packed-mask path, so the activation rule can never
-    diverge between backends.
-    """
-    from repro.coverage.activation import ActivationCriterion
-    from repro.coverage.bitmap import pack_bool
-
-    return pack_bool(ActivationCriterion(epsilon=epsilon).activated(grads))
-
-
 class ExecutionBackend:
     """Abstract executor of a model's batched forward/backward primitives.
 
     All methods take the model explicitly so one backend instance can serve
-    several engines (backends are stateless policy objects, not model
-    wrappers).
+    several engines.  Backends are stateless policy objects, not model
+    wrappers: they own no resources, so there is nothing to open or close.
     """
 
     #: registry name; subclasses must override
@@ -53,30 +42,13 @@ class ExecutionBackend:
     def model_axis_capacity(self) -> int:
         """Models fused per stacked dispatch (0 = no native model-axis path).
 
-        Backends advertising a positive capacity execute
-        :meth:`stacked_forward` / :meth:`stacked_forward_collect` /
-        :meth:`stacked_packed_masks` with genuinely fused weight stacks, and
+        Backends advertising a positive capacity fuse the copies of one
+        :meth:`stacked_forward` call into one dispatch per layer, and
         :func:`repro.validation.detection.replay_trials` builds its perturbed
-        copies in groups of this size.  The default implementations below
-        loop the models one at a time and stack the results, so every
-        backend supports the stacked API with identical semantics either way.
+        copies in groups of this size.  The default :meth:`stacked_forward`
+        loops the models one at a time, with identical results.
         """
         return 0
-
-    def close(self) -> None:
-        """Release any resources the backend owns (idempotent).
-
-        The shipped backends own none; the hook stays so plugin backends
-        that hold devices, pools or files can be context-managed.
-        """
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        # context-managed use releases owned resources even when a dispatch
-        # raised mid-flight
-        self.close()
 
     def forward(self, model: Sequential, x: np.ndarray) -> np.ndarray:
         """Inference-mode logits for a batch."""
@@ -119,44 +91,7 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
-    # -- packed mask primitives ---------------------------------------------
-    def packed_masks(
-        self, model: Sequential, x: np.ndarray, scalarization: str, epsilon: float
-    ) -> np.ndarray:
-        """Packed per-parameter activation masks: uint64 words, shape
-        ``(N, ceil(P / 64))``.
-
-        Row ``i`` is the little-endian bit-packing of
-        ``|∇θ F(x_i)| > epsilon`` (strict non-zero when ``epsilon == 0``).
-        The default derives from :meth:`output_gradients`; a backend may
-        override it to threshold and pack without materialising the dense
-        gradient matrix.
-        """
-        return threshold_and_pack(self.output_gradients(model, x, scalarization), epsilon)
-
-    def packed_neuron_masks(
-        self,
-        model: Sequential,
-        x: np.ndarray,
-        threshold: float,
-        layer_indices: Tuple[int, ...],
-    ) -> np.ndarray:
-        """Packed per-neuron activation masks: uint64 words, shape
-        ``(N, ceil(num_neurons / 64))``.
-
-        Concatenates, per sample, the thresholded post-activation outputs of
-        the given layers and packs them.  Overridable for the same reason as
-        :meth:`packed_masks`.
-        """
-        from repro.coverage.bitmap import pack_bool
-
-        outputs = self.forward_collect(model, x)
-        parts = [
-            (outputs[i] > threshold).reshape(x.shape[0], -1) for i in layer_indices
-        ]
-        return pack_bool(np.concatenate(parts, axis=1))
-
-    # -- model-axis (stacked) primitives ------------------------------------
+    # -- model-axis primitive -----------------------------------------------
     def stacked_forward(
         self,
         models: List[Sequential],
@@ -179,31 +114,6 @@ class ExecutionBackend:
         ignores both.
         """
         return np.stack([self.forward(model, x) for model in models])
-
-    def stacked_forward_collect(
-        self, models: List[Sequential], x: np.ndarray
-    ) -> List[np.ndarray]:
-        """Every layer's output for every model: a list of ``(M, N, ...)``
-        arrays, one per layer, matching :meth:`forward_collect` per slice."""
-        collected = [self.forward_collect(model, x) for model in models]
-        return [np.stack(layer_outs) for layer_outs in zip(*collected)]
-
-    def stacked_packed_masks(
-        self,
-        models: List[Sequential],
-        x: np.ndarray,
-        scalarization: str,
-        epsilon: float,
-    ) -> np.ndarray:
-        """Packed activation masks for every model, shape ``(M, N, W)``.
-
-        Slice ``m`` must equal ``packed_masks(models[m], x, ...)``."""
-        return np.stack(
-            [self.packed_masks(model, x, scalarization, epsilon) for model in models]
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.__class__.__name__}()"
 
 
 class NumpyBackend(ExecutionBackend):
@@ -294,5 +204,4 @@ __all__ = [
     "register_backend",
     "available_backends",
     "get_backend",
-    "threshold_and_pack",
 ]

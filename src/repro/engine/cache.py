@@ -8,6 +8,9 @@ This module provides the pieces that make those revisits free:
 
 * :func:`array_fingerprint` — a content hash of an ndarray (dtype, shape and
   raw bytes), used together with the model's parameter digest to key results;
+* :func:`exact_model_key` — a hash of a model's architecture and raw
+  parameter bytes, the key of everything shared beyond one engine's memo
+  (the trunk memo, the on-disk mask stores);
 * :class:`BatchResultCache` — a small bounded LRU mapping from those keys to
   computed arrays, with hit/miss statistics for observability;
 * :class:`TrunkCache` — a bounded memo of a model's per-layer activations on
@@ -41,6 +44,22 @@ DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 #: reference inputs), so one entry holds the live trunk and a new batch or
 #: victim replaces it
 TRUNK_ENTRIES = 1
+
+
+def exact_model_key(model) -> str:
+    """SHA-256 of a model's architecture signature and raw parameter bytes.
+
+    Two models get the same key exactly when they have the same layer stack
+    and every parameter is equal bit for bit.  The rounded
+    :func:`~repro.nn.serialization.parameter_digest` is not enough wherever
+    results outlive one model: it cannot see a flip of a low mantissa bit or
+    the sign of a zero, so two models that compute different masks can share
+    it.
+    """
+    hasher = hashlib.sha256(repr(model.architecture_signature()).encode("utf-8"))
+    for param in model.parameters():
+        hasher.update(param.value.tobytes())
+    return hasher.hexdigest()
 
 
 def array_fingerprint(array: np.ndarray) -> str:
@@ -198,11 +217,10 @@ class TrunkCache:
     chunks the caller's forward runs, since BLAS results depend on batch
     shape).
 
-    The key is exact: the architecture signature, the raw bytes of every
-    parameter, the batch fingerprint and the chunk size.  The rounded
-    :func:`~repro.nn.serialization.parameter_digest` is not used — it cannot
-    see a flip of a low mantissa bit or the sign of a zero — and a model
-    mutated in place after its trunk was memoized simply misses.  Each
+    The key is exact: :func:`exact_model_key` (architecture and raw
+    parameter bytes, never the rounded digest), the batch fingerprint and
+    the chunk size, so a model mutated in place after its trunk was memoized
+    simply misses.  Each
     trunk's input is a private copy, so a caller editing its batch in place
     cannot reach a memoized trunk; returned arrays are read-only.
     """
@@ -220,12 +238,7 @@ class TrunkCache:
         """The trunks of ``model`` on ``batch`` in ``rows``-row chunks,
         computed on a miss with one inference forward per chunk
         (``model.forward_collect``)."""
-        key = (
-            model.architecture_signature(),
-            b"".join(p.value.tobytes() for p in model.parameters()),
-            array_fingerprint(batch),
-            rows,
-        )
+        key = (exact_model_key(model), array_fingerprint(batch), rows)
         trunks = self._cache.get(key)
         if trunks is None:
             trunks = []
@@ -246,6 +259,7 @@ __all__ = [
     "DEFAULT_CACHE_ENTRIES",
     "TRUNK_ENTRIES",
     "array_fingerprint",
+    "exact_model_key",
     "CacheStats",
     "BatchResultCache",
     "TrunkCache",

@@ -24,6 +24,12 @@ Key properties:
   :class:`~repro.engine.backend.ExecutionBackend`; the default
   :class:`~repro.engine.backend.NumpyBackend` runs the model's own NumPy
   passes in-process.
+* **One mask path** — each packed-mask query (parameter or neuron) has one
+  chunk generator, which feeds both the in-RAM matrix and the disk-spilled
+  store; the dense :meth:`Engine.activation_masks`,
+  :meth:`Engine.neuron_masks` and :meth:`Engine.union_mask` are views of
+  the packed result.  Spilled stores outlive the engine, so they are keyed
+  on the model's exact parameter bytes, not the rounded digest.
 * **Model-axis batched** — :meth:`Engine.stacked_forward` evaluates many
   same-architecture models (the detection experiments' perturbed copies) on
   one batch.  The model-axis dispatch is chosen per backend: when
@@ -59,6 +65,7 @@ from repro.engine.cache import (
     CacheStats,
     TrunkCache,
     array_fingerprint,
+    exact_model_key,
 )
 from repro.faults import inject
 from repro.nn.layers import ActivationLayer, Conv2D, Dense
@@ -92,6 +99,12 @@ def resolve_engine(
             raise ValueError("engine is bound to a different model")
         return engine
     return Engine(model, criterion=criterion, cache=cache)
+
+
+def _checked_scalarization(scal: str) -> str:
+    if scal not in SCALARIZATIONS:
+        raise ValueError(f"unknown scalarization {scal!r}; choose from {SCALARIZATIONS}")
+    return scal
 
 
 def neuron_layer_indices(model: Sequential) -> List[int]:
@@ -241,6 +254,14 @@ class Engine:
                 value.setflags(write=False)
             self._cache.put(key, value)
         return value
+
+    def _memo_lookup(self, op: str, batch: np.ndarray, extra: tuple):
+        """The memoized result of a single-model query, or ``None``."""
+        if self._cache is None:
+            return None
+        return self._cache.get(
+            (op, parameter_digest(self.model), array_fingerprint(batch), extra)
+        )
 
     # -- dispatch ------------------------------------------------------------
     def _backend_call(self, op: str, *args, **kwargs):
@@ -419,11 +440,9 @@ class Engine:
         point equivalence, computed in one batched backward pass per chunk.
         """
         batch = self._as_batch(batch)
-        scal = scalarization or getattr(self.criterion, "scalarization", "sum")
-        if scal not in SCALARIZATIONS:
-            raise ValueError(
-                f"unknown scalarization {scal!r}; choose from {SCALARIZATIONS}"
-            )
+        scal = _checked_scalarization(
+            scalarization or getattr(self.criterion, "scalarization", "sum")
+        )
 
         def compute() -> np.ndarray:
             return np.concatenate(
@@ -474,52 +493,6 @@ class Engine:
         )
 
     # -- mask queries --------------------------------------------------------
-    def activation_masks(
-        self, batch: np.ndarray, criterion: Optional[object] = None
-    ) -> np.ndarray:
-        """Boolean per-parameter activation masks, shape ``(N, P)``.
-
-        Row ``i`` equals ``activation_mask(model, batch[i], criterion)``.
-        Gradients are thresholded chunk by chunk, so peak memory is one
-        chunk's float64 gradients plus the boolean mask matrix — the full
-        ``(N, P)`` float64 matrix is never materialized (callers that need
-        it, like the ε-ablation sweep, use :meth:`output_gradients`
-        directly).  If that gradient matrix happens to be memoized already,
-        it is re-thresholded instead of recomputed.
-        """
-        crit = criterion or self.criterion
-        batch = self._as_batch(batch)
-        scal = getattr(crit, "scalarization", "sum")
-        if scal not in SCALARIZATIONS:
-            raise ValueError(
-                f"unknown scalarization {scal!r}; choose from {SCALARIZATIONS}"
-            )
-        key_scal = "max" if scal == "predicted" else scal
-        if self._cache is not None:
-            grads_key = (
-                "output_gradients",
-                parameter_digest(self.model),
-                array_fingerprint(batch),
-                (key_scal,),
-            )
-            grads = self._cache.get(grads_key)
-            if grads is not None:
-                return crit.activated(grads)
-
-        def compute() -> np.ndarray:
-            return np.concatenate(
-                [
-                    crit.activated(
-                        self._backend_call("output_gradients", self.model, batch[s], scal)
-                    )
-                    for s in self._chunks(batch.shape[0])
-                ],
-                axis=0,
-            )
-
-        epsilon = getattr(crit, "epsilon", None)
-        return self._memoized("activation_masks", batch, (key_scal, epsilon), compute)
-
     def packed_activation_masks(
         self,
         batch: np.ndarray,
@@ -531,12 +504,13 @@ class Engine:
         :class:`~repro.coverage.bitmap.MaskMatrix` (1/8 the dense bytes).
 
         Row ``i`` packs exactly ``activation_mask(model, batch[i],
-        criterion)`` — packing is lossless, so dense and packed consumers see
-        bit-identical masks.  Masks are built *streaming*: each chunk's
-        gradients are thresholded and packed, then dropped, so peak transient
-        memory is one chunk's float64 gradients plus the packed matrix.
-        ``memory_budget_bytes`` caps that transient chunk (the full
-        ``(N, P)`` dense matrix is never materialized either way).
+        criterion)``: each chunk runs ``pack_bool(criterion.activated(
+        output_gradients(chunk)))``, whatever the criterion's class.  Masks
+        are built *streaming* — each chunk's gradients are thresholded and
+        packed, then dropped — so peak transient memory is one chunk's
+        float64 gradients plus the packed matrix.  ``memory_budget_bytes``
+        caps that transient chunk (the full ``(N, P)`` dense matrix is never
+        materialized either way).
 
         With ``spill_dir`` (per-call, or the engine-level default) the packed
         words are written chunk by chunk straight into an on-disk
@@ -546,102 +520,44 @@ class Engine:
         The store is keyed by (model parameters, batch, criterion), so a
         repeated query maps the existing file without recomputing; torn or
         truncated files from interrupted runs are detected and rebuilt.
-
-        Plain :class:`~repro.coverage.activation.ActivationCriterion`
-        thresholds are pushed down to the backend's packed-mask primitive;
-        criteria with a custom ``activated`` run through a generic
-        dense-chunk fallback.
         """
-        from repro.coverage.activation import ActivationCriterion
-        from repro.coverage.bitmap import MaskMatrix, pack_bool
+        from repro.coverage.bitmap import pack_bool
 
         crit = criterion or self.criterion
         batch = self._as_batch(batch)
-        scal = getattr(crit, "scalarization", "sum")
-        if scal not in SCALARIZATIONS:
-            raise ValueError(
-                f"unknown scalarization {scal!r}; choose from {SCALARIZATIONS}"
-            )
-        key_scal = "max" if scal == "predicted" else scal
-        epsilon = getattr(crit, "epsilon", None)
-        nbits = self.model.num_parameters()
+        scal = _checked_scalarization(getattr(crit, "scalarization", "sum"))
         max_chunk = self._budgeted_chunk_rows(memory_budget_bytes)
-        plain = type(crit) is ActivationCriterion
 
-        spill = Path(spill_dir) if spill_dir is not None else self.spill_dir
-        if spill is not None:
+        # "max" and "predicted" seed the same backward pass (see
+        # output_gradients)
+        key_scal = "max" if scal == "predicted" else scal
 
-            def spill_chunks():
-                for s in self._chunks(batch.shape[0], max_chunk):
-                    if plain:
-                        yield self._backend_call(
-                            "packed_masks", self.model, batch[s], scal, crit.epsilon
-                        )
-                    else:
-                        yield pack_bool(
-                            crit.activated(
-                                self._backend_call("output_gradients", self.model, batch[s], scal)
-                            )
-                        )
-
-            return self._spilled_masks(
-                spill,
-                "packed_activation_masks",
-                batch,
-                (key_scal, epsilon),
-                nbits,
-                spill_chunks,
-                memory_budget_bytes,
-            )
-
-        # a memoized dense gradient (or mask) matrix for this batch makes
-        # packing a pure re-threshold — reuse it instead of recomputing.
-        # Thresholding runs chunk by chunk so the reuse path honours the
-        # memory budget too (the full (N, P) boolean matrix is never built)
-        if self._cache is not None:
-            digest = parameter_digest(self.model)
-            fingerprint = array_fingerprint(batch)
-            grads = self._cache.get(
-                ("output_gradients", digest, fingerprint, (key_scal,))
-            )
-            if grads is not None:
-                words = np.concatenate(
-                    [
-                        pack_bool(crit.activated(grads[s]))
-                        for s in self._chunks(grads.shape[0], max_chunk)
-                    ],
-                    axis=0,
-                )
-                return MaskMatrix(nbits, words)
-            dense = self._cache.get(
-                ("activation_masks", digest, fingerprint, (key_scal, epsilon))
-            )
-            if dense is not None:
-                return MaskMatrix(nbits, pack_bool(dense))
-
-        def compute() -> np.ndarray:
-            rows = []
+        def chunks() -> Iterator[np.ndarray]:
+            # a memoized gradient matrix for this batch makes packing a pure
+            # re-threshold
+            memo = self._memo_lookup("output_gradients", batch, (key_scal,))
             for s in self._chunks(batch.shape[0], max_chunk):
-                if plain:
-                    rows.append(
-                        self._backend_call(
-                            "packed_masks", self.model, batch[s], scal, crit.epsilon
-                        )
-                    )
+                if memo is not None:
+                    grads = memo[s]
                 else:
-                    rows.append(
-                        pack_bool(
-                            crit.activated(
-                                self._backend_call("output_gradients", self.model, batch[s], scal)
-                            )
-                        )
-                    )
-            return np.concatenate(rows, axis=0)
+                    grads = self._backend_call("output_gradients", self.model, batch[s], scal)
+                yield pack_bool(crit.activated(grads))
 
-        words = self._memoized(
-            "packed_activation_masks", batch, (key_scal, epsilon), compute
+        # the criterion's class keys a custom ``activated``
+        extra = (
+            key_scal,
+            getattr(crit, "epsilon", None),
+            f"{type(crit).__module__}.{type(crit).__qualname__}",
         )
-        return MaskMatrix(nbits, words)
+        return self._packed_query(
+            "packed_activation_masks",
+            batch,
+            extra,
+            self.model.num_parameters(),
+            chunks,
+            memory_budget_bytes,
+            spill_dir,
+        )
 
     def packed_neuron_masks(
         self,
@@ -654,17 +570,18 @@ class Engine:
         :class:`~repro.coverage.bitmap.MaskMatrix`.
 
         Row ``i`` packs exactly ``neuron_activation_mask(model, batch[i],
-        threshold)``; chunks are thresholded and packed streaming, like
+        threshold)`` — the DeepXplore-style criterion over every
+        neuron-bearing layer's post-activation outputs, computed
+        layer-batched.  Chunks are thresholded and packed streaming, like
         :meth:`packed_activation_masks` — including its ``spill_dir``
         disk-backed store option.
         """
-        from repro.coverage.bitmap import MaskMatrix
+        from repro.coverage.bitmap import pack_bool
         from repro.coverage.neuron_coverage import count_neurons
 
         batch = self._as_batch(batch)
         threshold = float(threshold)
-        indices = tuple(neuron_layer_indices(self.model))
-        nbits = count_neurons(self.model)
+        indices = neuron_layer_indices(self.model)
         # the transient here is forward_collect's per-layer outputs, not a
         # gradient row — budget by activation volume (for conv models the
         # difference is orders of magnitude)
@@ -672,37 +589,54 @@ class Engine:
             memory_budget_bytes, per_row_bytes=self._activation_volume() * 8
         )
 
+        def chunks() -> Iterator[np.ndarray]:
+            for s in self._chunks(batch.shape[0], max_chunk):
+                outputs = self._backend_call("forward_collect", self.model, batch[s])
+                rows = s.stop - s.start
+                yield pack_bool(
+                    np.concatenate(
+                        [(outputs[i] > threshold).reshape(rows, -1) for i in indices],
+                        axis=1,
+                    )
+                )
+
+        return self._packed_query(
+            "packed_neuron_masks",
+            batch,
+            (threshold,),
+            count_neurons(self.model),
+            chunks,
+            memory_budget_bytes,
+            spill_dir,
+        )
+
+    def _packed_query(
+        self,
+        op: str,
+        batch: np.ndarray,
+        extra: tuple,
+        nbits: int,
+        chunks,
+        memory_budget_bytes: Optional[int],
+        spill_dir: Optional[Union[str, Path]],
+    ):
+        """Run a packed-mask query from its one chunk generator.
+
+        ``chunks()`` yields each chunk's packed words.  With a spill
+        directory (per call, or the engine default) they stream into a disk
+        store (:meth:`_spilled_masks`); otherwise they are concatenated in
+        RAM and memoized.
+        """
+        from repro.coverage.bitmap import MaskMatrix
+
         spill = Path(spill_dir) if spill_dir is not None else self.spill_dir
         if spill is not None:
-
-            def spill_chunks():
-                for s in self._chunks(batch.shape[0], max_chunk):
-                    yield self._backend_call(
-                        "packed_neuron_masks", self.model, batch[s], threshold, indices
-                    )
-
             return self._spilled_masks(
-                spill,
-                "packed_neuron_masks",
-                batch,
-                (threshold,),
-                nbits,
-                spill_chunks,
-                memory_budget_bytes,
+                spill, op, batch, extra, nbits, chunks, memory_budget_bytes
             )
-
-        def compute() -> np.ndarray:
-            return np.concatenate(
-                [
-                    self._backend_call(
-                        "packed_neuron_masks", self.model, batch[s], threshold, indices
-                    )
-                    for s in self._chunks(batch.shape[0], max_chunk)
-                ],
-                axis=0,
-            )
-
-        words = self._memoized("packed_neuron_masks", batch, (threshold,), compute)
+        words = self._memoized(
+            op, batch, extra, lambda: np.concatenate(list(chunks()), axis=0)
+        )
         return MaskMatrix(nbits, words)
 
     def _spilled_masks(
@@ -717,14 +651,17 @@ class Engine:
     ):
         """Build (or remap) a disk-backed packed-mask store for a query.
 
-        The store file is content-addressed by (operation, parameter digest,
-        batch fingerprint, options, nbits): a repeated query memory-maps the
-        existing file instead of recomputing — the disk **is** the memo for
-        spilled queries, so the in-RAM memo cache is bypassed.  Torn,
-        truncated, or unreadable stores (interrupted runs, partial copies,
-        I/O faults) are **quarantined** to a ``quarantine/`` sidecar
-        directory for post-mortem inspection and rebuilt from scratch — a
-        corrupt store is self-healing, never fatal.
+        The store file is content-addressed by (operation,
+        :func:`~repro.engine.cache.exact_model_key`, batch fingerprint,
+        options, nbits): a repeated query memory-maps the existing file
+        instead of recomputing — the disk **is** the memo for spilled
+        queries, so the in-RAM memo cache is bypassed.  The model key is
+        exact (raw parameter bytes), because one directory serves many
+        models: two that share the rounded parameter digest still get their
+        own stores.  Torn, truncated, or unreadable stores (interrupted runs,
+        partial copies, I/O faults) are **quarantined** to a ``quarantine/``
+        sidecar directory for post-mortem inspection and rebuilt from
+        scratch — a corrupt store is self-healing, never fatal.
         """
         from repro.coverage.bitmap import MmapMaskMatrix, MmapMaskWriter, quarantine_store
 
@@ -734,7 +671,7 @@ class Engine:
             else self.memory_budget_bytes
         )
         key = repr(
-            (op, parameter_digest(self.model), array_fingerprint(batch), extra, nbits)
+            (op, exact_model_key(self.model), array_fingerprint(batch), extra, nbits)
         )
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
         path = spill_dir / f"{op}-{digest}.masks"
@@ -765,30 +702,26 @@ class Engine:
                 writer.append(words)
             return writer.close(memory_budget_bytes=budget)
 
+    def activation_masks(
+        self, batch: np.ndarray, criterion: Optional[object] = None
+    ) -> np.ndarray:
+        """Boolean per-parameter activation masks, shape ``(N, P)``.
+
+        Row ``i`` equals ``activation_mask(model, batch[i], criterion)``: the
+        dense view of :meth:`packed_activation_masks` (packing is lossless),
+        so both queries share one memo entry.  Callers that need the float64
+        gradient matrix itself, like the ε-ablation sweep, use
+        :meth:`output_gradients`.
+        """
+        return self.packed_activation_masks(batch, criterion).dense()
+
     def neuron_masks(self, batch: np.ndarray, threshold: float = 0.0) -> np.ndarray:
         """Boolean per-neuron activation masks, shape ``(N, num_neurons)``.
 
-        Row ``i`` equals ``neuron_activation_mask(model, batch[i], threshold)``
-        — the DeepXplore-style criterion over every neuron-bearing layer's
-        post-activation outputs, computed layer-batched.
+        Row ``i`` equals ``neuron_activation_mask(model, batch[i], threshold)``:
+        the dense view of :meth:`packed_neuron_masks`.
         """
-        batch = self._as_batch(batch)
-        threshold = float(threshold)
-        indices = neuron_layer_indices(self.model)
-
-        def compute() -> np.ndarray:
-            rows = []
-            for s in self._chunks(batch.shape[0]):
-                chunk = batch[s]
-                outputs = self._backend_call("forward_collect", self.model, chunk)
-                parts = [
-                    (outputs[i] > threshold).reshape(chunk.shape[0], -1)
-                    for i in indices
-                ]
-                rows.append(np.concatenate(parts, axis=1))
-            return np.concatenate(rows, axis=0)
-
-        return self._memoized("neuron_masks", batch, (threshold,), compute)
+        return self.packed_neuron_masks(batch, threshold).dense()
 
     # -- coverage aggregates -------------------------------------------------
     def per_sample_coverage(
@@ -818,7 +751,7 @@ class Engine:
         """
         if np.asarray(batch).shape[:1] == (0,):
             return np.zeros(self.model.num_parameters(), dtype=bool)
-        return self.activation_masks(batch, criterion).any(axis=0)
+        return self.packed_activation_masks(batch, criterion).union().dense()
 
     def set_validation_coverage(
         self, batch: np.ndarray, criterion: Optional[object] = None

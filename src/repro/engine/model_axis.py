@@ -2,9 +2,9 @@
 
 The detection experiments evaluate hundreds of perturbed copies of one model
 on the same stacked fingerprint batch — the classic batched-multi-model
-inference shape.  :class:`ModelAxisBackend` serves the stacked primitives of
-:class:`~repro.engine.backend.ExecutionBackend` through
-:class:`~repro.nn.stacked.StackedSequential`: each layer's weights are
+inference shape.  :class:`ModelAxisBackend` serves the one stacked primitive
+of :class:`~repro.engine.backend.ExecutionBackend`, ``stacked_forward``,
+through :class:`~repro.nn.stacked.StackedSequential`: each layer's weights are
 stacked along a leading model axis and the whole set rides one batched
 matmul / grouped im2col per layer, instead of re-dispatching every layer
 once per copy.
@@ -23,9 +23,10 @@ run once per victim and batch, not once per dispatch.
 Per-model results are **bit-identical** to the numpy backend (shared
 activations are equal by parameter equality, and the stacked GEMMs
 decompose into the same per-model GEMMs; see :mod:`repro.nn.stacked`), so
-detection tables and greedy selections are byte-for-byte unchanged — only
-faster.  Single-model queries delegate to the plain numpy path, making this
-backend a drop-in replacement anywhere a backend name is accepted.
+detection tables are byte-for-byte unchanged — only faster.  Every
+single-model query (forwards, gradients, activation and neuron masks) is
+inherited unchanged from the numpy backend, making this backend a drop-in
+replacement anywhere a backend name is accepted.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.backend import (
-    NumpyBackend,
-    register_backend,
-    threshold_and_pack,
-)
+from repro.engine.backend import NumpyBackend, register_backend
 from repro.faults import inject
 from repro.nn.model import Sequential
 from repro.nn.stacked import StackedSequential
@@ -116,21 +113,6 @@ class ModelAxisBackend(NumpyBackend):
                 group = StackedSequential([models[i] for i in indices], start=split)
                 result[indices] = group.forward(trunk[split])
         return result
-
-    def stacked_forward_collect(
-        self, models: List[Sequential], x: np.ndarray
-    ) -> List[np.ndarray]:
-        return StackedSequential(models).forward_collect(x)
-
-    def stacked_packed_masks(
-        self,
-        models: List[Sequential],
-        x: np.ndarray,
-        scalarization: str,
-        epsilon: float,
-    ) -> np.ndarray:
-        grads = StackedSequential(models).output_gradients_batch(x, scalarization)
-        return threshold_and_pack(grads, epsilon)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ModelAxisBackend(max_models={self.max_models})"

@@ -21,6 +21,10 @@ site               where                                   context keys
 ``model_axis.stacked_forward`` each fused stacked dispatch ``models``
 ================== ====================================== =================
 
+At ``engine.dispatch`` the ``op`` is the backend call being made:
+``forward``, ``forward_collect``, ``output_gradients``, ``input_gradients``,
+``loss_parameter_gradients`` or ``stacked_forward``.
+
 Scheduling is per-fault and deterministic: each time :func:`check` runs
 for a matching site/context the fault's hit counter advances, and the
 fault fires when the 0-based ordinal is in ``at``, or divisible by

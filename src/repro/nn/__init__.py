@@ -15,8 +15,11 @@ Besides the single-sample queries, every layer implements
 ``backward_batch`` — a backward pass that keeps parameter gradients
 *separate per sample* instead of summing them over the batch — and
 :meth:`~repro.nn.model.Sequential.output_gradients_batch` builds the whole
-``(N, num_parameters)`` gradient matrix in one pass.  These are the
-primitives of the batched execution layer in :mod:`repro.engine`; use an
+``(N, num_parameters)`` gradient matrix in one pass.  The model-axis
+:class:`~repro.nn.stacked.StackedSequential` runs many same-architecture
+copies forwards only (trial replay); every gradient query is about one
+model.  These are the primitives of the batched execution layer in
+:mod:`repro.engine`; use an
 :class:`~repro.engine.Engine` (which adds chunking, memoization and backend
 selection on top) rather than calling them or raw ``Model.forward``
 directly whenever a model is queried repeatedly or for many samples.

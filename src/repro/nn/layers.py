@@ -230,13 +230,12 @@ class Dense(Layer):
             params.append(self.bias)
         return params
 
-    # -- model-axis (stacked-weight) paths ----------------------------------
+    # -- model-axis (stacked-weight) path -----------------------------------
     def stacked_forward(
         self,
         x: np.ndarray,
         weight: np.ndarray,
         bias: Optional[np.ndarray],
-        cache: Dict[str, np.ndarray],
         pool: Optional[WorkspacePool] = None,
     ) -> np.ndarray:
         """Forward over ``M`` same-architecture weight copies in one dispatch.
@@ -247,46 +246,16 @@ class Dense(Layer):
         ``(M, N, in)`` tensor.  Returns ``(M, N, units)``.  The batched
         matmul runs the *same* per-model ``(N, in) @ (in, units)`` GEMMs as
         :meth:`forward`, so per-model slices are bit-identical to running
-        each copy separately.  State lives in the caller-owned ``cache``
-        (this method never touches ``self._cache``), so one template layer
-        can serve many stacks concurrently.
+        each copy separately.  The layer's own state is never touched, so
+        one template layer can serve many stacks concurrently; ``pool`` is
+        accepted for a uniform call with :meth:`Conv2D.stacked_forward`.
         """
         z = np.matmul(x, weight)  # broadcasts shared (N, in) across models
         if bias is not None:
             z += bias[:, None, :]
         if self.activation.grad_from_output:
-            y = z = self.activation.forward_inplace(z)
-        else:
-            y = self.activation.forward(z)
-        cache.update(x=x, z=z, y=y)
-        return y
-
-    def stacked_backward_batch(
-        self,
-        grad_out: np.ndarray,
-        weight: np.ndarray,
-        cache: Dict[str, np.ndarray],
-        need_input_grad: bool = True,
-        pool: Optional[WorkspacePool] = None,
-    ) -> BatchBackwardResult:
-        """Per-sample parameter gradients for every model of a stack.
-
-        The stacked counterpart of :meth:`backward_batch`: gradients keep
-        both the model and the sample axis, so each parameter gradient has
-        shape ``(M, N, *param.shape)`` and the input gradient (when
-        requested) ``(M, N, in)``.
-        """
-        x, z, y = cache["x"], cache["z"], cache["y"]
-        grad_z = self.activation.backward(z, y, grad_out)  # (M, N, units)
-        x_stacked = x if x.ndim == 3 else x[None]
-        # per-sample outer products, broadcast over the model axis
-        grads = [x_stacked[:, :, :, None] * grad_z[:, :, None, :]]
-        if self.bias is not None:
-            grads.append(grad_z)
-        grad_in = (
-            np.matmul(grad_z, weight.transpose(0, 2, 1)) if need_input_grad else None
-        )
-        return grad_in, grads
+            return self.activation.forward_inplace(z)
+        return self.activation.forward(z)
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +550,12 @@ class Conv2D(Layer):
             params.append(self.bias)
         return params
 
-    # -- model-axis (stacked-weight) paths ----------------------------------
+    # -- model-axis (stacked-weight) path -----------------------------------
     def stacked_forward(
         self,
         x: np.ndarray,
         weight: np.ndarray,
         bias: Optional[np.ndarray],
-        cache: Dict[str, np.ndarray],
         pool: Optional[WorkspacePool] = None,
     ) -> np.ndarray:
         """Forward over ``M`` stacked weight copies in one grouped dispatch.
@@ -598,10 +566,9 @@ class Conv2D(Layer):
         tensor (folded to ``M·N`` images for one im2col gather).  Returns
         ``(M, N, F, out_h, out_w)``.  The broadcastable matmul decomposes
         into the same per-model ``(F, K) @ (K, P)`` GEMMs as :meth:`forward`,
-        keeping per-model slices bit-identical.  Patch matrices go through
-        ``pool``; the caller releases ``cache["cols"]`` after its last read
-        (:meth:`stacked_backward_batch`'s weight gradient, or immediately
-        for forward-only passes).
+        keeping per-model slices bit-identical.  The patch matrix is
+        acquired from ``pool`` and handed back after the matmul, its last
+        read.
         """
         m, f = weight.shape[0], weight.shape[1]
         kh, kw = self.kernel_size
@@ -617,76 +584,14 @@ class Conv2D(Layer):
             cols_b = cols.reshape(m, n, cols.shape[1], cols.shape[2])
         w_mat = weight.reshape(m, f, -1)
         z = np.matmul(w_mat[:, None], cols_b)  # (M, N, F, P)
+        if pool is not None:
+            pool.release(cols)
         if bias is not None:
             z += bias[:, None, :, None]
         z = z.reshape(m, n, f, out_h, out_w)
         if self.activation.grad_from_output:
-            y = z = self.activation.forward_inplace(z)
-        else:
-            y = self.activation.forward(z)
-        cache.update(
-            x_shape=np.array((n, *x.shape[-3:])), cols=cols, cols_b=cols_b, z=z, y=y
-        )
-        return y
-
-    def stacked_backward_batch(
-        self,
-        grad_out: np.ndarray,
-        weight: np.ndarray,
-        cache: Dict[str, np.ndarray],
-        need_input_grad: bool = True,
-        pool: Optional[WorkspacePool] = None,
-    ) -> BatchBackwardResult:
-        """Per-sample parameter gradients for every model of a stack.
-
-        Mirrors :meth:`backward_batch` — including its flip-kernel
-        full-correlation fast path for the input gradient — with a leading
-        model axis on every gradient.
-        """
-        cols_b = cache["cols_b"]  # (1, N, P, K)-transposable patch matrix
-        z, y = cache["z"], cache["y"]
-        x_shape = tuple(int(v) for v in cache["x_shape"])
-        n = x_shape[0]
-        m, f = weight.shape[0], weight.shape[1]
-        kh, kw = self.kernel_size
-        pad = self._padding()
-
-        grad_z = self.activation.backward(z, y, grad_out)  # (M, N, F, oh, ow)
-        grad_z_mat = grad_z.reshape(m, n, f, -1)  # (M, N, F, P)
-
-        w_mat = weight.reshape(m, f, -1)
-        cols_t = np.swapaxes(cols_b, -1, -2)  # (., N, P, K)
-        grad_w = np.matmul(grad_z_mat, cols_t)  # (M, N, F, K)
-        grads = [grad_w.reshape(m, n, *weight.shape[1:])]
-        if self.bias is not None:
-            grads.append(grad_z_mat.sum(axis=3))
-
-        if not need_input_grad:
-            return None, grads
-        _, c, h, w = x_shape
-        flip_pad = kh - 1 - pad
-        if self.stride == 1 and kh == kw and flip_pad >= 0:
-            # same full-correlation fast path as the single-model backward,
-            # with the model axis folded into the image axis for the gather
-            grad_z_img = grad_z_mat.reshape(m * n, f, *z.shape[3:])
-            gcols, _, _ = im2col(grad_z_img, kh, kw, 1, flip_pad, pool=pool)
-            gcols_b = gcols.reshape(m, n, gcols.shape[1], gcols.shape[2])
-            w_flip = weight[:, :, :, ::-1, ::-1]  # (M, F, C, kh, kw)
-            w_flip_mat = w_flip.transpose(0, 2, 1, 3, 4).reshape(m, c, -1)
-            grad_x = np.matmul(w_flip_mat[:, None], gcols_b)  # (M, N, C, P)
-            if pool is not None:
-                pool.release(gcols)
-            return grad_x.reshape(m, n, c, h, w), grads
-        grad_cols = np.matmul(w_mat.transpose(0, 2, 1)[:, None], grad_z_mat)
-        folded = col2im(
-            grad_cols.reshape(m * n, *grad_cols.shape[2:]),
-            (m * n, c, h, w),
-            kh,
-            kw,
-            self.stride,
-            pad,
-        )
-        return folded.reshape(m, n, c, h, w), grads
+            return self.activation.forward_inplace(z)
+        return self.activation.forward(z)
 
 
 class MaxPool2D(Layer):

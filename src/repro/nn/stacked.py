@@ -27,24 +27,22 @@ minimal:
 * **Fold-to-``M·N``** — parameterless layers (pooling, flatten, dropout,
   standalone activations) are model-agnostic, so stacked tensors fold the
   model axis into the batch axis and ride through the template layer's
-  ordinary ``forward``/``backward``.  Parametric layers in the shared
-  prefix execute the template layer's plain ``forward`` the same way.
+  ordinary ``forward``.  Parametric layers in the shared prefix execute
+  the template layer's plain ``forward`` the same way.
 
-The gradient pass keeps the conservative split (every parametric layer runs
-stacked) because its backward needs per-layer stacked caches either way.
-
-The backward pass (for activation masks of all copies at once) descends only
-to the first parametric layer — layers below it contribute no parameters and
-no mask bits.
+The model axis runs forwards only: it serves trial replay, and every
+gradient query (activation masks, test synthesis, the GDA attack) is about
+one model and runs through that model's own
+:class:`~repro.nn.model.Sequential`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.model import SCALARIZATIONS, Sequential
+from repro.nn.model import Sequential
 from repro.nn.tensor import bit_pattern
 from repro.nn.workspace import WorkspacePool
 
@@ -66,13 +64,9 @@ class StackedSequential:
         input.  Used by the model-axis backend's trunk sharing — the base
         model's activations up to ``start`` stand in for every copy's,
         bitwise, when the copies' parameters first diverge at ``start``.
-        Gradient queries require ``start == 0``.
 
-    All query outputs carry a leading model axis: ``forward`` returns
-    ``(M, N, num_classes)``, ``output_gradients_batch`` returns
-    ``(M, N, num_parameters)``, ``forward_collect`` a list of ``(M, N, ...)``
-    arrays.  Index ``m`` of any output is bit-identical to querying
-    ``models[m]`` alone.
+    :meth:`forward` returns ``(M, N, num_classes)``; slice ``m`` is
+    bit-identical to ``models[m].forward(x, training=False)``.
     """
 
     def __init__(self, models: Sequence[Sequential], start: int = 0) -> None:
@@ -111,7 +105,6 @@ class StackedSequential:
                 self._stacked[idx] = (weight, bias)
         if not self._stacked:
             raise ValueError("stacked execution needs at least one parametric layer")
-        self._first_param = min(self._stacked)
         # first parametric layer whose parameters differ anywhere across the
         # stack, bit for bit: the forward pass computes everything before it
         # once on the shared batch (equal parameters on equal inputs are
@@ -127,7 +120,6 @@ class StackedSequential:
                 self._first_diff = idx
                 break
         self._pool = WorkspacePool()
-        self._caches: Dict[int, Dict[str, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return self.num_models
@@ -136,32 +128,19 @@ class StackedSequential:
     def num_classes(self) -> int:
         return self.template.num_classes
 
-    # -- forward -------------------------------------------------------------
-    def _forward(
-        self, x: np.ndarray, collect: bool = False, keep_caches: bool = False
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Inference logits for every model: ``(M, N, num_classes)``."""
         if self.start == 0:
             self.template._check_input(x)
         m = self.num_models
         out = x  # shared (N, ...) until the first stacked layer
         stacked = False
-        outputs: List[np.ndarray] = []
-        self._caches = {}
-        # the gradient pass needs stacked caches for every parametric layer;
-        # the forward-only passes share the prefix up to the first layer
-        # whose parameters differ
-        split = self._first_param if keep_caches else self._first_diff
         for idx, layer in enumerate(self.template.layers):
             if idx < self.start:
                 continue
-            if idx in self._stacked and idx >= split:
+            if idx in self._stacked and idx >= self._first_diff:
                 weight, bias = self._stacked[idx]
-                cache: Dict[str, np.ndarray] = {}
-                out = layer.stacked_forward(out, weight, bias, cache, pool=self._pool)
-                if keep_caches:
-                    self._caches[idx] = cache
-                else:
-                    self._pool.release(cache.get("cols"))
+                out = layer.stacked_forward(out, weight, bias, pool=self._pool)
                 stacked = True
             elif stacked:
                 n = out.shape[1]
@@ -169,83 +148,10 @@ class StackedSequential:
                 out = folded.reshape(m, n, *folded.shape[1:])
             else:
                 out = layer.forward(out)
-            if collect:
-                outputs.append(
-                    out if stacked else np.broadcast_to(out, (m, *out.shape))
-                )
         if not stacked:
             # every copy is bitwise identical: one shared pass serves all
             out = np.broadcast_to(out, (m, *out.shape))
-        return out, outputs
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Inference logits for every model: ``(M, N, num_classes)``."""
-        out, _ = self._forward(x)
         return out
-
-    def forward_collect(self, x: np.ndarray) -> List[np.ndarray]:
-        """Every layer's output for every model, each ``(M, N, ...)``.
-
-        Shared-segment outputs are broadcast (read-only) views across the
-        model axis — identical values for every model by construction.
-        """
-        _, outputs = self._forward(x, collect=True)
-        return outputs
-
-    # -- gradients -----------------------------------------------------------
-    def output_gradients_batch(
-        self, x: np.ndarray, scalarization: str = "sum"
-    ) -> np.ndarray:
-        """Per-sample flat parameter gradients for every model.
-
-        Returns ``(M, N, num_parameters)``; slice ``m`` equals
-        ``models[m].output_gradients_batch(x, scalarization)`` bit for bit.
-        One forward and one backward pass serve the whole stack; the
-        backward pass stops at the first parametric layer (nothing below it
-        holds parameters, and the stacked path never needs input gradients).
-        """
-        if self.start != 0:
-            raise ValueError("gradient queries require a stack starting at layer 0")
-        if scalarization not in SCALARIZATIONS:
-            raise ValueError(
-                f"unknown scalarization {scalarization!r}; choose from "
-                f"{SCALARIZATIONS}"
-            )
-        x = np.asarray(x)
-        if x.dtype not in (np.float32, np.float64):
-            x = x.astype(np.float64)
-        m = self.num_models
-        logits, _ = self._forward(x, keep_caches=True)  # (M, N, classes)
-        n = logits.shape[1]
-        grad = np.zeros_like(logits)
-        if scalarization == "sum":
-            grad[:] = 1.0
-        else:
-            top = np.argmax(logits, axis=2)  # (M, N)
-            np.put_along_axis(grad, top[:, :, None], 1.0, axis=2)
-        per_layer: List[List[np.ndarray]] = []
-        first = self._first_param
-        for idx in range(len(self.template.layers) - 1, first - 1, -1):
-            layer = self.template.layers[idx]
-            if idx in self._stacked:
-                weight, _bias = self._stacked[idx]
-                cache = self._caches.pop(idx)
-                grad, grads = layer.stacked_backward_batch(
-                    grad,
-                    weight,
-                    cache,
-                    need_input_grad=(idx > first),
-                    pool=self._pool,
-                )
-                self._pool.release(cache.get("cols"))
-                per_layer.append(grads)
-            else:
-                folded = layer.backward(grad.reshape(m * n, *grad.shape[2:]))
-                grad = folded.reshape(m, n, *folded.shape[1:])
-                per_layer.append([])
-        per_layer.reverse()
-        parts = [g.reshape(m, n, -1) for grads in per_layer for g in grads]
-        return np.concatenate(parts, axis=2)
 
 
 __all__ = ["StackedSequential"]

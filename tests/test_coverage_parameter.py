@@ -9,8 +9,8 @@ from repro.coverage import (
     ActivationMaskCache,
     CoverageTracker,
     activation_mask,
-    average_sample_coverage,
     default_criterion_for,
+    mean_validation_coverage,
     set_validation_coverage,
     validation_coverage,
 )
@@ -93,13 +93,13 @@ class TestValidationCoverage:
         assert large >= small - 1e-12
 
     def test_average_sample_coverage(self, trained_cnn, digit_dataset):
-        avg = average_sample_coverage(trained_cnn, digit_dataset.images[:4])
+        avg = mean_validation_coverage(trained_cnn, digit_dataset.images[:4])
         singles = [validation_coverage(trained_cnn, x) for x in digit_dataset.images[:4]]
         assert avg == pytest.approx(np.mean(singles))
 
     def test_average_sample_coverage_empty_raises(self, trained_cnn):
         with pytest.raises(ValueError):
-            average_sample_coverage(trained_cnn, np.zeros((0, 1, 12, 12)))
+            mean_validation_coverage(trained_cnn, np.zeros((0, 1, 12, 12)))
 
     def test_larger_epsilon_never_increases_coverage(self, trained_tanh_cnn, digit_dataset):
         x = digit_dataset.images[0]

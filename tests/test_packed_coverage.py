@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.coverage import (
+    ActivationCriterion,
     ActivationMaskCache,
     CoverageMap,
     CoverageTracker,
@@ -29,13 +30,17 @@ from repro.coverage import (
     ParameterCoverage,
     count_neurons,
     neuron_activation_masks,
+    pack_bool,
     packed_activation_masks,
 )
 from repro.coverage.bitmap import MMAP_HEADER_BYTES, MMAP_MAGIC, num_words
 from repro.coverage.activation import default_criterion_for
 from repro.data.datasets import Dataset
 from repro.engine import Engine
+from repro.engine.cache import exact_model_key
 from repro.models.zoo import cifar_cnn, mnist_cnn
+from repro.nn.layers import Conv2D
+from repro.nn.serialization import parameter_digest
 from repro.testgen.base import GenerationResult
 from repro.testgen.neuron_testgen import NeuronCoverageSelector
 from repro.testgen.selection import TrainingSetSelector
@@ -222,6 +227,57 @@ class TestMemoryBudget:
         )
         assert len(cache) == len(mnist_pool)
         assert cache.nbytes < cache.packed.dense_nbytes / 7.9
+
+
+class BandCriterion(ActivationCriterion):
+    """A criterion with its own rule: only gradients inside a magnitude band
+    count as activated."""
+
+    def activated(self, gradients):
+        magnitudes = np.abs(np.asarray(gradients))
+        return (magnitudes > self.epsilon) & (magnitudes < 1e-2)
+
+
+class TestPackedMaskQueries:
+    """One chunk path serves every criterion, and every spill store is keyed
+    on the model's exact parameters."""
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["ram", "spill"])
+    def test_custom_criterion_packs_its_own_rule(
+        self, mnist_model, mnist_pool, tmp_path, spill
+    ):
+        crit = BandCriterion(epsilon=1e-6)
+        grads = Engine(mnist_model, cache=False).output_gradients(mnist_pool)
+        expected = pack_bool(crit.activated(grads))
+        plain = pack_bool(ActivationCriterion(epsilon=1e-6).activated(grads))
+        assert not np.array_equal(expected, plain)  # the rules differ here
+        engine = Engine(mnist_model, spill_dir=tmp_path if spill else None)
+        # a plain criterion with the same epsilon answers first: its memo
+        # entry or store must not serve the custom rule
+        engine.packed_activation_masks(mnist_pool, ActivationCriterion(epsilon=1e-6))
+        packed = engine.packed_activation_masks(mnist_pool, crit)
+        assert isinstance(packed, MmapMaskMatrix) == spill
+        assert np.array_equal(np.asarray(packed.words, dtype=np.uint64), expected)
+
+    def test_low_bit_flip_gets_its_own_spill_store(
+        self, mnist_model, mnist_pool, tmp_path
+    ):
+        flipped = mnist_model.copy()
+        conv1 = next(layer for layer in flipped.layers if isinstance(layer, Conv2D))
+        conv1.weight.value.reshape(-1).view(np.uint64)[0] ^= np.uint64(1)
+        # the rounded digest cannot see the flip; the exact key can
+        assert parameter_digest(flipped) == parameter_digest(mnist_model)
+        assert exact_model_key(flipped) != exact_model_key(mnist_model)
+        assert exact_model_key(mnist_model.copy()) == exact_model_key(mnist_model)
+        first = Engine(mnist_model, cache=False).packed_activation_masks(
+            mnist_pool, spill_dir=tmp_path
+        )
+        second = Engine(flipped, cache=False).packed_activation_masks(
+            mnist_pool, spill_dir=tmp_path
+        )
+        assert second.path != first.path
+        reference = Engine(flipped, cache=False).packed_activation_masks(mnist_pool)
+        assert np.array_equal(np.asarray(second.words, dtype=np.uint64), reference.words)
 
 
 def windowed_greedy(masks, budget):
