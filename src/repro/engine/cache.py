@@ -220,9 +220,9 @@ class TrunkCache:
     The key is exact: :func:`exact_model_key` (architecture and raw
     parameter bytes, never the rounded digest), the batch fingerprint and
     the chunk size, so a model mutated in place after its trunk was memoized
-    simply misses.  Each
-    trunk's input is a private copy, so a caller editing its batch in place
-    cannot reach a memoized trunk; returned arrays are read-only.
+    simply misses.  Each trunk's input is a private copy, so a caller
+    editing its batch in place cannot reach a memoized trunk; returned
+    arrays are read-only.
     """
 
     def __init__(self) -> None:
