@@ -2,7 +2,7 @@
 
 A session owns one :class:`~repro.api.config.RunConfig` and everything the
 config governs: a shared execution backend, an LRU pool of memoizing
-:class:`~repro.engine.Engine` instances keyed by model parameter digest, and
+:class:`~repro.engine.Engine` instances keyed by the model's exact key, and
 an LRU cache of trained experiments.  The paper-level operations —
 :meth:`release`, :meth:`validate` and :meth:`sweep` — accept the typed
 request objects of :mod:`repro.api.requests` (or plain dicts / keyword
@@ -42,8 +42,8 @@ from repro.api.requests import (
     ValidationOutcome,
 )
 from repro.engine import Engine, ExecutionBackend, ModelAxisBackend, get_backend
+from repro.engine.cache import exact_model_key
 from repro.nn.model import Sequential
-from repro.nn.serialization import parameter_digest
 from repro.utils.logging import get_logger
 
 logger = get_logger("api.session")
@@ -63,7 +63,7 @@ class Session:
         (``Session(backend="model_axis", model_axis_size=4)``).
 
     Engines built by the session share its backend, batch size and memory
-    budget; they are memoizing and pooled per parameter digest, so
+    budget; they are memoizing and pooled per exact model key, so
     repeated requests against the same trained model reuse cached
     gradient/mask matrices.  Sessions are context managers — leaving the
     ``with`` block drops the cached engines.
@@ -143,16 +143,17 @@ class Session:
     ) -> Engine:
         """A memoizing engine for ``model`` under the session's config.
 
-        Engines are pooled in an LRU keyed by the model's *parameter digest*
-        (plus the criterion): re-requesting an engine for the same trained
-        parameters returns the same instance — with its memo cache warm —
-        while perturbed copies (different digest) get their own.  At most
+        Engines are pooled in an LRU keyed by the model's exact key
+        (:func:`~repro.engine.cache.exact_model_key`, plus the criterion):
+        re-requesting an engine for the same trained parameters returns the
+        same instance — with its memo cache warm — while perturbed copies,
+        even ones that differ in a single bit, get their own.  At most
         ``config.engine_cache_size`` engines are retained.
         """
         criterion_key = (
             (type(criterion).__name__, repr(criterion)) if criterion is not None else None
         )
-        key = (parameter_digest(model), criterion_key)
+        key = (exact_model_key(model), criterion_key)
         with self._lock:
             if self._closed:
                 raise RuntimeError("session is closed")

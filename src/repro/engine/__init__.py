@@ -4,7 +4,7 @@ This subsystem is the library's answer to "make coverage measurement, test
 generation, attacks and validation run as fast as the hardware allows": one
 :class:`~repro.engine.engine.Engine` per model batches every gradient/mask
 query across whole candidate pools, memoizes immutable results keyed by
-``(parameter digest, array fingerprint)``, and routes all execution through a
+``(exact model key, array fingerprint)``, and routes all execution through a
 pluggable :class:`~repro.engine.backend.ExecutionBackend`.  A backend is
 just the six calls the engine makes (``forward``, ``forward_collect``,
 ``output_gradients``, ``input_gradients``, ``loss_parameter_gradients``,

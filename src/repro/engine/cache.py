@@ -7,19 +7,21 @@ switch-point probe and the ablation sweeps all revisit the candidate pool.
 This module provides the pieces that make those revisits free:
 
 * :func:`array_fingerprint` — a content hash of an ndarray (dtype, shape and
-  raw bytes), used together with the model's parameter digest to key results;
+  raw bytes), used together with the model's exact key to key results;
 * :func:`exact_model_key` — a hash of a model's architecture and raw
-  parameter bytes, the key of everything shared beyond one engine's memo
-  (the trunk memo, the on-disk mask stores);
+  parameter bytes, the in-process identity of a model (the engine memo, the
+  trunk memo, the on-disk mask stores, the session's engine pool and the
+  serve coalescer's dedup);
 * :class:`BatchResultCache` — a small bounded LRU mapping from those keys to
   computed arrays, with hit/miss statistics for observability;
 * :class:`TrunkCache` — a bounded memo of a model's per-layer activations on
   a batch (its *trunk*), keyed on the exact parameter bytes, which the
   trial loop reuses across every perturbed copy of one victim.
 
-Keys include the model's parameter digest, so a cache never returns results
-computed against parameters that have since been perturbed (entries for the
-old parameters simply stop matching and age out of the LRU).
+Keys include the model's exact key, so a cache never returns results
+computed against parameters that have since been perturbed, even in one
+low mantissa bit (entries for the old parameters simply stop matching and
+age out of the LRU).
 """
 
 from __future__ import annotations
@@ -51,10 +53,9 @@ def exact_model_key(model) -> str:
 
     Two models get the same key exactly when they have the same layer stack
     and every parameter is equal bit for bit.  The rounded
-    :func:`~repro.nn.serialization.parameter_digest` is not enough wherever
-    results outlive one model: it cannot see a flip of a low mantissa bit or
-    the sign of a zero, so two models that compute different masks can share
-    it.
+    :func:`~repro.nn.serialization.parameter_digest` cannot see a flip of a
+    low mantissa bit or the sign of a zero, so two models that compute
+    different outputs can share it; it only checks saved model files.
     """
     hasher = hashlib.sha256(repr(model.architecture_signature()).encode("utf-8"))
     for param in model.parameters():

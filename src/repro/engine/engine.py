@@ -15,10 +15,11 @@ Key properties:
 * **Batched** — one forward/backward over ``N`` samples instead of ``N``
   single-sample passes; large pools are processed in chunks of
   ``batch_size`` to bound transient memory.
-* **Memoizing** — results are cached keyed by ``(operation, parameter
-  digest, array fingerprint, options)``.  Because the model's parameter
-  digest is part of the key, perturbing the model (as the attacks do) can
-  never yield stale results; entries for old parameters simply stop
+* **Memoizing** — results are cached keyed by ``(operation, exact model
+  key, array fingerprint, options)``.  The model key
+  (:func:`~repro.engine.cache.exact_model_key`) covers every parameter bit,
+  so perturbing the model (as the attacks do), even in one low mantissa bit,
+  can never yield stale results; entries for old parameters simply stop
   matching.
 * **Backend-pluggable** — all execution goes through an
   :class:`~repro.engine.backend.ExecutionBackend`; the default
@@ -28,8 +29,8 @@ Key properties:
   chunk generator, which feeds both the in-RAM matrix and the disk-spilled
   store; the dense :meth:`Engine.activation_masks`,
   :meth:`Engine.neuron_masks` and :meth:`Engine.union_mask` are views of
-  the packed result.  Spilled stores outlive the engine, so they are keyed
-  on the model's exact parameter bytes, not the rounded digest.
+  the packed result.  Spilled stores are keyed on the same exact model
+  key.
 * **Model-axis batched** — :meth:`Engine.stacked_forward` evaluates many
   same-architecture models (the detection experiments' perturbed copies) on
   one batch.  The model-axis dispatch is chosen per backend: when
@@ -71,7 +72,6 @@ from repro.faults import inject
 from repro.nn.layers import ActivationLayer, Conv2D, Dense
 from repro.nn.losses import Loss
 from repro.nn.model import SCALARIZATIONS, Sequential
-from repro.nn.serialization import parameter_digest
 from repro.utils.logging import get_logger
 
 logger = get_logger("engine")
@@ -224,7 +224,7 @@ class Engine:
         """Drop all memoized results.
 
         Not required for correctness after the model's parameters change —
-        keys embed the parameter digest, so stale entries can never be
+        keys embed the exact model key, so stale entries can never be
         returned — but frees their memory immediately.
         """
         if self._cache is not None:
@@ -232,21 +232,19 @@ class Engine:
         self._trunks.clear()
 
     def _memoized(self, op: str, batch: np.ndarray, extra: tuple, compute):
-        return self._memoized_for(
-            op, parameter_digest(self.model), batch, extra, compute
-        )
+        return self._memoized_for(op, exact_model_key(self.model), batch, extra, compute)
 
-    def _memoized_for(self, op: str, digest_key, batch: np.ndarray, extra: tuple, compute):
-        """Memoize under an explicit parameter-digest key.
+    def _memoized_for(self, op: str, model_key, batch: np.ndarray, extra: tuple, compute):
+        """Memoize under an explicit model key.
 
-        The single-model queries key by this engine's model digest; the
-        stacked queries key by the *tuple* of digests of the models in the
+        The single-model queries key by this engine's exact model key; the
+        stacked queries key by the *tuple* of keys of the models in the
         stack, so a repeated stacked query over the same copies is a cache
         hit while any reordering or perturbation of the set is a miss.
         """
         if self._cache is None:
             return compute()
-        key = (op, digest_key, array_fingerprint(batch), extra)
+        key = (op, model_key, array_fingerprint(batch), extra)
         value = self._cache.get(key)
         if value is None:
             value = compute()
@@ -260,7 +258,7 @@ class Engine:
         if self._cache is None:
             return None
         return self._cache.get(
-            (op, parameter_digest(self.model), array_fingerprint(batch), extra)
+            (op, exact_model_key(self.model), array_fingerprint(batch), extra)
         )
 
     # -- dispatch ------------------------------------------------------------
@@ -380,7 +378,7 @@ class Engine:
         Fused dispatches start each copy at its first divergent layer, fed
         by the engine model's trunk on the batch, which the engine computes
         once and keeps (with or without ``cache``).  Memoization keys on the
-        *tuple* of parameter digests, so revisiting the same set of copies is
+        *tuple* of exact model keys, so revisiting the same set of copies is
         a cache hit.
         """
         models = list(models)
@@ -425,10 +423,10 @@ class Engine:
 
         if self._cache is None:
             return compute()
-        # the digest tuple is only a memo key: an engine without a memo
-        # (every trial replay) never hashes the copies
-        digests = tuple(parameter_digest(model) for model in models)
-        return self._memoized_for("stacked_forward", digests, batch, (), compute)
+        # the key tuple is only a memo key: an engine without a memo (every
+        # trial replay) never hashes the copies
+        keys = tuple(exact_model_key(model) for model in models)
+        return self._memoized_for("stacked_forward", keys, batch, (), compute)
 
     # -- gradient queries ----------------------------------------------------
     def output_gradients(
@@ -657,11 +655,11 @@ class Engine:
         instead of recomputing — the disk **is** the memo for spilled
         queries, so the in-RAM memo cache is bypassed.  The model key is
         exact (raw parameter bytes), because one directory serves many
-        models: two that share the rounded parameter digest still get their
-        own stores.  Torn, truncated, or unreadable stores (interrupted runs,
-        partial copies, I/O faults) are **quarantined** to a ``quarantine/``
-        sidecar directory for post-mortem inspection and rebuilt from
-        scratch — a corrupt store is self-healing, never fatal.
+        models: two that differ in a single bit get their own stores.
+        Torn, truncated, or unreadable stores (interrupted runs, partial
+        copies, I/O faults) are **quarantined** to a ``quarantine/`` sidecar
+        directory for post-mortem inspection and rebuilt from scratch — a
+        corrupt store is self-healing, never fatal.
         """
         from repro.coverage.bitmap import MmapMaskMatrix, MmapMaskWriter, quarantine_store
 

@@ -14,8 +14,9 @@ coalescer instead:
   stack-compatible models ever share a dispatch (a shape-tampered IP gets
   its own single-model dispatch and scores as tampering, never as an
   error that fails innocent co-travellers);
-* within a group, requests are keyed by the IP's **parameter digest**: two
-  requests for the same digest share one future (in-flight dedup — the
+* within a group, requests are keyed by the IP's **digest**, the hash of
+  its exact parameter bytes (:func:`~repro.engine.cache.exact_model_key`):
+  two requests for the same digest share one future (in-flight dedup — the
   second is answered by the first's dispatch, including requests that
   arrive while the dispatch is already running);
 * distinct digests on the same package are fused into **one stacked
@@ -63,7 +64,7 @@ class CoalescerStats:
     requests: int = 0
     dispatches: int = 0
     #: requests answered by a future they did not create (same package, same
-    #: parameter digest — pure dedup, no extra compute at all)
+    #: model digest — pure dedup, no extra compute at all)
     deduped: int = 0
     #: models shipped across all stacked dispatches (Σ batch sizes)
     stacked_models: int = 0
@@ -110,7 +111,7 @@ class _Group:
     """Requests waiting on one group key's next dispatch."""
 
     package: ValidationPackage
-    #: parameter digest → (model, shared result future, tenant)
+    #: model digest → (model, shared result future, tenant)
     entries: "Dict[str, Tuple[object, asyncio.Future, str]]" = field(
         default_factory=dict
     )
@@ -168,7 +169,7 @@ class BatchingCoalescer:
         self.enabled = bool(enabled)
         self.stats = CoalescerStats()
         self._groups: Dict[str, _Group] = {}
-        #: (group key, parameter digest) → in-flight result future; entries
+        #: (group key, model digest) → in-flight result future; entries
         #: live until their dispatch resolves, so late duplicates of a
         #: running dispatch still dedup instead of re-dispatching
         self._futures: Dict[Tuple[str, str], asyncio.Future] = {}

@@ -58,8 +58,8 @@ from repro.api.requests import (
     ValidationOutcome,
 )
 from repro.api.session import BlackBox, Session
+from repro.engine.cache import exact_model_key
 from repro.nn.model import Sequential
-from repro.nn.serialization import parameter_digest
 from repro.serve.coalescer import BatchingCoalescer
 from repro.serve.config import ServeConfig
 from repro.serve.quota import AdmissionController, QuotaExceeded
@@ -281,7 +281,7 @@ class ValidationService:
             ip = await self._in_executor(self.session.load_ip, req)
         if isinstance(ip, Sequential):
             package_fp = await self._in_executor(self._package_fingerprint, package)
-            digest = await self._in_executor(parameter_digest, ip)
+            digest = await self._in_executor(exact_model_key, ip)
             # architecture in the key: only stack-compatible models fuse
             group_key = f"{package_fp}#{_architecture_signature(ip)}"
             observed = await self.coalescer.submit(

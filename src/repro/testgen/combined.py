@@ -10,10 +10,15 @@ sample — the switch-point rule the paper proposes.
 Two switch policies are supported:
 
 * ``"adaptive"`` (paper) — at every step, compare the marginal gain of the
-  best remaining training candidate with the (per-test) gain a freshly
-  synthesised gradient batch would deliver, and take whichever is larger.
-  Once the gradient method wins it keeps winning in practice, so this
-  degenerates into "switch once" while remaining robust to noise.
+  best remaining training candidate with the (per-test) gain a gradient
+  probe batch would deliver, and take whichever is larger.  Once the
+  gradient method wins it keeps winning in practice, so this degenerates
+  into "switch once" while remaining robust to noise.  A probe is only
+  synthesised when it could win: its per-test gain is at most
+  ``uncovered / k / total`` (``k`` samples per batch), so once the best
+  training gain reaches that bound the probe is skipped.  A skipped probe
+  still draws its init noise, so the shared random stream, and with it
+  every test, is the same as if each probe had been synthesised.
 * ``"fixed:<n>"`` — switch unconditionally after ``n`` training-selected
   tests (used by the switch-point ablation benchmark).
 """
@@ -101,22 +106,11 @@ class CombinedGenerator(TestGenerator):
         )
 
     # -- helpers -------------------------------------------------------------
-    def _gradient_batch_gain_per_test(
-        self, tracker: CoverageTracker
-    ) -> tuple[float, np.ndarray, MaskMatrix]:
-        """Synthesise one trial batch and measure its average per-test gain.
-
-        Returns ``(gain_per_test, batch, batch_masks)`` so the batch can be
-        reused if the gradient method is chosen (the synthesis is the
-        expensive part).  Masks come back packed; the new-coverage accounting
-        is pure popcount arithmetic.
-        """
-        if self._gradient.target == "residual":
-            synthesis_model = self._gradient._residual_model(tracker.covered_mask)
-        else:
-            synthesis_model = self.model
-        batch = self._gradient.synthesize_batch(synthesis_model)
-        masks = self.engine.packed_activation_masks(batch, self.criterion)
+    @staticmethod
+    def _gain_per_test(masks: MaskMatrix, tracker: CoverageTracker) -> float:
+        """Average per-test gain of a probe batch over ``tracker``'s coverage:
+        the parameters its union adds, divided by its size (pure popcount
+        arithmetic on the packed masks)."""
         union = CoverageMap(tracker.total_parameters)
         covered = tracker.covered_map
         new_total = 0
@@ -124,8 +118,17 @@ class CombinedGenerator(TestGenerator):
             mask = masks.row(i)
             new_total += mask.andnot_count(covered, union)
             union.union_(mask)
-        gain_per_test = new_total / len(masks) / tracker.total_parameters
-        return gain_per_test, batch, masks
+        return new_total / len(masks) / tracker.total_parameters
+
+    def _gain_bound(self, tracker: CoverageTracker) -> float:
+        """Upper bound of :meth:`_gain_per_test` for any probe batch.
+
+        A batch adds at most the ``uncovered`` parameters, and it has one
+        sample per class.  The bound runs the same divisions in the same
+        order, and rounding is monotone, so it bounds the float result too.
+        """
+        uncovered = tracker.total_parameters - tracker.num_covered
+        return uncovered / self.model.num_classes / tracker.total_parameters
 
     # -- generation ------------------------------------------------------------
     def generate(self, num_tests: int) -> GenerationResult:
@@ -158,16 +161,33 @@ class CombinedGenerator(TestGenerator):
                 switched = use_gradient
             else:
                 # adaptive policy: compare best remaining training gain with
-                # the per-test gain of a fresh gradient batch.  Availability
-                # is an explicit subset — no sentinel values in the gains
+                # the per-test gain of a gradient probe.  Availability is an
+                # explicit subset — no sentinel values in the gains
                 if available.any():
                     _, best_training_gain = cache.best_candidate(
                         tracker.covered_map, available
                     )
                 else:
                     best_training_gain = -1.0
-                grad_gain, batch, masks = self._gradient_batch_gain_per_test(tracker)
-                if grad_gain > best_training_gain:
+                bound = self._gain_bound(tracker)
+                if bound <= best_training_gain:
+                    # the probe cannot win (never so once the pool is empty:
+                    # the bound is >= 0); draw its init noise all the same so
+                    # the shared stream stays where a probe would leave it
+                    self._gradient._init_batch()
+                    grad_gain = None
+                else:
+                    batch, masks = self._gradient._probe(tracker)
+                    grad_gain = self._gain_per_test(masks, tracker)
+                logger.debug(
+                    "adaptive step %d: training gain %.6g, probe bound %.6g, "
+                    "probe gain %s",
+                    len(tests),
+                    best_training_gain,
+                    bound,
+                    "skipped" if grad_gain is None else f"{grad_gain:.6g}",
+                )
+                if grad_gain is not None and grad_gain > best_training_gain:
                     use_gradient = True
                     switched = True
                     pending_batch = list(batch)
@@ -182,14 +202,9 @@ class CombinedGenerator(TestGenerator):
 
             if use_gradient:
                 if not pending_batch:
-                    if self._gradient.target == "residual":
-                        model = self._gradient._residual_model(tracker.covered_mask)
-                    else:
-                        model = self.model
-                    batch = self._gradient.synthesize_batch(model)
-                    packed = self.engine.packed_activation_masks(batch, self.criterion)
+                    batch, masks = self._gradient._probe(tracker)
                     pending_batch = list(batch)
-                    pending_masks = [packed.row(i) for i in range(len(packed))]
+                    pending_masks = [masks.row(i) for i in range(len(masks))]
                 sample = pending_batch.pop(0)
                 mask = pending_masks.pop(0)
                 gain = tracker.add_mask(mask)

@@ -21,6 +21,12 @@ Two targeting modes are provided:
   union, which is what lets the gradient-based curve in Fig. 3 keep climbing.
 
 Coverage bookkeeping is always done on the *original* model.
+
+A round stops descending as soon as its input gradient is exactly zero: the
+input can no longer move, so the remaining updates would only repeat the same
+zero step (see :meth:`GradientTestGenerator.synthesize_batch`).  Once most
+parameters are covered, the residual network's logits are constant and this
+happens on the first update.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.coverage.activation import ActivationCriterion, default_criterion_for
+from repro.coverage.bitmap import MaskMatrix
 from repro.coverage.parameter_coverage import CoverageTracker
 from repro.engine import Engine
 from repro.nn.losses import Loss, get_loss
@@ -94,10 +101,29 @@ class GradientTestGenerator(TestGenerator):
         self.target = target
         self.loss = get_loss(loss)
         self.init_noise_std = float(init_noise_std)
-        self.clip_range = clip_range
+        # ``+ 0.0`` folds a ``-0.0`` bound to ``+0.0``: the synthetic inputs
+        # then never hold ``-0.0``, which the zero-gradient stop relies on
+        self.clip_range = (
+            None if clip_range is None else (clip_range[0] + 0.0, clip_range[1] + 0.0)
+        )
         self._rng = as_generator(rng)
 
     # -- synthesis ----------------------------------------------------------
+    def _init_batch(self) -> np.ndarray:
+        """A round's starting point: zeros plus the clipped noise draw.
+
+        This is the only place a round draws from the shared generator, so a
+        round that is never synthesised (the combined method's skipped
+        probes) advances the stream exactly as one that is.
+        """
+        shape = (self.model.num_classes, *self.model.input_shape)  # type: ignore[misc]
+        x = np.zeros(shape, dtype=np.float64)
+        if self.init_noise_std > 0:
+            x += self._rng.normal(0.0, self.init_noise_std, size=shape)
+            if self.clip_range is not None:
+                np.clip(x, *self.clip_range, out=x)
+        return x
+
     def synthesize_batch(
         self, synthesis_model: Optional[Sequential] = None
     ) -> np.ndarray:
@@ -109,6 +135,21 @@ class GradientTestGenerator(TestGenerator):
         All ``k`` per-class updates are driven as one batch: every descent
         step is a single batched input-gradient query through the execution
         engine rather than ``k`` per-class passes.
+
+        The descent stops at the first input gradient that is exactly zero,
+        and the result is the same as running all ``max_updates`` steps:
+
+        * ``x - η·0`` equals ``x`` for every ``x`` except ``-0.0``;
+        * ``x`` never holds ``-0.0``: the init is ``+0.0`` plus the noise
+          (``+0.0 + d`` is ``-0.0`` for no ``d``), clipped against bounds
+          folded to ``+0.0``, and neither an update nor a clip turns ``+0.0``
+          or a nonzero value into ``-0.0``;
+        * so ``x`` stays as it is, and every later gradient is the same zero;
+        * the random draw happens in :meth:`_init_batch`, before the loop, so
+          the generator's stream does not depend on where the loop stops.
+
+        A NaN gradient is not zero (``grad.any()`` is true), so it does not
+        stop the loop.
         """
         target_model = synthesis_model or self.model
         if target_model is self.model:
@@ -117,16 +158,12 @@ class GradientTestGenerator(TestGenerator):
             # residual scratch copies are used for one round only — a fresh
             # uncached engine avoids hashing throwaway parameters
             engine = Engine(target_model, criterion=self.criterion, cache=False)
-        k = self.model.num_classes
-        shape = (k, *self.model.input_shape)  # type: ignore[misc]
-        x = np.zeros(shape, dtype=np.float64)
-        if self.init_noise_std > 0:
-            x += self._rng.normal(0.0, self.init_noise_std, size=shape)
-            if self.clip_range is not None:
-                np.clip(x, *self.clip_range, out=x)
-        targets = np.arange(k)
+        x = self._init_batch()
+        targets = np.arange(len(x))
         for _ in range(self.max_updates):
             _, grad = engine.input_gradients(x, targets, self.loss)
+            if not grad.any():
+                break
             x = x - self.step_size * grad
             if self.clip_range is not None:
                 np.clip(x, *self.clip_range, out=x)
@@ -140,6 +177,19 @@ class GradientTestGenerator(TestGenerator):
         flat[covered] = 0.0
         view.set_flat_values(flat)
         return scratch
+
+    def _probe(self, tracker: CoverageTracker) -> Tuple[np.ndarray, MaskMatrix]:
+        """Synthesise one round against ``tracker``'s coverage state.
+
+        Returns the batch and its packed activation masks on the original
+        model (one engine pass for the whole batch).
+        """
+        if self.target == "residual":
+            synthesis_model = self._residual_model(tracker.covered_mask)
+        else:
+            synthesis_model = self.model
+        batch = self.synthesize_batch(synthesis_model)
+        return batch, self.engine.packed_activation_masks(batch, self.criterion)
 
     # -- generation ---------------------------------------------------------
     def generate(
@@ -162,13 +212,7 @@ class GradientTestGenerator(TestGenerator):
         gains: List[float] = []
 
         while len(tests) < num_tests:
-            if self.target == "residual":
-                synthesis_model = self._residual_model(own_tracker.covered_mask)
-            else:
-                synthesis_model = self.model
-            batch = self.synthesize_batch(synthesis_model)
-            # packed masks for the whole synthetic batch in one engine pass
-            batch_masks = self.engine.packed_activation_masks(batch, self.criterion)
+            batch, batch_masks = self._probe(own_tracker)
             for i in range(len(batch_masks)):
                 if len(tests) >= num_tests:
                     break

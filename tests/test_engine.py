@@ -33,6 +33,7 @@ from repro.engine import (
     register_backend,
 )
 from repro.models.zoo import cifar_cnn, mnist_cnn, small_cnn, small_mlp
+from repro.nn.layers import Dense
 
 TOLERANCE = 1e-8
 
@@ -182,6 +183,23 @@ class TestEngineBehaviour:
             [model.output_gradients(images[i]) for i in range(len(images))]
         )
         assert np.abs(after - singles).max() <= TOLERANCE
+
+    @pytest.mark.parametrize("bit", range(64))
+    def test_memo_sees_every_bit_of_a_weight(self, bit):
+        """A flip of any one bit of one last-layer weight, in place, is a
+        memo miss: bits 0-13 are below the rounded parameter digest's 12
+        decimals, so a memo keyed on it would return the pre-flip logits."""
+        model = mnist_cnn(width_multiplier=0.125, input_size=12, rng=0)
+        images = _pool(model, 32, seed=40)
+        engine = Engine(model)
+        before = engine.forward(images)
+        last = [layer for layer in model.layers if isinstance(layer, Dense)][-1]
+        last.weight.value.reshape(-1).view(np.uint64)[0] ^= np.uint64(1) << np.uint64(bit)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = model.forward(images)
+            after = engine.forward(images)
+        assert expected.tobytes() != before.tobytes()  # the flip is visible
+        assert after.tobytes() == expected.tobytes()
 
     def test_cache_disabled_records_no_stats(self):
         model = small_mlp(rng=7)

@@ -26,6 +26,7 @@ import pytest
 
 from repro.api import ReleaseRequest, RunConfig, Session, ValidateRequest
 from repro.engine import Engine
+from repro.nn.layers import Dense
 from repro.serve import (
     AdmissionController,
     AsyncClient,
@@ -463,6 +464,30 @@ class TestValidationService:
         assert clean.passed and bad.detected
         assert stats.dispatches == 1
         assert stats.max_stacked == 2
+
+    def test_low_bit_copy_is_not_deduped(self, released):
+        """A copy one low bit away from the clean model (invisible to the
+        rounded parameter digest) gets its own slice of the dispatch, not
+        the clean model's logits."""
+        flipped = released.model.copy()
+        last = [layer for layer in flipped.layers if isinstance(layer, Dense)][-1]
+        last.weight.value.reshape(-1).view(np.uint64)[0] ^= np.uint64(1)
+
+        async def main():
+            async with _service() as service:
+                client = AsyncClient(service)
+                clean, low_bit = await asyncio.gather(
+                    client.validate({"package": released.package}, ip=released.model),
+                    client.validate({"package": released.package}, ip=flipped),
+                )
+                return clean, low_bit, service.coalescer.stats
+
+        clean, low_bit, stats = asyncio.run(main())
+        assert stats.deduped == 0 and stats.max_stacked == 2
+        serial = validate_ip(flipped, released.package)
+        assert serial.max_output_deviation > 0.0  # the flip moves the outputs
+        assert low_bit.max_output_deviation == serial.max_output_deviation
+        assert clean.max_output_deviation == 0.0
 
     def test_mixed_architectures_never_fuse(self, released):
         """Different architectures on one package must not share a stacked

@@ -1,10 +1,13 @@
 """Tests for the test-generation algorithms: greedy selection (Algorithm 1),
 gradient-based synthesis (Algorithm 2), the combined method and baselines."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.coverage import CoverageTracker, set_validation_coverage
+from repro.engine import Engine
 from repro.testgen import (
     CombinedGenerator,
     GenerationResult,
@@ -118,6 +121,19 @@ class TestTrainingSetSelector:
         assert set(result.sources) == {"training"}
 
 
+def _no_exit_round(gen, synthesis_model):
+    """One Algorithm 2 round that runs all ``max_updates`` steps, whatever
+    the gradient: the reference for the zero-gradient stop."""
+    engine = Engine(synthesis_model, criterion=gen.criterion, cache=False)
+    x = gen._init_batch()
+    targets = np.arange(len(x))
+    for _ in range(gen.max_updates):
+        _, grad = engine.input_gradients(x, targets, gen.loss)
+        x = x - gen.step_size * grad
+        np.clip(x, *gen.clip_range, out=x)
+    return x
+
+
 class TestGradientTestGenerator:
     def test_batch_has_one_sample_per_class(self, trained_cnn):
         gen = GradientTestGenerator(trained_cnn, rng=0, max_updates=10)
@@ -170,6 +186,41 @@ class TestGradientTestGenerator:
             trained_cnn, rng=0, max_updates=10, target="model"
         ).generate(4)
         assert residual.num_tests == plain.num_tests == 4
+
+    @pytest.mark.parametrize("target", ["residual", "model"])
+    def test_zero_gradient_stop_matches_full_descent(
+        self, trained_cnn, digit_dataset, monkeypatch, target
+    ):
+        """A residual round on a mostly covered model has an exactly zero
+        first gradient and stops there; a round on the full model descends.
+        Both return the same bytes as a round that runs every update, and
+        leave the random stream in the same state."""
+        tracker = CoverageTracker(trained_cnn)
+        tracker.add_batch(digit_dataset.images[:10])
+        shipped = GradientTestGenerator(trained_cnn, rng=5, max_updates=10)
+        reference = GradientTestGenerator(trained_cnn, rng=5, max_updates=10)
+        if target == "residual":
+            synthesis_model = shipped._residual_model(tracker.covered_mask)
+        else:
+            synthesis_model = trained_cnn
+
+        nonzero = []
+        original = Engine.input_gradients
+
+        def recording(self, *args, **kwargs):
+            loss, grad = original(self, *args, **kwargs)
+            nonzero.append(bool(grad.any()))
+            return loss, grad
+
+        monkeypatch.setattr(Engine, "input_gradients", recording)
+        got = shipped.synthesize_batch(synthesis_model)
+        if target == "residual":
+            assert nonzero == [False]  # the round stopped at its first gradient
+        else:
+            assert nonzero == [True] * shipped.max_updates
+        expected = _no_exit_round(reference, synthesis_model)
+        assert got.tobytes() == expected.tobytes()
+        assert shipped._rng.bit_generator.state == reference._rng.bit_generator.state
 
     def test_synthesis_accuracy_in_unit_interval(self, trained_cnn):
         gen = GradientTestGenerator(trained_cnn, rng=0, max_updates=20)
@@ -231,6 +282,44 @@ class TestCombinedGenerator:
     def test_rejects_zero_budget(self, trained_cnn, digit_dataset):
         with pytest.raises(ValueError):
             CombinedGenerator(trained_cnn, digit_dataset).generate(0)
+
+    @pytest.mark.parametrize("pool", [25, 4])  # 4 < the budget: the pool runs dry
+    def test_skipped_probes_change_nothing(
+        self, trained_cnn, digit_dataset, monkeypatch, pool
+    ):
+        """The adaptive switch as shipped (probes whose gain bound already
+        loses are skipped) against every probe synthesised in full: the same
+        tests, sources, gains and dataset indices, and the same state of the
+        shared random stream afterwards, from fewer syntheses."""
+
+        def run(every_probe):
+            calls = []
+            original = GradientTestGenerator.synthesize_batch
+
+            def counting(self, *args, **kwargs):
+                calls.append(1)
+                return original(self, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(GradientTestGenerator, "synthesize_batch", counting)
+                if every_probe:
+                    patch.setattr(CombinedGenerator, "_gain_bound", lambda self, t: math.inf)
+                gen = CombinedGenerator(
+                    trained_cnn, digit_dataset, candidate_pool=pool, rng=0, max_updates=10
+                )
+                result = gen.generate(8)
+            return result, gen._rng.bit_generator.state, len(calls)
+
+        shipped, shipped_state, shipped_calls = run(every_probe=False)
+        full, full_state, full_calls = run(every_probe=True)
+        assert shipped.tests.tobytes() == full.tests.tobytes()
+        assert shipped.sources == full.sources
+        assert shipped.gains == full.gains
+        assert shipped.coverage_history == full.coverage_history
+        assert np.array_equal(shipped.dataset_indices, full.dataset_indices)
+        assert shipped_state == full_state
+        assert shipped_calls < full_calls
+        assert "gradient" in shipped.sources  # the switch itself was taken
 
 
 class TestBaselines:
