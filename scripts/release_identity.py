@@ -6,8 +6,9 @@ Usage::
     PYTHONPATH=src python scripts/release_identity.py
 
 Runs ``python -m repro release`` for each entry of :data:`RELEASES` (mnist
-and cifar at width 0.125 with the ``combined`` strategy, plus one
-``gradient``-strategy release), then prints one line per array of its
+and cifar at width 0.125 with the ``combined`` strategy, plus one mnist
+release each with the ``gradient``, ``selection`` and ``neuron``
+strategies), then prints one line per array of its
 ``package.npz`` and ``model.npz`` (the releases themselves go to a temporary
 directory)::
 
@@ -35,6 +36,8 @@ RELEASES = {
     "mnist-combined": ["--dataset", "mnist", "--tests", "12"],
     "cifar-combined": ["--dataset", "cifar", "--tests", "8"],
     "mnist-gradient": ["--dataset", "mnist", "--tests", "6", "--strategy", "gradient"],
+    "mnist-selection": ["--dataset", "mnist", "--tests", "8", "--strategy", "selection"],
+    "mnist-neuron": ["--dataset", "mnist", "--tests", "8", "--strategy", "neuron"],
 }
 
 FILES = ("package.npz", "model.npz")

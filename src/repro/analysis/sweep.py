@@ -28,7 +28,7 @@ from repro.models.zoo import MODEL_LEARNING_RATES
 from repro.nn.model import Sequential
 from repro.registry import registry
 from repro.testgen.combined import CombinedGenerator
-from repro.testgen.neuron_testgen import NeuronCoverageSelector
+from repro.testgen.selection import NeuronCoverageSelector
 from repro.utils.config import TrainingConfig
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngLike, as_generator

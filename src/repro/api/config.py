@@ -131,7 +131,8 @@ class RunConfig(TableSerde):
         instead of being materialised in RAM; greedy selection then
         iterates mmap windows under ``memory_budget_bytes``.
     engine_cache_size:
-        LRU capacity of the session's per-parameter-digest engine pool.
+        LRU capacity of the session's engine pool, keyed on each model's
+        exact parameter bytes (:func:`repro.engine.cache.exact_model_key`).
     prepared_cache_size:
         LRU capacity of the session's trained-experiment cache.
     seed:

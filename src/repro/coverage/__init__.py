@@ -3,7 +3,10 @@ neuron-coverage baseline it is compared against.
 
 Pool masks are stored packed (:mod:`repro.coverage.bitmap` — 64 coverage
 targets per uint64 word, popcount marginal gains); both metrics implement the
-pluggable :class:`~repro.coverage.bitmap.CoverageCriterion` protocol.
+pluggable :class:`~repro.coverage.bitmap.CoverageCriterion` protocol, through
+which the one greedy loop
+(:class:`~repro.testgen.selection.TrainingSetSelector`) builds its candidate
+pool's :class:`~repro.coverage.bitmap.MaskMatrix`.
 Batched mask/coverage computation runs through :mod:`repro.engine`; the
 single-sample functions remain as reference implementations."""
 
@@ -28,7 +31,6 @@ from repro.coverage.activation import (
 from repro.coverage.neuron_coverage import (
     NeuronCoverage,
     NeuronCoverageTracker,
-    NeuronMaskCache,
     count_neurons,
     neuron_activation_mask,
     neuron_activation_masks,
@@ -36,7 +38,6 @@ from repro.coverage.neuron_coverage import (
     packed_neuron_masks,
 )
 from repro.coverage.parameter_coverage import (
-    ActivationMaskCache,
     CoverageTracker,
     ParameterCoverage,
     activation_mask,
@@ -67,14 +68,12 @@ __all__ = [
     # neuron coverage
     "NeuronCoverage",
     "NeuronCoverageTracker",
-    "NeuronMaskCache",
     "count_neurons",
     "neuron_activation_mask",
     "neuron_activation_masks",
     "neuron_coverage",
     "packed_neuron_masks",
     # parameter coverage
-    "ActivationMaskCache",
     "CoverageTracker",
     "ParameterCoverage",
     "activation_mask",

@@ -402,12 +402,6 @@ class MaskMatrix:
             )
         return popcount_rows(self.words & ~covered.words[None, :])
 
-    def marginal_fractions(self, covered: CoverageMap) -> np.ndarray:
-        """Per-candidate marginal coverage gains, ``marginal_counts / nbits``."""
-        if self.nbits == 0:
-            raise ValueError("marginal gains of a 0-bit matrix are undefined")
-        return self.marginal_counts(covered) / self.nbits
-
     def best_candidate(
         self, covered: CoverageMap, available: Optional[np.ndarray] = None
     ) -> Tuple[int, int]:

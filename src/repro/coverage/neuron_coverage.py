@@ -13,7 +13,9 @@ the test-generation and detection experiments:
 * :func:`neuron_activation_mask` — per-sample boolean mask over all neurons;
 * :func:`neuron_coverage` — coverage of a test set;
 * :class:`NeuronCoverage` — the pluggable
-  :class:`~repro.coverage.bitmap.CoverageCriterion` implementation;
+  :class:`~repro.coverage.bitmap.CoverageCriterion` implementation.
+  :class:`~repro.testgen.selection.NeuronCoverageSelector` runs Algorithm 1's
+  greedy loop with it to build the neuron-coverage baseline's tests;
 * :class:`NeuronCoverageTracker` — incremental union bookkeeping.
 
 Like parameter coverage, pool masks are stored *packed*
@@ -28,16 +30,11 @@ new neurons.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.coverage.bitmap import (
-    CoverageCriterion,
-    CoverageMap,
-    MaskMatrix,
-    PackedCoverageTracker,
-)
+from repro.coverage.bitmap import CoverageCriterion, MaskMatrix, PackedCoverageTracker
 from repro.engine import Engine, neuron_layer_indices, resolve_engine
 from repro.nn.layers import ActivationLayer, Conv2D, Dense
 from repro.nn.model import Sequential
@@ -174,117 +171,6 @@ class NeuronCoverageTracker(PackedCoverageTracker):
         return self.add_mask(self.mask_for(x))
 
 
-class NeuronMaskCache:
-    """Precomputed neuron-activation masks for a candidate pool, stored packed.
-
-    Masks are built in chunked batched forward passes through the execution
-    engine instead of one pass per candidate, packing each chunk as it
-    arrives.
-    """
-
-    def __init__(
-        self,
-        model: Sequential,
-        images: np.ndarray,
-        threshold: float = 0.0,
-        engine: Optional[Engine] = None,
-        memory_budget_bytes: Optional[int] = None,
-    ) -> None:
-        images = np.asarray(images)
-        self.threshold = float(threshold)
-        self._images = images
-        if images.shape[0] == 0:
-            self._packed = MaskMatrix.empty(count_neurons(model))
-        else:
-            self._packed = packed_neuron_masks(
-                model, images, threshold, engine, memory_budget_bytes
-            )
-
-    def __len__(self) -> int:
-        return len(self._packed)
-
-    @property
-    def images(self) -> np.ndarray:
-        return self._images
-
-    @property
-    def packed(self) -> MaskMatrix:
-        """The packed ``(num_candidates, num_neurons)`` mask matrix."""
-        return self._packed
-
-    @property
-    def masks(self) -> np.ndarray:
-        """Dense boolean mask matrix, materialised on demand (8× the packed
-        bytes) — compatibility surface; the greedy loop runs on
-        :attr:`packed`."""
-        return self._packed.dense()
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the packed mask matrix."""
-        return self._packed.nbytes
-
-    def mask(self, index: int) -> np.ndarray:
-        return self._packed.dense_row(index)
-
-    def packed_mask(self, index: int) -> CoverageMap:
-        return self._packed.row(index)
-
-    def sample(self, index: int) -> np.ndarray:
-        return self._images[index]
-
-    def marginal_gains(
-        self,
-        covered: Union[CoverageMap, np.ndarray],
-        available: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Per-candidate marginal gains; unavailable candidates (when
-        ``available`` is given) are ``NaN``, never a sentinel."""
-        covered = self._as_covered(covered)
-        gains = self._packed.marginal_fractions(covered)
-        if available is not None:
-            available = self._check_available(available)
-            gains = np.where(available, gains, np.nan)
-        return gains
-
-    def best_candidate(
-        self,
-        covered: Union[CoverageMap, np.ndarray],
-        available: Optional[np.ndarray] = None,
-    ) -> tuple[int, float]:
-        """Greedy argmax with dense tie-breaking (lowest index wins)."""
-        covered = self._as_covered(covered)
-        if available is not None:
-            available = self._check_available(available)
-        index, count = self._packed.best_candidate(covered, available)
-        return index, count / self._packed.nbits
-
-    def _as_covered(self, covered: Union[CoverageMap, np.ndarray]) -> CoverageMap:
-        if isinstance(covered, CoverageMap):
-            if covered.nbits != self._packed.nbits:
-                raise ValueError(
-                    f"covered mask has {covered.nbits} bits, "
-                    f"expected {self._packed.nbits}"
-                )
-            return covered
-        covered = np.asarray(covered, dtype=bool).ravel()
-        if covered.size != self._packed.nbits:
-            raise ValueError(
-                f"covered mask has {covered.size} entries, "
-                f"expected {self._packed.nbits}"
-            )
-        return CoverageMap.from_dense(covered)
-
-    def _check_available(self, available: np.ndarray) -> np.ndarray:
-        available = np.asarray(available, dtype=bool).ravel()
-        if available.size != len(self):
-            raise ValueError(
-                f"available has {available.size} entries, expected {len(self)} "
-                "(one per candidate)"
-            )
-        return available
-
-
 __all__ = [
     "count_neurons",
     "neuron_activation_mask",
@@ -293,5 +179,4 @@ __all__ = [
     "neuron_coverage",
     "NeuronCoverage",
     "NeuronCoverageTracker",
-    "NeuronMaskCache",
 ]

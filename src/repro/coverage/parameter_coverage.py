@@ -15,11 +15,12 @@
   reference implementation for equivalence testing);
 * :class:`ParameterCoverage` — the
   :class:`~repro.coverage.bitmap.CoverageCriterion` implementation for this
-  metric (pluggable alongside neuron coverage);
+  metric (pluggable alongside neuron coverage).  Algorithm 1
+  (:class:`~repro.testgen.selection.TrainingSetSelector`) builds its
+  candidate pool's packed masks through it once, so each greedy step is a
+  pure bitset operation;
 * :class:`CoverageTracker` — incremental union bookkeeping used by the greedy
-  test-generation algorithms, where marginal gains must be cheap;
-* :class:`ActivationMaskCache` — precomputes masks for a candidate pool so
-  Algorithm 1's inner loop is a pure bitset operation.
+  test-generation algorithms, where marginal gains must be cheap.
 
 Masks are stored *packed* (:mod:`repro.coverage.bitmap`): 64 parameters per
 uint64 word, 1/8 the bytes of the dense boolean representation, with marginal
@@ -35,22 +36,14 @@ across the coverage, test-generation and analysis layers.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.coverage.activation import ActivationCriterion, default_criterion_for
-from repro.coverage.bitmap import (
-    CoverageCriterion,
-    CoverageMap,
-    MaskMatrix,
-    PackedCoverageTracker,
-)
+from repro.coverage.bitmap import CoverageCriterion, MaskMatrix, PackedCoverageTracker
 from repro.engine import Engine, resolve_engine
 from repro.nn.model import Sequential
-from repro.utils.logging import get_logger
-
-logger = get_logger("coverage.parameter")
 
 
 def activation_mask(
@@ -255,159 +248,6 @@ class CoverageTracker(PackedCoverageTracker):
         return (self.num_covered - before) / self._total
 
 
-class ActivationMaskCache:
-    """Precomputed activation masks for a candidate pool, stored packed.
-
-    Algorithm 1 scans the training set every iteration; recomputing
-    ``∇θ F(x)`` for each candidate each iteration would be quadratic in
-    backward passes.  Each candidate's mask only depends on the (fixed) model,
-    so the cache computes them once — in chunked batched passes through the
-    execution engine, packing each chunk as it arrives — and the greedy loop
-    becomes pure popcount arithmetic at 1/8 the dense matrix's memory.
-
-    Parameters
-    ----------
-    memory_budget_bytes:
-        Optional cap on the transient dense gradient buffers used while
-        building the cache (smaller chunks, same result); the resident packed
-        matrix itself is always ``N × ceil(P/64) × 8`` bytes.
-    """
-
-    def __init__(
-        self,
-        model: Sequential,
-        images: np.ndarray,
-        criterion: Optional[ActivationCriterion] = None,
-        engine: Optional[Engine] = None,
-        memory_budget_bytes: Optional[int] = None,
-    ) -> None:
-        images = np.asarray(images)
-        if images.ndim != len(model.input_shape or ()) + 1:
-            raise ValueError(
-                f"images must be a batch with per-sample shape {model.input_shape}, "
-                f"got array of shape {images.shape}"
-            )
-        self.criterion = criterion or default_criterion_for(model)
-        self._images = images
-        if images.shape[0] == 0:
-            self._packed = MaskMatrix.empty(model.num_parameters())
-        else:
-            logger.debug("mask cache: batching %d candidates", images.shape[0])
-            self._packed = packed_activation_masks(
-                model,
-                images,
-                self.criterion,
-                engine,
-                memory_budget_bytes=memory_budget_bytes,
-            )
-
-    def __len__(self) -> int:
-        return len(self._packed)
-
-    @property
-    def images(self) -> np.ndarray:
-        return self._images
-
-    @property
-    def packed(self) -> MaskMatrix:
-        """The packed ``(num_candidates, num_parameters)`` mask matrix."""
-        return self._packed
-
-    @property
-    def masks(self) -> np.ndarray:
-        """Dense ``(num_candidates, num_parameters)`` boolean mask matrix.
-
-        Materialised on demand (8× the packed bytes) — a compatibility
-        surface; the greedy loops run on :attr:`packed`.
-        """
-        return self._packed.dense()
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the packed mask matrix."""
-        return self._packed.nbytes
-
-    def mask(self, index: int) -> np.ndarray:
-        return self._packed.dense_row(index)
-
-    def packed_mask(self, index: int) -> CoverageMap:
-        """Candidate ``index``'s mask as a packed :class:`CoverageMap`."""
-        return self._packed.row(index)
-
-    def sample(self, index: int) -> np.ndarray:
-        return self._images[index]
-
-    def per_sample_coverage(self) -> np.ndarray:
-        """VC(x) of every cached candidate."""
-        return self._packed.fractions()
-
-    def marginal_gains(
-        self,
-        covered: Union[CoverageMap, np.ndarray],
-        available: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Marginal gain of every candidate against a covered mask.
-
-        Vectorised version of Eq. 7 over the whole pool: counts, per
-        candidate, how many of its activated parameters are not yet covered.
-        ``covered`` may be dense boolean or packed.
-
-        Unavailability is an *explicit argument*: when ``available`` is given,
-        unavailable candidates' gains are returned as ``NaN`` rather than a
-        sentinel value that a legitimate gain could alias (an all-zero-gain
-        pool stays distinguishable from an exhausted one).  Use
-        :meth:`best_candidate` for the greedy argmax.
-        """
-        covered = self._as_covered(covered)
-        gains = self._packed.marginal_fractions(covered)
-        if available is not None:
-            available = self._check_available(available)
-            gains = np.where(available, gains, np.nan)
-        return gains
-
-    def best_candidate(
-        self,
-        covered: Union[CoverageMap, np.ndarray],
-        available: Optional[np.ndarray] = None,
-    ) -> tuple[int, float]:
-        """Greedy argmax: index and gain of the best available candidate.
-
-        Ties break to the lowest index (dense ``np.argmax`` semantics), so
-        packed selection orders are byte-identical to the dense reference.
-        Raises ``ValueError`` when no candidate is available.
-        """
-        covered = self._as_covered(covered)
-        if available is not None:
-            available = self._check_available(available)
-        index, count = self._packed.best_candidate(covered, available)
-        return index, count / self._packed.nbits
-
-    def _as_covered(self, covered: Union[CoverageMap, np.ndarray]) -> CoverageMap:
-        if isinstance(covered, CoverageMap):
-            if covered.nbits != self._packed.nbits:
-                raise ValueError(
-                    f"covered mask has {covered.nbits} bits, "
-                    f"expected {self._packed.nbits}"
-                )
-            return covered
-        covered = np.asarray(covered, dtype=bool).ravel()
-        if covered.size != self._packed.nbits:
-            raise ValueError(
-                f"covered mask has {covered.size} entries, "
-                f"expected {self._packed.nbits}"
-            )
-        return CoverageMap.from_dense(covered)
-
-    def _check_available(self, available: np.ndarray) -> np.ndarray:
-        available = np.asarray(available, dtype=bool).ravel()
-        if available.size != len(self):
-            raise ValueError(
-                f"available has {available.size} entries, expected {len(self)} "
-                "(one per candidate)"
-            )
-        return available
-
-
 __all__ = [
     "activation_mask",
     "activation_masks",
@@ -418,5 +258,4 @@ __all__ = [
     "mean_validation_coverage_reference",
     "ParameterCoverage",
     "CoverageTracker",
-    "ActivationMaskCache",
 ]

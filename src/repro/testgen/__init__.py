@@ -10,9 +10,8 @@ generators up by name without hardcoding constructors.
 from repro.testgen.base import GenerationResult, TestGenerator, stack_samples
 from repro.testgen.combined import CombinedGenerator
 from repro.testgen.gradient_gen import TARGET_MODES, GradientTestGenerator
-from repro.testgen.neuron_testgen import NeuronCoverageSelector
 from repro.testgen.random_select import RandomSelector
-from repro.testgen.selection import TrainingSetSelector
+from repro.testgen.selection import NeuronCoverageSelector, TrainingSetSelector
 from repro.testgen.strategies import StrategyFactory, build_generator
 
 __all__ = [

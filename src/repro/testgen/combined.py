@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.coverage.activation import ActivationCriterion, default_criterion_for
 from repro.coverage.bitmap import CoverageMap, MaskMatrix
-from repro.coverage.parameter_coverage import ActivationMaskCache, CoverageTracker
+from repro.coverage.parameter_coverage import CoverageTracker
 from repro.data.datasets import Dataset
 from repro.engine import Engine
 from repro.nn.model import Sequential
@@ -91,7 +91,7 @@ class CombinedGenerator(TestGenerator):
         self.switch_policy = switch_policy
         self._fixed_switch = _parse_switch_policy(switch_policy)
         self._rng = as_generator(rng)
-        # one shared engine: the selector's mask cache and the gradient
+        # one shared engine: the selector's pool masks and the gradient
         # generator's synthesis reuse the same memoized batched passes
         self._selector = TrainingSetSelector(
             model,
@@ -135,11 +135,12 @@ class CombinedGenerator(TestGenerator):
         if num_tests <= 0:
             raise ValueError("num_tests must be positive")
 
-        cache: ActivationMaskCache = self._selector._ensure_cache()
-        pool_indices = self._selector._pool_indices
+        selector = self._selector
+        pool_size = len(selector.masks)  # draws the pool before any probe
+        pool_indices = selector._pool_indices
         assert pool_indices is not None
         tracker = CoverageTracker(self.model, self.criterion)
-        available = np.ones(len(cache), dtype=bool)
+        available = np.ones(pool_size, dtype=bool)
 
         tests: List[np.ndarray] = []
         history: List[float] = []
@@ -164,9 +165,7 @@ class CombinedGenerator(TestGenerator):
                 # the per-test gain of a gradient probe.  Availability is an
                 # explicit subset — no sentinel values in the gains
                 if available.any():
-                    _, best_training_gain = cache.best_candidate(
-                        tracker.covered_map, available
-                    )
+                    _, best_training_gain = selector._best(tracker, available)
                 else:
                     best_training_gain = -1.0
                 bound = self._gain_bound(tracker)
@@ -212,10 +211,8 @@ class CombinedGenerator(TestGenerator):
                 sources.append("gradient")
                 dataset_indices.append(-1)  # synthesised: no dataset origin
             else:
-                best, _gain = cache.best_candidate(tracker.covered_map, available)
-                gain = tracker.add_mask(cache.packed_mask(best))
-                available[best] = False
-                tests.append(cache.sample(best))
+                best, gain = selector._select(tracker, available)
+                tests.append(self.training_set.images[pool_indices[best]])
                 sources.append("training")
                 dataset_indices.append(int(pool_indices[best]))
 

@@ -192,39 +192,30 @@ class GradientTestGenerator(TestGenerator):
         return batch, self.engine.packed_activation_masks(batch, self.criterion)
 
     # -- generation ---------------------------------------------------------
-    def generate(
-        self,
-        num_tests: int,
-        tracker: Optional[CoverageTracker] = None,
-    ) -> GenerationResult:
-        """Generate ``num_tests`` synthetic functional tests.
-
-        An existing :class:`CoverageTracker` may be passed in (the combined
-        method does this) so synthesis continues from the current coverage
-        state; otherwise a fresh tracker is used.
-        """
+    def generate(self, num_tests: int) -> GenerationResult:
+        """Generate ``num_tests`` synthetic functional tests."""
         if num_tests <= 0:
             raise ValueError("num_tests must be positive")
-        own_tracker = tracker or CoverageTracker(self.model, self.criterion)
+        tracker = CoverageTracker(self.model, self.criterion)
 
         tests: List[np.ndarray] = []
         history: List[float] = []
         gains: List[float] = []
 
         while len(tests) < num_tests:
-            batch, batch_masks = self._probe(own_tracker)
+            batch, batch_masks = self._probe(tracker)
             for i in range(len(batch_masks)):
                 if len(tests) >= num_tests:
                     break
-                gain = own_tracker.add_mask(batch_masks.row(i))
+                gain = tracker.add_mask(batch_masks.row(i))
                 tests.append(batch[i])
                 gains.append(gain)
-                history.append(own_tracker.coverage)
+                history.append(tracker.coverage)
             logger.debug(
                 "gradient generation: %d/%d tests, coverage %.3f",
                 len(tests),
                 num_tests,
-                own_tracker.coverage,
+                tracker.coverage,
             )
 
         return GenerationResult(

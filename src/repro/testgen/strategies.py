@@ -36,9 +36,8 @@ from repro.registry import register, registry
 from repro.testgen.base import TestGenerator
 from repro.testgen.combined import CombinedGenerator
 from repro.testgen.gradient_gen import GradientTestGenerator
-from repro.testgen.neuron_testgen import NeuronCoverageSelector
 from repro.testgen.random_select import RandomSelector
-from repro.testgen.selection import TrainingSetSelector
+from repro.testgen.selection import NeuronCoverageSelector, TrainingSetSelector
 from repro.utils.rng import RngLike
 
 #: factory signature shared by every registered strategy

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.coverage import (
+    CoverageMap,
+    NeuronCoverage,
     NeuronCoverageTracker,
-    NeuronMaskCache,
     count_neurons,
     neuron_activation_mask,
     neuron_coverage,
@@ -72,19 +73,21 @@ class TestCoverageAndTracker:
 
 
 class TestNeuronMaskCache:
+    """The candidate-pool masks the neuron-coverage selector runs on."""
+
     def test_cache_matches_direct_masks(self, trained_cnn, digit_dataset):
         images = digit_dataset.images[:4]
-        cache = NeuronMaskCache(trained_cnn, images)
-        assert len(cache) == 4
+        masks = NeuronCoverage().mask_matrix(trained_cnn, images)
+        assert len(masks) == 4
         for i in range(4):
             np.testing.assert_array_equal(
-                cache.masks[i], neuron_activation_mask(trained_cnn, images[i])
+                masks.dense_row(i), neuron_activation_mask(trained_cnn, images[i])
             )
 
     def test_marginal_gains_shape_validation(self, trained_cnn, digit_dataset):
-        cache = NeuronMaskCache(trained_cnn, digit_dataset.images[:2])
+        masks = NeuronCoverage().mask_matrix(trained_cnn, digit_dataset.images[:2])
         with pytest.raises(ValueError):
-            cache.marginal_gains(np.zeros(3, dtype=bool))
+            masks.marginal_counts(CoverageMap(3))
 
 
 class TestNeuronVsParameterCoverage:

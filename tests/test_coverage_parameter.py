@@ -1,13 +1,14 @@
 """Tests for the validation-coverage metric (activation criterion, VC(x),
-VC(X), trackers and the mask cache)."""
+VC(X), trackers and a candidate pool's packed masks)."""
 
 import numpy as np
 import pytest
 
 from repro.coverage import (
     ActivationCriterion,
-    ActivationMaskCache,
+    CoverageMap,
     CoverageTracker,
+    ParameterCoverage,
     activation_mask,
     default_criterion_for,
     mean_validation_coverage,
@@ -158,34 +159,37 @@ class TestCoverageTracker:
 
 
 class TestActivationMaskCache:
+    """The candidate-pool masks Algorithm 1 runs on, built through
+    :class:`ParameterCoverage`."""
+
     def test_masks_match_direct_computation(self, trained_cnn, digit_dataset):
         images = digit_dataset.images[:5]
-        cache = ActivationMaskCache(trained_cnn, images)
-        assert len(cache) == 5
+        masks = ParameterCoverage().mask_matrix(trained_cnn, images)
+        assert len(masks) == 5
         for i in range(5):
             np.testing.assert_array_equal(
-                cache.mask(i), activation_mask(trained_cnn, images[i])
+                masks.dense_row(i), activation_mask(trained_cnn, images[i])
             )
 
     def test_marginal_gains_match_tracker(self, trained_cnn, digit_dataset):
         images = digit_dataset.images[:5]
-        cache = ActivationMaskCache(trained_cnn, images)
+        masks = ParameterCoverage().mask_matrix(trained_cnn, images)
         tracker = CoverageTracker(trained_cnn)
         tracker.add_sample(images[0])
-        gains = cache.marginal_gains(tracker.covered_mask)
+        counts = masks.marginal_counts(tracker.covered_map)
         for i in range(5):
-            assert gains[i] == pytest.approx(tracker.marginal_gain(cache.mask(i)))
+            assert counts[i] / masks.nbits == tracker.marginal_gain(masks.row(i))
 
     def test_per_sample_coverage(self, trained_cnn, digit_dataset):
         images = digit_dataset.images[:3]
-        cache = ActivationMaskCache(trained_cnn, images)
-        vcs = cache.per_sample_coverage()
+        vcs = ParameterCoverage().mask_matrix(trained_cnn, images).fractions()
         for i in range(3):
             assert vcs[i] == pytest.approx(validation_coverage(trained_cnn, images[i]))
 
     def test_shape_validation(self, trained_cnn):
+        coverage = ParameterCoverage()
         with pytest.raises(ValueError):
-            ActivationMaskCache(trained_cnn, np.zeros((3, 12, 12)))
-        cache = ActivationMaskCache(trained_cnn, np.zeros((2, 1, 12, 12)))
+            coverage.mask_matrix(trained_cnn, np.zeros((3, 12, 12)))
+        masks = coverage.mask_matrix(trained_cnn, np.zeros((2, 1, 12, 12)))
         with pytest.raises(ValueError):
-            cache.marginal_gains(np.zeros(5, dtype=bool))
+            masks.marginal_counts(CoverageMap(5))

@@ -19,14 +19,12 @@ import pytest
 
 from repro.coverage import (
     ActivationCriterion,
-    ActivationMaskCache,
     CoverageMap,
     CoverageTracker,
     MaskMatrix,
     MmapMaskMatrix,
     MmapMaskWriter,
     NeuronCoverage,
-    NeuronMaskCache,
     ParameterCoverage,
     count_neurons,
     neuron_activation_masks,
@@ -42,8 +40,7 @@ from repro.models.zoo import cifar_cnn, mnist_cnn
 from repro.nn.layers import Conv2D
 from repro.nn.serialization import parameter_digest
 from repro.testgen.base import GenerationResult
-from repro.testgen.neuron_testgen import NeuronCoverageSelector
-from repro.testgen.selection import TrainingSetSelector
+from repro.testgen.selection import NeuronCoverageSelector, TrainingSetSelector
 from repro.validation.package import FORMAT_VERSION, ValidationPackage
 from repro.validation.vendor import IPVendor
 
@@ -111,7 +108,7 @@ class TestPackedGreedyEquivalence:
         selector = TrainingSetSelector(model, dataset, rng=0)
         result = selector.generate(num_tests=len(pool))
 
-        dense_masks = selector._ensure_cache().masks  # materialised for the oracle
+        dense_masks = selector.masks.dense()  # materialised for the oracle
         order, gains, history = dense_reference_greedy(dense_masks, len(pool))
 
         np.testing.assert_array_equal(result.dataset_indices, order)
@@ -142,7 +139,7 @@ class TestPackedGreedyEquivalence:
 
         selector = TrainingSetSelector(mnist_model, dataset, rng=0)
         result = selector.generate(num_tests=8)
-        dense_masks = selector._ensure_cache().masks
+        dense_masks = selector.masks.dense()
         order, _gains, _history = dense_reference_greedy(dense_masks, 8)
         np.testing.assert_array_equal(result.dataset_indices, order)
 
@@ -222,11 +219,14 @@ class TestMemoryBudget:
             )
 
     def test_cache_accepts_budget(self, mnist_model, mnist_pool):
-        cache = ActivationMaskCache(
-            mnist_model, mnist_pool, memory_budget_bytes=10_000_000
+        # the selector's pool masks are chunked by its engine's budget
+        dataset = Dataset(
+            images=mnist_pool, labels=np.zeros(len(mnist_pool), dtype=np.int64)
         )
-        assert len(cache) == len(mnist_pool)
-        assert cache.nbytes < cache.packed.dense_nbytes / 7.9
+        engine = Engine(mnist_model, memory_budget_bytes=10_000_000)
+        masks = TrainingSetSelector(mnist_model, dataset, engine=engine).masks
+        assert len(masks) == len(mnist_pool)
+        assert masks.nbytes < masks.dense_nbytes / 7.9
 
 
 class BandCriterion(ActivationCriterion):
@@ -482,30 +482,35 @@ class TestAvailabilitySemantics:
 
     @pytest.fixture(scope="class")
     def cache(self, mnist_model, mnist_pool):
-        return ActivationMaskCache(mnist_model, mnist_pool)
+        return ParameterCoverage().mask_matrix(mnist_model, mnist_pool)
 
     def test_all_covered_pool_reports_zero_not_sentinel(self, cache, mnist_model):
-        everything = np.ones(mnist_model.num_parameters(), dtype=bool)
-        gains = cache.marginal_gains(everything)
-        np.testing.assert_array_equal(gains, np.zeros(len(cache)))
+        everything = CoverageMap.from_dense(
+            np.ones(mnist_model.num_parameters(), dtype=bool)
+        )
+        counts = cache.marginal_counts(everything)
+        np.testing.assert_array_equal(counts, np.zeros(len(cache)))
 
-    def test_unavailable_candidates_are_nan_not_negative(self, cache, mnist_model):
-        everything = np.ones(mnist_model.num_parameters(), dtype=bool)
-        available = np.ones(len(cache), dtype=bool)
-        available[:3] = False
-        gains = cache.marginal_gains(everything, available)
-        assert np.isnan(gains[:3]).all()
-        # an all-zero-gain pool cannot alias with unavailability any more
-        np.testing.assert_array_equal(gains[3:], np.zeros(len(cache) - 3))
+    def test_unavailable_candidates_are_passed_over(self, cache, mnist_model):
+        # availability is an argument, not a value mixed into the gains: the
+        # candidates with the largest gains are passed over once unavailable
+        nothing = CoverageMap(mnist_model.num_parameters())
+        counts = cache.marginal_counts(nothing)
+        available = counts < counts.max()
+        best, count = cache.best_candidate(nothing, available)
+        assert available[best]
+        assert count == counts[available].max()
 
     def test_best_candidate_skips_unavailable_on_zero_gains(
         self, cache, mnist_model
     ):
-        everything = np.ones(mnist_model.num_parameters(), dtype=bool)
+        everything = CoverageMap.from_dense(
+            np.ones(mnist_model.num_parameters(), dtype=bool)
+        )
         available = np.zeros(len(cache), dtype=bool)
         available[5] = True
-        best, gain = cache.best_candidate(everything, available)
-        assert best == 5 and gain == 0.0
+        best, count = cache.best_candidate(everything, available)
+        assert best == 5 and count == 0
 
     def test_best_candidate_exhausted_pool_raises(self, cache, mnist_model):
         with pytest.raises(ValueError, match="no candidates available"):
@@ -515,13 +520,13 @@ class TestAvailabilitySemantics:
             )
 
     def test_neuron_cache_mirrors_semantics(self, mnist_model, mnist_pool):
-        cache = NeuronMaskCache(mnist_model, mnist_pool[:6])
-        everything = np.ones(count_neurons(mnist_model), dtype=bool)
+        masks = NeuronCoverage().mask_matrix(mnist_model, mnist_pool[:6])
+        everything = CoverageMap.from_dense(
+            np.ones(count_neurons(mnist_model), dtype=bool)
+        )
         available = np.array([False, True, True, False, True, True])
-        gains = cache.marginal_gains(everything, available)
-        assert np.isnan(gains[0]) and np.isnan(gains[3])
-        best, _ = cache.best_candidate(everything, available)
-        assert best == 1
+        best, count = masks.best_candidate(everything, available)
+        assert best == 1 and count == 0
 
 
 class TestDatasetIndexRecording:

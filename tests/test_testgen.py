@@ -15,6 +15,7 @@ from repro.testgen import (
     NeuronCoverageSelector,
     RandomSelector,
     TrainingSetSelector,
+    build_generator,
     stack_samples,
 )
 
@@ -85,8 +86,7 @@ class TestTrainingSetSelector:
 
     def test_first_pick_is_the_best_single_sample(self, trained_cnn, digit_dataset):
         selector = TrainingSetSelector(trained_cnn, digit_dataset, candidate_pool=20, rng=1)
-        cache = selector._ensure_cache()
-        best_single = cache.per_sample_coverage().max()
+        best_single = selector.masks.fractions().max()
         result = selector.generate(1)
         assert result.coverage_history[0] == pytest.approx(best_single)
 
@@ -119,6 +119,14 @@ class TestTrainingSetSelector:
             trained_cnn, digit_dataset, candidate_pool=10, rng=0
         ).generate(3)
         assert set(result.sources) == {"training"}
+
+    @pytest.mark.parametrize("pool", [0, -1])
+    @pytest.mark.parametrize("strategy", ["selection", "neuron", "combined"])
+    def test_rejects_non_positive_candidate_pool(
+        self, trained_cnn, digit_dataset, strategy, pool
+    ):
+        with pytest.raises(ValueError, match="candidate_pool must be positive when given"):
+            build_generator(strategy, trained_cnn, digit_dataset, candidate_pool=pool)
 
 
 def _no_exit_round(gen, synthesis_model):
@@ -169,14 +177,6 @@ class TestGradientTestGenerator:
         assert set(result.sources) == {"gradient"}
         diffs = np.diff([0.0] + result.coverage_history)
         assert np.all(diffs >= -1e-12)
-
-    def test_generate_continues_from_existing_tracker(self, trained_cnn, digit_dataset):
-        tracker = CoverageTracker(trained_cnn)
-        tracker.add_sample(digit_dataset.images[0])
-        start = tracker.coverage
-        gen = GradientTestGenerator(trained_cnn, rng=0, max_updates=10)
-        result = gen.generate(3, tracker=tracker)
-        assert result.coverage_history[0] >= start - 1e-12
 
     def test_residual_mode_differs_from_model_mode(self, trained_cnn):
         residual = GradientTestGenerator(

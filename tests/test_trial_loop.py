@@ -7,7 +7,8 @@ every copy on the engine's memoized trunk.  These tests pin that records and
 outputs are exactly those of the plain loop — a full ``predict_classes`` per
 SBA attempt, a fresh gradient per GDA step, a full forward per copy — on the
 campaign's victims (both Table-I architectures, 80 training images, 2
-epochs, 12 reference inputs), and that the trunk key is exact.
+epochs, 12 reference inputs), and that the trunk key and the other
+in-process identity keys are exact.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.sweep import prepare_experiment
+from repro.api import Session
 from repro.attacks import (
     GradientDescentAttack,
     PerturbationRecord,
@@ -24,13 +26,14 @@ from repro.attacks import (
     bias_flat_indices,
 )
 from repro.engine import Engine, ModelAxisBackend
-from repro.engine.cache import TrunkCache
+from repro.engine.cache import TrunkCache, exact_model_key
 from repro.engine.model_axis import first_divergence
 from repro.models.zoo import mnist_cnn
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.serialization import parameter_digest
 from repro.nn.stacked import StackedSequential
 from repro.nn.tensor import bit_pattern
+from repro.registry import registry
 from repro.validation.detection import default_attack_factories, replay_trials
 
 SEEDS = range(50)
@@ -186,6 +189,26 @@ class TestRecordsRebuildTheirCopies:
         for seed in SEEDS:
             outcome = factory(np.random.default_rng(seed)).apply(model)
             assert models_equal(apply_record(model, outcome.record), outcome.model), seed
+
+
+class TestAttackCopiesAreTheirOwnModels:
+    """Every registered attack's copy is a different model to the
+    in-process identity keys: an engine memo warmed on the victim, and the
+    ``Session`` engine pool."""
+
+    @pytest.mark.parametrize("attack", registry.names("attacks"))
+    def test_memo_and_session_see_the_copy(self, victim, attack):
+        model, refs, tests = victim
+        factory = default_attack_factories(refs)[attack]
+        copy = factory(np.random.default_rng(0)).apply(model).model
+        assert exact_model_key(copy) != exact_model_key(model)
+        engine = Engine(model)
+        engine.forward(tests)
+        engine.stacked_forward([model], tests)
+        got = engine.stacked_forward([copy], tests)
+        assert got[0].tobytes() == copy.forward(tests).tobytes()
+        with Session() as session:
+            assert session.engine_for(copy) is not session.engine_for(model)
 
 
 class TestVictimTrunk:
