@@ -1,4 +1,4 @@
-"""Micro-benchmark: batched engine vs per-sample reference, plus backends.
+"""Micro-benchmark: batched engine vs per-sample reference, plus the fused path.
 
 Measures mean validation coverage (the Fig. 2 quantity) over a 100-image
 pool on a Table-I-style MNIST model, timed warmed best-of-N with
@@ -7,9 +7,9 @@ pool on a Table-I-style MNIST model, timed warmed best-of-N with
 * ``mean_validation_coverage_reference`` — one forward/backward pass per
   image (the pre-engine hot path),
 * ``mean_validation_coverage`` — chunked batched passes through
-  :class:`repro.engine.Engine` (``NumpyBackend``),
+  :class:`repro.engine.Engine` (``numpy`` backend),
 * the memoized revisit (greedy-loop / ablation-sweep access pattern), and
-* the ``ModelAxisBackend``: one fused ``stacked_forward`` dispatch over 8
+* the ``model_axis`` backend: one fused ``stacked_forward`` dispatch over 8
   perturbed model copies vs the bit-identical per-copy loop (the Tables
   II/III detection inner loop).
 
@@ -36,7 +36,6 @@ import numpy as np
 from _timing import best_of
 
 from repro.attacks.base import bias_flat_indices
-from repro.engine.model_axis import ModelAxisBackend
 from repro.coverage.parameter_coverage import (
     mean_validation_coverage,
     mean_validation_coverage_reference,
@@ -87,7 +86,7 @@ def main() -> None:
     # model-axis fused dispatch vs the bit-identical per-copy loop: the
     # detection inner loop at MODEL_AXIS_COPIES perturbed copies per group.
     # Each copy carries a large fault on a distinct output-head bias (the
-    # single-bias attack's most effective placement, and the fused backend's
+    # single-bias attack's most effective placement, and the fused path's
     # design point — the shared trunk is computed once for the whole group)
     biases = bias_flat_indices(model)
     copies = []
@@ -97,7 +96,7 @@ def main() -> None:
         copies.append(copy)
     loop_engine = Engine(model, cache=False)
     looped_s, _ = best_of(lambda: loop_engine.stacked_forward(copies, images), repeats=5)
-    fused_engine = Engine(model, backend=ModelAxisBackend(), cache=False)
+    fused_engine = Engine(model, backend="model_axis", cache=False)
     fused_s, _ = best_of(lambda: fused_engine.stacked_forward(copies, images), repeats=5)
     model_axis_speedup = looped_s / fused_s
     model_axis_identical = np.array_equal(

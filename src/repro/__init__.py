@@ -25,7 +25,7 @@ subsystems load only when touched::
 The same operations run from the command line (``python -m repro release``,
 ``validate``, ``verify``, ``campaign``, ``serve``, ``registry``), and every
 pluggable component — test-generation strategies, attacks, coverage
-criteria, backends, datasets, models — resolves by name through the
+criteria, datasets, models — resolves by name through the
 cross-subsystem :mod:`repro.registry`.
 
 Subsystem map:
@@ -38,8 +38,8 @@ Subsystem map:
 * :mod:`repro.nn` — from-scratch NumPy deep-learning substrate (layers,
   losses, optimisers, batched per-sample gradient extraction).
 * :mod:`repro.engine` — the batched execution engine: memoizing
-  forward/gradient/mask queries, pluggable ``numpy``/``model_axis`` backends,
-  compute-dtype policies.
+  forward/gradient/mask queries, and a fused ``model_axis`` path for
+  stacked replays of perturbed copies.
 * :mod:`repro.data` — synthetic stand-ins for MNIST, CIFAR-10, ImageNet and
   noise populations.
 * :mod:`repro.models` — the Table-I architectures and a trainer.

@@ -11,7 +11,7 @@ Like :class:`~repro.campaign.CampaignSpec`, a config is resolvable from a
 plain dict or a TOML/JSON file (optionally nested under a ``[run]``
 table)::
 
-    config = RunConfig(backend="model_axis", model_axis_size=8)
+    config = RunConfig(backend="model_axis", batch_size=128)
     config = RunConfig.from_dict({"backend": "numpy", "batch_size": 128})
     config = RunConfig.load("run.toml")
 
@@ -108,15 +108,12 @@ class RunConfig(TableSerde):
     Attributes
     ----------
     backend:
-        Engine backend name (``"numpy"`` or ``"model_axis"``; any
-        registered ``backends`` entry of :mod:`repro.registry` resolves).
+        Engine backend name, ``"numpy"`` or ``"model_axis"``
+        (:data:`repro.engine.BACKENDS`).
     shards:
         Default worker-process shard count for campaign sweeps (``None`` =
         follow the spec; above 1 routes :meth:`Session.sweep` through the
         distributed runner, one ``<store>.shard<k>.jsonl`` per shard).
-    model_axis_size:
-        Perturbed copies fused per dispatch when ``backend="model_axis"``
-        (``None`` = the backend's default capacity).
     batch_size:
         Engine chunk size for large pools.
     memory_budget_bytes:
@@ -157,7 +154,6 @@ class RunConfig(TableSerde):
 
     backend: str = "numpy"
     shards: Optional[int] = None
-    model_axis_size: Optional[int] = None
     batch_size: int = 64
     memory_budget_bytes: Optional[int] = None
     spill_dir: Optional[str] = None
@@ -182,12 +178,6 @@ class RunConfig(TableSerde):
             self.fault_policy()  # raises on unknown fields / bad values
         if self.shards is not None and self.shards < 1:
             raise ValueError("shards must be at least 1 when given")
-        if self.model_axis_size is not None and self.backend != "model_axis":
-            raise ValueError(
-                "model_axis_size is only meaningful with backend='model_axis'"
-            )
-        if self.model_axis_size is not None and self.model_axis_size <= 0:
-            raise ValueError("model_axis_size must be positive when given")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:

@@ -342,14 +342,15 @@ class SweepRequest(WireSerde, TableSerde):
 
     ``spec`` may be a :class:`~repro.campaign.CampaignSpec`, a plain dict of
     spec fields, or a path to a ``.toml``/``.json`` spec file.  The session's
-    shared backend executes the campaign unless ``backend`` overrides it.
+    backend executes the campaign unless ``backend`` overrides it.
     """
 
     _TABLE = "sweep"
 
     spec: "object" = None  # CampaignSpec | dict | path
     store: str = "campaign-results.jsonl"
-    #: ``None`` runs on the session's configured backend instance
+    #: ``"numpy"`` or ``"model_axis"``; ``None`` runs on the session's
+    #: configured backend
     backend: Optional[str] = None
     #: worker-process shards of the distributed campaign runner (``None``
     #: follows the session config, then the spec; above 1 each shard

@@ -1,13 +1,13 @@
 """The :class:`Session` façade: managed engines + the three paper operations.
 
 A session owns one :class:`~repro.api.config.RunConfig` and everything the
-config governs: a shared execution backend, an LRU pool of memoizing
+config governs: the engine backend name, an LRU pool of memoizing
 :class:`~repro.engine.Engine` instances keyed by the model's exact key, and
 an LRU cache of trained experiments.  The paper-level operations —
 :meth:`release`, :meth:`validate` and :meth:`sweep` — accept the typed
 request objects of :mod:`repro.api.requests` (or plain dicts / keyword
 arguments) and route all compute through the managed engines, so callers
-never hand-wire Engine/backend plumbing per call site::
+never hand-wire Engine plumbing per call site::
 
     from repro.api import ReleaseRequest, Session, ValidateRequest
 
@@ -41,7 +41,7 @@ from repro.api.requests import (
     ValidateRequest,
     ValidationOutcome,
 )
-from repro.engine import Engine, ExecutionBackend, ModelAxisBackend, get_backend
+from repro.engine import Engine, check_backend
 from repro.engine.cache import exact_model_key
 from repro.nn.model import Sequential
 from repro.utils.logging import get_logger
@@ -60,7 +60,7 @@ class Session:
     config:
         A :class:`RunConfig`, a plain dict of its fields, or ``None`` for
         defaults; keyword arguments override individual fields either way
-        (``Session(backend="model_axis", model_axis_size=4)``).
+        (``Session(backend="model_axis", batch_size=128)``).
 
     Engines built by the session share its backend, batch size and memory
     budget; they are memoizing and pooled per exact model key, so
@@ -91,9 +91,9 @@ class Session:
             from repro.registry import discover_entry_points
 
             discover_entry_points()
-        # resolved eagerly so an unknown backend name fails here, not on the
+        # checked eagerly so an unknown backend name fails here, not on the
         # first request
-        self._backend: ExecutionBackend = self._build_backend()
+        check_backend(config.backend)
         self._engines: "OrderedDict[Tuple[str, object], Engine]" = OrderedDict()
         self._prepared: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
         # resolved once: every remote transport the session builds shares it
@@ -105,24 +105,9 @@ class Session:
         self._lock = threading.RLock()
 
     # -- lifecycle -----------------------------------------------------------
-    def _build_backend(self) -> ExecutionBackend:
-        cfg = self.config
-        if cfg.backend == "model_axis" and cfg.model_axis_size is not None:
-            return ModelAxisBackend(max_models=cfg.model_axis_size)
-        return get_backend(cfg.backend)
-
-    @property
-    def backend(self) -> ExecutionBackend:
-        """The session's shared backend."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("session is closed")
-            return self._backend
-
     def close(self) -> None:
         """Drop cached engines and prepared experiments.
 
-        Backends are stateless, so there is nothing else to release.
         Closing is idempotent and safe to call concurrently with other
         session methods: late callers observe the closed flag and raise.
         """
@@ -165,7 +150,7 @@ class Session:
             engine = Engine(
                 model,
                 criterion=criterion,
-                backend=self.backend,
+                backend=cfg.backend,
                 batch_size=cfg.batch_size,
                 memory_budget_bytes=cfg.memory_budget_bytes,
                 spill_dir=cfg.spill_dir,
@@ -466,7 +451,7 @@ class Session:
         :class:`~repro.campaign.CampaignSummary`.
 
         Delegates to :func:`repro.campaign.run_campaign` on the session's
-        shared backend (or the request's override), so scenario results —
+        backend (or the request's override), so scenario results —
         digests, seeds, detection outcomes — are identical to the
         ``python -m repro campaign`` path.
         """
@@ -484,11 +469,8 @@ class Session:
                 else spec.shards
             )
         )
-        backend: Union[str, ExecutionBackend]
+        backend = req.backend if req.backend is not None else self.config.backend
         if shards > 1:
-            # shard workers build their own backends, so ship the *name*
-            # (the request's override, else the session's configured one)
-            backend = req.backend if req.backend is not None else self.config.backend
             summary = run_campaign(
                 spec,
                 req.store,
@@ -510,7 +492,6 @@ class Session:
                 )
             return summary
         store = ResultStore(req.store)
-        backend = req.backend if req.backend is not None else self.backend
         summary = run_campaign(
             spec,
             store,

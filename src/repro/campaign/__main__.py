@@ -55,7 +55,7 @@ from repro.campaign.store import (
     diff_against_expectations,
     expectations_from_records,
 )
-from repro.engine import available_backends
+from repro.engine import BACKENDS
 from repro.faults import CampaignAbortedError
 
 
@@ -76,7 +76,7 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--backend",
             default="numpy",
-            help=f"engine backend for the whole campaign ({', '.join(available_backends())})",
+            help=f"engine backend for the whole campaign ({', '.join(BACKENDS)})",
         )
         cmd.add_argument("--report", default=None, help="also write the markdown report here")
         cmd.add_argument(

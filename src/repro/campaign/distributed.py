@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.campaign.runner import CampaignRunner, CampaignSummary, ProgressCallback
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import FailureRecord, ResultStore, ScenarioRecord
+from repro.engine import check_backend
 from repro.faults import CampaignAbortedError, FaultPlan, inject
 from repro.utils.logging import get_logger
 
@@ -368,11 +369,7 @@ def run_distributed_campaign(
     spec.validate()
     if shards < 1:
         raise ValueError("shards must be at least 1")
-    if not isinstance(backend, str):
-        raise ValueError(
-            "distributed campaigns require a backend name (workers build "
-            "their own instances); got an instance/class"
-        )
+    check_backend(backend)
     if max_failures is not None and max_failures < 0:
         raise ValueError("max_failures must be non-negative")
     base = Path(store_path)

@@ -5,7 +5,7 @@ Executes the scenario cross-product of a :class:`~repro.campaign.spec
 work that is common to several scenarios:
 
 * **per model** — the victim is trained once and served by one memoizing
-  :class:`~repro.engine.Engine` on the shared backend, so the packed-mask
+  :class:`~repro.engine.Engine` on the campaign's backend, so the packed-mask
   and gradient queries behind package generation are computed once per model
   rather than once per scenario;
 * **per (model, criterion, strategy)** — one validation package is generated
@@ -40,7 +40,7 @@ from repro.campaign.store import FailureRecord, ResultStore, ScenarioRecord
 from repro.faults import CampaignAbortedError, inject
 from repro.coverage.activation import resolve_criterion
 from repro.coverage.bitmap import CoverageMap
-from repro.engine import Engine, ExecutionBackend, get_backend
+from repro.engine import Engine, check_backend
 from repro.models.zoo import MODEL_LEARNING_RATES
 from repro.registry import registry
 from repro.testgen.strategies import build_generator
@@ -138,9 +138,9 @@ class CampaignRunner:
     spec: the declarative campaign definition.
     store: the append-only result store; scenarios whose digest is already
         present are skipped (resume semantics).
-    backend: engine backend shared by the whole campaign — a name
-        (``"numpy"``, ``"model_axis"``), an instance, or a class, as accepted
-        by :func:`repro.engine.get_backend`, resolved once here.
+    backend: engine backend name of the whole campaign, ``"numpy"`` or
+        ``"model_axis"`` (:data:`repro.engine.BACKENDS`); store bytes are
+        identical on both.
     progress: optional callback receiving human-readable progress lines.
     max_failures: abort the campaign (``CampaignAbortedError``) once more
         than this many scenarios have been quarantined in this run; ``None``
@@ -165,7 +165,7 @@ class CampaignRunner:
         self,
         spec: CampaignSpec,
         store: ResultStore,
-        backend: Union[str, ExecutionBackend, type] = "numpy",
+        backend: str = "numpy",
         progress: Optional[ProgressCallback] = None,
         max_failures: Optional[int] = None,
         spill_dir: Optional[Union[str, Path]] = None,
@@ -176,7 +176,7 @@ class CampaignRunner:
             raise ValueError("max_failures must be non-negative")
         self.spec = spec
         self.store = store
-        self._backend = get_backend(backend)
+        self._backend = check_backend(backend)
         self._progress = progress
         self.max_failures = max_failures
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
@@ -548,7 +548,7 @@ class CampaignRunner:
 def run_campaign(
     spec: CampaignSpec,
     store: Union[ResultStore, str],
-    backend: Union[str, ExecutionBackend, type] = "numpy",
+    backend: str = "numpy",
     progress: Optional[ProgressCallback] = None,
     max_failures: Optional[int] = None,
     spill_dir: Optional[Union[str, Path]] = None,

@@ -169,12 +169,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _add_run_config_flags(cmd: argparse.ArgumentParser) -> None:
-    from repro.engine import available_backends
+    from repro.engine import BACKENDS
 
     cmd.add_argument(
         "--backend",
         default="numpy",
-        help=f"engine backend ({', '.join(available_backends())})",
+        help=f"engine backend ({', '.join(BACKENDS)})",
     )
 
 

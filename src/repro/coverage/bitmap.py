@@ -33,7 +33,7 @@ sequences.
 
 The module is pure NumPy with no dependency on the rest of the library
 (except the dependency-free :mod:`repro.faults` chaos hooks), so the engine
-and its backends can use the packing primitives without layering cycles.
+can use the packing primitives without layering cycles.
 """
 
 from __future__ import annotations

@@ -21,10 +21,10 @@ Key properties:
   so perturbing the model (as the attacks do), even in one low mantissa bit,
   can never yield stale results; entries for old parameters simply stop
   matching.
-* **Backend-pluggable** — all execution goes through an
-  :class:`~repro.engine.backend.ExecutionBackend`; the default
-  :class:`~repro.engine.backend.NumpyBackend` runs the model's own NumPy
-  passes in-process.
+* **In-process** — every query calls the model's own NumPy passes
+  (``forward``, ``forward_collect``, ``output_gradients_batch``,
+  ``input_gradient``, ``loss_parameter_gradients``) directly, behind the
+  ``engine.dispatch`` fault-injection site.
 * **One mask path** — each packed-mask query (parameter or neuron) has one
   chunk generator, which feeds both the in-RAM matrix and the disk-spilled
   store; the dense :meth:`Engine.activation_masks`,
@@ -33,15 +33,16 @@ Key properties:
   key.
 * **Model-axis batched** — :meth:`Engine.stacked_forward` evaluates many
   same-architecture models (the detection experiments' perturbed copies) on
-  one batch.  The model-axis dispatch is chosen per backend: when
-  ``backend.model_axis_capacity > 0`` (the ``model_axis`` backend), copies
-  are grouped up to that capacity and each group rides one fused dispatch
-  per layer through :class:`~repro.nn.stacked.StackedSequential`; with a
-  zero capacity (numpy) the same query runs the copies one at a time, with
-  bit-identical results.  Fused dispatches feed each copy the engine model's
-  *trunk* (its per-layer activations on the batch), which the engine keeps
-  in a small exactly keyed memo even when ``cache=False``, so the victim's
-  own layers run once per batch rather than once per dispatch.
+  one batch.  The backend is one of two names (:data:`BACKENDS`) and picks
+  only this query's path: on ``model_axis`` copies are grouped up to
+  :data:`~repro.engine.model_axis.DEFAULT_MAX_MODELS` and each group rides
+  one fused dispatch per layer
+  (:func:`~repro.engine.model_axis.fused_stacked_forward`); on ``numpy`` the
+  same query runs the copies one at a time, with bit-identical results.
+  Fused dispatches feed each copy the engine model's *trunk* (its per-layer
+  activations on the batch), which the engine keeps in a small exactly keyed
+  memo even when ``cache=False``, so the victim's own layers run once per
+  batch rather than once per dispatch.
 
 Use :class:`Engine` whenever the same model is queried for more than a
 handful of samples; use raw ``Model.forward`` for one-off single-sample
@@ -54,11 +55,11 @@ import hashlib
 import os
 import warnings
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.backend import BackendSpec, ExecutionBackend, get_backend
+from repro.engine import model_axis
 from repro.engine.cache import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_CACHE_ENTRIES,
@@ -78,6 +79,18 @@ logger = get_logger("engine")
 
 #: default chunk size for processing large candidate pools
 DEFAULT_BATCH_SIZE = 64
+
+#: the engine's backend names: how :meth:`Engine.stacked_forward` runs a set
+#: of copies — ``numpy`` one copy at a time, ``model_axis`` fused along a
+#: model axis.  Every other query runs the same way on both.
+BACKENDS = ("numpy", "model_axis")
+
+
+def check_backend(name: str) -> str:
+    """Return ``name`` if it is one of :data:`BACKENDS`; raise otherwise."""
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r}; choose from {sorted(BACKENDS)}")
+    return name
 
 
 def resolve_engine(
@@ -139,7 +152,8 @@ class Engine:
         with :func:`repro.coverage.activation.default_criterion_for` when
         omitted.
     backend:
-        Backend name, instance or class; see :mod:`repro.engine.backend`.
+        ``"numpy"`` or ``"model_axis"`` (:data:`BACKENDS`): how
+        :meth:`stacked_forward` runs a set of copies.
     batch_size:
         Chunk size used when a query's batch is larger; bounds the transient
         memory of im2col buffers and per-sample gradient stacks.
@@ -166,8 +180,8 @@ class Engine:
         ``spill_dir`` arguments override it.  ``None`` (default) keeps
         packed masks in RAM.
 
-    The engine computes in float64 and dispatches straight to its backend:
-    an in-process backend call has no transient failure mode, so an error
+    The engine computes in float64 and calls the model's passes directly:
+    an in-process call has no transient failure mode, so an error
     propagates on its first occurrence.
     """
 
@@ -175,7 +189,7 @@ class Engine:
         self,
         model: Sequential,
         criterion: Optional[object] = None,
-        backend: BackendSpec = "numpy",
+        backend: str = "numpy",
         batch_size: int = DEFAULT_BATCH_SIZE,
         cache: bool = True,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
@@ -198,7 +212,7 @@ class Engine:
 
             criterion = default_criterion_for(model)
         self.criterion = criterion
-        self.backend: ExecutionBackend = get_backend(backend)
+        self.backend = check_backend(backend)
         self.batch_size = int(batch_size)
         self.memory_budget_bytes = memory_budget_bytes
         self._cache: Optional[BatchResultCache] = (
@@ -262,12 +276,12 @@ class Engine:
         )
 
     # -- dispatch ------------------------------------------------------------
-    def _backend_call(self, op: str, *args, **kwargs):
-        """Invoke a backend primitive, behind the ``engine.dispatch``
-        fault-injection site (one guard when no plan is active)."""
+    def _dispatch(self, op: str, fn: Callable, *args):
+        """Call ``fn(*args)`` behind the ``engine.dispatch`` fault-injection
+        site (one guard when no plan is active)."""
         if inject.active():
-            inject.check("engine.dispatch", op=op, backend=self.backend.name)
-        return getattr(self.backend, op)(*args, **kwargs)
+            inject.check("engine.dispatch", op=op, backend=self.backend)
+        return fn(*args)
 
     # -- batching plumbing ---------------------------------------------------
     def _as_batch(self, batch: np.ndarray) -> np.ndarray:
@@ -350,7 +364,7 @@ class Engine:
         def compute() -> np.ndarray:
             return np.concatenate(
                 [
-                    self._backend_call("forward", self.model, batch[s])
+                    self._dispatch("forward", self.model.forward, batch[s])
                     for s in self._chunks(batch.shape[0])
                 ],
                 axis=0,
@@ -371,38 +385,48 @@ class Engine:
         The Tables II/III inner loop as a single query: ``models`` are the
         perturbed copies of one victim (same architecture, different weight
         values) and slice ``m`` of the result equals
-        ``Engine(models[m]).forward(batch)`` bit for bit.  Backends with a
-        positive :attr:`~repro.engine.backend.ExecutionBackend.model_axis_capacity`
-        fuse up to that many copies per dispatch (one batched matmul per
-        layer); others run the models one at a time with identical results.
-        Fused dispatches start each copy at its first divergent layer, fed
-        by the engine model's trunk on the batch, which the engine computes
-        once and keeps (with or without ``cache``).  Memoization keys on the
-        *tuple* of exact model keys, so revisiting the same set of copies is
-        a cache hit.
+        ``Engine(models[m]).forward(batch)`` bit for bit.  Every model must
+        share this engine model's
+        :meth:`~repro.nn.model.Sequential.architecture_signature`: the fused
+        path reads equal parameters as equal activations, which only holds
+        between models of one architecture.  On ``model_axis`` up to
+        :data:`~repro.engine.model_axis.DEFAULT_MAX_MODELS` copies share a
+        dispatch (one batched matmul per layer); on ``numpy`` the models
+        run one at a time with identical results.  Fused dispatches start
+        each copy at its first divergent layer, fed by the engine model's
+        trunk on the batch, which the engine computes once and keeps (with
+        or without ``cache``).  Memoization keys on the *tuple* of exact
+        model keys, so revisiting the same set of copies is a cache hit.
         """
         models = list(models)
         if not models:
             raise ValueError("stacked_forward needs at least one model")
         batch = self._as_batch(batch)
+        signature = self.model.architecture_signature()
         for model in models:
             if not model.built:
                 raise ValueError("stacked_forward requires built models")
-            if tuple(model.input_shape or ()) != tuple(self.model.input_shape or ()):
+            if model.architecture_signature() != signature:
                 raise ValueError(
-                    "stacked models must share this engine's input shape"
+                    "stacked models must share this engine model's architecture"
                 )
+        fused = self.backend == "model_axis"
+
+        def run(group: List[Sequential], x: np.ndarray, trunk) -> np.ndarray:
+            if fused:
+                return model_axis.fused_stacked_forward(group, x, self.model, trunk)
+            return np.stack([model.forward(x, training=False) for model in group])
 
         def compute() -> np.ndarray:
             chunks = list(self._chunks(batch.shape[0]))
-            capacity = self.backend.model_axis_capacity or len(models)
             # the engine's own model is the unperturbed base the copies were
-            # derived from: fused backends run each copy from its first
+            # derived from: the fused path runs each copy from its first
             # divergent layer on, fed by the base's memoized trunk (one
-            # lookup per call; the default loop ignores both)
+            # lookup per call); the per-copy loop runs every copy whole
+            capacity = model_axis.DEFAULT_MAX_MODELS if fused else len(models)
             trunks = (
                 self._trunks.get(self.model, batch, self.batch_size)
-                if self.backend.model_axis_capacity
+                if fused
                 else [None] * len(chunks)
             )
             outputs = []
@@ -411,9 +435,7 @@ class Engine:
                 outputs.append(
                     np.concatenate(
                         [
-                            self._backend_call(
-                                "stacked_forward", group, batch[s], base=self.model, trunk=trunk
-                            )
+                            self._dispatch("stacked_forward", run, group, batch[s], trunk)
                             for s, trunk in zip(chunks, trunks)
                         ],
                         axis=1,
@@ -445,7 +467,9 @@ class Engine:
         def compute() -> np.ndarray:
             return np.concatenate(
                 [
-                    self._backend_call("output_gradients", self.model, batch[s], scal)
+                    self._dispatch(
+                        "output_gradients", self.model.output_gradients_batch, batch[s], scal
+                    )
                     for s in self._chunks(batch.shape[0])
                 ],
                 axis=0,
@@ -470,8 +494,8 @@ class Engine:
         pure overhead.
         """
         batch = self._as_batch(batch)
-        return self._backend_call(
-            "input_gradients", self.model, batch, targets, loss
+        return self._dispatch(
+            "input_gradients", self.model.input_gradient, batch, targets, loss
         )
 
     def loss_parameter_gradients(
@@ -486,8 +510,8 @@ class Engine:
         attack, which perturbs the model between calls — hence no memoization.
         """
         batch = self._as_batch(batch)
-        return self._backend_call(
-            "loss_parameter_gradients", self.model, batch, targets, loss
+        return self._dispatch(
+            "loss_parameter_gradients", self.model.loss_parameter_gradients, batch, targets, loss
         )
 
     # -- mask queries --------------------------------------------------------
@@ -538,7 +562,9 @@ class Engine:
                 if memo is not None:
                     grads = memo[s]
                 else:
-                    grads = self._backend_call("output_gradients", self.model, batch[s], scal)
+                    grads = self._dispatch(
+                        "output_gradients", self.model.output_gradients_batch, batch[s], scal
+                    )
                 yield pack_bool(crit.activated(grads))
 
         # the criterion's class keys a custom ``activated``
@@ -589,7 +615,7 @@ class Engine:
 
         def chunks() -> Iterator[np.ndarray]:
             for s in self._chunks(batch.shape[0], max_chunk):
-                outputs = self._backend_call("forward_collect", self.model, batch[s])
+                outputs = self._dispatch("forward_collect", self.model.forward_collect, batch[s])
                 rows = s.stop - s.start
                 yield pack_bool(
                     np.concatenate(
@@ -766,10 +792,17 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Engine(model={self.model.name!r}, backend={self.backend.name!r}, "
+            f"Engine(model={self.model.name!r}, backend={self.backend!r}, "
             f"batch_size={self.batch_size}, "
             f"cache={self.cache_enabled})"
         )
 
 
-__all__ = ["DEFAULT_BATCH_SIZE", "Engine", "neuron_layer_indices", "resolve_engine"]
+__all__ = [
+    "BACKENDS",
+    "DEFAULT_BATCH_SIZE",
+    "Engine",
+    "check_backend",
+    "neuron_layer_indices",
+    "resolve_engine",
+]

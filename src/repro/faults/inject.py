@@ -13,17 +13,18 @@ Sites currently instrumented:
 ================== ====================================== =================
 site               where                                   context keys
 ================== ====================================== =================
-``engine.dispatch``   every ``Engine`` backend call        ``op, backend``
+``engine.dispatch``   every ``Engine`` call into the model ``op, backend``
 ``mmap.window``       each ``MmapMaskMatrix`` window read  ``path, window``
 ``layer.forward``     per-layer in ``Sequential.forward``  ``layer, index, model``
 ``campaign.scenario`` per attack group in the runner       ``model, attack``
 ``campaign.shard``    per pulled unit in a shard worker    ``shard, model, attack``
-``model_axis.stacked_forward`` each fused stacked dispatch ``models``
 ================== ====================================== =================
 
-At ``engine.dispatch`` the ``op`` is the backend call being made:
+At ``engine.dispatch`` the ``op`` is the engine query making the call:
 ``forward``, ``forward_collect``, ``output_gradients``, ``input_gradients``,
-``loss_parameter_gradients`` or ``stacked_forward``.
+``loss_parameter_gradients`` or ``stacked_forward`` (one call per chunk and
+copy group); ``backend`` is the engine's backend name, ``numpy`` or
+``model_axis``.
 
 Scheduling is per-fault and deterministic: each time :func:`check` runs
 for a matching site/context the fault's hit counter advances, and the

@@ -20,8 +20,8 @@ Besides the single-sample queries, every layer implements
 copies forwards only (trial replay); every gradient query is about one
 model.  These are the primitives of the batched execution layer in
 :mod:`repro.engine`; use an
-:class:`~repro.engine.Engine` (which adds chunking, memoization and backend
-selection on top) rather than calling them or raw ``Model.forward``
+:class:`~repro.engine.Engine` (which adds chunking, memoization and the
+fused ``model_axis`` stacked path on top) rather than calling them or raw ``Model.forward``
 directly whenever a model is queried repeatedly or for many samples.
 """
 

@@ -5,7 +5,7 @@ Beyond the usual ``forward``/``predict``/``fit``-style API, the model exposes
 three gradient queries used throughout the library:
 
 * :meth:`Sequential.loss_parameter_gradients` — flat parameter gradient of a
-  loss (the execution backends' primitive behind the gradient-descent attack).
+  loss (the engine's primitive behind the gradient-descent attack).
 * :meth:`Sequential.output_gradients` — parameter gradients of a scalarised
   network output ``F(x)`` for a single sample (the quantity ``∇θ F(x)`` that
   defines *activated parameters* in Section IV-A).

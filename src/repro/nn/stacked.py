@@ -61,7 +61,7 @@ class StackedSequential:
     start:
         Layer index the stack starts executing at; ``forward`` then takes
         the (shared) activation feeding that layer instead of the model
-        input.  Used by the model-axis backend's trunk sharing — the base
+        input.  Used by the fused ``model_axis`` path's trunk sharing — the base
         model's activations up to ``start`` stand in for every copy's,
         bitwise, when the copies' parameters first diverge at ``start``.
 

@@ -22,7 +22,7 @@ prefix — it only stops asking earlier.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -32,15 +32,58 @@ from repro.validation.sequential import (
     DEFAULT_CONFIDENCE,
     DEFAULT_P0,
     DEFAULT_P1,
-    VERDICT_CLEAN,
-    VERDICT_TAMPERED,
     SequentialReport,
-    clean_floor,
-    llr_increments,
+    decide_from_mismatches,
     query_order,
     sprt_thresholds,
 )
 from repro.validation.user import BlackBoxIP, _query, compare_outputs
+
+
+class _ProbedStream:
+    """A suspect IP's mismatch stream in query order, probed on first read.
+
+    :func:`~repro.validation.sequential.decide_from_mismatches` walks it
+    like an array.  A read past the probed prefix queries the IP for the
+    next ``probe_batch`` fingerprints of ``order``, never past ``limit``, so
+    the walk only ever asks for what it reads — in whole probes.
+    """
+
+    def __init__(
+        self,
+        ip: BlackBoxIP,
+        package: ValidationPackage,
+        order: np.ndarray,
+        probe_batch: int,
+        limit: int,
+    ) -> None:
+        self.ip = ip
+        self.package = package
+        self.order = order
+        self.probe_batch = probe_batch
+        self.limit = limit
+        #: per probed fingerprint, in query order: mismatch flag, deviation
+        self.flags: List[bool] = []
+        self.deviations: List[float] = []
+
+    def __len__(self) -> int:
+        return self.package.num_tests
+
+    def __getitem__(self, position: int) -> bool:
+        while position >= len(self.flags):
+            self._probe()
+        return self.flags[position]
+
+    def _probe(self) -> None:
+        package = self.package
+        start = len(self.flags)
+        indices = self.order[start : min(start + self.probe_batch, self.limit)]
+        observed = np.asarray(_query(self.ip, package.tests[indices]), dtype=np.float64)
+        deviations, mismatches = compare_outputs(
+            observed, package.expected_outputs[indices], package.output_atol
+        )
+        self.flags.extend(bool(m) for m in mismatches)
+        self.deviations.extend(float(d) for d in deviations)
 
 
 class OnlineVerifier:
@@ -90,53 +133,21 @@ class OnlineVerifier:
     def verify(self) -> SequentialReport:
         package = self.package
         order, order_name = query_order(package)
-        alpha = beta = 1.0 - self.confidence
-        lower, upper = sprt_thresholds(alpha, beta)
-        match_llr, mismatch_llr = llr_increments(self.p0, self.p1)
         limit = package.num_tests
         if self.query_budget is not None:
             limit = min(limit, self.query_budget)
-        # clean-side curtailment: never accept H0 before this many observed
-        # fingerprints (see repro.validation.sequential's module docstring)
-        floor = clean_floor(package.num_tests, self.clean_fraction)
-
-        llr = 0.0
-        cusum = 0.0
-        used = 0
-        decided = False
-        verdict = VERDICT_CLEAN
-        mismatched = []
-        max_deviation = 0.0
-        position = 0
-        while position < limit and not decided:
-            take = min(self.probe_batch, limit - position)
-            indices = order[position : position + take]
-            expected = package.expected_outputs[indices]
-            observed = np.asarray(
-                _query(self.ip, package.tests[indices]), dtype=np.float64
-            )
-            used += take
-            deviations, mismatches = compare_outputs(observed, expected, package.output_atol)
-            for j in range(take):
-                is_mismatch = bool(mismatches[j])
-                max_deviation = max(max_deviation, float(deviations[j]))
-                if is_mismatch:
-                    mismatched.append(int(indices[j]))
-                step = mismatch_llr if is_mismatch else match_llr
-                llr += step
-                # tampered side is a CUSUM (SPRT reflected at zero), so
-                # accumulated clean evidence cannot mask a later mismatch —
-                # see repro.validation.sequential.decide_from_mismatches
-                cusum = max(0.0, cusum + step)
-                if cusum >= upper:
-                    decided, verdict = True, VERDICT_TAMPERED
-                    break
-                if llr <= lower and position + j + 1 >= floor:
-                    decided, verdict = True, VERDICT_CLEAN
-                    break
-            position += take
-        if not decided:
-            verdict = VERDICT_TAMPERED if mismatched else VERDICT_CLEAN
+        # the SPRT walk is the campaign's own kernel, reading the IP's
+        # mismatch stream probe by probe as it goes
+        stream = _ProbedStream(self.ip, package, order, self.probe_batch, limit)
+        verdict, decided, walked, llr = decide_from_mismatches(
+            stream,
+            confidence=self.confidence,
+            p0=self.p0,
+            p1=self.p1,
+            budget=self.query_budget,
+            clean_fraction=self.clean_fraction,
+        )
+        lower, upper = sprt_thresholds(1.0 - self.confidence, 1.0 - self.confidence)
 
         ledger = None
         stats = getattr(self.ip, "stats", None)
@@ -146,14 +157,17 @@ class OnlineVerifier:
             verdict=verdict,
             decided=decided,
             confidence=self.confidence,
-            queries_used=used,
+            # whole probes: fingerprints probed past the decision are billed
+            queries_used=len(stream.flags),
             num_tests=package.num_tests,
             llr=llr,
             threshold_lower=lower,
             threshold_upper=upper,
             order=order_name,
-            mismatched_indices=sorted(mismatched),
-            max_output_deviation=max_deviation,
+            mismatched_indices=sorted(
+                int(order[i]) for i in range(walked) if stream.flags[i]
+            ),
+            max_output_deviation=max([0.0] + stream.deviations[:walked]),
             ledger=ledger,
         )
 

@@ -3,8 +3,7 @@ pluggable component.
 
 Before this module, each subsystem resolved its extensible pieces with a
 private idiom: test-generation strategies had their own registry module,
-backends had :func:`repro.engine.backend.register_backend`, attacks and
-coverage criteria were hardcoded in ``repro.validation.detection`` and
+attacks and coverage criteria were hardcoded in ``repro.validation.detection`` and
 ``repro.coverage.activation``, datasets and models were ``if``/``elif``
 ladders.  This module unifies them into a single :class:`Registry` with
 *namespaces*:
@@ -16,7 +15,6 @@ ladders.  This module unifies them into a single :class:`Registry` with
                 ``random``, ``bitflip``)
 ``criteria``    activation-criterion resolvers (``default``, ``exact``,
                 ``eps``)
-``backends``    execution backends (``numpy``, ``model_axis``)
 ``datasets``    dataset loaders (``mnist``, ``cifar``, ``digits``,
                 ``noise``, ``imagenet``)
 ``models``      model-zoo builders (``mnist``, ``cifar``, ``small_cnn``, …)
@@ -60,7 +58,6 @@ NAMESPACES = (
     "strategies",
     "attacks",
     "criteria",
-    "backends",
     "datasets",
     "models",
     "transports",
@@ -74,7 +71,6 @@ _SINGULAR = {
     "strategies": "strategy",
     "attacks": "attack",
     "criteria": "criterion",
-    "backends": "backend",
     "datasets": "dataset",
     "models": "model",
     "transports": "transport",
@@ -85,7 +81,6 @@ _BUILTIN_MODULES: Dict[str, Tuple[str, ...]] = {
     "strategies": ("repro.testgen.strategies",),
     "attacks": ("repro.attacks",),
     "criteria": ("repro.coverage.activation",),
-    "backends": ("repro.engine",),
     "datasets": ("repro.data",),
     "models": ("repro.models.zoo",),
     "transports": ("repro.online.transport",),

@@ -77,22 +77,6 @@ SERVE_BATCH_SIZE = 256
 _FINGERPRINT_CACHE_SIZE = 32
 
 
-def _architecture_signature(model: Sequential) -> str:
-    """Stack-compatibility key: input shape + per-layer types/output shapes.
-
-    Two models share a signature exactly when ``Engine.stacked_forward``
-    can fuse them — same input shape, same layer sequence, same
-    intermediate and final output shapes.  Pure shape arithmetic, no
-    parameter reads.
-    """
-    shape = tuple(model.input_shape or ())
-    parts = [f"in{shape}"]
-    for layer in model.layers:
-        shape = tuple(layer.output_shape(shape))
-        parts.append(f"{type(layer).__name__}{shape}")
-    return "|".join(parts)
-
-
 class ServiceDraining(Exception):
     """The service is shutting down and no longer admits requests (HTTP 503)."""
 
@@ -282,8 +266,9 @@ class ValidationService:
         if isinstance(ip, Sequential):
             package_fp = await self._in_executor(self._package_fingerprint, package)
             digest = await self._in_executor(exact_model_key, ip)
-            # architecture in the key: only stack-compatible models fuse
-            group_key = f"{package_fp}#{_architecture_signature(ip)}"
+            # architecture in the key: only models the engine may stack
+            # together (same layers, activations and shapes) share a group
+            group_key = f"{package_fp}#{ip.architecture_signature()!r}"
             observed = await self.coalescer.submit(
                 group_key, package, digest, ip, tenant=tenant
             )

@@ -154,6 +154,8 @@ class CombinedGenerator(TestGenerator):
 
         while len(tests) < num_tests:
             use_gradient = False
+            # the adaptive rule's argmax, reused by this step's selection
+            best_training: Optional[int] = None
 
             if switched:
                 use_gradient = True
@@ -165,7 +167,7 @@ class CombinedGenerator(TestGenerator):
                 # the per-test gain of a gradient probe.  Availability is an
                 # explicit subset — no sentinel values in the gains
                 if available.any():
-                    _, best_training_gain = selector._best(tracker, available)
+                    best_training, best_training_gain = selector._best(tracker, available)
                 else:
                     best_training_gain = -1.0
                 bound = self._gain_bound(tracker)
@@ -211,7 +213,7 @@ class CombinedGenerator(TestGenerator):
                 sources.append("gradient")
                 dataset_indices.append(-1)  # synthesised: no dataset origin
             else:
-                best, gain = selector._select(tracker, available)
+                best, gain = selector._select(tracker, available, best_training)
                 tests.append(self.training_set.images[pool_indices[best]])
                 sources.append("training")
                 dataset_indices.append(int(pool_indices[best]))

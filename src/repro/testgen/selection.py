@@ -114,12 +114,18 @@ class TrainingSetSelector(TestGenerator):
         return index, count / self.masks.nbits
 
     def _select(
-        self, tracker: PackedCoverageTracker, available: np.ndarray
+        self,
+        tracker: PackedCoverageTracker,
+        available: np.ndarray,
+        index: Optional[int] = None,
     ) -> Tuple[int, float]:
         """One Algorithm 1 step: add the best available candidate's mask to
         ``tracker`` and mark it unavailable.  Returns its pool index and the
-        coverage it added."""
-        index, _ = self._best(tracker, available)
+        coverage it added.  ``index``, when given, is that candidate as
+        :meth:`_best` already found it for this ``tracker`` and
+        ``available``; the pool is not swept again."""
+        if index is None:
+            index, _ = self._best(tracker, available)
         gain = tracker.add_mask(self.masks.row(index))
         available[index] = False
         return index, gain

@@ -1,10 +1,7 @@
 """Shared utilities: seeded RNG handling, logging and experiment configs."""
 
 from repro.utils.config import (
-    CoverageConfig,
     DetectionConfig,
-    ExperimentConfig,
-    TestGenConfig,
     TrainingConfig,
     env_int,
 )
@@ -19,10 +16,7 @@ from repro.utils.rng import (
 )
 
 __all__ = [
-    "CoverageConfig",
     "DetectionConfig",
-    "ExperimentConfig",
-    "TestGenConfig",
     "TrainingConfig",
     "env_int",
     "Timer",

@@ -1,18 +1,17 @@
-"""Experiment configuration dataclasses.
+"""Experiment configuration dataclasses and table-file loading.
 
-These configuration objects gather the knobs of the paper's experiments
-(Section V) in one place so examples, tests and benchmarks can share the same
-definitions, and so full-size runs only differ from the default scaled runs by
-one config object.
+:class:`TrainingConfig` and :class:`DetectionConfig` gather the knobs of the
+paper's training runs and detection-rate experiments (Section V) so examples,
+tests and benchmarks share one definition of each.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 PathLike = Union[str, Path]
 
@@ -105,59 +104,6 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class CoverageConfig:
-    """Parameters of the validation-coverage metric (Section IV-A)."""
-
-    #: activation threshold ε — 0.0 means exact non-zero (ReLU networks);
-    #: saturating activations (Tanh/Sigmoid) should use a small positive ε.
-    epsilon: float = 0.0
-    #: how the vector-valued network output F(x) is scalarised before taking
-    #: the parameter gradient: "sum", "max" or "predicted".
-    scalarization: str = "sum"
-    #: include bias parameters in coverage accounting.
-    include_biases: bool = True
-
-    def validate(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if self.scalarization not in {"sum", "max", "predicted"}:
-            raise ValueError(f"unknown scalarization {self.scalarization!r}")
-
-
-@dataclass(frozen=True)
-class TestGenConfig:
-    """Parameters of the test generation algorithms (Section IV-B/C/D)."""
-
-    #: maximum number of functional tests Nt.
-    max_tests: int = 30
-    #: candidate pool size scanned by Algorithm 1 each iteration (the paper
-    #: scans the whole training set; a pool bounds the cost on CPU).
-    candidate_pool: Optional[int] = None
-    #: gradient-descent step size η of Algorithm 2 (Eq. 8).
-    step_size: float = 0.1
-    #: number of gradient-descent updates T of Algorithm 2.
-    max_updates: int = 50
-    #: switch policy of the combined method: "adaptive" (paper) compares the
-    #: marginal gain of the two algorithms; "fixed:<n>" switches after n tests.
-    switch_policy: str = "adaptive"
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.max_tests <= 0:
-            raise ValueError("max_tests must be positive")
-        if self.candidate_pool is not None and self.candidate_pool <= 0:
-            raise ValueError("candidate_pool must be positive when given")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.max_updates <= 0:
-            raise ValueError("max_updates must be positive")
-        if self.switch_policy != "adaptive" and not self.switch_policy.startswith(
-            "fixed:"
-        ):
-            raise ValueError(f"unknown switch_policy {self.switch_policy!r}")
-
-
-@dataclass(frozen=True)
 class DetectionConfig:
     """Parameters of the detection-rate experiments (Tables II and III)."""
 
@@ -185,33 +131,10 @@ class DetectionConfig:
             raise ValueError(f"unknown attacks: {sorted(unknown)}")
 
 
-@dataclass
-class ExperimentConfig:
-    """Bundle of all configs for one end-to-end experiment run."""
-
-    name: str = "experiment"
-    training: TrainingConfig = field(default_factory=TrainingConfig)
-    coverage: CoverageConfig = field(default_factory=CoverageConfig)
-    testgen: TestGenConfig = field(default_factory=TestGenConfig)
-    detection: DetectionConfig = field(default_factory=DetectionConfig)
-
-    def validate(self) -> None:
-        self.training.validate()
-        self.coverage.validate()
-        self.testgen.validate()
-        self.detection.validate()
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-
 __all__ = [
     "load_table_data",
     "toml_loads",
     "TrainingConfig",
-    "CoverageConfig",
-    "TestGenConfig",
     "DetectionConfig",
-    "ExperimentConfig",
     "env_int",
 ]

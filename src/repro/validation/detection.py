@@ -20,8 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.attacks.base import ParameterAttack, PerturbationRecord
-from repro.engine import Engine
-from repro.engine.backend import BackendSpec, get_backend
+from repro.engine import Engine, check_backend, model_axis
 from repro.engine.cache import TrunkCache
 from repro.nn.model import Sequential
 from repro.utils.config import DetectionConfig
@@ -81,13 +80,14 @@ def replay_trials(
     whose row ``t`` flags the tests on which attack ``t``'s copy deviates
     from ``expected`` (:func:`~repro.validation.user.compare_outputs`), and
     each trial's perturbation record.  Copies are built lazily, in groups
-    of the backend's model-axis capacity (one at a time on backends without
-    one), and each group replays in one :meth:`Engine.stacked_forward`, so
+    of :data:`~repro.engine.model_axis.DEFAULT_MAX_MODELS` on the
+    ``model_axis`` backend (one at a time on ``numpy``), and each group
+    replays in one :meth:`Engine.stacked_forward`, so
     at most one group of copies is alive at a time.  Detection counts,
     queries-to-decision and discrimination scores are reductions of this
     matrix.
     """
-    group_size = max(1, engine.backend.model_axis_capacity)
+    group_size = model_axis.DEFAULT_MAX_MODELS if engine.backend == "model_axis" else 1
     attacks = iter(attacks)
     rows: List[np.ndarray] = []
     records: List[PerturbationRecord] = []
@@ -253,8 +253,8 @@ class DetectionExperiment:
     attack_factories: mapping from attack name to a factory building a fresh
         attack from a per-trial RNG; see :func:`default_attack_factories`.
     config: trial counts, budgets, attack list, tolerance and seed.
-    backend: engine backend the trial replays run on (name, instance or
-        class); detection counts are bit-identical on every backend.
+    backend: engine backend the trial replays run on, ``"numpy"`` or
+        ``"model_axis"``; detection counts are bit-identical on both.
     """
 
     def __init__(
@@ -263,11 +263,11 @@ class DetectionExperiment:
         packages: Dict[str, ValidationPackage],
         attack_factories: Dict[str, AttackFactory],
         config: Optional[DetectionConfig] = None,
-        backend: BackendSpec = "numpy",
+        backend: str = "numpy",
     ) -> None:
         if not packages:
             raise ValueError("at least one validation package is required")
-        self.backend = get_backend(backend)
+        self.backend = check_backend(backend)
         self.model = model
         self.packages = dict(packages)
         self.attack_factories = dict(attack_factories)
@@ -334,7 +334,7 @@ def run_detection_experiment(
     packages: Dict[str, ValidationPackage],
     reference_inputs: np.ndarray,
     config: Optional[DetectionConfig] = None,
-    backend: BackendSpec = "numpy",
+    backend: str = "numpy",
     **factory_kwargs: object,
 ) -> DetectionTable:
     """Convenience wrapper with the paper's default attack set."""

@@ -133,7 +133,7 @@ class IPVendor:
 
         ``engine`` optionally routes the mask pass through a caller-managed
         :class:`~repro.engine.Engine` (the :class:`repro.api.Session` and the
-        campaign runner pass theirs), reusing its backend and memoized
+        campaign runner pass theirs), reusing its memoized
         gradients; the reference outputs always come from the vendor model's
         own float64 forward pass, since they are the package's ground truth.
         """

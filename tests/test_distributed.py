@@ -342,7 +342,7 @@ class TestDistributedEndToEnd:
         assert plain == sharded
 
     def test_backend_instances_are_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="backend name"):
+        with pytest.raises(ValueError, match="unknown backend"):
             run_distributed_campaign(tiny_spec(), tmp_path / "s.jsonl", shards=2, backend=object())
 
 

@@ -5,7 +5,7 @@ per-sample reference implementations — activation masks, output gradients,
 input gradients, neuron masks and coverage aggregates — to 1e-8 on both
 Table-I architectures (the Tanh MNIST CNN and the ReLU CIFAR CNN, width-
 scaled for test speed) plus the small unit-test models, along with the memo
-cache, chunking and backend-registry behaviour.
+cache, chunking and backend-name behaviour.
 """
 
 import numpy as np
@@ -25,12 +25,7 @@ from repro.engine import (
     BatchResultCache,
     CacheStats,
     Engine,
-    ExecutionBackend,
-    NumpyBackend,
     array_fingerprint,
-    available_backends,
-    get_backend,
-    register_backend,
 )
 from repro.models.zoo import cifar_cnn, mnist_cnn, small_cnn, small_mlp
 from repro.nn.layers import Dense
@@ -280,46 +275,26 @@ class TestEngineBehaviour:
 
 
 class TestBackendsAndCache:
-    def test_numpy_backend_registered(self):
-        assert "numpy" in available_backends()
-        assert isinstance(get_backend("numpy"), NumpyBackend)
-        assert isinstance(get_backend(NumpyBackend), NumpyBackend)
-        instance = NumpyBackend()
-        assert get_backend(instance) is instance
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            get_backend("tpu")
+        model = small_mlp(rng=14)
+        with pytest.raises(ValueError, match="unknown backend 'tpu'; choose from"):
+            Engine(model, backend="tpu")
 
-    def test_custom_backend_pluggable(self):
+    def test_forward_chunks_by_batch_size(self, monkeypatch):
+        model = small_mlp(rng=14)
+        images = _pool(model, 5, seed=25)
+        expected = model.forward(images)
         calls = []
+        forward = model.forward
 
-        class CountingBackend(NumpyBackend):
-            name = "counting-test"
+        def counting_forward(x, training=False):
+            calls.append(x.shape[0])
+            return forward(x, training=training)
 
-            def forward(self, model, x):
-                calls.append(x.shape[0])
-                return super().forward(model, x)
-
-        register_backend(CountingBackend)
-        try:
-            model = small_mlp(rng=14)
-            images = _pool(model, 5, seed=25)
-            engine = Engine(model, backend="counting-test", batch_size=2)
-            logits = engine.forward(images)
-            assert calls == [2, 2, 1]
-            np.testing.assert_allclose(logits, model.forward(images), atol=TOLERANCE)
-        finally:
-            from repro.engine import backend as backend_mod
-
-            backend_mod._BACKENDS.pop("counting-test", None)
-
-    def test_unnamed_backend_rejected(self):
-        class Nameless(ExecutionBackend):
-            pass
-
-        with pytest.raises(ValueError):
-            register_backend(Nameless)
+        monkeypatch.setattr(model, "forward", counting_forward)
+        logits = Engine(model, batch_size=2).forward(images)
+        assert calls == [2, 2, 1]
+        np.testing.assert_allclose(logits, expected, atol=TOLERANCE)
 
     def test_cache_stats_merge_semantics(self):
         a = CacheStats(hits=2, misses=1, evictions=0)

@@ -35,8 +35,8 @@ from repro.campaign import (
 )
 from repro.campaign.__main__ import main as campaign_main
 from repro.coverage.bitmap import MaskMatrix, MmapMaskWriter, quarantine_store
-from repro.engine import Engine, get_backend
-from repro.engine.backend import NumpyBackend
+from repro.engine import Engine
+from repro.engine.model_axis import DEFAULT_MAX_MODELS
 from repro.faults import (
     CampaignAbortedError,
     CircuitOpenError,
@@ -334,15 +334,14 @@ class TestEngineFaults:
         return np.random.default_rng(0).normal(size=(8, 16))
 
     def test_backend_error_propagates_on_first_occurrence(self, model, batch, monkeypatch):
-        backend = NumpyBackend()
         calls = []
 
-        def failing_forward(model, batch):
+        def failing_forward(x, training=False):
             calls.append(1)
             raise OSError("backend down")
 
-        monkeypatch.setattr(backend, "forward", failing_forward)
-        engine = Engine(model, backend=backend, cache=False)
+        monkeypatch.setattr(model, "forward", failing_forward)
+        engine = Engine(model, cache=False)
         with pytest.raises(OSError):
             engine.forward(batch)
         assert len(calls) == 1
@@ -609,12 +608,14 @@ class TestCampaignChaos:
         scenarios, one mmap read failure heals in-run, and a plan-free
         re-run of exactly the quarantined scenarios restores every byte."""
         spec = tiny_spec()
-        # trial replay runs ceil(trials / capacity) stacked dispatches per
-        # attack group, so this ordinal is the last group's first dispatch:
+        # trial replay runs ceil(trials / group size) stacked dispatches per
+        # attack group (one copy per group on numpy, DEFAULT_MAX_MODELS on
+        # model_axis), so this ordinal is the last group's first dispatch:
         # it lands after the package build (whose spilled-mask greedy
         # selection takes the mmap fault), and a quarantined *last* group
         # re-appends in the baseline's record order
-        per_group = -(-spec.trials // max(1, get_backend(backend).model_axis_capacity))
+        group_size = DEFAULT_MAX_MODELS if backend == "model_axis" else 1
+        per_group = -(-spec.trials // group_size)
         first_of_last = per_group * (len(spec.attacks) - 1)
         plan = FaultPlan()
         plan.raise_error(

@@ -1,9 +1,9 @@
-"""Tests for the model-axis batched backend (stacked multi-model dispatch).
+"""Tests for the fused ``model_axis`` path (stacked multi-model dispatch).
 
 The acceptance bar: fusing perturbed copies along a leading model axis must
 be *observably free* — stacked logits, detection tables and greedy
 selections are bit-identical to running each copy through its own engine on
-the numpy backend, on both Table-I architectures; trial replay matches per-copy ``validate_ip`` and a campaign
+the ``numpy`` backend, on both Table-I architectures; trial replay matches per-copy ``validate_ip`` and a campaign
 writes the same store bytes on either backend.  Speed is asserted in ``benchmarks/bench_engine.py``;
 correctness lives here.
 """
@@ -17,11 +17,11 @@ from repro.attacks.base import bias_flat_indices
 from repro.attacks.sba import SingleBiasAttack
 from repro.campaign import CampaignSpec, run_campaign
 from repro.data.datasets import Dataset
-from repro.engine import Engine, ModelAxisBackend
-from repro.engine.backend import NumpyBackend, get_backend
+from repro.engine import Engine, model_axis
 from repro.engine.cache import TrunkCache
-from repro.engine.model_axis import DEFAULT_MAX_MODELS, first_divergence
+from repro.engine.model_axis import first_divergence, fused_stacked_forward
 from repro.models.zoo import cifar_cnn, mnist_cnn
+from repro.nn.activations import get_activation
 from repro.nn.stacked import StackedSequential
 from repro.testgen.selection import TrainingSetSelector
 from repro.utils.config import DetectionConfig
@@ -139,16 +139,25 @@ class TestFirstDivergence:
 
 
 class TestModelAxisBackend:
-    def test_registered_and_constructible(self):
-        backend = get_backend("model_axis")
-        assert isinstance(backend, ModelAxisBackend)
-        assert backend.model_axis_capacity == DEFAULT_MAX_MODELS
-        assert ModelAxisBackend(max_models=4).model_axis_capacity == 4
-        with pytest.raises(ValueError):
-            ModelAxisBackend(max_models=0)
+    def test_numpy_backend_advertises_no_capacity(self, mnist_model, mnist_pool, monkeypatch):
+        # no fused path on numpy: trial replay builds and replays one copy
+        # per stacked dispatch, and DEFAULT_MAX_MODELS on model_axis
+        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 2)
+        sizes = []
+        stacked_forward = Engine.stacked_forward
 
-    def test_numpy_backend_advertises_no_capacity(self):
-        assert NumpyBackend().model_axis_capacity == 0
+        def counting(self, models, batch):
+            sizes.append((self.backend, len(models)))
+            return stacked_forward(self, models, batch)
+
+        monkeypatch.setattr(Engine, "stacked_forward", counting)
+        factories = default_attack_factories(mnist_pool[:4])
+        expected = mnist_model.forward(mnist_pool)
+        for backend in ("numpy", "model_axis"):
+            attacks = [factories["sba"](np.random.default_rng(t)) for t in range(3)]
+            engine = Engine(mnist_model, backend=backend, cache=False)
+            replay_trials(engine, attacks, mnist_pool, expected, 0.0)
+        assert sizes == [("numpy", 1)] * 3 + [("model_axis", 2), ("model_axis", 1)]
 
     @pytest.mark.parametrize("arch", ["mnist", "cifar"])
     def test_trunk_grouping_bitwise_identical(self, arch, request):
@@ -161,44 +170,31 @@ class TestModelAxisBackend:
             [model.copy()] + head_copies(model, 2) + sba_copies(model, 3)
         )
         (trunk,) = TrunkCache().get(model, pool, pool.shape[0])
-        fused = ModelAxisBackend().stacked_forward(copies, pool, base=model, trunk=trunk)
+        fused = fused_stacked_forward(copies, pool, model, trunk)
         for m, copy in enumerate(copies):
             assert np.array_equal(fused[m], Engine(copy, cache=False).forward(pool))
-
-    def test_baseless_dispatch_bitwise_identical(self, mnist_model, mnist_pool):
-        copies = sba_copies(mnist_model, 3)
-        fused = ModelAxisBackend().stacked_forward(copies, mnist_pool)
-        for m, copy in enumerate(copies):
-            assert np.array_equal(
-                fused[m], Engine(copy, cache=False).forward(mnist_pool)
-            )
-
-    def test_base_without_trunk_is_rejected(self, mnist_model, mnist_pool):
-        with pytest.raises(ValueError, match="trunk"):
-            ModelAxisBackend().stacked_forward(
-                sba_copies(mnist_model, 1), mnist_pool, base=mnist_model
-            )
 
 class TestEngineStackedForward:
     def test_engine_dispatch_bitwise_identical(self, mnist_model, mnist_pool):
         copies = sba_copies(mnist_model, 5)
         loop = Engine(mnist_model, cache=False).stacked_forward(copies, mnist_pool)
         fused = Engine(
-            mnist_model, backend=ModelAxisBackend(), cache=False
+            mnist_model, backend="model_axis", cache=False
         ).stacked_forward(copies, mnist_pool)
         assert np.array_equal(loop, fused)
 
-    def test_capacity_grouping_preserves_results(self, mnist_model, mnist_pool):
-        # more copies than max_models: the engine splits into fused groups
+    def test_capacity_grouping_preserves_results(self, mnist_model, mnist_pool, monkeypatch):
+        # more copies than DEFAULT_MAX_MODELS: the engine splits into fused groups
+        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 3)
         copies = sba_copies(mnist_model, 7)
         whole = Engine(mnist_model, cache=False).stacked_forward(copies, mnist_pool)
         grouped = Engine(
-            mnist_model, backend=ModelAxisBackend(max_models=3), cache=False
+            mnist_model, backend="model_axis", cache=False
         ).stacked_forward(copies, mnist_pool)
         assert np.array_equal(whole, grouped)
 
     def test_memoized_on_digest_tuple(self, mnist_model, mnist_pool):
-        engine = Engine(mnist_model, backend=ModelAxisBackend())
+        engine = Engine(mnist_model, backend="model_axis")
         copies = sba_copies(mnist_model, 3)
         first = engine.stacked_forward(copies, mnist_pool)
         hits_before = engine.stats.hits
@@ -215,15 +211,27 @@ class TestEngineStackedForward:
         engine = Engine(mnist_model)
         with pytest.raises(ValueError, match="at least one model"):
             engine.stacked_forward([], mnist_pool)
-        with pytest.raises(ValueError, match="input shape"):
+        with pytest.raises(ValueError, match="architecture"):
             engine.stacked_forward([cifar_model], mnist_pool)
+
+    @pytest.mark.parametrize("backend", ["numpy", "model_axis"])
+    def test_rejects_a_different_activation(self, backend, mnist_model, mnist_pool):
+        # the victim's exact weights behind a relu conv1: parameters alone
+        # read as "the victim itself", so the fused path would have served
+        # the victim's logits for it
+        copy = mnist_model.copy()
+        copy.layers[0].activation = get_activation("relu")
+        assert first_divergence(mnist_model, copy) == len(mnist_model.layers)
+        engine = Engine(mnist_model, backend=backend, cache=False)
+        with pytest.raises(ValueError, match="architecture"):
+            engine.stacked_forward([mnist_model.copy(), copy], mnist_pool)
 
 
 class TestConsumerEquivalence:
     """Detection tables and greedy selections: byte-identical across backends."""
 
     @pytest.mark.parametrize("arch", ["mnist", "cifar"])
-    def test_detection_table_identical(self, arch, request):
+    def test_detection_table_identical(self, arch, request, monkeypatch):
         model = request.getfixturevalue(f"{arch}_model")
         pool = request.getfixturevalue(f"{arch}_pool")
         packages = {
@@ -237,15 +245,17 @@ class TestConsumerEquivalence:
         rows_np = DetectionExperiment(
             model, packages, factories, config, backend="numpy"
         ).run().as_rows()
+        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 4)
         rows_ma = DetectionExperiment(
-            model, packages, factories, config, backend=ModelAxisBackend(max_models=4)
+            model, packages, factories, config, backend="model_axis"
         ).run().as_rows()
         assert rows_np == rows_ma
 
-    @pytest.mark.parametrize(
-        "backend", [NumpyBackend(), ModelAxisBackend(max_models=4)], ids=["numpy", "model_axis"]
-    )
-    def test_replay_trials_rows_match_validate_ip(self, backend, mnist_model, mnist_pool):
+    @pytest.mark.parametrize("backend", ["numpy", "model_axis"])
+    def test_replay_trials_rows_match_validate_ip(
+        self, backend, mnist_model, mnist_pool, monkeypatch
+    ):
+        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 4)
         # a loose tolerance lets some copies pass, so rows differ by trial
         package = IPVendor(mnist_model).build_package(mnist_pool[:6], output_atol=0.1)
         factories = default_attack_factories(mnist_pool[:4])
@@ -275,7 +285,7 @@ class TestConsumerEquivalence:
         assert [record.to_dict() for record in records] == reference_records
         assert len({tuple(row) for row in reference_rows}) > 1, "every row alike: vacuous"
 
-    def test_campaign_store_identical(self, tmp_path):
+    def test_campaign_store_identical(self, tmp_path, monkeypatch):
         spec = CampaignSpec(
             name="backend-identity",
             attacks=ATTACK_NAMES,
@@ -292,10 +302,11 @@ class TestConsumerEquivalence:
             gradient_updates=3,
             reference_inputs=6,
         )
+        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 2)
         stores = {}
-        for name, backend in (("numpy", "numpy"), ("model_axis", ModelAxisBackend(max_models=2))):
+        for name in ("numpy", "model_axis"):
             stores[name] = tmp_path / f"{name}.jsonl"
-            summary = run_campaign(spec, str(stores[name]), backend=backend)
+            summary = run_campaign(spec, str(stores[name]), backend=name)
             assert summary.executed == 8 and summary.failed == 0
         assert stores["numpy"].read_bytes() == stores["model_axis"].read_bytes()
 

@@ -488,6 +488,38 @@ class TestOnlineVerifier:
 # ---------------------------------------------------------------------------
 
 
+class TestOneSprtWalk:
+    """The verifier runs the campaign's SPRT kernel over the probed stream."""
+
+    @pytest.mark.parametrize("probe_batch", [1, 3])
+    @pytest.mark.parametrize("budget", [None, 3])
+    def test_verifier_is_the_kernel_on_every_short_stream(self, budget, probe_batch):
+        for n in range(1, 9):
+            package = ValidationPackage(
+                tests=np.arange(n, dtype=np.float64)[:, None],
+                expected_outputs=np.zeros((n, 3)),
+                discrimination=np.random.default_rng(n).random(n),
+            )
+            order, _ = query_order(package)
+            limit = n if budget is None else min(budget, n)
+            for bits in range(2**n):
+                # stream[i] flags the i-th queried test, order[i]
+                stream = np.array([(bits >> i) & 1 for i in range(n)], dtype=bool)
+                bad = np.zeros(n, dtype=bool)
+                bad[order] = stream
+
+                def ip(x, bad=bad):
+                    return np.repeat(bad[x[:, 0].astype(int)][:, None], 3, axis=1) * 1.0
+
+                report = OnlineVerifier(
+                    ip, package, query_budget=budget, probe_batch=probe_batch
+                ).verify()
+                verdict, decided, used, llr = decide_from_mismatches(stream, budget=budget)
+                assert (report.verdict, report.decided, report.llr) == (verdict, decided, llr)
+                assert report.mismatched_indices == sorted(order[:used][stream[:used]].tolist())
+                assert report.queries_used == min(-(-used // probe_batch) * probe_batch, limit)
+
+
 class TestCoalescerFairness:
     def _coalescer(self, dispatched, **kwargs):
         from repro.serve import BatchingCoalescer

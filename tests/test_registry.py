@@ -144,9 +144,6 @@ class TestBuiltinEntries:
     def test_criteria(self):
         assert set(registry.names("criteria")) >= {"default", "exact", "eps"}
 
-    def test_backends(self):
-        assert set(registry.names("backends")) >= {"numpy", "model_axis"}
-
     def test_datasets(self):
         assert set(registry.names("datasets")) >= {
             "mnist",

@@ -322,6 +322,50 @@ class TestCombinedGenerator:
         assert "gradient" in shipped.sources  # the switch itself was taken
 
 
+    def test_one_pool_sweep_per_training_pick(self, monkeypatch):
+        """On the mnist campaign victim the adaptive switch's argmax is the
+        training pick itself: ``combined`` sweeps the pool as often as
+        ``selection`` (once per pick), with the same result as a step that
+        sweeps again."""
+        from repro.analysis.sweep import prepare_experiment
+        from repro.coverage.bitmap import MaskMatrix
+
+        prepared = prepare_experiment("mnist", train_size=80, test_size=24, epochs=2, rng=0)
+        sweeps = []
+        best_candidate = MaskMatrix.best_candidate
+
+        def counting(self, *args, **kwargs):
+            sweeps.append(1)
+            return best_candidate(self, *args, **kwargs)
+
+        def run(name, **kwargs):
+            sweeps.clear()
+            result = build_generator(
+                name, prepared.model, prepared.train, rng=0, candidate_pool=40, **kwargs
+            ).generate(8)
+            return result, len(sweeps)
+
+        monkeypatch.setattr(MaskMatrix, "best_candidate", counting)
+        selection, selection_sweeps = run("selection")
+        combined, combined_sweeps = run("combined")
+        select = TrainingSetSelector._select
+        monkeypatch.setattr(
+            TrainingSetSelector,
+            "_select",
+            lambda self, tracker, available, index=None: select(self, tracker, available),
+        )
+        resweeping, resweeps = run("combined")
+
+        assert combined.sources == ["training"] * 8
+        assert selection_sweeps == combined_sweeps == 8
+        assert resweeps == 16
+        assert combined.tests.tobytes() == resweeping.tests.tobytes()
+        assert combined.gains == resweeping.gains
+        assert combined.coverage_history == resweeping.coverage_history
+        assert np.array_equal(combined.dataset_indices, resweeping.dataset_indices)
+        assert np.array_equal(combined.dataset_indices, selection.dataset_indices)
+
+
 class TestBaselines:
     def test_neuron_selector_histories(self, trained_cnn, digit_dataset):
         selector = NeuronCoverageSelector(trained_cnn, digit_dataset, candidate_pool=25, rng=0)

@@ -25,7 +25,7 @@ from repro.attacks import (
     apply_record,
     bias_flat_indices,
 )
-from repro.engine import Engine, ModelAxisBackend
+from repro.engine import Engine, model_axis
 from repro.engine.cache import TrunkCache, exact_model_key
 from repro.engine.model_axis import first_divergence
 from repro.models.zoo import mnist_cnn
@@ -212,9 +212,10 @@ class TestAttackCopiesAreTheirOwnModels:
 
 
 class TestVictimTrunk:
-    def test_warm_trunk_replays_bit_for_bit(self, victim):
+    def test_warm_trunk_replays_bit_for_bit(self, victim, monkeypatch):
         model, refs, tests = victim
-        engine = Engine(model, backend=ModelAxisBackend(max_models=3), cache=False)
+        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 3)
+        engine = Engine(model, backend="model_axis", cache=False)
         factories = default_attack_factories(refs)
         expected = model.forward(tests)
         results = []
@@ -268,7 +269,7 @@ class TestVictimTrunk:
     def test_in_place_mutation_gets_a_fresh_trunk(self, victim):
         model, _, tests = victim
         base = model.copy()
-        engine = Engine(base, backend=ModelAxisBackend(), cache=False)
+        engine = Engine(base, backend="model_axis", cache=False)
         head = bias_flat_indices(base)[-1]
 
         def head_copy():
@@ -287,11 +288,10 @@ class TestVictimTrunk:
         assert engine._trunks.stats.misses == 3
 
 
-    def test_a_many_chunk_batch_is_one_entry(self, victim):
+    def test_a_many_chunk_batch_is_one_entry(self, victim, monkeypatch):
         model, _, tests = victim
-        engine = Engine(
-            model, backend=ModelAxisBackend(max_models=2), batch_size=2, cache=False
-        )
+        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 2)
+        engine = Engine(model, backend="model_axis", batch_size=2, cache=False)
         head = bias_flat_indices(model)[-1]
         copies = []
         for delta in (1.0, 2.0, 3.0):
@@ -326,7 +326,7 @@ class TestSignedZeroDiverges:
         assert StackedSequential([victim, copy])._first_diff == conv3
 
         tests = np.random.default_rng(3).random((6, *victim.input_shape))
-        stacked = Engine(victim, backend=ModelAxisBackend(), cache=False).stacked_forward(
+        stacked = Engine(victim, backend="model_axis", cache=False).stacked_forward(
             [copy, victim.copy()], tests
         )
         assert same_bits(stacked[0], copy.forward(tests))

@@ -5,11 +5,8 @@ import logging
 import numpy as np
 import pytest
 
-from repro.utils.config import TestGenConfig as GenCfg
 from repro.utils import (
-    CoverageConfig,
     DetectionConfig,
-    ExperimentConfig,
     Timer,
     TrainingConfig,
     as_generator,
@@ -88,23 +85,6 @@ class TestConfigs:
         with pytest.raises(ValueError):
             TrainingConfig(learning_rate=0).validate()
 
-    def test_coverage_config_validation(self):
-        CoverageConfig().validate()
-        with pytest.raises(ValueError):
-            CoverageConfig(epsilon=-1).validate()
-        with pytest.raises(ValueError):
-            CoverageConfig(scalarization="norm").validate()
-
-    def test_testgen_config_validation(self):
-        GenCfg().validate()
-        GenCfg(switch_policy="fixed:5").validate()
-        with pytest.raises(ValueError):
-            GenCfg(max_tests=0).validate()
-        with pytest.raises(ValueError):
-            GenCfg(switch_policy="sometimes").validate()
-        with pytest.raises(ValueError):
-            GenCfg(candidate_pool=0).validate()
-
     def test_detection_config_validation(self):
         DetectionConfig().validate()
         with pytest.raises(ValueError):
@@ -113,10 +93,3 @@ class TestConfigs:
             DetectionConfig(test_budgets=(0,)).validate()
         with pytest.raises(ValueError):
             DetectionConfig(attacks=("alien",)).validate()
-
-    def test_experiment_config_bundle(self):
-        config = ExperimentConfig(name="exp")
-        config.validate()
-        d = config.to_dict()
-        assert d["name"] == "exp"
-        assert "training" in d and "detection" in d
