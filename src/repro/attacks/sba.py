@@ -146,13 +146,16 @@ def _classes_from(
 ) -> np.ndarray:
     """Predicted classes of ``model`` on the trunks' inputs, running only
     layers ``start`` onwards (every earlier layer must equal the trunks'
-    model bit for bit)."""
+    model bit for bit).  An inference pass: nothing stays on ``model``."""
     classes = []
-    for trunk in trunks:
-        out = trunk[start]
-        for layer in model.layers[start:]:
-            out = layer.forward(out)
-        classes.append(np.argmax(out, axis=1))
+    try:
+        for trunk in trunks:
+            out = trunk[start]
+            for layer in model.layers[start:]:
+                out = layer.forward(out, record=False)
+            classes.append(np.argmax(out, axis=1))
+    finally:
+        model._workspace.clear()
     return np.concatenate(classes)
 
 

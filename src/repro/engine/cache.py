@@ -48,7 +48,7 @@ DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 TRUNK_ENTRIES = 1
 
 
-def exact_model_key(model) -> str:
+def exact_model_key(model, signature: Optional[Tuple] = None) -> str:
     """SHA-256 of a model's architecture signature and raw parameter bytes.
 
     Two models get the same key exactly when they have the same layer stack
@@ -56,8 +56,12 @@ def exact_model_key(model) -> str:
     :func:`~repro.nn.serialization.parameter_digest` cannot see a flip of a
     low mantissa bit or the sign of a zero, so two models that compute
     different outputs can share it; it only checks saved model files.
+    A caller that already holds ``model.architecture_signature()`` passes
+    it as ``signature``.
     """
-    hasher = hashlib.sha256(repr(model.architecture_signature()).encode("utf-8"))
+    if signature is None:
+        signature = model.architecture_signature()
+    hasher = hashlib.sha256(repr(signature).encode("utf-8"))
     for param in model.parameters():
         hasher.update(param.value.tobytes())
     return hasher.hexdigest()
@@ -234,12 +238,13 @@ class TrunkCache:
         return self._cache.stats
 
     def get(
-        self, model, batch: np.ndarray, rows: int
+        self, model, batch: np.ndarray, rows: int, signature: Optional[Tuple] = None
     ) -> List[Tuple[np.ndarray, ...]]:
         """The trunks of ``model`` on ``batch`` in ``rows``-row chunks,
         computed on a miss with one inference forward per chunk
-        (``model.forward_collect``)."""
-        key = (exact_model_key(model), array_fingerprint(batch), rows)
+        (``model.forward_collect``).  ``signature`` is as for
+        :func:`exact_model_key`."""
+        key = (exact_model_key(model, signature), array_fingerprint(batch), rows)
         trunks = self._cache.get(key)
         if trunks is None:
             trunks = []

@@ -24,7 +24,8 @@ Key properties:
 * **In-process** — every query calls the model's own NumPy passes
   (``forward``, ``forward_collect``, ``output_gradients_batch``,
   ``input_gradient``, ``loss_parameter_gradients``) directly, behind the
-  ``engine.dispatch`` fault-injection site.
+  ``engine.dispatch`` fault-injection site.  Forward queries are inference
+  passes (``record=False``): they leave nothing on the model.
 * **One mask path** — each packed-mask query (parameter or neuron) has one
   chunk generator, which feeds both the in-RAM matrix and the disk-spilled
   store; the dense :meth:`Engine.activation_masks`,
@@ -276,12 +277,12 @@ class Engine:
         )
 
     # -- dispatch ------------------------------------------------------------
-    def _dispatch(self, op: str, fn: Callable, *args):
-        """Call ``fn(*args)`` behind the ``engine.dispatch`` fault-injection
-        site (one guard when no plan is active)."""
+    def _dispatch(self, op: str, fn: Callable, *args, **kwargs):
+        """Call ``fn(*args, **kwargs)`` behind the ``engine.dispatch``
+        fault-injection site (one guard when no plan is active)."""
         if inject.active():
             inject.check("engine.dispatch", op=op, backend=self.backend)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     # -- batching plumbing ---------------------------------------------------
     def _as_batch(self, batch: np.ndarray) -> np.ndarray:
@@ -358,13 +359,14 @@ class Engine:
 
     # -- forward queries -----------------------------------------------------
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        """Inference-mode logits for a batch, chunked and memoized."""
+        """Inference logits for a batch, chunked and memoized; the model
+        records nothing (``forward(chunk, record=False)``)."""
         batch = self._as_batch(batch)
 
         def compute() -> np.ndarray:
             return np.concatenate(
                 [
-                    self._dispatch("forward", self.model.forward, batch[s])
+                    self._dispatch("forward", self.model.forward, batch[s], record=False)
                     for s in self._chunks(batch.shape[0])
                 ],
                 axis=0,
@@ -397,6 +399,8 @@ class Engine:
         trunk on the batch, which the engine computes once and keeps (with
         or without ``cache``).  Memoization keys on the *tuple* of exact
         model keys, so revisiting the same set of copies is a cache hit.
+        Each model's signature is computed once per call; the keys and the
+        fused stacks reuse it.  No model records anything.
         """
         models = list(models)
         if not models:
@@ -415,7 +419,7 @@ class Engine:
         def run(group: List[Sequential], x: np.ndarray, trunk) -> np.ndarray:
             if fused:
                 return model_axis.fused_stacked_forward(group, x, self.model, trunk)
-            return np.stack([model.forward(x, training=False) for model in group])
+            return np.stack([model.forward(x, record=False) for model in group])
 
         def compute() -> np.ndarray:
             chunks = list(self._chunks(batch.shape[0]))
@@ -425,7 +429,7 @@ class Engine:
             # lookup per call); the per-copy loop runs every copy whole
             capacity = model_axis.DEFAULT_MAX_MODELS if fused else len(models)
             trunks = (
-                self._trunks.get(self.model, batch, self.batch_size)
+                self._trunks.get(self.model, batch, self.batch_size, signature)
                 if fused
                 else [None] * len(chunks)
             )
@@ -447,7 +451,7 @@ class Engine:
             return compute()
         # the key tuple is only a memo key: an engine without a memo (every
         # trial replay) never hashes the copies
-        keys = tuple(exact_model_key(model) for model in models)
+        keys = tuple(exact_model_key(model, signature) for model in models)
         return self._memoized_for("stacked_forward", keys, batch, (), compute)
 
     # -- gradient queries ----------------------------------------------------

@@ -80,7 +80,10 @@ def fused_stacked_forward(
     ``k``, ``trunk[-1]`` is the logits; see
     :class:`~repro.engine.cache.TrunkCache`).  Each copy runs from its first
     divergent layer on, fused with every copy that diverges at the same
-    layer; slice ``m`` equals ``models[m].forward(x)`` bit for bit.
+    layer; slice ``m`` equals ``models[m].forward(x)`` bit for bit.  Every
+    model must share ``base``'s architecture signature; the caller checks
+    that (:meth:`~repro.engine.engine.Engine.stacked_forward` does, once per
+    model), and the stacks built here do not check it again.
     """
     # group the copies by the first layer where they diverge from the
     # base: the base's activation feeding that layer is bitwise what
@@ -96,7 +99,7 @@ def fused_stacked_forward(
             # bitwise the base itself: its logits serve every such copy
             result[indices] = logits
         else:
-            group = StackedSequential([models[i] for i in indices], start=split)
+            group = StackedSequential._of_checked([models[i] for i in indices], start=split)
             result[indices] = group.forward(trunk[split])
     return result
 

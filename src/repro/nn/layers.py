@@ -1,8 +1,9 @@
 """Neural-network layers with explicit forward/backward passes.
 
 The layers operate on batches.  Image tensors use the ``(N, C, H, W)`` layout;
-dense layers use ``(N, features)``.  Each layer caches what it needs during
-``forward`` and consumes the cache in ``backward``, which
+dense layers use ``(N, features)``.  A *recording* ``forward`` (the
+default) caches on the layer what ``backward`` needs, and ``backward``
+consumes that cache, which
 
 * accumulates gradients into its :class:`~repro.nn.tensor.Parameter` objects
   (needed by training, the GDA attack and the parameter-coverage metric), and
@@ -12,6 +13,11 @@ dense layers use ``(N, features)``.  Each layer caches what it needs during
 
 A caller that reads only one of the two skips the other (see
 :meth:`Layer.backward`).
+
+Inference never runs ``backward``, so it calls ``forward(x, record=False)``:
+the same kernels and bitwise the same output, with nothing stored on the
+layer (no cache, no workspace lease) and every scratch buffer handed back to
+the workspace before the call returns.
 """
 
 from __future__ import annotations
@@ -53,7 +59,13 @@ class Layer:
         return input_shape
 
     # -- computation -----------------------------------------------------------
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
+        """The layer's output on a batch.
+
+        ``record=True`` keeps what :meth:`backward` reads (replacing the
+        previous forward's record); ``record=False`` computes bitwise the
+        same output and leaves the layer's state untouched.
+        """
         raise NotImplementedError
 
     def backward(
@@ -180,7 +192,7 @@ class Dense(Layer):
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return (self.units,)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
         if self.weight is None:
             raise RuntimeError(f"layer {self.name!r} has not been built")
         z = x @ self.weight.value
@@ -192,7 +204,8 @@ class Dense(Layer):
             y = z = self.activation.forward_inplace(z)
         else:
             y = self.activation.forward(z)
-        self._cache = {"x": x, "z": z, "y": y}
+        if record:
+            self._cache = {"x": x, "z": z, "y": y}
         return y
 
     def backward(
@@ -436,29 +449,34 @@ class Conv2D(Layer):
     def _release_cols(self) -> None:
         """Hand the cached patch matrix back to the workspace (idempotent).
 
-        Called only by the *next* forward, immediately before it acquires a
-        replacement.  Releasing any earlier — e.g. after the backward pass's
-        last read — would let a same-geometry acquire inside backward itself
-        (the input-gradient gather of an equal-channel conv) pop and
-        overwrite the buffer, breaking the contract that a repeated backward
-        without an interleaved forward still reads valid data.
+        Called only by the *next* recording forward, immediately before it
+        acquires a replacement.  Releasing any earlier — e.g. after the
+        backward pass's last read — would let a same-geometry acquire inside
+        backward itself (the input-gradient gather of an equal-channel conv)
+        pop and overwrite the buffer, breaking the contract that a repeated
+        backward without an interleaved recording forward still reads valid
+        data.
         """
         if self._cols_leased:
             self._cols_leased = False
             if self._workspace is not None:
                 self._workspace.release(self._cache.get("cols"))
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
         if self.weight is None:
             raise RuntimeError(f"layer {self.name!r} has not been built")
         n, c, h, w = x.shape
         kh, kw = self.kernel_size
         pad = self._padding()
-        self._release_cols()
+        if record:
+            self._release_cols()
         cols, out_h, out_w = im2col(x, kh, kw, self.stride, pad, pool=self._workspace)
-        self._cols_leased = self._workspace is not None
         w_mat = self.weight.value.reshape(self.filters, -1)  # (F, C*kh*kw)
         z = np.matmul(w_mat, cols)  # (F, K) @ (N, K, P) -> (N, F, P) via BLAS
+        if record:
+            self._cols_leased = self._workspace is not None
+        elif self._workspace is not None:
+            self._workspace.release(cols)  # the matmul was its last read
         if self.bias is not None:
             z += self.bias.value[None, :, None]  # z is fresh from the matmul
         z = z.reshape(n, self.filters, out_h, out_w)
@@ -468,7 +486,8 @@ class Conv2D(Layer):
             y = z = self.activation.forward_inplace(z)
         else:
             y = self.activation.forward(z)
-        self._cache = {"x_shape": np.array(x.shape), "cols": cols, "z": z, "y": y}
+        if record:
+            self._cache = {"x_shape": np.array(x.shape), "cols": cols, "z": z, "y": y}
         return y
 
     def backward(
@@ -595,7 +614,17 @@ class Conv2D(Layer):
 
 
 class MaxPool2D(Layer):
-    """Max pooling over non-overlapping (or strided) windows."""
+    """Max pooling over non-overlapping (or strided) windows.
+
+    Both passes walk the window's ``ph·pw`` strided taps in ``(ki, kj)``
+    order; no patch matrix is built.  A tap replaces the running maximum
+    where ``~(out >= tap) & (out == out)``: it is larger, or it is NaN and
+    the maximum so far is not.  That is :func:`numpy.argmax`'s rule over the
+    window (the first maximum wins, a NaN counts as the maximum, and of
+    ``-0.0`` and ``+0.0`` the first is kept), so the output is the value at
+    the window's argmax, bit for bit.  A recording forward also keeps the
+    winning tap's index, and :meth:`backward` routes each gradient to it.
+    """
 
     def __init__(
         self,
@@ -611,7 +640,6 @@ class MaxPool2D(Layer):
         if self.stride <= 0:
             raise ValueError("stride must be positive")
         self._cache: Dict[str, np.ndarray] = {}
-        self._workspace: Optional[WorkspacePool] = None
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         c, h, w = input_shape
@@ -620,41 +648,45 @@ class MaxPool2D(Layer):
         out_w = _conv_output_size(w, pw, self.stride, 0)
         return (c, out_h, out_w)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
+    def _taps(self, x_shape: Tuple[int, ...]) -> List[Tuple[slice, ...]]:
+        """Index of each window tap in ``(ki, kj)`` order: tap ``k`` picks
+        pixel ``(ki + stride·i, kj + stride·j)`` for output cell ``(i, j)``."""
+        _, out_h, out_w = self.output_shape(tuple(x_shape[1:]))
+        s = self.stride
         ph, pw = self.pool_size
-        # treat each channel as a separate image for im2col
-        reshaped = x.reshape(n * c, 1, h, w)
-        cols, out_h, out_w = im2col(reshaped, ph, pw, self.stride, 0, pool=self._workspace)
-        # cols: (N*C, ph*pw, P)
-        argmax = np.argmax(cols, axis=1)
-        out = np.take_along_axis(cols, argmax[:, None, :], axis=1).squeeze(1)
-        if self._workspace is not None:
-            self._workspace.release(cols)  # consumed: only argmax survives
-        out = out.reshape(n, c, out_h, out_w)
-        self._cache = {
-            "argmax": argmax,
-            "cols_shape": np.array(cols.shape),
-            "x_shape": np.array(x.shape),
-        }
+        return [
+            (Ellipsis, slice(ki, ki + s * out_h, s), slice(kj, kj + s * out_w, s))
+            for ki in range(ph)
+            for kj in range(pw)
+        ]
+
+    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
+        taps = self._taps(x.shape)
+        out = x[taps[0]].copy()
+        index = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1)) if record else None
+        for k, tap in enumerate(taps[1:], start=1):
+            values = x[tap]
+            take = ~(out >= values) & (out == out)
+            np.copyto(out, values, where=take)
+            if index is not None:
+                np.copyto(index, k, where=take)
+        if record:
+            self._cache = {"index": index, "x_shape": np.array(x.shape)}
         return out
 
     def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
         if not self._cache:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
-        argmax = self._cache["argmax"]
-        cols_shape = tuple(int(v) for v in self._cache["cols_shape"])
+        index = self._cache["index"]
         x_shape = tuple(int(v) for v in self._cache["x_shape"])
-        n, c, h, w = x_shape
-        ph, pw = self.pool_size
-
-        # the scatter buffer follows the gradient dtype: hardcoding float64
-        # here silently upcast every float32 backward through a pooling layer
-        grad_cols = np.zeros(cols_shape, dtype=grad_out.dtype)
-        grad_flat = grad_out.reshape(n * c, -1)
-        np.put_along_axis(grad_cols, argmax[:, None, :], grad_flat[:, None, :], axis=1)
-        grad_x = col2im(grad_cols, (n * c, 1, h, w), ph, pw, self.stride, 0)
-        return grad_x.reshape(n, c, h, w)
+        grad_out = grad_out.reshape(index.shape)
+        # the gradient buffer follows the gradient dtype: hardcoding float64
+        # here silently upcast every float32 backward through a pooling layer.
+        # Taps add in (ki, kj) order, as col2im sums a scattered patch matrix
+        grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
+        for k, tap in enumerate(self._taps(x_shape)):
+            grad_x[tap] += np.where(index == k, grad_out, 0)
+        return grad_x
 
 
 class AvgPool2D(Layer):
@@ -683,7 +715,7 @@ class AvgPool2D(Layer):
         out_w = _conv_output_size(w, pw, self.stride, 0)
         return (c, out_h, out_w)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
         n, c, h, w = x.shape
         ph, pw = self.pool_size
         reshaped = x.reshape(n * c, 1, h, w)
@@ -691,7 +723,8 @@ class AvgPool2D(Layer):
         out = cols.mean(axis=1).reshape(n, c, out_h, out_w)
         if self._workspace is not None:
             self._workspace.release(cols)  # consumed by the mean
-        self._cache = {"cols_shape": np.array(cols.shape), "x_shape": np.array(x.shape)}
+        if record:
+            self._cache = {"cols_shape": np.array(cols.shape), "x_shape": np.array(x.shape)}
         return out
 
     def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
@@ -718,8 +751,9 @@ class Flatten(Layer):
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return (int(np.prod(input_shape)),)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._input_shape = x.shape
+    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
+        if record:
+            self._input_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
@@ -739,13 +773,14 @@ class Dropout(Layer):
         self._rng = as_generator(seed)
         self._mask: Optional[np.ndarray] = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
+    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
+        mask = None
+        if training and self.rate > 0.0:
+            keep = 1.0 - self.rate
+            mask = (self._rng.random(x.shape) < keep) / keep
+        if record:
+            self._mask = mask
+        return x if mask is None else x * mask
 
     def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
         if self._mask is None:
@@ -761,9 +796,10 @@ class ActivationLayer(Layer):
         self.activation = get_activation(activation)
         self._cache: Dict[str, np.ndarray] = {}
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
         y = self.activation.forward(x)
-        self._cache = {"x": x, "y": y}
+        if record:
+            self._cache = {"x": x, "y": y}
         return y
 
     def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:

@@ -53,9 +53,10 @@ class Sequential:
         self.name = name
         self.input_shape: Optional[Tuple[int, ...]] = None
         self._built = False
-        # one free-list of patch-matrix buffers shared by every conv/pool
-        # layer of this model (wired into the layers by build), so
-        # consecutive layers recycle the same hot memory chunk after chunk
+        # one free-list of patch-matrix buffers shared by every layer of this
+        # model that has a ``_workspace`` (wired by build), so consecutive
+        # layers recycle the same hot memory within a pass; an inference
+        # pass empties it on return
         self._workspace = WorkspacePool()
 
     # -- construction ----------------------------------------------------------
@@ -127,37 +128,56 @@ class Sequential:
             layer.zero_grad()
 
     # -- forward / backward ----------------------------------------------------------
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Run the network on a batch and return the output logits."""
+    def forward(
+        self, x: np.ndarray, training: bool = False, record: bool = True
+    ) -> np.ndarray:
+        """Run the network on a batch and return the output logits.
+
+        ``record=True`` (the default) keeps on every layer what
+        :meth:`backward` reads.  ``record=False`` is inference: bitwise the
+        same logits, nothing stored on any layer, and the model's workspace
+        holds no free buffer when the call returns.
+        """
         self._check_input(x)
-        out = x
-        if _inject.active():
-            # chaos-plan hook: latency/exception faults addressed to a named
-            # layer's forward ("layer.forward" site); off the plan-inactive
-            # hot path entirely
-            for index, layer in enumerate(self.layers):
-                _inject.check(
-                    "layer.forward", layer=layer.name, index=index, model=self.name
-                )
-                out = layer.forward(out, training=training)
-            return out
-        for layer in self.layers:
-            out = layer.forward(out, training=training)
-        return out
+        return self._run(x, training, record)
 
     def forward_collect(self, x: np.ndarray) -> List[np.ndarray]:
-        """Run the network and return every layer's output (for neuron coverage)."""
+        """Run the network and return every layer's output (for neuron coverage).
+
+        An inference pass: it records nothing (see :meth:`forward`).
+        """
         self._check_input(x)
         outputs: List[np.ndarray] = []
-        out = x
-        for index, layer in enumerate(self.layers):
-            if _inject.active():
-                _inject.check(
-                    "layer.forward", layer=layer.name, index=index, model=self.name
-                )
-            out = layer.forward(out, training=False)
-            outputs.append(out)
+        self._run(x, False, False, outputs)
         return outputs
+
+    def _run(
+        self,
+        x: np.ndarray,
+        training: bool,
+        record: bool,
+        outputs: Optional[List[np.ndarray]] = None,
+    ) -> np.ndarray:
+        """The layer loop of :meth:`forward`; appends each layer's output to
+        ``outputs`` when given."""
+        out = x
+        try:
+            for index, layer in enumerate(self.layers):
+                if _inject.active():
+                    # chaos-plan hook: latency/exception faults addressed to
+                    # a named layer's forward ("layer.forward" site)
+                    _inject.check(
+                        "layer.forward", layer=layer.name, index=index, model=self.name
+                    )
+                out = layer.forward(out, training=training, record=record)
+                if outputs is not None:
+                    outputs.append(out)
+        finally:
+            if not record:
+                # the pass handed every scratch buffer back; keeping them
+                # would pin the largest patch matrices between calls
+                self._workspace.clear()
+        return out
 
     def backward(
         self, grad_out: np.ndarray, need_input_grad: bool = True, need_param_grads: bool = True
@@ -240,7 +260,7 @@ class Sequential:
         return per_sample
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, training=False)
+        return self.forward(x, record=False)
 
     # -- inference helpers ----------------------------------------------------------
     def predict(self, x: np.ndarray, batch_size: int = PREDICT_BATCH_SIZE) -> np.ndarray:
@@ -248,7 +268,7 @@ class Sequential:
         self._check_input(x)
         chunks = []
         for start in range(0, x.shape[0], batch_size):
-            chunks.append(self.forward(x[start : start + batch_size], training=False))
+            chunks.append(self.forward(x[start : start + batch_size], record=False))
         return np.concatenate(chunks, axis=0)
 
     def predict_classes(self, x: np.ndarray, batch_size: int = PREDICT_BATCH_SIZE) -> np.ndarray:

@@ -27,8 +27,9 @@ minimal:
 * **Fold-to-``M·N``** — parameterless layers (pooling, flatten, dropout,
   standalone activations) are model-agnostic, so stacked tensors fold the
   model axis into the batch axis and ride through the template layer's
-  ordinary ``forward``.  Parametric layers in the shared prefix execute
-  the template layer's plain ``forward`` the same way.
+  ordinary inference ``forward`` (``record=False``).  Parametric layers in
+  the shared prefix execute the template layer's plain inference
+  ``forward`` the same way.
 
 The model axis runs forwards only: it serves trial replay, and every
 gradient query (activation masks, test synthesis, the GDA attack) is about
@@ -38,7 +39,8 @@ one model and runs through that model's own
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import copy
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,11 +68,24 @@ class StackedSequential:
         bitwise, when the copies' parameters first diverge at ``start``.
 
     :meth:`forward` returns ``(M, N, num_classes)``; slice ``m`` is
-    bit-identical to ``models[m].forward(x, training=False)``.
+    bit-identical to ``models[m].forward(x)``, recording or not.  The stack
+    records nothing on any model: the shared and folded segments run copies
+    of the template's layers that draw scratch buffers from the stack's own
+    workspace, so no model's layers or workspace change.
     """
 
     def __init__(self, models: Sequence[Sequential], start: int = 0) -> None:
-        models = list(models)
+        self._build(list(models), start, check=True)
+
+    @classmethod
+    def _of_checked(cls, models: Sequence[Sequential], start: int = 0) -> "StackedSequential":
+        """A stack over ``models`` whose architecture signatures the caller
+        has already found equal (the engine checks each copy once per call)."""
+        stack = cls.__new__(cls)
+        stack._build(list(models), start, check=False)
+        return stack
+
+    def _build(self, models: List[Sequential], start: int, check: bool) -> None:
         if not models:
             raise ValueError("StackedSequential needs at least one model")
         template = models[0]
@@ -82,13 +97,14 @@ class StackedSequential:
                 f"got {start}"
             )
         self.start = int(start)
-        signature = template.architecture_signature()
-        for i, model in enumerate(models[1:], start=1):
-            if not model.built or model.architecture_signature() != signature:
-                raise ValueError(
-                    f"model {i} does not match the template architecture; "
-                    "stacked execution requires identical layer stacks"
-                )
+        if check:
+            signature = template.architecture_signature()
+            for i, model in enumerate(models[1:], start=1):
+                if not model.built or model.architecture_signature() != signature:
+                    raise ValueError(
+                        f"model {i} does not match the template architecture; "
+                        "stacked execution requires identical layer stacks"
+                    )
         self.template = template
         self.num_models = len(models)
         self.input_shape = template.input_shape
@@ -120,6 +136,13 @@ class StackedSequential:
                 self._first_diff = idx
                 break
         self._pool = WorkspacePool()
+        # a layer that draws scratch buffers runs as a shallow copy wired to
+        # this stack's pool (a copy shares the parameters, not the cache)
+        self._layers = list(template.layers)
+        for idx, layer in enumerate(self._layers):
+            if hasattr(layer, "_workspace"):
+                self._layers[idx] = copy.copy(layer)
+                self._layers[idx]._workspace = self._pool
 
     def __len__(self) -> int:
         return self.num_models
@@ -135,7 +158,7 @@ class StackedSequential:
         m = self.num_models
         out = x  # shared (N, ...) until the first stacked layer
         stacked = False
-        for idx, layer in enumerate(self.template.layers):
+        for idx, layer in enumerate(self._layers):
             if idx < self.start:
                 continue
             if idx in self._stacked and idx >= self._first_diff:
@@ -144,10 +167,10 @@ class StackedSequential:
                 stacked = True
             elif stacked:
                 n = out.shape[1]
-                folded = layer.forward(out.reshape(m * n, *out.shape[2:]))
+                folded = layer.forward(out.reshape(m * n, *out.shape[2:]), record=False)
                 out = folded.reshape(m, n, *folded.shape[1:])
             else:
-                out = layer.forward(out)
+                out = layer.forward(out, record=False)
         if not stacked:
             # every copy is bitwise identical: one shared pass serves all
             out = np.broadcast_to(out, (m, *out.shape))

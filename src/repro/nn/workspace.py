@@ -1,8 +1,8 @@
 """Reusable ndarray workspaces for the im2col hot path.
 
 The batched engine processes large candidate pools in uniform chunks, so the
-convolution and pooling layers keep requesting patch matrices of the *same*
-shapes over and over.  Allocating a fresh ``(N, C*kh*kw, P)`` buffer per
+convolution (and average-pooling) layers keep requesting patch matrices of
+the *same* shapes over and over.  Allocating a fresh ``(N, C*kh*kw, P)`` buffer per
 chunk is churn; but naively *pinning* one buffer per layer is worse — it
 grows the working set of a pass from the largest single patch matrix to the
 sum over all layers, and the measured cache misses cost more than the
@@ -23,12 +23,19 @@ locality of malloc's free list, with deterministic reuse and zero per-chunk
 allocation churn once warm.
 
 Ownership contract: whoever acquires a buffer must release it exactly once,
-after its last possible read.  The conv layers hold their patch matrix from
-one forward until the *next* forward replaces it (not merely until backward
-consumes it — backward may legitimately run repeatedly, and an early release
-would let backward's own input-gradient gather pop and overwrite the buffer
-when the geometries coincide); pooling layers and the gradient gather
-release as soon as their single consumer has read the buffer.
+after its last possible read.  A *recording* conv forward holds its patch
+matrix from one recording forward until the next one replaces it (not merely
+until backward consumes it — backward may legitimately run repeatedly, and
+an early release would let backward's own input-gradient gather pop and
+overwrite the buffer when the geometries coincide).  Everything else
+releases as soon as its single consumer has read the buffer: an inference
+forward (``record=False``) and the stacked forward right after the matmul,
+average pooling after its mean, the gradient gather after its matmul.
+
+Free buffers do not outlive an inference pass: ``Sequential.forward(x,
+record=False)`` (and every inference path built on it) empties its model's
+pool on return, so between calls a model holds only the patch matrices its
+last recording forward leased, never the free list of a past gradient query.
 """
 
 from __future__ import annotations

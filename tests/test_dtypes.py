@@ -178,13 +178,13 @@ class TestWorkspacePool:
         from repro.nn.layers import Conv2D, MaxPool2D
 
         model = small_cnn(rng=10)
-        pools = {
-            id(layer._workspace)
-            for layer in model.layers
-            if isinstance(layer, (Conv2D, MaxPool2D))
-        }
+        pools = {id(layer._workspace) for layer in model.layers if isinstance(layer, Conv2D)}
         assert len(pools) == 1
         assert model._workspace is not None
+        assert pools == {id(model._workspace)}
+        # max pooling folds strided taps and needs no scratch buffer
+        pooling = [layer for layer in model.layers if isinstance(layer, MaxPool2D)]
+        assert pooling and not any(hasattr(layer, "_workspace") for layer in pooling)
 
     def test_repeated_backward_after_one_forward_is_stable(self):
         """The release contract: contents stay valid until re-acquired."""

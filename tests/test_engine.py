@@ -287,13 +287,14 @@ class TestBackendsAndCache:
         calls = []
         forward = model.forward
 
-        def counting_forward(x, training=False):
-            calls.append(x.shape[0])
-            return forward(x, training=training)
+        def counting_forward(x, training=False, record=True):
+            calls.append((x.shape[0], record))
+            return forward(x, training=training, record=record)
 
         monkeypatch.setattr(model, "forward", counting_forward)
         logits = Engine(model, batch_size=2).forward(images)
-        assert calls == [2, 2, 1]
+        assert [rows for rows, _ in calls] == [2, 2, 1]
+        assert not any(record for _, record in calls)  # inference records nothing
         np.testing.assert_allclose(logits, expected, atol=TOLERANCE)
 
     def test_cache_stats_merge_semantics(self):

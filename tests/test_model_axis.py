@@ -22,6 +22,7 @@ from repro.engine.cache import TrunkCache
 from repro.engine.model_axis import first_divergence, fused_stacked_forward
 from repro.models.zoo import cifar_cnn, mnist_cnn
 from repro.nn.activations import get_activation
+from repro.nn.model import Sequential
 from repro.nn.stacked import StackedSequential
 from repro.testgen.selection import TrainingSetSelector
 from repro.utils.config import DetectionConfig
@@ -117,6 +118,12 @@ class TestStackedSequentialEquivalence:
             StackedSequential([mnist_model, cifar_model])
         with pytest.raises(ValueError, match="start"):
             StackedSequential([mnist_model], start=len(mnist_model.layers))
+
+    def test_rejects_a_different_activation(self, mnist_model):
+        copy = mnist_model.copy()
+        copy.layers[0].activation = get_activation("relu")
+        with pytest.raises(ValueError, match="architecture"):
+            StackedSequential([mnist_model, copy])
 
 
 class TestFirstDivergence:
@@ -225,6 +232,25 @@ class TestEngineStackedForward:
         engine = Engine(mnist_model, backend=backend, cache=False)
         with pytest.raises(ValueError, match="architecture"):
             engine.stacked_forward([mnist_model.copy(), copy], mnist_pool)
+
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_one_signature_per_model_per_call(self, cache, mnist_model, mnist_pool, monkeypatch):
+        # the engine checks every copy once; the fused stacks and the exact
+        # keys (memo and trunk) reuse that signature
+        copies = sba_copies(mnist_model, 6) + head_copies(mnist_model, 3)
+        engine = Engine(mnist_model, backend="model_axis", cache=cache)
+        counts = {}
+        signature = Sequential.architecture_signature
+
+        def counting(model):
+            counts[id(model)] = counts.get(id(model), 0) + 1
+            return signature(model)
+
+        monkeypatch.setattr(Sequential, "architecture_signature", counting)
+        engine.stacked_forward(copies, mnist_pool)
+        assert set(counts) == {id(model) for model in [mnist_model, *copies]}
+        assert max(counts.values()) == 1
 
 
 class TestConsumerEquivalence:

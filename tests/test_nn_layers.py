@@ -14,7 +14,7 @@ from repro.nn.layers import (
     col2im,
     im2col,
 )
-from repro.nn.tensor import Parameter
+from repro.nn.tensor import Parameter, bit_pattern
 
 
 def _rng():
@@ -204,6 +204,74 @@ class TestPooling:
     def test_output_shapes(self):
         assert MaxPool2D(2).output_shape((4, 8, 8)) == (4, 4, 4)
         assert AvgPool2D(2).output_shape((4, 8, 8)) == (4, 4, 4)
+
+
+def _reference_maxpool(x, pool_size, stride, grad_out):
+    """The im2col + argmax kernel MaxPool2D ran before its tap fold:
+    ``(output, input gradient)``."""
+    n, c, h, w = x.shape
+    ph, pw = pool_size
+    cols, out_h, out_w = im2col(x.reshape(n * c, 1, h, w), ph, pw, stride, 0)
+    argmax = np.argmax(cols, axis=1)
+    out = np.take_along_axis(cols, argmax[:, None, :], axis=1).reshape(n, c, out_h, out_w)
+    grad_cols = np.zeros(cols.shape, dtype=grad_out.dtype)
+    np.put_along_axis(grad_cols, argmax[:, None, :], grad_out.reshape(n * c, 1, -1), axis=1)
+    grad_x = col2im(grad_cols, (n * c, 1, h, w), ph, pw, stride, 0)
+    return out, grad_x.reshape(x.shape)
+
+
+def _assert_pool_matches_reference(x, pool_size=2, stride=None, seed=0):
+    pool = MaxPool2D(pool_size, stride=stride)
+    plain = pool.forward(x, record=False)
+    assert not pool._cache
+    out = pool.forward(x)
+    grad_out = np.random.default_rng(seed).normal(size=out.shape).astype(x.dtype)
+    grad_x = pool.backward(grad_out)
+    want_out, want_grad = _reference_maxpool(x, pool.pool_size, pool.stride, grad_out)
+    for got, want in ((plain, want_out), (out, want_out), (grad_x, want_grad)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(bit_pattern(got), bit_pattern(want))
+
+
+class TestMaxPoolTapFold:
+    """The tap fold equals the im2col + argmax kernel bit for bit, forward
+    and input gradient, recording or not."""
+
+    SPECIALS = (-0.0, 0.0, np.nan, np.inf, -np.inf, 1.0)
+
+    @pytest.mark.parametrize("arch", ["mnist", "cifar"])
+    def test_table_one_pool_inputs(self, arch):
+        from repro.models.zoo import cifar_cnn, mnist_cnn
+
+        if arch == "mnist":
+            model = mnist_cnn(width_multiplier=0.125, input_size=28, rng=0)
+        else:
+            model = cifar_cnn(width_multiplier=0.0625, input_size=32, rng=0)
+        x = np.random.default_rng(1).random((16, *model.input_shape))
+        inputs = [x, *model.forward_collect(x)]
+        pools = [i for i, layer in enumerate(model.layers) if isinstance(layer, MaxPool2D)]
+        assert pools
+        for i in pools:
+            layer = model.layers[i]
+            _assert_pool_matches_reference(inputs[i], layer.pool_size, layer.stride, seed=i)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_every_window_of_special_values(self, dtype):
+        # one 2x2 window per channel: every ordering of ties, signed zeros,
+        # NaN and infinities
+        values = np.array(self.SPECIALS)
+        grid = np.stack(np.meshgrid(*[values] * 4, indexing="ij"), axis=-1).reshape(-1, 2, 2)
+        _assert_pool_matches_reference(grid[None].astype(dtype))
+
+    @pytest.mark.parametrize("pool_size, stride", [(2, 1), (3, 2), ((2, 3), 2)])
+    def test_overlapping_and_uneven_windows(self, pool_size, stride):
+        rng = np.random.default_rng(7)
+        x = rng.choice(np.array(self.SPECIALS), size=(2, 3, 7, 8))
+        _assert_pool_matches_reference(x, pool_size, stride)
+        _assert_pool_matches_reference(np.round(rng.normal(size=(2, 3, 7, 8))), pool_size, stride)
+
+    def test_needs_no_workspace(self):
+        assert not hasattr(MaxPool2D(2), "_workspace")
 
 
 class TestFlattenDropoutActivationLayer:
