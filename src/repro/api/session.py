@@ -72,12 +72,16 @@ class Session:
     engine pool, the prepared-experiment cache and :meth:`close` all run
     under one re-entrant lock, so concurrent callers (the
     :mod:`repro.serve` worker tier) can share a session without corrupting
-    its LRUs.  The *compute* they hand back is not serialised
-    here — engines memoize through the thread-safe
-    :class:`~repro.engine.cache.BatchResultCache`, but the numerical kernels
-    reuse per-engine workspace buffers, so callers that need bit-stable
-    results under concurrency must serialise dispatches *per engine* (the
-    serving layer does exactly that around its coalesced dispatches).
+    its LRUs.  The *compute* they hand back is not serialised here, and
+    need not be for inference and the input-gradient and per-sample
+    gradient queries: engines memoize through the thread-safe
+    :class:`~repro.engine.cache.BatchResultCache`, and a model keeps no
+    per-pass state (each call owns its tape), so concurrent queries of one
+    model return the serial results bit for bit.  The queries that
+    accumulate into ``Parameter.grad`` (training,
+    ``loss_parameter_gradients``, ``output_gradients``) do share state, and
+    callers must serialise those per model.  The serving layer still runs
+    one dispatch at a time (see :mod:`repro.serve.service`).
     """
 
     def __init__(

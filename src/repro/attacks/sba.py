@@ -148,14 +148,11 @@ def _classes_from(
     layers ``start`` onwards (every earlier layer must equal the trunks'
     model bit for bit).  An inference pass: nothing stays on ``model``."""
     classes = []
-    try:
-        for trunk in trunks:
-            out = trunk[start]
-            for layer in model.layers[start:]:
-                out = layer.forward(out, record=False)
-            classes.append(np.argmax(out, axis=1))
-    finally:
-        model._workspace.clear()
+    for trunk in trunks:
+        out = trunk[start]
+        for layer in model.layers[start:]:
+            out = layer.forward(out)
+        classes.append(np.argmax(out, axis=1))
     return np.concatenate(classes)
 
 

@@ -25,7 +25,8 @@ Key properties:
   (``forward``, ``forward_collect``, ``output_gradients_batch``,
   ``input_gradient``, ``loss_parameter_gradients``) directly, behind the
   ``engine.dispatch`` fault-injection site.  Forward queries are inference
-  passes (``record=False``): they leave nothing on the model.
+  passes (no tape), and a gradient query's tape lives only as long as the
+  query: no query leaves anything on the model.
 * **One mask path** — each packed-mask query (parameter or neuron) has one
   chunk generator, which feeds both the in-RAM matrix and the disk-spilled
   store; the dense :meth:`Engine.activation_masks`,
@@ -360,13 +361,13 @@ class Engine:
     # -- forward queries -----------------------------------------------------
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """Inference logits for a batch, chunked and memoized; the model
-        records nothing (``forward(chunk, record=False)``)."""
+        records nothing (``forward(chunk)`` with no tape)."""
         batch = self._as_batch(batch)
 
         def compute() -> np.ndarray:
             return np.concatenate(
                 [
-                    self._dispatch("forward", self.model.forward, batch[s], record=False)
+                    self._dispatch("forward", self.model.forward, batch[s])
                     for s in self._chunks(batch.shape[0])
                 ],
                 axis=0,
@@ -419,7 +420,7 @@ class Engine:
         def run(group: List[Sequential], x: np.ndarray, trunk) -> np.ndarray:
             if fused:
                 return model_axis.fused_stacked_forward(group, x, self.model, trunk)
-            return np.stack([model.forward(x, record=False) for model in group])
+            return np.stack([model.forward(x) for model in group])
 
         def compute() -> np.ndarray:
             chunks = list(self._chunks(batch.shape[0]))

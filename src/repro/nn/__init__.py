@@ -86,11 +86,8 @@ from repro.nn.serialization import (
     save_model,
 )
 from repro.nn.tensor import Parameter, ParameterView
-from repro.nn.workspace import WorkspacePool
 
 __all__ = [
-    # workspaces
-    "WorkspacePool",
     # activations
     "Activation",
     "Identity",

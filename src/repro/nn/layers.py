@@ -1,9 +1,12 @@
 """Neural-network layers with explicit forward/backward passes.
 
 The layers operate on batches.  Image tensors use the ``(N, C, H, W)`` layout;
-dense layers use ``(N, features)``.  A *recording* ``forward`` (the
-default) caches on the layer what ``backward`` needs, and ``backward``
-consumes that cache, which
+dense layers use ``(N, features)``.  A layer holds its parameters and its
+configuration, nothing else.  What one pass records for its backward lives
+on a *tape* the caller owns, in the functional vector-Jacobian style of
+Frostig et al., "Compiling machine learning programs via high-level
+tracing" (SysML 2018): ``forward(x, tape=record)`` writes into the dict
+``record`` what ``backward(grad_out, record)`` reads, and ``backward``
 
 * accumulates gradients into its :class:`~repro.nn.tensor.Parameter` objects
   (needed by training, the GDA attack and the parameter-coverage metric), and
@@ -14,10 +17,10 @@ consumes that cache, which
 A caller that reads only one of the two skips the other (see
 :meth:`Layer.backward`).
 
-Inference never runs ``backward``, so it calls ``forward(x, record=False)``:
-the same kernels and bitwise the same output, with nothing stored on the
-layer (no cache, no workspace lease) and every scratch buffer handed back to
-the workspace before the call returns.
+Inference never runs ``backward``, so it passes no tape: the same kernels and
+bitwise the same output, with nothing stored anywhere.  Because no pass
+leaves state on a layer, one model can serve several threads at once (only
+``Parameter.grad`` accumulation is shared).
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from typing import Dict, List, Optional, Tuple
 #: alias for the ``(input_gradient, per_sample_parameter_gradients)`` pair
 #: returned by :meth:`Layer.backward_batch`
 BatchBackwardResult = Tuple["np.ndarray", List["np.ndarray"]]
+
+#: one layer's record of a recording forward: what its backward reads
+Tape = Dict[str, object]
 
 import numpy as np
 
@@ -38,7 +44,6 @@ from repro.nn.initializers import (
     zeros,
 )
 from repro.nn.tensor import Parameter
-from repro.nn.workspace import WorkspacePool
 from repro.utils.rng import RngLike, as_generator
 
 
@@ -59,19 +64,28 @@ class Layer:
         return input_shape
 
     # -- computation -----------------------------------------------------------
-    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, tape: Optional[Tape] = None
+    ) -> np.ndarray:
         """The layer's output on a batch.
 
-        ``record=True`` keeps what :meth:`backward` reads (replacing the
-        previous forward's record); ``record=False`` computes bitwise the
-        same output and leaves the layer's state untouched.
+        With ``tape=None`` the call is inference and stores nothing.  Given
+        a dict, the layer writes into it what :meth:`backward` reads; the
+        output is bitwise the same either way.
         """
         raise NotImplementedError
 
     def backward(
-        self, grad_out: np.ndarray, need_input_grad: bool = True, need_param_grads: bool = True
+        self,
+        grad_out: np.ndarray,
+        tape: Tape,
+        need_input_grad: bool = True,
+        need_param_grads: bool = True,
     ) -> Optional[np.ndarray]:
         """Chain ``grad_out`` back through the layer; returns the input gradient.
+
+        ``tape`` is the dict a recording :meth:`forward` filled; it is only
+        read, so one tape can be backpropagated any number of times.
 
         Parameter gradients accumulate into ``Parameter.grad`` unless
         ``need_param_grads`` is false; ``need_input_grad=False`` skips the
@@ -81,7 +95,7 @@ class Layer:
         raise NotImplementedError
 
     def backward_batch(
-        self, grad_out: np.ndarray, need_input_grad: bool = True
+        self, grad_out: np.ndarray, tape: Tape, need_input_grad: bool = True
     ) -> BatchBackwardResult:
         """Backward pass that keeps parameter gradients separate per sample.
 
@@ -106,26 +120,7 @@ class Layer:
                 f"{self.__class__.__name__} has parameters but does not "
                 "implement backward_batch"
             )
-        return self.backward(grad_out), []
-
-    # -- serialisation -----------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle without transient forward/backward state.
-
-        Layer caches hold whole activation/patch-matrix batches; shipping
-        them with every pickle (the distributed campaign ships prepared
-        models between shard workers) or deep copy (attacks) would multiply
-        the payload for data that is recomputed on the next forward anyway.
-        Workspace leases are per-process and must never survive the trip.
-        """
-        state = self.__dict__.copy()
-        if "_cache" in state:
-            state["_cache"] = {}
-        if "_cols_leased" in state:
-            state["_cols_leased"] = False
-        if "_mask" in state:
-            state["_mask"] = None
-        return state
+        return self.backward(grad_out, tape), []
 
     # -- parameters --------------------------------------------------------------
     def parameters(self) -> List[Parameter]:
@@ -169,7 +164,6 @@ class Dense(Layer):
         self._weight_initializer = weight_initializer
         self.weight: Optional[Parameter] = None
         self.bias: Optional[Parameter] = None
-        self._cache: Dict[str, np.ndarray] = {}
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
         if len(input_shape) != 1:
@@ -192,7 +186,9 @@ class Dense(Layer):
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return (self.units,)
 
-    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, tape: Optional[Tape] = None
+    ) -> np.ndarray:
         if self.weight is None:
             raise RuntimeError(f"layer {self.name!r} has not been built")
         z = x @ self.weight.value
@@ -204,16 +200,18 @@ class Dense(Layer):
             y = z = self.activation.forward_inplace(z)
         else:
             y = self.activation.forward(z)
-        if record:
-            self._cache = {"x": x, "z": z, "y": y}
+        if tape is not None:
+            tape.update(x=x, z=z, y=y)
         return y
 
     def backward(
-        self, grad_out: np.ndarray, need_input_grad: bool = True, need_param_grads: bool = True
+        self,
+        grad_out: np.ndarray,
+        tape: Tape,
+        need_input_grad: bool = True,
+        need_param_grads: bool = True,
     ) -> Optional[np.ndarray]:
-        if not self._cache:
-            raise RuntimeError(f"backward called before forward on {self.name!r}")
-        x, z, y = self._cache["x"], self._cache["z"], self._cache["y"]
+        x, z, y = tape["x"], tape["z"], tape["y"]
         grad_z = self.activation.backward(z, y, grad_out)
         assert self.weight is not None
         if need_param_grads:
@@ -223,11 +221,9 @@ class Dense(Layer):
         return grad_z @ self.weight.value.T if need_input_grad else None
 
     def backward_batch(
-        self, grad_out: np.ndarray, need_input_grad: bool = True
+        self, grad_out: np.ndarray, tape: Tape, need_input_grad: bool = True
     ) -> BatchBackwardResult:
-        if not self._cache:
-            raise RuntimeError(f"backward called before forward on {self.name!r}")
-        x, z, y = self._cache["x"], self._cache["z"], self._cache["y"]
+        x, z, y = tape["x"], tape["z"], tape["y"]
         grad_z = self.activation.backward(z, y, grad_out)
         assert self.weight is not None
         # per-sample outer products x_n ⊗ grad_z_n, shape (N, in, units)
@@ -245,11 +241,7 @@ class Dense(Layer):
 
     # -- model-axis (stacked-weight) path -----------------------------------
     def stacked_forward(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        pool: Optional[WorkspacePool] = None,
+        self, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]
     ) -> np.ndarray:
         """Forward over ``M`` same-architecture weight copies in one dispatch.
 
@@ -259,9 +251,7 @@ class Dense(Layer):
         ``(M, N, in)`` tensor.  Returns ``(M, N, units)``.  The batched
         matmul runs the *same* per-model ``(N, in) @ (in, units)`` GEMMs as
         :meth:`forward`, so per-model slices are bit-identical to running
-        each copy separately.  The layer's own state is never touched, so
-        one template layer can serve many stacks concurrently; ``pool`` is
-        accepted for a uniform call with :meth:`Conv2D.stacked_forward`.
+        each copy separately.
         """
         z = np.matmul(x, weight)  # broadcasts shared (N, in) across models
         if bias is not None:
@@ -286,23 +276,13 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def im2col(
-    x: np.ndarray,
-    kh: int,
-    kw: int,
-    stride: int,
-    padding: int,
-    pool: Optional[WorkspacePool] = None,
+    x: np.ndarray, kh: int, kw: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
     """Rearrange image batches into patch matrices.
 
     Parameters
     ----------
     x: input of shape ``(N, C, H, W)``.
-    pool: optional :class:`~repro.nn.workspace.WorkspacePool`; when given, the
-        patch matrix is written into a buffer *acquired* from the pool
-        instead of a fresh allocation.  The caller owns the buffer and must
-        ``release`` it after its last read — see the pool's ownership
-        contract.
 
     Returns
     -------
@@ -321,12 +301,7 @@ def im2col(
     # patch matrix so the matmuls that consume it hit the fast BLAS path
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]  # (N, C, out_h, out_w, kh, kw)
-    transposed = windows.transpose(0, 1, 4, 5, 2, 3)
-    if pool is None:
-        cols = np.ascontiguousarray(transposed)
-    else:
-        cols = pool.acquire((n, c, kh, kw, out_h, out_w), x.dtype)
-        np.copyto(cols, transposed)
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
     return cols.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
 
 
@@ -395,12 +370,6 @@ class Conv2D(Layer):
         self._weight_initializer = weight_initializer
         self.weight: Optional[Parameter] = None
         self.bias: Optional[Parameter] = None
-        self._input_shape: Optional[Tuple[int, ...]] = None
-        self._cache: Dict[str, np.ndarray] = {}
-        # patch-matrix workspace shared across the whole model (wired by
-        # Sequential.build); None = plain allocation for standalone layers
-        self._workspace: Optional[WorkspacePool] = None
-        self._cols_leased = False
 
     # -- padding resolution ----------------------------------------------------
     def _padding(self) -> int:
@@ -435,7 +404,6 @@ class Conv2D(Layer):
         )
         if self.use_bias:
             self.bias = Parameter(zeros((self.filters,)), name=f"{self.name}/bias")
-        self._input_shape = tuple(input_shape)
         self.built = True
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -446,37 +414,19 @@ class Conv2D(Layer):
         out_w = _conv_output_size(w, kw, self.stride, pad)
         return (self.filters, out_h, out_w)
 
-    def _release_cols(self) -> None:
-        """Hand the cached patch matrix back to the workspace (idempotent).
-
-        Called only by the *next* recording forward, immediately before it
-        acquires a replacement.  Releasing any earlier — e.g. after the
-        backward pass's last read — would let a same-geometry acquire inside
-        backward itself (the input-gradient gather of an equal-channel conv)
-        pop and overwrite the buffer, breaking the contract that a repeated
-        backward without an interleaved recording forward still reads valid
-        data.
-        """
-        if self._cols_leased:
-            self._cols_leased = False
-            if self._workspace is not None:
-                self._workspace.release(self._cache.get("cols"))
-
-    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, tape: Optional[Tape] = None
+    ) -> np.ndarray:
         if self.weight is None:
             raise RuntimeError(f"layer {self.name!r} has not been built")
-        n, c, h, w = x.shape
+        n = x.shape[0]
         kh, kw = self.kernel_size
-        pad = self._padding()
-        if record:
-            self._release_cols()
-        cols, out_h, out_w = im2col(x, kh, kw, self.stride, pad, pool=self._workspace)
+        cols, out_h, out_w = im2col(x, kh, kw, self.stride, self._padding())
         w_mat = self.weight.value.reshape(self.filters, -1)  # (F, C*kh*kw)
         z = np.matmul(w_mat, cols)  # (F, K) @ (N, K, P) -> (N, F, P) via BLAS
-        if record:
-            self._cols_leased = self._workspace is not None
-        elif self._workspace is not None:
-            self._workspace.release(cols)  # the matmul was its last read
+        if tape is not None:
+            tape.update(x_shape=x.shape, cols=cols)
+        del cols  # the matmul was this pass's last read; only a tape keeps it
         if self.bias is not None:
             z += self.bias.value[None, :, None]  # z is fresh from the matmul
         z = z.reshape(n, self.filters, out_h, out_w)
@@ -486,17 +436,18 @@ class Conv2D(Layer):
             y = z = self.activation.forward_inplace(z)
         else:
             y = self.activation.forward(z)
-        if record:
-            self._cache = {"x_shape": np.array(x.shape), "cols": cols, "z": z, "y": y}
+        if tape is not None:
+            tape.update(z=z, y=y)
         return y
 
     def backward(
-        self, grad_out: np.ndarray, need_input_grad: bool = True, need_param_grads: bool = True
+        self,
+        grad_out: np.ndarray,
+        tape: Tape,
+        need_input_grad: bool = True,
+        need_param_grads: bool = True,
     ) -> Optional[np.ndarray]:
-        if not self._cache:
-            raise RuntimeError(f"backward called before forward on {self.name!r}")
-        z, y = self._cache["z"], self._cache["y"]
-        x_shape = tuple(int(v) for v in self._cache["x_shape"])
+        z, y, x_shape = tape["z"], tape["y"], tape["x_shape"]
         n = x_shape[0]
         kh, kw = self.kernel_size
 
@@ -507,7 +458,7 @@ class Conv2D(Layer):
         if need_param_grads:
             # the per-sample (N, F, P) @ (N, P, K) products of backward_batch,
             # summed over samples: batched BLAS, and no copy of cols
-            grad_w = np.matmul(grad_z_mat, self._cache["cols"].transpose(0, 2, 1)).sum(axis=0)
+            grad_w = np.matmul(grad_z_mat, tape["cols"].transpose(0, 2, 1)).sum(axis=0)
             self.weight.grad += grad_w.reshape(self.weight.value.shape)
             if self.bias is not None:
                 self.bias.grad += grad_z_mat.sum(axis=(0, 2))
@@ -519,13 +470,9 @@ class Conv2D(Layer):
         return col2im(grad_cols, x_shape, kh, kw, self.stride, self._padding())
 
     def backward_batch(
-        self, grad_out: np.ndarray, need_input_grad: bool = True
+        self, grad_out: np.ndarray, tape: Tape, need_input_grad: bool = True
     ) -> BatchBackwardResult:
-        if not self._cache:
-            raise RuntimeError(f"backward called before forward on {self.name!r}")
-        cols = self._cache["cols"]
-        z, y = self._cache["z"], self._cache["y"]
-        x_shape = tuple(int(v) for v in self._cache["x_shape"])
+        cols, z, y, x_shape = tape["cols"], tape["z"], tape["y"], tape["x_shape"]
         n = x_shape[0]
         kh, kw = self.kernel_size
         pad = self._padding()
@@ -549,16 +496,12 @@ class Conv2D(Layer):
         if self.stride == 1 and kh == kw and flip_pad >= 0:
             # input gradient as a *full correlation* of grad_z with the
             # spatially flipped kernels: an im2col gather plus one batched
-            # matmul, with no col2im accumulation at all.  The cached
-            # forward patch matrix is still leased here, so this acquire can
-            # never alias it even when the geometries coincide
+            # matmul, with no col2im accumulation at all
             grad_z_img = grad_z_mat.reshape(n, self.filters, *z.shape[2:])
-            gcols, _, _ = im2col(grad_z_img, kh, kw, 1, flip_pad, pool=self._workspace)
+            gcols, _, _ = im2col(grad_z_img, kh, kw, 1, flip_pad)
             w_flip = self.weight.value[:, :, ::-1, ::-1]  # (F, C, kh, kw)
             w_flip_mat = w_flip.transpose(1, 0, 2, 3).reshape(x_shape[1], -1)
             grad_x = np.matmul(w_flip_mat, gcols)  # (C, F*kh*kw) @ (N, ., P)
-            if self._workspace is not None:
-                self._workspace.release(gcols)
             return grad_x.reshape(n, x_shape[1], h, w), grads
         grad_cols = np.matmul(w_mat.T, grad_z_mat)  # (N, K, P)
         return col2im(grad_cols, x_shape, kh, kw, self.stride, pad), grads
@@ -571,11 +514,7 @@ class Conv2D(Layer):
 
     # -- model-axis (stacked-weight) path -----------------------------------
     def stacked_forward(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        pool: Optional[WorkspacePool] = None,
+        self, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]
     ) -> np.ndarray:
         """Forward over ``M`` stacked weight copies in one grouped dispatch.
 
@@ -586,25 +525,23 @@ class Conv2D(Layer):
         ``(M, N, F, out_h, out_w)``.  The broadcastable matmul decomposes
         into the same per-model ``(F, K) @ (K, P)`` GEMMs as :meth:`forward`,
         keeping per-model slices bit-identical.  The patch matrix is
-        acquired from ``pool`` and handed back after the matmul, its last
-        read.
+        dropped right after the matmul, its last read.
         """
         m, f = weight.shape[0], weight.shape[1]
         kh, kw = self.kernel_size
         pad = self._padding()
         if x.ndim == 4:  # shared input: one patch matrix for all models
             n = x.shape[0]
-            cols, out_h, out_w = im2col(x, kh, kw, self.stride, pad, pool=pool)
+            cols, out_h, out_w = im2col(x, kh, kw, self.stride, pad)
             cols_b = cols[None]  # (1, N, K, P)
         else:  # stacked input: fold the model axis into the image axis
             n = x.shape[1]
             folded = x.reshape(m * n, *x.shape[2:])
-            cols, out_h, out_w = im2col(folded, kh, kw, self.stride, pad, pool=pool)
+            cols, out_h, out_w = im2col(folded, kh, kw, self.stride, pad)
             cols_b = cols.reshape(m, n, cols.shape[1], cols.shape[2])
         w_mat = weight.reshape(m, f, -1)
         z = np.matmul(w_mat[:, None], cols_b)  # (M, N, F, P)
-        if pool is not None:
-            pool.release(cols)
+        del cols, cols_b
         if bias is not None:
             z += bias[:, None, :, None]
         z = z.reshape(m, n, f, out_h, out_w)
@@ -613,24 +550,12 @@ class Conv2D(Layer):
         return self.activation.forward(z)
 
 
-class MaxPool2D(Layer):
-    """Max pooling over non-overlapping (or strided) windows.
-
-    Both passes walk the window's ``ph·pw`` strided taps in ``(ki, kj)``
-    order; no patch matrix is built.  A tap replaces the running maximum
-    where ``~(out >= tap) & (out == out)``: it is larger, or it is NaN and
-    the maximum so far is not.  That is :func:`numpy.argmax`'s rule over the
-    window (the first maximum wins, a NaN counts as the maximum, and of
-    ``-0.0`` and ``+0.0`` the first is kept), so the output is the value at
-    the window's argmax, bit for bit.  A recording forward also keeps the
-    winning tap's index, and :meth:`backward` routes each gradient to it.
-    """
+class _Pool2D(Layer):
+    """A parameterless ``ph × pw`` window moved by ``stride`` (the pool size
+    by default) over each channel."""
 
     def __init__(
-        self,
-        pool_size: int | Tuple[int, int] = 2,
-        stride: Optional[int] = None,
-        name: str = "maxpool",
+        self, pool_size: int | Tuple[int, int], stride: Optional[int], name: str
     ) -> None:
         super().__init__(name)
         if isinstance(pool_size, int):
@@ -639,7 +564,6 @@ class MaxPool2D(Layer):
         self.stride = int(stride) if stride is not None else self.pool_size[0]
         if self.stride <= 0:
             raise ValueError("stride must be positive")
-        self._cache: Dict[str, np.ndarray] = {}
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         c, h, w = input_shape
@@ -648,7 +572,7 @@ class MaxPool2D(Layer):
         out_w = _conv_output_size(w, pw, self.stride, 0)
         return (c, out_h, out_w)
 
-    def _taps(self, x_shape: Tuple[int, ...]) -> List[Tuple[slice, ...]]:
+    def _taps(self, x_shape: Tuple[int, ...]) -> List[Tuple[object, slice, slice]]:
         """Index of each window tap in ``(ki, kj)`` order: tap ``k`` picks
         pixel ``(ki + stride·i, kj + stride·j)`` for output cell ``(i, j)``."""
         _, out_h, out_w = self.output_shape(tuple(x_shape[1:]))
@@ -660,25 +584,47 @@ class MaxPool2D(Layer):
             for kj in range(pw)
         ]
 
-    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
+
+class MaxPool2D(_Pool2D):
+    """Max pooling over non-overlapping (or strided) windows.
+
+    Both passes walk the window's ``ph·pw`` strided taps in ``(ki, kj)``
+    order; no patch matrix is built.  A tap replaces the running maximum
+    where ``~(out >= tap) & (out == out)``: it is larger, or it is NaN and
+    the maximum so far is not.  That is :func:`numpy.argmax`'s rule over the
+    window (the first maximum wins, a NaN counts as the maximum, and of
+    ``-0.0`` and ``+0.0`` the first is kept), so the output is the value at
+    the window's argmax, bit for bit.  A recording forward also tapes the
+    winning tap's index, and :meth:`backward` routes each gradient to it.
+    """
+
+    def __init__(
+        self,
+        pool_size: int | Tuple[int, int] = 2,
+        stride: Optional[int] = None,
+        name: str = "maxpool",
+    ) -> None:
+        super().__init__(pool_size, stride, name)
+
+    def forward(
+        self, x: np.ndarray, training: bool = False, tape: Optional[Tape] = None
+    ) -> np.ndarray:
         taps = self._taps(x.shape)
         out = x[taps[0]].copy()
-        index = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1)) if record else None
+        index = None
+        if tape is not None:
+            index = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1))
+            tape.update(index=index, x_shape=x.shape)
         for k, tap in enumerate(taps[1:], start=1):
             values = x[tap]
             take = ~(out >= values) & (out == out)
             np.copyto(out, values, where=take)
             if index is not None:
                 np.copyto(index, k, where=take)
-        if record:
-            self._cache = {"index": index, "x_shape": np.array(x.shape)}
         return out
 
-    def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
-        if not self._cache:
-            raise RuntimeError(f"backward called before forward on {self.name!r}")
-        index = self._cache["index"]
-        x_shape = tuple(int(v) for v in self._cache["x_shape"])
+    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> np.ndarray:
+        index, x_shape = tape["index"], tape["x_shape"]
         grad_out = grad_out.reshape(index.shape)
         # the gradient buffer follows the gradient dtype: hardcoding float64
         # here silently upcast every float32 backward through a pooling layer.
@@ -689,8 +635,16 @@ class MaxPool2D(Layer):
         return grad_x
 
 
-class AvgPool2D(Layer):
-    """Average pooling over strided windows."""
+class AvgPool2D(_Pool2D):
+    """Average pooling over strided windows.
+
+    Forward sums the window's ``ph·pw`` strided taps in ``(ki, kj)`` order
+    from zero and divides by the window size, the order in which
+    ``mean`` over an im2col patch matrix sums them (except for a single
+    output cell of 8 or more taps, where NumPy's mean sums pairwise);
+    backward adds ``grad / window`` tap by tap from zero, as
+    :func:`col2im` does.  No patch matrix is built.
+    """
 
     def __init__(
         self,
@@ -698,47 +652,28 @@ class AvgPool2D(Layer):
         stride: Optional[int] = None,
         name: str = "avgpool",
     ) -> None:
-        super().__init__(name)
-        if isinstance(pool_size, int):
-            pool_size = (pool_size, pool_size)
-        self.pool_size = (int(pool_size[0]), int(pool_size[1]))
-        self.stride = int(stride) if stride is not None else self.pool_size[0]
-        if self.stride <= 0:
-            raise ValueError("stride must be positive")
-        self._cache: Dict[str, np.ndarray] = {}
-        self._workspace: Optional[WorkspacePool] = None
+        super().__init__(pool_size, stride, name)
 
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        c, h, w = input_shape
-        ph, pw = self.pool_size
-        out_h = _conv_output_size(h, ph, self.stride, 0)
-        out_w = _conv_output_size(w, pw, self.stride, 0)
-        return (c, out_h, out_w)
-
-    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
-        n, c, h, w = x.shape
-        ph, pw = self.pool_size
-        reshaped = x.reshape(n * c, 1, h, w)
-        cols, out_h, out_w = im2col(reshaped, ph, pw, self.stride, 0, pool=self._workspace)
-        out = cols.mean(axis=1).reshape(n, c, out_h, out_w)
-        if self._workspace is not None:
-            self._workspace.release(cols)  # consumed by the mean
-        if record:
-            self._cache = {"cols_shape": np.array(cols.shape), "x_shape": np.array(x.shape)}
+    def forward(
+        self, x: np.ndarray, training: bool = False, tape: Optional[Tape] = None
+    ) -> np.ndarray:
+        taps = self._taps(x.shape)
+        out = np.zeros(x[taps[0]].shape, dtype=x.dtype)
+        for tap in taps:
+            out += x[tap]
+        out /= len(taps)
+        if tape is not None:
+            tape["x_shape"] = x.shape
         return out
 
-    def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
-        if not self._cache:
-            raise RuntimeError(f"backward called before forward on {self.name!r}")
-        cols_shape = tuple(int(v) for v in self._cache["cols_shape"])
-        x_shape = tuple(int(v) for v in self._cache["x_shape"])
-        n, c, h, w = x_shape
-        ph, pw = self.pool_size
-        window = ph * pw
-        grad_flat = grad_out.reshape(n * c, -1) / window
-        grad_cols = np.broadcast_to(grad_flat[:, None, :], cols_shape).copy()
-        grad_x = col2im(grad_cols, (n * c, 1, h, w), ph, pw, self.stride, 0)
-        return grad_x.reshape(n, c, h, w)
+    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> np.ndarray:
+        x_shape = tape["x_shape"]
+        taps = self._taps(x_shape)
+        grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
+        grad = grad_out.reshape(grad_x[taps[0]].shape) / len(taps)
+        for tap in taps:
+            grad_x[tap] += grad
+        return grad_x
 
 
 class Flatten(Layer):
@@ -746,20 +681,19 @@ class Flatten(Layer):
 
     def __init__(self, name: str = "flatten") -> None:
         super().__init__(name)
-        self._input_shape: Optional[Tuple[int, ...]] = None
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return (int(np.prod(input_shape)),)
 
-    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
-        if record:
-            self._input_shape = x.shape
+    def forward(
+        self, x: np.ndarray, training: bool = False, tape: Optional[Tape] = None
+    ) -> np.ndarray:
+        if tape is not None:
+            tape["x_shape"] = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
-        if self._input_shape is None:
-            raise RuntimeError(f"backward called before forward on {self.name!r}")
-        return grad_out.reshape(self._input_shape)
+    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> np.ndarray:
+        return grad_out.reshape(tape["x_shape"])
 
 
 class Dropout(Layer):
@@ -771,21 +705,21 @@ class Dropout(Layer):
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = float(rate)
         self._rng = as_generator(seed)
-        self._mask: Optional[np.ndarray] = None
 
-    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, tape: Optional[Tape] = None
+    ) -> np.ndarray:
         mask = None
         if training and self.rate > 0.0:
             keep = 1.0 - self.rate
             mask = (self._rng.random(x.shape) < keep) / keep
-        if record:
-            self._mask = mask
+        if tape is not None:
+            tape["mask"] = mask
         return x if mask is None else x * mask
 
-    def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
+    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> np.ndarray:
+        mask = tape["mask"]
+        return grad_out if mask is None else grad_out * mask
 
 
 class ActivationLayer(Layer):
@@ -794,18 +728,17 @@ class ActivationLayer(Layer):
     def __init__(self, activation: str | Activation, name: str = "activation") -> None:
         super().__init__(name)
         self.activation = get_activation(activation)
-        self._cache: Dict[str, np.ndarray] = {}
 
-    def forward(self, x: np.ndarray, training: bool = False, record: bool = True) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, tape: Optional[Tape] = None
+    ) -> np.ndarray:
         y = self.activation.forward(x)
-        if record:
-            self._cache = {"x": x, "y": y}
+        if tape is not None:
+            tape.update(x=x, y=y)
         return y
 
-    def backward(self, grad_out: np.ndarray, **_flags: bool) -> np.ndarray:
-        if not self._cache:
-            raise RuntimeError(f"backward called before forward on {self.name!r}")
-        return self.activation.backward(self._cache["x"], self._cache["y"], grad_out)
+    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> np.ndarray:
+        return self.activation.backward(tape["x"], tape["y"], grad_out)
 
 
 __all__ = [

@@ -12,6 +12,15 @@ three gradient queries used throughout the library:
 * :meth:`Sequential.input_gradient` — gradient of a loss with respect to the
   *input* (used by the gradient-based test generation of Algorithm 2 and by
   adversarial-style updates).
+
+A model holds its layers and their parameters, nothing else.  A recording
+:meth:`Sequential.forward` fills a tape the caller passes in (a list that
+receives one record per layer), and :meth:`Sequential.backward` reads it
+back.  Each gradient query makes its own tape, which dies when the query
+returns, so between calls a model keeps no activation, and several threads
+can query one model at once; only ``Parameter.grad`` accumulation
+(:meth:`~Sequential.loss_parameter_gradients`,
+:meth:`~Sequential.output_gradients`, training) is shared.
 """
 
 from __future__ import annotations
@@ -21,10 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.faults import inject as _inject
-from repro.nn.layers import Layer
+from repro.nn.layers import Layer, Tape
 from repro.nn.losses import Loss, SoftmaxCrossEntropy, get_loss
 from repro.nn.tensor import Parameter, ParameterView
-from repro.nn.workspace import WorkspacePool
 from repro.utils.rng import RngLike, as_generator
 
 #: supported scalarisations of the vector-valued network output F(x)
@@ -53,11 +61,6 @@ class Sequential:
         self.name = name
         self.input_shape: Optional[Tuple[int, ...]] = None
         self._built = False
-        # one free-list of patch-matrix buffers shared by every layer of this
-        # model that has a ``_workspace`` (wired by build), so consecutive
-        # layers recycle the same hot memory within a pass; an inference
-        # pass empties it on return
-        self._workspace = WorkspacePool()
 
     # -- construction ----------------------------------------------------------
     def add(self, layer: Layer) -> "Sequential":
@@ -81,8 +84,6 @@ class Sequential:
         for layer in self.layers:
             layer.build(shape, gen)
             shape = layer.output_shape(shape)
-            if hasattr(layer, "_workspace"):
-                layer._workspace = self._workspace
         self._built = True
         return self
 
@@ -129,17 +130,18 @@ class Sequential:
 
     # -- forward / backward ----------------------------------------------------------
     def forward(
-        self, x: np.ndarray, training: bool = False, record: bool = True
+        self, x: np.ndarray, training: bool = False, tape: Optional[List[Tape]] = None
     ) -> np.ndarray:
         """Run the network on a batch and return the output logits.
 
-        ``record=True`` (the default) keeps on every layer what
-        :meth:`backward` reads.  ``record=False`` is inference: bitwise the
-        same logits, nothing stored on any layer, and the model's workspace
-        holds no free buffer when the call returns.
+        With ``tape=None`` the call is inference: nothing is stored
+        anywhere.  Given a list, its contents are replaced by one record per
+        layer, which :meth:`backward` and :meth:`backward_batch` read; the
+        logits are bitwise the same either way.  The tape is the caller's:
+        the model keeps no reference to it.
         """
         self._check_input(x)
-        return self._run(x, training, record)
+        return self._run(x, training, tape)
 
     def forward_collect(self, x: np.ndarray) -> List[np.ndarray]:
         """Run the network and return every layer's output (for neuron coverage).
@@ -148,57 +150,70 @@ class Sequential:
         """
         self._check_input(x)
         outputs: List[np.ndarray] = []
-        self._run(x, False, False, outputs)
+        self._run(x, False, None, outputs)
         return outputs
 
     def _run(
         self,
         x: np.ndarray,
         training: bool,
-        record: bool,
+        tape: Optional[List[Tape]],
         outputs: Optional[List[np.ndarray]] = None,
     ) -> np.ndarray:
         """The layer loop of :meth:`forward`; appends each layer's output to
         ``outputs`` when given."""
+        if tape is not None:
+            tape[:] = [{} for _ in self.layers]
         out = x
-        try:
-            for index, layer in enumerate(self.layers):
-                if _inject.active():
-                    # chaos-plan hook: latency/exception faults addressed to
-                    # a named layer's forward ("layer.forward" site)
-                    _inject.check(
-                        "layer.forward", layer=layer.name, index=index, model=self.name
-                    )
-                out = layer.forward(out, training=training, record=record)
-                if outputs is not None:
-                    outputs.append(out)
-        finally:
-            if not record:
-                # the pass handed every scratch buffer back; keeping them
-                # would pin the largest patch matrices between calls
-                self._workspace.clear()
+        for index, layer in enumerate(self.layers):
+            if _inject.active():
+                # chaos-plan hook: latency/exception faults addressed to a
+                # named layer's forward ("layer.forward" site)
+                _inject.check("layer.forward", layer=layer.name, index=index, model=self.name)
+            out = layer.forward(
+                out, training=training, tape=None if tape is None else tape[index]
+            )
+            if outputs is not None:
+                outputs.append(out)
         return out
 
+    def _check_tape(self, tape: List[Tape]) -> None:
+        if len(tape) != len(self.layers):
+            raise ValueError(
+                f"tape holds {len(tape)} records for {len(self.layers)} layers; "
+                "pass the list a recording forward filled"
+            )
+
     def backward(
-        self, grad_out: np.ndarray, need_input_grad: bool = True, need_param_grads: bool = True
+        self,
+        grad_out: np.ndarray,
+        tape: List[Tape],
+        need_input_grad: bool = True,
+        need_param_grads: bool = True,
     ) -> Optional[np.ndarray]:
         """Backpropagate an output gradient; returns the input gradient.
 
-        Parameter gradients are *accumulated*; call :meth:`zero_grad` first if
-        fresh gradients are required.  ``need_param_grads=False`` leaves every
+        ``tape`` is the list a recording :meth:`forward` filled; it is only
+        read, so it can be backpropagated more than once.  Parameter
+        gradients are *accumulated*; call :meth:`zero_grad` first if fresh
+        gradients are required.  ``need_param_grads=False`` leaves every
         ``Parameter.grad`` untouched; ``need_input_grad=False`` lets the bottom
         layer skip its input gradient and returns ``None``.  What is computed
         is bitwise the same as with both flags on.
         """
+        self._check_tape(tape)
         grad = grad_out
         for i in range(len(self.layers) - 1, -1, -1):
             grad = self.layers[i].backward(
-                grad, need_input_grad=(i > 0 or need_input_grad), need_param_grads=need_param_grads
+                grad,
+                tape[i],
+                need_input_grad=(i > 0 or need_input_grad),
+                need_param_grads=need_param_grads,
             )
         return grad if need_input_grad else None
 
     def backward_batch(
-        self, grad_out: np.ndarray, need_input_grad: bool = True
+        self, grad_out: np.ndarray, tape: List[Tape], need_input_grad: bool = True
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         """Backpropagate an output gradient, keeping parameter gradients per sample.
 
@@ -211,7 +226,9 @@ class Sequential:
 
         With ``need_input_grad=False`` the bottom layer skips its input-
         gradient computation and the returned input gradient is ``None``.
+        ``tape`` is as for :meth:`backward`.
         """
+        self._check_tape(tape)
         grad = np.asarray(grad_out)
         if grad.dtype not in (np.float32, np.float64):
             grad = grad.astype(np.float64)
@@ -219,7 +236,7 @@ class Sequential:
         per_layer: List[List[np.ndarray]] = []
         for i in range(len(self.layers) - 1, -1, -1):
             grad, grads = self.layers[i].backward_batch(
-                grad, need_input_grad=(i > 0 or need_input_grad)
+                grad, tape[i], need_input_grad=(i > 0 or need_input_grad)
             )
             per_layer.append(grads)
         per_layer.reverse()
@@ -248,19 +265,19 @@ class Sequential:
         x = np.asarray(x)
         if x.dtype not in (np.float32, np.float64):
             x = x.astype(np.float64)
-        self._check_input(x)
-        logits = self.forward(x, training=False)
+        tape: List[Tape] = []
+        logits = self.forward(x, tape=tape)
         grad_out = np.zeros_like(logits)
         if scalarization == "sum":
             grad_out[:] = 1.0
         else:
             rows = np.arange(logits.shape[0])
             grad_out[rows, np.argmax(logits, axis=1)] = 1.0
-        _, per_sample = self.backward_batch(grad_out, need_input_grad=False)
+        _, per_sample = self.backward_batch(grad_out, tape, need_input_grad=False)
         return per_sample
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, record=False)
+        return self.forward(x)
 
     # -- inference helpers ----------------------------------------------------------
     def predict(self, x: np.ndarray, batch_size: int = PREDICT_BATCH_SIZE) -> np.ndarray:
@@ -268,7 +285,7 @@ class Sequential:
         self._check_input(x)
         chunks = []
         for start in range(0, x.shape[0], batch_size):
-            chunks.append(self.forward(x[start : start + batch_size], record=False))
+            chunks.append(self.forward(x[start : start + batch_size]))
         return np.concatenate(chunks, axis=0)
 
     def predict_classes(self, x: np.ndarray, batch_size: int = PREDICT_BATCH_SIZE) -> np.ndarray:
@@ -292,9 +309,10 @@ class Sequential:
         ``Parameter.grad`` is zero on return.
         """
         self.zero_grad()
-        logits = self.forward(x, training=False)
+        tape: List[Tape] = []
+        logits = self.forward(x, tape=tape)
         value, grad = get_loss(loss).value_and_grad(logits, targets)
-        self.backward(grad, need_input_grad=False)
+        self.backward(grad, tape, need_input_grad=False)
         flat = self.parameter_view().flat_grads()
         self.zero_grad()
         return value, flat
@@ -308,9 +326,10 @@ class Sequential:
         input-only backward: no parameter gradient is computed, and
         ``Parameter.grad`` is left exactly as it was.
         """
-        logits = self.forward(x, training=True)
+        tape: List[Tape] = []
+        logits = self.forward(x, training=True, tape=tape)
         value, grad = get_loss(loss).value_and_grad(logits, targets)
-        return value, self.backward(grad, need_param_grads=False)
+        return value, self.backward(grad, tape, need_param_grads=False)
 
     def output_gradients(
         self, x: np.ndarray, scalarization: str = "sum"
@@ -331,14 +350,15 @@ class Sequential:
             )
         sample = self._as_single_batch(x)
         self.zero_grad()
-        logits = self.forward(sample, training=False)
+        tape: List[Tape] = []
+        logits = self.forward(sample, tape=tape)
         grad_out = np.zeros_like(logits)
         if scalarization == "sum":
             grad_out[:] = 1.0
         else:
             idx = int(np.argmax(logits[0]))
             grad_out[0, idx] = 1.0
-        self.backward(grad_out, need_input_grad=False)
+        self.backward(grad_out, tape, need_input_grad=False)
         flat = self.parameter_view().flat_grads()
         self.zero_grad()
         return flat
@@ -366,16 +386,11 @@ class Sequential:
             params[name].assign(value)
 
     def copy(self) -> "Sequential":
-        """Structural deep copy sharing nothing with the original.
-
-        The copy is built with the same architecture (via a fresh build) and
-        then loaded with this model's parameter values, so perturbing the copy
-        (as the attacks do) never touches the original.
-        """
+        """Deep copy sharing nothing with the original (``copy.deepcopy``), so
+        perturbing the copy (as the attacks do) never touches the original."""
         import copy as _copy
 
-        clone = _copy.deepcopy(self)
-        return clone
+        return _copy.deepcopy(self)
 
     # -- internals ---------------------------------------------------------------------------
     def _check_input(self, x: np.ndarray) -> None:

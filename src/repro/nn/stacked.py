@@ -27,9 +27,10 @@ minimal:
 * **Fold-to-``M·N``** — parameterless layers (pooling, flatten, dropout,
   standalone activations) are model-agnostic, so stacked tensors fold the
   model axis into the batch axis and ride through the template layer's
-  ordinary inference ``forward`` (``record=False``).  Parametric layers in
-  the shared prefix execute the template layer's plain inference
-  ``forward`` the same way.
+  ordinary inference ``forward`` (no tape).  Parametric layers in the
+  shared prefix execute the template layer's plain inference ``forward``
+  the same way.  Layers hold no per-pass state, so the stack runs the
+  template's own layer objects.
 
 The model axis runs forwards only: it serves trial replay, and every
 gradient query (activation masks, test synthesis, the GDA attack) is about
@@ -39,14 +40,12 @@ one model and runs through that model's own
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.model import Sequential
 from repro.nn.tensor import bit_pattern
-from repro.nn.workspace import WorkspacePool
 
 
 class StackedSequential:
@@ -68,10 +67,8 @@ class StackedSequential:
         bitwise, when the copies' parameters first diverge at ``start``.
 
     :meth:`forward` returns ``(M, N, num_classes)``; slice ``m`` is
-    bit-identical to ``models[m].forward(x)``, recording or not.  The stack
-    records nothing on any model: the shared and folded segments run copies
-    of the template's layers that draw scratch buffers from the stack's own
-    workspace, so no model's layers or workspace change.
+    bit-identical to ``models[m].forward(x)``.  Like every inference pass
+    it stores nothing, on the stack or on any model.
     """
 
     def __init__(self, models: Sequence[Sequential], start: int = 0) -> None:
@@ -135,14 +132,6 @@ class StackedSequential:
             ):
                 self._first_diff = idx
                 break
-        self._pool = WorkspacePool()
-        # a layer that draws scratch buffers runs as a shallow copy wired to
-        # this stack's pool (a copy shares the parameters, not the cache)
-        self._layers = list(template.layers)
-        for idx, layer in enumerate(self._layers):
-            if hasattr(layer, "_workspace"):
-                self._layers[idx] = copy.copy(layer)
-                self._layers[idx]._workspace = self._pool
 
     def __len__(self) -> int:
         return self.num_models
@@ -158,19 +147,19 @@ class StackedSequential:
         m = self.num_models
         out = x  # shared (N, ...) until the first stacked layer
         stacked = False
-        for idx, layer in enumerate(self._layers):
+        for idx, layer in enumerate(self.template.layers):
             if idx < self.start:
                 continue
             if idx in self._stacked and idx >= self._first_diff:
                 weight, bias = self._stacked[idx]
-                out = layer.stacked_forward(out, weight, bias, pool=self._pool)
+                out = layer.stacked_forward(out, weight, bias)
                 stacked = True
             elif stacked:
                 n = out.shape[1]
-                folded = layer.forward(out.reshape(m * n, *out.shape[2:]), record=False)
+                folded = layer.forward(out.reshape(m * n, *out.shape[2:]))
                 out = folded.reshape(m, n, *folded.shape[1:])
             else:
-                out = layer.forward(out, record=False)
+                out = layer.forward(out)
         if not stacked:
             # every copy is bitwise identical: one shared pass serves all
             out = np.broadcast_to(out, (m, *out.shape))

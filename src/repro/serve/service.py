@@ -22,9 +22,11 @@ concurrently for many tenants:
 * **worker tier** — CPU-bound Session work runs on a
   :class:`~concurrent.futures.ThreadPoolExecutor` via
   ``loop.run_in_executor``, keeping the event loop responsive; engine
-  dispatches are additionally serialised by one lock because the numerical
-  kernels reuse per-engine workspace buffers (the Session docstring's
-  concurrency contract);
+  dispatches run one at a time on a single dispatch lane (one lock).
+  Inference keeps no state on a model, so a second lane would return the
+  same bytes; the lane count is a scheduling choice, and the gradient
+  queries that accumulate into ``Parameter.grad`` still need one lane per
+  model (the Session docstring's concurrency contract);
 * **draining** — :meth:`drain` stops admitting, lets in-flight work finish
   inside ``drain_timeout_s``, flushes the coalescer and closes the session
   (the HTTP layer calls it from its SIGTERM handler).
@@ -142,9 +144,11 @@ class ValidationService:
             max_workers=self.config.executor_workers,
             thread_name_prefix="repro-serve",
         )
-        # engine kernels reuse per-engine workspace buffers; one dispatch at
-        # a time keeps results bit-stable (coalescing, not thread fan-out,
-        # is how this service scales)
+        # one dispatch lane: coalescing, not thread fan-out, is how this
+        # service scales.  Inference would be bit-stable on two lanes (a
+        # model keeps no per-pass state), but queries that accumulate into
+        # Parameter.grad would not, and a second lane is a scheduling change
+        # to measure with the adaptive coalescer
         self._dispatch_lock = threading.Lock()
         # package fingerprints are content hashes over the full test payload;
         # the same (immutable, integrity-digested) package object is replayed

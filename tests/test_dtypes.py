@@ -1,10 +1,10 @@
-"""Dtype-following kernels, fused kernels, workspace pool and copy-free
-fast paths.
+"""Dtype-following kernels, fused kernels, repeatable backward and
+copy-free fast paths.
 
 Pins the dtype-following behaviour of every layer's forward/backward (no
 silent float64 upcasts), the fused in-place activation fast paths, the
-engine's no-copy float64 batch ingestion, and the acquire/release semantics
-of the shared im2col workspace pool.
+engine's no-copy float64 batch ingestion, and that one tape can be
+backpropagated repeatedly with identical results.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from repro.nn.activations import (
     Tanh,
     get_activation,
 )
-from repro.nn.workspace import WorkspacePool
 
 
 def _pool(model, size, seed):
@@ -58,8 +57,9 @@ class TestDtypeFollowingKernels:
 
         pool = MaxPool2D(2)
         x = np.random.default_rng(0).random((2, 3, 8, 8)).astype(np.float32)
-        out = pool.forward(x)
-        grad = pool.backward(np.ones_like(out))
+        tape = {}
+        out = pool.forward(x, tape=tape)
+        grad = pool.backward(np.ones_like(out), tape)
         assert out.dtype == np.float32
         assert grad.dtype == np.float32
 
@@ -133,83 +133,37 @@ class TestEngineNoCopyFastPath:
 
 
 class TestWorkspacePool:
-    def test_acquire_release_recycles_buffers(self):
-        pool = WorkspacePool()
-        a = pool.acquire((4, 8), np.float64)
-        assert len(pool) == 0  # acquired buffers are owned by the caller
-        pool.release(a)
-        assert len(pool) == 1
-        b = pool.acquire((4, 8), np.float64)
-        assert b is a  # recycled, not reallocated
-        c = pool.acquire((4, 8), np.float64)
-        assert c is not a  # a is checked out; a fresh buffer is made
-
-    def test_release_resolves_views(self):
-        pool = WorkspacePool()
-        a = pool.acquire((2, 3, 4), np.float64)
-        pool.release(a.reshape(6, 4))  # any view hands back the base buffer
-        assert pool.acquire((2, 3, 4), np.float64) is a
-
-    def test_capacity_bounds(self):
-        pool = WorkspacePool(max_slots=2, per_key=1)
-        a = pool.acquire((8,), np.float64)
-        b = pool.acquire((8,), np.float64)
-        pool.release(a)
-        pool.release(b)  # beyond per_key -> dropped
-        assert len(pool) == 1
-        with pytest.raises(ValueError):
-            WorkspacePool(max_slots=0)
-
-    def test_none_release_ignored(self):
-        pool = WorkspacePool()
-        pool.release(None)
-        assert len(pool) == 0
-
-    def test_copies_and_pickles_start_empty(self):
-        import copy
-        import pickle
-
-        pool = WorkspacePool()
-        pool.release(pool.acquire((16,), np.float64))
-        assert len(copy.deepcopy(pool)) == 0
-        assert len(pickle.loads(pickle.dumps(pool))) == 0
-
-    def test_model_layers_share_one_pool(self):
-        from repro.nn.layers import Conv2D, MaxPool2D
-
-        model = small_cnn(rng=10)
-        pools = {id(layer._workspace) for layer in model.layers if isinstance(layer, Conv2D)}
-        assert len(pools) == 1
-        assert model._workspace is not None
-        assert pools == {id(model._workspace)}
-        # max pooling folds strided taps and needs no scratch buffer
-        pooling = [layer for layer in model.layers if isinstance(layer, MaxPool2D)]
-        assert pooling and not any(hasattr(layer, "_workspace") for layer in pooling)
+    """The one contract of the former im2col workspace pool that outlived
+    it: a recording forward's tape stays valid however often it is
+    backpropagated, including through equal-geometry input-gradient
+    gathers."""
 
     def test_repeated_backward_after_one_forward_is_stable(self):
-        """The release contract: contents stay valid until re-acquired."""
+        """A tape is only read: a second backward sees the same record."""
         model = small_cnn(rng=11)
         x = _pool(model, 3, seed=19)
-        logits = model.forward(x)
+        tape = []
+        logits = model.forward(x, tape=tape)
         g = np.ones_like(logits)
-        _, first = model.backward_batch(g, need_input_grad=False)
-        _, second = model.backward_batch(g, need_input_grad=False)
+        _, first = model.backward_batch(g, tape, need_input_grad=False)
+        _, second = model.backward_batch(g, tape, need_input_grad=False)
         np.testing.assert_array_equal(first, second)
 
     def test_repeated_backward_with_equal_channel_convs(self):
         """Regression: an equal-channel same-padding conv's input-gradient
-        gather has the *same* patch geometry as its forward cols — an early
-        release would let the gather pop and overwrite the cached buffer,
-        silently corrupting every backward after the first."""
+        gather has the *same* patch geometry as its forward cols; no
+        backward may write into the taped patch matrix, or every backward
+        after the first would read corrupted data."""
         model = mnist_cnn(width_multiplier=0.125, input_size=12, rng=12)
         x = _pool(model, 3, seed=20)
-        logits = model.forward(x)
+        tape = []
+        logits = model.forward(x, tape=tape)
         g = np.ones_like(logits)
         # need_input_grad=True forces the full-correlation gather in every
         # conv, including conv2/conv4 whose in==out channel counts collide
         # with their own forward patch geometry
-        _, first = model.backward_batch(g, need_input_grad=True)
-        _, second = model.backward_batch(g, need_input_grad=True)
-        _, third = model.backward_batch(g, need_input_grad=True)
+        _, first = model.backward_batch(g, tape, need_input_grad=True)
+        _, second = model.backward_batch(g, tape, need_input_grad=True)
+        _, third = model.backward_batch(g, tape, need_input_grad=True)
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(first, third)

@@ -137,11 +137,11 @@ class TestPerSampleEquivalence:
     def test_per_sample_parameter_grads_sum_to_batch_grads(self, arch):
         """Σ_n per-sample grads == accumulated batch gradients from backward."""
         images = _pool(arch, 4, seed=16)
-        logits = arch.forward(images, training=False)
-        _, per_sample = arch.backward_batch(np.ones_like(logits))
+        tape = []
+        logits = arch.forward(images, tape=tape)
+        _, per_sample = arch.backward_batch(np.ones_like(logits), tape)
         arch.zero_grad()
-        arch.forward(images, training=False)
-        arch.backward(np.ones_like(logits))
+        arch.backward(np.ones_like(logits), tape)
         accumulated = arch.parameter_view().flat_grads()
         arch.zero_grad()
         assert np.abs(per_sample.sum(axis=0) - accumulated).max() <= 1e-7
@@ -287,14 +287,14 @@ class TestBackendsAndCache:
         calls = []
         forward = model.forward
 
-        def counting_forward(x, training=False, record=True):
-            calls.append((x.shape[0], record))
-            return forward(x, training=training, record=record)
+        def counting_forward(x, training=False, tape=None):
+            calls.append((x.shape[0], tape))
+            return forward(x, training=training, tape=tape)
 
         monkeypatch.setattr(model, "forward", counting_forward)
         logits = Engine(model, batch_size=2).forward(images)
         assert [rows for rows, _ in calls] == [2, 2, 1]
-        assert not any(record for _, record in calls)  # inference records nothing
+        assert all(tape is None for _, tape in calls)  # inference records nothing
         np.testing.assert_allclose(logits, expected, atol=TOLERANCE)
 
     def test_cache_stats_merge_semantics(self):

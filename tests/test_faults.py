@@ -336,8 +336,8 @@ class TestEngineFaults:
     def test_backend_error_propagates_on_first_occurrence(self, model, batch, monkeypatch):
         calls = []
 
-        def failing_forward(x, training=False, record=True):
-            calls.append(record)
+        def failing_forward(x, training=False, tape=None):
+            calls.append(tape)
             raise OSError("backend down")
 
         monkeypatch.setattr(model, "forward", failing_forward)
@@ -345,7 +345,7 @@ class TestEngineFaults:
         with pytest.raises(OSError):
             engine.forward(batch)
         assert len(calls) == 1
-        assert calls == [False]  # the engine's forward is an inference pass
+        assert calls == [None]  # the engine's forward is an inference pass
 
     def test_injected_dispatch_fault_propagates(self, model, batch):
         engine = Engine(model, cache=False)

@@ -1,24 +1,30 @@
-"""Inference records nothing and keeps nothing.
+"""A model holds its parameters and nothing else between calls.
 
-Validation replays tests and compares outputs, so every inference entry
-point (``predict``, ``Engine.forward``, ``Engine.stacked_forward``,
-``forward_collect`` and SBA's flip check) runs ``forward(x, record=False)``:
-the same kernels and bitwise the same logits as a recording forward, with no
-layer cache, no workspace lease and no free workspace buffer left behind.
-Pinned on both Table-I architectures and on both backend names.
+Layers keep no per-pass state: a recording forward writes what backward
+reads onto a tape the caller owns, and inference (``predict``,
+``Engine.forward``, ``Engine.stacked_forward``, ``forward_collect`` and SBA's
+flip check) passes no tape at all.  After any entry point, training and the
+gradient queries included, every ndarray a model references is a
+parameter's value or grad.  Because nothing is shared but the parameters,
+two threads can query one model at once and get the serial results bit for
+bit.  Pinned on both Table-I architectures and on both backend names.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.attacks.base import bias_flat_indices
 from repro.attacks.sba import SingleBiasAttack
+from repro.data.datasets import Dataset
 from repro.engine import BACKENDS, Engine
 from repro.faults import FaultPlan, inject
+from repro.models.training import Trainer, TrainingConfig
 from repro.models.zoo import cifar_cnn, mnist_cnn
-from repro.nn.layers import Dropout, Flatten
 from repro.nn.tensor import bit_pattern
 
 ARCHS = {
@@ -29,7 +35,7 @@ ARCHS = {
 
 @pytest.fixture(params=sorted(ARCHS))
 def model(request):
-    """A fresh Table-I victim: nothing recorded, an empty workspace."""
+    """A fresh Table-I victim."""
     return ARCHS[request.param]()
 
 
@@ -38,19 +44,31 @@ def batch_for(model, rows, seed=0):
 
 
 def kept(model) -> list:
-    """What ``model`` holds between calls beyond its parameters."""
-    found = []
-    for layer in model.layers:
-        if getattr(layer, "_cache", None):
-            found.append(f"{layer.name}: cache")
-        if getattr(layer, "_cols_leased", False):
-            found.append(f"{layer.name}: workspace lease")
-        if isinstance(layer, Flatten) and layer._input_shape is not None:
-            found.append(f"{layer.name}: input shape")
-        if isinstance(layer, Dropout) and layer._mask is not None:
-            found.append(f"{layer.name}: mask")
-    if len(model._workspace):
-        found.append(f"{len(model._workspace)} free workspace buffers")
+    """Every ndarray ``model`` references that is not a parameter's value
+    or grad, by path: a scan of the model's and every layer's ``vars()``,
+    through containers and nested objects."""
+    allowed = {id(a) for p in model.parameters() for a in (p.value, p.grad)}
+    found: list = []
+    seen: set = set()
+
+    def scan(obj, path):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if id(obj) not in allowed:
+                found.append(f"{path}: {obj.shape} {obj.dtype}")
+        elif isinstance(obj, dict):
+            for key, value in obj.items():
+                scan(value, f"{path}[{key!r}]")
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            for i, value in enumerate(obj):
+                scan(value, f"{path}[{i}]")
+        elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+            for key, value in vars(obj).items():
+                scan(value, f"{path}.{key}")
+
+    scan(model, model.name)
     return found
 
 
@@ -68,25 +86,40 @@ def head_copies(model, count):
     return copies + [first]
 
 
+def test_the_scan_sees_a_stray_array(model):
+    """The scan reaches into a layer's containers and the model's own."""
+    model.layers[0].leftover = {"cols": np.zeros(3)}
+    model.extra = (model.layers[0].weight.value, np.zeros(2))
+    assert kept(model) == [
+        f"{model.name}.layers[0].leftover['cols']: (3,) float64",
+        f"{model.name}.extra[1]: (2,) float64",
+    ]
+
+
 class TestRecordFalseIsTheSameForward:
     @pytest.mark.parametrize("rows", [1, 16, 64])
     def test_logits_bitwise_equal(self, model, rows):
         x = batch_for(model, rows, seed=rows)
-        plain = model.forward(x, record=False)
+        plain = model.forward(x)
         assert kept(model) == []
-        recorded = model.forward(x)
-        assert kept(model) != []  # the default still records for backward
+        tape = []
+        recorded = model.forward(x, tape=tape)
+        # the record exists, and it is the caller's, not the model's
+        assert len(tape) == len(model.layers) and all(tape[:2])
+        assert kept(model) == []
         assert np.array_equal(bit_pattern(plain), bit_pattern(recorded))
 
     def test_a_recording_survives_an_inference_pass(self, model):
-        # forward -> predict -> backward still reads the first forward's record
+        # forward -> predict -> another recording forward -> backward still
+        # reads the first forward's tape
         x = batch_for(model, 4)
-        logits = model.forward(x)
+        tape = []
+        logits = model.forward(x, tape=tape)
         g = np.ones_like(logits)
-        _, want = model.backward_batch(g, need_input_grad=True)
-        model.forward(x)
+        _, want = model.backward_batch(g, tape, need_input_grad=True)
         model.predict(batch_for(model, 7, seed=3))
-        _, got = model.backward_batch(g, need_input_grad=True)
+        model.forward(batch_for(model, 5, seed=4), tape=[])
+        _, got = model.backward_batch(g, tape, need_input_grad=True)
         assert np.array_equal(bit_pattern(got), bit_pattern(want))
 
 
@@ -117,18 +150,90 @@ class TestInferenceKeepsNothing:
         assert kept(model) == []
         assert kept(outcome.model) == []
 
-    def test_a_gradient_query_leaves_buffers_that_inference_drops(self, model):
-        x = batch_for(model, 8)
-        model.output_gradients_batch(x)
-        caches = [getattr(layer, "_cache", None) for layer in model.layers]
-        assert len(model._workspace) > 0
+
+class TestTrainingAndGradientQueriesKeepNothing:
+    def test_trainer_fit_and_predict(self, model):
+        x = batch_for(model, 12)
+        labels = np.arange(12) % model.num_classes
+        config = TrainingConfig(epochs=1, batch_size=5, learning_rate=0.01, seed=1)
+        Trainer(config).fit(model, Dataset(x, labels), Dataset(x[:4], labels[:4]))
+        assert kept(model) == []
         model.predict(x)
-        assert len(model._workspace) == 0
-        # the gradient query's record is the layers' own, and stays as it was
-        assert all(
-            getattr(layer, "_cache", None) is cache
-            for layer, cache in zip(model.layers, caches)
-        )
+        assert kept(model) == []
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "output_gradients_batch",
+            "input_gradient",
+            "loss_parameter_gradients",
+            "output_gradients",
+        ],
+    )
+    def test_gradient_query(self, model, query):
+        x = batch_for(model, 6)
+        labels = np.arange(6) % model.num_classes
+        if query == "output_gradients":
+            model.output_gradients(x[0])
+        elif query == "output_gradients_batch":
+            model.output_gradients_batch(x)
+        else:
+            getattr(model, query)(x, labels)
+        assert kept(model) == []
+
+
+class TestOneModelAcrossThreads:
+    """Two threads query one shared model at once and each gets the serial
+    result bit for bit: no pass writes anything another pass reads."""
+
+    ROUNDS = 20
+
+    @staticmethod
+    def queries(model, seed):
+        # each thread works on its own inputs and batch size, so a pass that
+        # read another thread's record would read the wrong shape or values
+        rows = 5 + 3 * seed
+        x = batch_for(model, rows, seed=seed)
+        labels = np.arange(rows) % model.num_classes
+        return [
+            lambda: model.output_gradients_batch(x),
+            lambda: model.input_gradient(x, labels)[1],
+            lambda: model.predict(x),
+        ]
+
+    def test_concurrent_queries_match_the_serial_run(self, model):
+        serial = {seed: [q() for q in self.queries(model, seed)] for seed in (0, 1)}
+        start = threading.Barrier(2, timeout=30)
+        mismatches: list = []
+        errors: list = []
+
+        def worker(seed):
+            calls = self.queries(model, seed)
+            try:
+                start.wait()
+                for round_ in range(self.ROUNDS):
+                    for i, call in enumerate(calls):
+                        got = call()
+                        want = serial[seed][i]
+                        if not np.array_equal(bit_pattern(got), bit_pattern(want)):
+                            mismatches.append((seed, round_, i))
+            except Exception as exc:  # reported below, with the thread's seed
+                errors.append((seed, repr(exc)))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-pass
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert mismatches == []
+        assert kept(model) == []
 
 
 class TestFaultsStillFire:
@@ -141,5 +246,5 @@ class TestFaultsStillFire:
         with inject.activate(plan), pytest.raises(OSError):
             run(x)
         assert plan.faults[0].fires == 1
-        # the interrupted pass handed its buffers back all the same
+        # the interrupted pass left nothing behind
         assert kept(model) == []

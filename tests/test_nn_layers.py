@@ -23,10 +23,11 @@ def _rng():
 
 def _check_layer_gradients(layer, x, rtol=1e-5, atol=1e-7):
     """Numeric check of input and parameter gradients of sum(layer(x))."""
-    y = layer.forward(x, training=False)
+    tape = {}
+    y = layer.forward(x, tape=tape)
     grad_out = np.ones_like(y)
     layer.zero_grad()
-    grad_in = layer.backward(grad_out)
+    grad_in = layer.backward(grad_out, tape)
 
     eps = 1e-6
 
@@ -182,8 +183,9 @@ class TestPooling:
     def test_maxpool_backward_routes_to_argmax(self):
         pool = MaxPool2D(2)
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        pool.forward(x)
-        grad = pool.backward(np.array([[[[5.0]]]]))
+        tape = {}
+        pool.forward(x, tape=tape)
+        grad = pool.backward(np.array([[[[5.0]]]]), tape)
         expected = np.zeros_like(x)
         expected[0, 0, 1, 1] = 5.0
         np.testing.assert_allclose(grad, expected)
@@ -191,9 +193,10 @@ class TestPooling:
     def test_avgpool_values_and_backward(self):
         pool = AvgPool2D(2)
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out = pool.forward(x)
+        tape = {}
+        out = pool.forward(x, tape=tape)
         assert out[0, 0, 0, 0] == pytest.approx(2.5)
-        grad = pool.backward(np.array([[[[4.0]]]]))
+        grad = pool.backward(np.array([[[[4.0]]]]), tape)
         np.testing.assert_allclose(grad, np.ones_like(x))
 
     def test_maxpool_gradients_numeric(self):
@@ -220,17 +223,51 @@ def _reference_maxpool(x, pool_size, stride, grad_out):
     return out, grad_x.reshape(x.shape)
 
 
-def _assert_pool_matches_reference(x, pool_size=2, stride=None, seed=0):
-    pool = MaxPool2D(pool_size, stride=stride)
-    plain = pool.forward(x, record=False)
-    assert not pool._cache
-    out = pool.forward(x)
+def _reference_avgpool(x, pool_size, stride, grad_out):
+    """The im2col + mean kernel AvgPool2D ran before its tap fold:
+    ``(output, input gradient)``."""
+    n, c, h, w = x.shape
+    ph, pw = pool_size
+    cols, out_h, out_w = im2col(x.reshape(n * c, 1, h, w), ph, pw, stride, 0)
+    out = cols.mean(axis=1).reshape(n, c, out_h, out_w)
+    grad_flat = grad_out.reshape(n * c, -1) / (ph * pw)
+    grad_cols = np.broadcast_to(grad_flat[:, None, :], cols.shape).copy()
+    grad_x = col2im(grad_cols, (n * c, 1, h, w), ph, pw, stride, 0)
+    return out, grad_x.reshape(x.shape)
+
+
+_REFERENCES = {MaxPool2D: _reference_maxpool, AvgPool2D: _reference_avgpool}
+
+
+def _assert_pool_matches_reference(x, pool_size=2, stride=None, seed=0, kind=MaxPool2D):
+    pool = kind(pool_size, stride=stride)
+    state = dict(vars(pool))
+    plain = pool.forward(x)
+    assert vars(pool) == state  # a pass stores nothing on the layer
+    tape = {}
+    out = pool.forward(x, tape=tape)
+    assert vars(pool) == state
     grad_out = np.random.default_rng(seed).normal(size=out.shape).astype(x.dtype)
-    grad_x = pool.backward(grad_out)
-    want_out, want_grad = _reference_maxpool(x, pool.pool_size, pool.stride, grad_out)
+    grad_x = pool.backward(grad_out, tape)
+    want_out, want_grad = _REFERENCES[kind](x, pool.pool_size, pool.stride, grad_out)
     for got, want in ((plain, want_out), (out, want_out), (grad_x, want_grad)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(bit_pattern(got), bit_pattern(want))
+
+
+def _table_one_pool_inputs(arch):
+    """``(input, layer)`` of every pooling layer of a Table-I model."""
+    from repro.models.zoo import cifar_cnn, mnist_cnn
+
+    if arch == "mnist":
+        model = mnist_cnn(width_multiplier=0.125, input_size=28, rng=0)
+    else:
+        model = cifar_cnn(width_multiplier=0.0625, input_size=32, rng=0)
+    x = np.random.default_rng(1).random((16, *model.input_shape))
+    inputs = [x, *model.forward_collect(x)]
+    pools = [i for i, layer in enumerate(model.layers) if isinstance(layer, MaxPool2D)]
+    assert pools
+    return [(inputs[i], model.layers[i]) for i in pools]
 
 
 class TestMaxPoolTapFold:
@@ -241,19 +278,8 @@ class TestMaxPoolTapFold:
 
     @pytest.mark.parametrize("arch", ["mnist", "cifar"])
     def test_table_one_pool_inputs(self, arch):
-        from repro.models.zoo import cifar_cnn, mnist_cnn
-
-        if arch == "mnist":
-            model = mnist_cnn(width_multiplier=0.125, input_size=28, rng=0)
-        else:
-            model = cifar_cnn(width_multiplier=0.0625, input_size=32, rng=0)
-        x = np.random.default_rng(1).random((16, *model.input_shape))
-        inputs = [x, *model.forward_collect(x)]
-        pools = [i for i, layer in enumerate(model.layers) if isinstance(layer, MaxPool2D)]
-        assert pools
-        for i in pools:
-            layer = model.layers[i]
-            _assert_pool_matches_reference(inputs[i], layer.pool_size, layer.stride, seed=i)
+        for i, (x, layer) in enumerate(_table_one_pool_inputs(arch)):
+            _assert_pool_matches_reference(x, layer.pool_size, layer.stride, seed=i)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_every_window_of_special_values(self, dtype):
@@ -274,13 +300,59 @@ class TestMaxPoolTapFold:
         assert not hasattr(MaxPool2D(2), "_workspace")
 
 
+class TestAvgPoolTapFold:
+    """The tap fold (sum the taps in ``(ki, kj)`` order from zero, divide by
+    the window) equals the im2col + mean kernel bit for bit, forward and
+    input gradient, recording or not."""
+
+    SPECIALS = (-0.0, 0.0, 1.0, -1.0, 0.5)
+
+    @pytest.mark.parametrize("arch", ["mnist", "cifar"])
+    def test_table_one_pool_inputs(self, arch):
+        for i, (x, layer) in enumerate(_table_one_pool_inputs(arch)):
+            _assert_pool_matches_reference(
+                x, layer.pool_size, layer.stride, seed=i, kind=AvgPool2D
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_every_window_of_ties_and_signed_zeros(self, dtype):
+        values = np.array(self.SPECIALS)
+        grid = np.stack(np.meshgrid(*[values] * 4, indexing="ij"), axis=-1).reshape(-1, 2, 2)
+        _assert_pool_matches_reference(grid[None].astype(dtype), kind=AvgPool2D)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("pool_size, stride", [(2, 1), (3, 1), (3, 2), ((2, 3), 2), (2, 2)])
+    def test_overlapping_and_uneven_windows(self, pool_size, stride, dtype):
+        rng = np.random.default_rng(11)
+        ties = rng.choice(np.array(self.SPECIALS), size=(2, 3, 7, 8)).astype(dtype)
+        _assert_pool_matches_reference(ties, pool_size, stride, kind=AvgPool2D)
+        # magnitudes 1e-8..1e8 make the summation order show in the low bits
+        spread = rng.normal(size=(2, 3, 7, 8)) * 10.0 ** rng.integers(-8, 8, size=(2, 3, 7, 8))
+        _assert_pool_matches_reference(spread.astype(dtype), pool_size, stride, kind=AvgPool2D)
+
+    def test_needs_no_patch_matrix(self, monkeypatch):
+        import repro.nn.layers as layers
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("pooling built a patch matrix")
+
+        monkeypatch.setattr(layers, "im2col", refuse)
+        monkeypatch.setattr(layers, "col2im", refuse)
+        x = np.random.default_rng(3).random((2, 3, 6, 6))
+        for kind in (MaxPool2D, AvgPool2D):
+            tape = {}
+            out = kind(2).forward(x, tape=tape)
+            kind(2).backward(np.ones_like(out), tape)
+
+
 class TestFlattenDropoutActivationLayer:
     def test_flatten_round_trip(self):
         flat = Flatten()
         x = _rng().random((2, 3, 4, 4))
-        y = flat.forward(x)
+        tape = {}
+        y = flat.forward(x, tape=tape)
         assert y.shape == (2, 48)
-        back = flat.backward(np.ones_like(y))
+        back = flat.backward(np.ones_like(y), tape)
         assert back.shape == x.shape
 
     def test_flatten_output_shape(self):

@@ -73,9 +73,10 @@ class TestForwardBackward:
         loss_fn = SoftmaxCrossEntropy()
 
         model.zero_grad()
-        logits = model.forward(x, training=True)
+        tape = []
+        logits = model.forward(x, training=True, tape=tape)
         _, grad = loss_fn.value_and_grad(logits, y)
-        model.backward(grad)
+        model.backward(grad, tape)
         analytic = model.parameter_view().flat_grads()
 
         eps = 1e-6
@@ -90,6 +91,14 @@ class TestForwardBackward:
             view.set_scalar(int(i), orig)
             numeric = (plus - minus) / (2 * eps)
             assert analytic[i] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+
+    def test_backward_needs_the_tape_a_recording_forward_filled(self):
+        model = _tiny_cnn(rng=3)
+        x = np.random.default_rng(2).random((2, 1, 8, 8))
+        grad = np.ones_like(model.forward(x))  # inference: no tape
+        for method in (model.backward, model.backward_batch):
+            with pytest.raises(ValueError, match="tape holds 0 records"):
+                method(grad, [])
 
     def test_predict_matches_forward_in_chunks(self):
         model = _tiny_cnn()
@@ -180,9 +189,10 @@ class TestBackwardFlags:
         x, y = self._batch()
         value, grad = model.input_gradient(x, y)
         model.zero_grad()
-        logits = model.forward(x, training=True)
+        tape = []
+        logits = model.forward(x, training=True, tape=tape)
         ref_value, grad_logits = SoftmaxCrossEntropy().value_and_grad(logits, y)
-        ref = model.backward(grad_logits)
+        ref = model.backward(grad_logits, tape)
         assert value == ref_value
         assert grad.dtype == ref.dtype and grad.tobytes() == ref.tobytes()
 
@@ -199,12 +209,13 @@ class TestBackwardFlags:
     def test_backward_without_input_grad_returns_none_and_same_param_grads(self):
         model = _two_conv_cnn(rng=5)
         x, y = self._batch(seed=6)
-        _, grad_logits = SoftmaxCrossEntropy().value_and_grad(model.forward(x), y)
+        tape = []
+        _, grad_logits = SoftmaxCrossEntropy().value_and_grad(model.forward(x, tape=tape), y)
         model.zero_grad()
-        model.backward(grad_logits)
+        model.backward(grad_logits, tape)
         full = model.parameter_view().flat_grads()
         model.zero_grad()
-        assert model.backward(grad_logits, need_input_grad=False) is None
+        assert model.backward(grad_logits, tape, need_input_grad=False) is None
         assert model.parameter_view().flat_grads().tobytes() == full.tobytes()
 
     def test_trainer_fit_matches_full_backward_reference_bitwise(self):
@@ -221,8 +232,10 @@ class TestBackwardFlags:
         for _ in range(cfg.epochs):
             for batch, targets in train.batches(cfg.batch_size, shuffle=cfg.shuffle, rng=rng):
                 reference.zero_grad()
-                _, grad = loss_fn.value_and_grad(reference.forward(batch, training=True), targets)
-                reference.backward(grad)
+                tape = []
+                logits = reference.forward(batch, training=True, tape=tape)
+                _, grad = loss_fn.value_and_grad(logits, targets)
+                reference.backward(grad, tape)
                 optimizer.step(reference.parameters())
         for got, want in zip(trained.parameters(), reference.parameters()):
             assert got.value.tobytes() == want.value.tobytes(), got.name

@@ -111,7 +111,8 @@ def test_col2im_is_bitwise_equal_to_scatter_add(kernel, stride, padding, dtype):
 
 
 def _conv_after_forward(kernel, stride, padding, dtype, n=3, c=2, h=7, w=6, filters=4):
-    """A built linear ``Conv2D`` in ``dtype`` after one training forward."""
+    """A built linear ``Conv2D`` in ``dtype`` after one training forward:
+    ``(conv, x, grad_out, tape)``."""
     rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
     conv = Conv2D(filters, kernel, stride=stride, padding=padding, activation=None)
     conv.build((c, h, w), rng)
@@ -119,8 +120,9 @@ def _conv_after_forward(kernel, stride, padding, dtype, n=3, c=2, h=7, w=6, filt
         param.value = rng.normal(size=param.value.shape).astype(dtype)
         param.grad = np.zeros_like(param.value)
     x = rng.normal(size=(n, c, h, w)).astype(dtype)
-    out = conv.forward(x, training=True)
-    return conv, x, rng.normal(size=out.shape).astype(dtype)
+    tape = {}
+    out = conv.forward(x, training=True, tape=tape)
+    return conv, x, rng.normal(size=out.shape).astype(dtype), tape
 
 
 @pytest.mark.parametrize("kernel", [2, 3])
@@ -129,8 +131,8 @@ def _conv_after_forward(kernel, stride, padding, dtype, n=3, c=2, h=7, w=6, filt
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_conv_backward_matches_einsum_reference(kernel, stride, padding, dtype):
     """Weight, bias and input gradients agree with the einsum contraction."""
-    conv, x, grad_out = _conv_after_forward(kernel, stride, padding, dtype)
-    grad_x = conv.backward(grad_out)
+    conv, x, grad_out, tape = _conv_after_forward(kernel, stride, padding, dtype)
+    grad_x = conv.backward(grad_out, tape)
 
     cols, _, _ = im2col(x, kernel, kernel, stride, padding)
     grad_z = grad_out.reshape(x.shape[0], conv.filters, -1)
@@ -158,9 +160,9 @@ def test_conv_weight_gradient_is_bitwise_sum_of_per_sample_gradients(
     kernel, stride, padding, dtype
 ):
     """``backward`` sums the very per-sample products ``backward_batch`` returns."""
-    conv, _, grad_out = _conv_after_forward(kernel, stride, padding, dtype)
-    _, per_sample = conv.backward_batch(grad_out, need_input_grad=False)
-    conv.backward(grad_out, need_input_grad=False)
+    conv, _, grad_out, tape = _conv_after_forward(kernel, stride, padding, dtype)
+    _, per_sample = conv.backward_batch(grad_out, tape, need_input_grad=False)
+    conv.backward(grad_out, tape, need_input_grad=False)
     want = per_sample[0].sum(axis=0)
     assert conv.weight.grad.dtype == want.dtype
     assert conv.weight.grad.tobytes() == want.tobytes()
