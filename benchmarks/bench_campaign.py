@@ -80,16 +80,14 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         serial_store = Path(tmp) / "serial.jsonl"
         serial_start = time.perf_counter()
-        serial_summary = run_campaign(spec, str(serial_store), backend="numpy")
+        serial_summary = run_campaign(spec, str(serial_store))
         serial_wall = time.perf_counter() - serial_start
         assert serial_summary.executed == len(scenarios)
         print(f"serial:  {serial_wall * 1e3:9.1f} ms ({serial_summary.describe()})")
 
         sharded_store = Path(tmp) / "sharded.jsonl"
         sharded_start = time.perf_counter()
-        sharded_summary = run_campaign(
-            spec, str(sharded_store), backend="numpy", shards=CAMPAIGN_SHARDS
-        )
+        sharded_summary = run_campaign(spec, str(sharded_store), shards=CAMPAIGN_SHARDS)
         sharded_wall = time.perf_counter() - sharded_start
         assert sharded_summary.executed == len(scenarios)
         print(f"sharded: {sharded_wall * 1e3:9.1f} ms ({sharded_summary.describe()})")

@@ -38,8 +38,8 @@ Subsystem map:
 * :mod:`repro.nn` — from-scratch NumPy deep-learning substrate (layers,
   losses, optimisers, batched per-sample gradient extraction).
 * :mod:`repro.engine` — the batched execution engine: memoizing
-  forward/gradient/mask queries, and a fused ``model_axis`` path for
-  stacked replays of perturbed copies.
+  forward/gradient/mask queries, and stacked replays of perturbed copies
+  that start each copy at its first divergent layer.
 * :mod:`repro.data` — synthetic stand-ins for MNIST, CIFAR-10, ImageNet and
   noise populations.
 * :mod:`repro.models` — the Table-I architectures and a trainer.

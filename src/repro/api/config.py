@@ -1,9 +1,9 @@
 """Session-level run configuration, plus the shared dataclass (de)serialiser.
 
 A :class:`RunConfig` gathers every knob that describes *how* work executes —
-backend, campaign shards, chunking, cache and memory budgets, rng
-seeding — as opposed to the request objects (:mod:`repro.api.requests`),
-which describe *what* to compute.  One config serves a whole
+campaign shards, chunking, cache and memory budgets, rng seeding — as
+opposed to the request objects (:mod:`repro.api.requests`), which describe
+*what* to compute.  One config serves a whole
 :class:`~repro.api.session.Session`; every engine the session builds
 inherits it.
 
@@ -11,8 +11,8 @@ Like :class:`~repro.campaign.CampaignSpec`, a config is resolvable from a
 plain dict or a TOML/JSON file (optionally nested under a ``[run]``
 table)::
 
-    config = RunConfig(backend="model_axis", batch_size=128)
-    config = RunConfig.from_dict({"backend": "numpy", "batch_size": 128})
+    config = RunConfig(shards=2, batch_size=128)
+    config = RunConfig.from_dict({"batch_size": 128})
     config = RunConfig.load("run.toml")
 
 The dict/file plumbing lives in :class:`TableSerde` (over
@@ -107,9 +107,6 @@ class RunConfig(TableSerde):
 
     Attributes
     ----------
-    backend:
-        Engine backend name, ``"numpy"`` or ``"model_axis"``
-        (:data:`repro.engine.BACKENDS`).
     shards:
         Default worker-process shard count for campaign sweeps (``None`` =
         follow the spec; above 1 routes :meth:`Session.sweep` through the
@@ -152,7 +149,6 @@ class RunConfig(TableSerde):
 
     _TABLE = "run"
 
-    backend: str = "numpy"
     shards: Optional[int] = None
     batch_size: int = 64
     memory_budget_bytes: Optional[int] = None

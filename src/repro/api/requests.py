@@ -341,17 +341,13 @@ class SweepRequest(WireSerde, TableSerde):
     """Campaign-sweep request: delegate a spec to the resumable runner.
 
     ``spec`` may be a :class:`~repro.campaign.CampaignSpec`, a plain dict of
-    spec fields, or a path to a ``.toml``/``.json`` spec file.  The session's
-    backend executes the campaign unless ``backend`` overrides it.
+    spec fields, or a path to a ``.toml``/``.json`` spec file.
     """
 
     _TABLE = "sweep"
 
     spec: "object" = None  # CampaignSpec | dict | path
     store: str = "campaign-results.jsonl"
-    #: ``"numpy"`` or ``"model_axis"``; ``None`` runs on the session's
-    #: configured backend
-    backend: Optional[str] = None
     #: worker-process shards of the distributed campaign runner (``None``
     #: follows the session config, then the spec; above 1 each shard
     #: appends to its own ``<store>.shard<k>.jsonl``)

@@ -1,9 +1,9 @@
 """The :class:`Session` façade: managed engines + the three paper operations.
 
 A session owns one :class:`~repro.api.config.RunConfig` and everything the
-config governs: the engine backend name, an LRU pool of memoizing
-:class:`~repro.engine.Engine` instances keyed by the model's exact key, and
-an LRU cache of trained experiments.  The paper-level operations —
+config governs: an LRU pool of memoizing :class:`~repro.engine.Engine`
+instances keyed by the model's exact key, and an LRU cache of trained
+experiments.  The paper-level operations —
 :meth:`release`, :meth:`validate` and :meth:`sweep` — accept the typed
 request objects of :mod:`repro.api.requests` (or plain dicts / keyword
 arguments) and route all compute through the managed engines, so callers
@@ -11,7 +11,7 @@ never hand-wire Engine plumbing per call site::
 
     from repro.api import ReleaseRequest, Session, ValidateRequest
 
-    with Session(backend="numpy") as session:
+    with Session(batch_size=128) as session:
         released = session.release(ReleaseRequest(dataset="mnist", num_tests=12))
         outcome = session.validate(
             ValidateRequest(package=released.package), ip=released.model
@@ -41,7 +41,7 @@ from repro.api.requests import (
     ValidateRequest,
     ValidationOutcome,
 )
-from repro.engine import Engine, check_backend
+from repro.engine import Engine
 from repro.engine.cache import exact_model_key
 from repro.nn.model import Sequential
 from repro.utils.logging import get_logger
@@ -60,12 +60,11 @@ class Session:
     config:
         A :class:`RunConfig`, a plain dict of its fields, or ``None`` for
         defaults; keyword arguments override individual fields either way
-        (``Session(backend="model_axis", batch_size=128)``).
+        (``Session(batch_size=128)``).
 
-    Engines built by the session share its backend, batch size and memory
-    budget; they are memoizing and pooled per exact model key, so
-    repeated requests against the same trained model reuse cached
-    gradient/mask matrices.  Sessions are context managers — leaving the
+    Engines built by the session share its batch size and memory budget;
+    they are memoizing and pooled per exact model key, so repeated requests
+    against the same trained model reuse cached gradient/mask matrices.  Sessions are context managers — leaving the
     ``with`` block drops the cached engines.
 
     **Concurrency contract.**  A session's *bookkeeping* is thread-safe: the
@@ -95,9 +94,6 @@ class Session:
             from repro.registry import discover_entry_points
 
             discover_entry_points()
-        # checked eagerly so an unknown backend name fails here, not on the
-        # first request
-        check_backend(config.backend)
         self._engines: "OrderedDict[Tuple[str, object], Engine]" = OrderedDict()
         self._prepared: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
         # resolved once: every remote transport the session builds shares it
@@ -154,7 +150,6 @@ class Session:
             engine = Engine(
                 model,
                 criterion=criterion,
-                backend=cfg.backend,
                 batch_size=cfg.batch_size,
                 memory_budget_bytes=cfg.memory_budget_bytes,
                 spill_dir=cfg.spill_dir,
@@ -454,9 +449,8 @@ class Session:
         """Run (or resume) a campaign sweep; returns its
         :class:`~repro.campaign.CampaignSummary`.
 
-        Delegates to :func:`repro.campaign.run_campaign` on the session's
-        backend (or the request's override), so scenario results —
-        digests, seeds, detection outcomes — are identical to the
+        Delegates to :func:`repro.campaign.run_campaign`, so scenario
+        results — digests, seeds, detection outcomes — are identical to the
         ``python -m repro campaign`` path.
         """
         req = SweepRequest.coerce(request, **overrides)
@@ -473,12 +467,10 @@ class Session:
                 else spec.shards
             )
         )
-        backend = req.backend if req.backend is not None else self.config.backend
         if shards > 1:
             summary = run_campaign(
                 spec,
                 req.store,
-                backend=backend,
                 progress=logger.info,
                 spill_dir=self.config.spill_dir,
                 shards=shards,
@@ -499,7 +491,6 @@ class Session:
         summary = run_campaign(
             spec,
             store,
-            backend=backend,
             progress=logger.info,
             spill_dir=self.config.spill_dir,
             shards=1,

@@ -55,7 +55,6 @@ from repro.campaign.store import (
     diff_against_expectations,
     expectations_from_records,
 )
-from repro.engine import BACKENDS
 from repro.faults import CampaignAbortedError
 
 
@@ -73,11 +72,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--spec", required=True, help="campaign spec (.toml or .json)")
         cmd.add_argument("--store", required=True, help="JSONL result store path")
-        cmd.add_argument(
-            "--backend",
-            default="numpy",
-            help=f"engine backend for the whole campaign ({', '.join(BACKENDS)})",
-        )
         cmd.add_argument("--report", default=None, help="also write the markdown report here")
         cmd.add_argument(
             "--durable",
@@ -208,7 +202,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 spec,
                 args.store,
                 shards=shards,
-                backend=args.backend,
                 progress=print,
                 max_failures=args.max_failures,
                 spill_dir=args.spill_dir,
@@ -219,7 +212,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             summary = run_campaign(
                 spec,
                 store,
-                backend=args.backend,
                 progress=print,
                 max_failures=args.max_failures,
                 spill_dir=args.spill_dir,

@@ -57,7 +57,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.campaign.runner import CampaignRunner, CampaignSummary, ProgressCallback
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import FailureRecord, ResultStore, ScenarioRecord
-from repro.engine import check_backend
 from repro.faults import CampaignAbortedError, FaultPlan, inject
 from repro.utils.logging import get_logger
 
@@ -235,7 +234,6 @@ def _worker_main(
     spec: CampaignSpec,
     store_path: str,
     durable: bool,
-    backend: str,
     spill_dir: Optional[str],
     exchange_dir: str,
     task_queue: "multiprocessing.Queue",
@@ -259,7 +257,6 @@ def _worker_main(
             with CampaignRunner(
                 spec,
                 store,
-                backend=backend,
                 progress=lambda msg: results.send(("progress", shard, msg)),
                 max_failures=None,
                 spill_dir=spill_dir,
@@ -341,7 +338,6 @@ def run_distributed_campaign(
     spec: CampaignSpec,
     store_path: PathLike,
     shards: int,
-    backend: str = "numpy",
     progress: Optional[ProgressCallback] = None,
     max_failures: Optional[int] = None,
     spill_dir: Optional[PathLike] = None,
@@ -369,7 +365,6 @@ def run_distributed_campaign(
     spec.validate()
     if shards < 1:
         raise ValueError("shards must be at least 1")
-    check_backend(backend)
     if max_failures is not None and max_failures < 0:
         raise ValueError("max_failures must be non-negative")
     base = Path(store_path)
@@ -434,7 +429,6 @@ def run_distributed_campaign(
                 spec,
                 str(shard_paths[shard]),
                 durable,
-                backend,
                 str(spill_dir) if spill_dir is not None else None,
                 str(exchange_root),
                 task_queue,

@@ -5,9 +5,9 @@ Executes the scenario cross-product of a :class:`~repro.campaign.spec
 work that is common to several scenarios:
 
 * **per model** — the victim is trained once and served by one memoizing
-  :class:`~repro.engine.Engine` on the campaign's backend, so the packed-mask
-  and gradient queries behind package generation are computed once per model
-  rather than once per scenario;
+  :class:`~repro.engine.Engine`, so the packed-mask and gradient queries
+  behind package generation are computed once per model rather than once
+  per scenario;
 * **per (model, criterion, strategy)** — one validation package is generated
   at the campaign's *maximum* budget; smaller budgets replay prefixes of it
   (greedy generators are prefix-stable, and always generating at max budget
@@ -40,7 +40,7 @@ from repro.campaign.store import FailureRecord, ResultStore, ScenarioRecord
 from repro.faults import CampaignAbortedError, inject
 from repro.coverage.activation import resolve_criterion
 from repro.coverage.bitmap import CoverageMap
-from repro.engine import Engine, check_backend
+from repro.engine import Engine
 from repro.models.zoo import MODEL_LEARNING_RATES
 from repro.registry import registry
 from repro.testgen.strategies import build_generator
@@ -138,9 +138,9 @@ class CampaignRunner:
     spec: the declarative campaign definition.
     store: the append-only result store; scenarios whose digest is already
         present are skipped (resume semantics).
-    backend: engine backend name of the whole campaign, ``"numpy"`` or
-        ``"model_axis"`` (:data:`repro.engine.BACKENDS`); store bytes are
-        identical on both.
+    backend: ``"numpy"`` or ``"model_axis"``, both of which run the
+        engine's one stacked path; any other name raises.  It changes
+        nothing (see the comment in ``__init__``).
     progress: optional callback receiving human-readable progress lines.
     max_failures: abort the campaign (``CampaignAbortedError``) once more
         than this many scenarios have been quarantined in this run; ``None``
@@ -174,9 +174,15 @@ class CampaignRunner:
         spec.validate()
         if max_failures is not None and max_failures < 0:
             raise ValueError("max_failures must be non-negative")
+        # a retired option kept for the benchmark harness only:
+        # perfbench/workloads.py passes ``backend=args.backend`` (default
+        # "model_axis") and perfbench/smoke.py runs ``--backend numpy``.
+        # Neither name changes anything; a later benchmark change drops
+        # the flag there and this keyword here.
+        if backend not in ("numpy", "model_axis"):
+            raise ValueError(f"unknown backend {backend!r}; choose from numpy, model_axis")
         self.spec = spec
         self.store = store
-        self._backend = check_backend(backend)
         self._progress = progress
         self.max_failures = max_failures
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
@@ -380,11 +386,7 @@ class CampaignRunner:
         prepared = self._prepare_model(model_name)
         # one memoizing engine per model: package generation for every
         # (criterion, strategy) shares its mask/gradient cache
-        engine = Engine(
-            prepared.model,
-            backend=self._backend,
-            spill_dir=self.spill_dir,
-        )
+        engine = Engine(prepared.model, spill_dir=self.spill_dir)
         context = (prepared, engine, {})
         self._model_cache[model_name] = context
         while len(self._model_cache) > MODEL_CACHE_SLOTS:
@@ -435,7 +437,7 @@ class CampaignRunner:
         # one memo-free trial engine for every attack group: each perturbed
         # copy serves exactly one batch, while the victim's trunk on the
         # stacked tests is computed once and replayed by every group
-        trial_engine = Engine(prepared.model, backend=self._backend, cache=False)
+        trial_engine = Engine(prepared.model, cache=False)
         records: List[ScenarioRecord] = []
         for attack_name in spec.attacks:
             group = [s for s in model_pending if s.attack == attack_name]
@@ -548,7 +550,6 @@ class CampaignRunner:
 def run_campaign(
     spec: CampaignSpec,
     store: Union[ResultStore, str],
-    backend: str = "numpy",
     progress: Optional[ProgressCallback] = None,
     max_failures: Optional[int] = None,
     spill_dir: Optional[Union[str, Path]] = None,
@@ -575,7 +576,6 @@ def run_campaign(
             spec,
             store_path,
             shards=effective_shards,
-            backend=backend,
             progress=progress,
             max_failures=max_failures,
             spill_dir=spill_dir,
@@ -586,7 +586,6 @@ def run_campaign(
     with CampaignRunner(
         spec,
         store,
-        backend=backend,
         progress=progress,
         max_failures=max_failures,
         spill_dir=spill_dir,

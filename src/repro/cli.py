@@ -73,7 +73,6 @@ def _parser() -> argparse.ArgumentParser:
     release.add_argument(
         "--out", required=True, help="directory for model.npz + package.npz"
     )
-    _add_run_config_flags(release)
 
     validate = sub.add_parser(
         "validate", help="user side: replay a package against a black-box IP"
@@ -94,7 +93,6 @@ def _parser() -> argparse.ArgumentParser:
         "--expect-detected", action="store_true",
         help="exit 0 when tampering IS detected (for negative tests)",
     )
-    _add_run_config_flags(validate)
 
     verify = sub.add_parser(
         "verify",
@@ -144,7 +142,6 @@ def _parser() -> argparse.ArgumentParser:
         "--expect-detected", action="store_true",
         help="exit 0 when tampering IS detected (for negative tests)",
     )
-    _add_run_config_flags(verify)
 
     registry_cmd = sub.add_parser(
         "registry", help="list the cross-subsystem plugin registry"
@@ -168,20 +165,10 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_run_config_flags(cmd: argparse.ArgumentParser) -> None:
-    from repro.engine import BACKENDS
+def _session():
+    from repro.api import Session
 
-    cmd.add_argument(
-        "--backend",
-        default="numpy",
-        help=f"engine backend ({', '.join(BACKENDS)})",
-    )
-
-
-def _session(args: argparse.Namespace):
-    from repro.api import RunConfig, Session
-
-    return Session(RunConfig(backend=args.backend))
+    return Session()
 
 
 def _cmd_release(args: argparse.Namespace) -> int:
@@ -202,7 +189,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
         discrimination_trials=args.discrimination_trials,
         seed=args.seed,
     )
-    with _session(args) as session:
+    with _session() as session:
         released = session.release(request)
         paths = released.save(args.out)
     print(released.describe())
@@ -221,7 +208,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         width_multiplier=args.width_multiplier,
         input_size=args.input_size,
     )
-    with _session(args) as session:
+    with _session() as session:
         outcome = session.validate(request)
     print(outcome.summary())
     if args.expect_detected:
@@ -245,7 +232,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         transport=args.transport,
         micro_batch=args.micro_batch,
     )
-    with _session(args) as session:
+    with _session() as session:
         outcome = session.validate(request)
     print(outcome.summary())
     if outcome.ledger is not None:

@@ -6,13 +6,12 @@ generation, attacks and validation run as fast as the hardware allows": one
 query across whole candidate pools, memoizes immutable results keyed by
 ``(exact model key, array fingerprint)``, and calls the model's own NumPy
 passes in-process; chunking, memoization and mask packing are its own work
-on top.  The engine's backend is one of two names (:data:`BACKENDS`), and
-it picks only how :meth:`~repro.engine.engine.Engine.stacked_forward` runs a
-set of same-architecture models (the detection experiments' perturbed
-copies): ``numpy`` (default) runs them one at a time, and ``model_axis``
-fuses them into one batched dispatch per layer along a leading model axis
-(:mod:`repro.engine.model_axis`), bit-identically.  Multi-process execution
-lives one layer up, in the campaign runner's ``--shards``.
+on top.  :meth:`~repro.engine.engine.Engine.stacked_forward` replays a
+batch against many same-architecture models (the detection experiments'
+perturbed copies) in one query: each copy starts at its first divergent
+layer (:func:`~repro.engine.cache.first_divergence`) on the engine model's
+trunk, bit-identically to running it whole.  Multi-process execution lives
+one layer up, in the campaign runner's ``--shards``.
 
 Layering: ``repro.engine`` depends only on ``repro.nn`` (plus a lazy default
 criterion lookup); ``repro.coverage``, ``repro.testgen``, ``repro.attacks``,
@@ -27,10 +26,8 @@ from repro.engine.cache import (
     array_fingerprint,
 )
 from repro.engine.engine import (
-    BACKENDS,
     DEFAULT_BATCH_SIZE,
     Engine,
-    check_backend,
     neuron_layer_indices,
     resolve_engine,
 )
@@ -43,10 +40,8 @@ __all__ = [
     "CacheStats",
     "array_fingerprint",
     # engine
-    "BACKENDS",
     "DEFAULT_BATCH_SIZE",
     "Engine",
-    "check_backend",
     "neuron_layer_indices",
     "resolve_engine",
 ]

@@ -16,7 +16,10 @@ This module provides the pieces that make those revisits free:
   computed arrays, with hit/miss statistics for observability;
 * :class:`TrunkCache` — a bounded memo of a model's per-layer activations on
   a batch (its *trunk*), keyed on the exact parameter bytes, which the
-  trial loop reuses across every perturbed copy of one victim.
+  trial loop reuses across every perturbed copy of one victim;
+* :func:`first_divergence` — the first layer at which a copy's parameters
+  differ from its victim's, bit for bit: the copy reads the victim's trunk
+  up to there.
 
 Keys include the model's exact key, so a cache never returns results
 computed against parameters that have since been perturbed, even in one
@@ -33,6 +36,8 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, List, Optional, Tuple
 
 import numpy as np
+
+from repro.nn.tensor import bit_pattern
 
 #: default number of memoized results kept per engine
 DEFAULT_CACHE_ENTRIES = 128
@@ -211,6 +216,21 @@ class BatchResultCache:
             self._nbytes = 0
 
 
+def first_divergence(base, model) -> int:
+    """Index of the first layer whose parameters differ from ``base``'s.
+
+    Parameters are compared bit for bit, so a ``-0.0`` where the base holds
+    ``0.0`` diverges.  Returns ``len(base.layers)`` when every parameter is
+    bitwise equal — the model *is* the base, observably, provided the two
+    share an architecture signature (the caller checks that first).
+    """
+    for idx, layer in enumerate(base.layers):
+        for ours, theirs in zip(layer.parameters(), model.layers[idx].parameters()):
+            if not np.array_equal(bit_pattern(ours.value), bit_pattern(theirs.value)):
+                return idx
+    return len(base.layers)
+
+
 class TrunkCache:
     """Bounded memo of a model's per-layer activations on a batch.
 
@@ -269,4 +289,5 @@ __all__ = [
     "CacheStats",
     "BatchResultCache",
     "TrunkCache",
+    "first_divergence",
 ]

@@ -33,18 +33,14 @@ Key properties:
   :meth:`Engine.neuron_masks` and :meth:`Engine.union_mask` are views of
   the packed result.  Spilled stores are keyed on the same exact model
   key.
-* **Model-axis batched** — :meth:`Engine.stacked_forward` evaluates many
-  same-architecture models (the detection experiments' perturbed copies) on
-  one batch.  The backend is one of two names (:data:`BACKENDS`) and picks
-  only this query's path: on ``model_axis`` copies are grouped up to
-  :data:`~repro.engine.model_axis.DEFAULT_MAX_MODELS` and each group rides
-  one fused dispatch per layer
-  (:func:`~repro.engine.model_axis.fused_stacked_forward`); on ``numpy`` the
-  same query runs the copies one at a time, with bit-identical results.
-  Fused dispatches feed each copy the engine model's *trunk* (its per-layer
-  activations on the batch), which the engine keeps in a small exactly keyed
-  memo even when ``cache=False``, so the victim's own layers run once per
-  batch rather than once per dispatch.
+* **Trunk-sharing stacked replay** — :meth:`Engine.stacked_forward`
+  evaluates many same-architecture models (the detection experiments'
+  perturbed copies) on one batch.  Each copy starts at its
+  :func:`~repro.engine.cache.first_divergence` from the engine's model,
+  on that model's *trunk* (its per-layer activations on the batch), so the
+  layers a copy shares with the model run once per chunk, not once per
+  copy.  The trunk is memoized, whatever ``cache`` says, only when no copy
+  is bitwise the engine's model (trial replay of a victim's copies).
 
 Use :class:`Engine` whenever the same model is queried for more than a
 handful of samples; use raw ``Model.forward`` for one-off single-sample
@@ -61,7 +57,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine import model_axis
 from repro.engine.cache import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_CACHE_ENTRIES,
@@ -70,6 +65,7 @@ from repro.engine.cache import (
     TrunkCache,
     array_fingerprint,
     exact_model_key,
+    first_divergence,
 )
 from repro.faults import inject
 from repro.nn.layers import ActivationLayer, Conv2D, Dense
@@ -81,18 +77,6 @@ logger = get_logger("engine")
 
 #: default chunk size for processing large candidate pools
 DEFAULT_BATCH_SIZE = 64
-
-#: the engine's backend names: how :meth:`Engine.stacked_forward` runs a set
-#: of copies — ``numpy`` one copy at a time, ``model_axis`` fused along a
-#: model axis.  Every other query runs the same way on both.
-BACKENDS = ("numpy", "model_axis")
-
-
-def check_backend(name: str) -> str:
-    """Return ``name`` if it is one of :data:`BACKENDS`; raise otherwise."""
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choose from {sorted(BACKENDS)}")
-    return name
 
 
 def resolve_engine(
@@ -153,9 +137,6 @@ class Engine:
         Default activation criterion for :meth:`activation_masks`; resolved
         with :func:`repro.coverage.activation.default_criterion_for` when
         omitted.
-    backend:
-        ``"numpy"`` or ``"model_axis"`` (:data:`BACKENDS`): how
-        :meth:`stacked_forward` runs a set of copies.
     batch_size:
         Chunk size used when a query's batch is larger; bounds the transient
         memory of im2col buffers and per-sample gradient stacks.
@@ -191,7 +172,6 @@ class Engine:
         self,
         model: Sequential,
         criterion: Optional[object] = None,
-        backend: str = "numpy",
         batch_size: int = DEFAULT_BATCH_SIZE,
         cache: bool = True,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
@@ -214,7 +194,6 @@ class Engine:
 
             criterion = default_criterion_for(model)
         self.criterion = criterion
-        self.backend = check_backend(backend)
         self.batch_size = int(batch_size)
         self.memory_budget_bytes = memory_budget_bytes
         self._cache: Optional[BatchResultCache] = (
@@ -282,7 +261,7 @@ class Engine:
         """Call ``fn(*args, **kwargs)`` behind the ``engine.dispatch``
         fault-injection site (one guard when no plan is active)."""
         if inject.active():
-            inject.check("engine.dispatch", op=op, backend=self.backend)
+            inject.check("engine.dispatch", op=op)
         return fn(*args, **kwargs)
 
     # -- batching plumbing ---------------------------------------------------
@@ -379,7 +358,7 @@ class Engine:
         """Predicted class index per sample (through the memoized forward)."""
         return np.argmax(self.forward(batch), axis=1)
 
-    # -- model-axis queries --------------------------------------------------
+    # -- stacked queries -----------------------------------------------------
     def stacked_forward(
         self, models: Sequence[Sequential], batch: np.ndarray
     ) -> np.ndarray:
@@ -390,18 +369,23 @@ class Engine:
         values) and slice ``m`` of the result equals
         ``Engine(models[m]).forward(batch)`` bit for bit.  Every model must
         share this engine model's
-        :meth:`~repro.nn.model.Sequential.architecture_signature`: the fused
-        path reads equal parameters as equal activations, which only holds
-        between models of one architecture.  On ``model_axis`` up to
-        :data:`~repro.engine.model_axis.DEFAULT_MAX_MODELS` copies share a
-        dispatch (one batched matmul per layer); on ``numpy`` the models
-        run one at a time with identical results.  Fused dispatches start
-        each copy at its first divergent layer, fed by the engine model's
-        trunk on the batch, which the engine computes once and keeps (with
-        or without ``cache``).  Memoization keys on the *tuple* of exact
-        model keys, so revisiting the same set of copies is a cache hit.
-        Each model's signature is computed once per call; the keys and the
-        fused stacks reuse it.  No model records anything.
+        :meth:`~repro.nn.model.Sequential.architecture_signature`: a copy
+        whose parameters equal the engine model's below layer ``k`` reads
+        the engine model's activation feeding layer ``k`` (its trunk) as its
+        own, which only holds between models of one architecture.
+
+        Each copy runs from its :func:`~repro.engine.cache.first_divergence`
+        on: a copy that diverges at layer 0 runs whole, a copy that is
+        bitwise the engine model takes the trunk's logits, and every other
+        copy runs only its divergent suffix.  When no copy is bitwise the
+        engine model (trial replay of a victim's copies), the trunk is kept
+        in a small exactly keyed memo, with or without ``cache``, so the
+        victim's layers run once per batch, not once per call.  Otherwise
+        (a serving engine bound to one of the copies) the call computes the
+        trunk with that copy's own pass and drops it on return.
+        Memoization keys on the *tuple* of exact model keys, so revisiting
+        the same set of copies is a cache hit.  Each model's signature is
+        computed once per call.  No model records anything.
         """
         models = list(models)
         if not models:
@@ -415,38 +399,29 @@ class Engine:
                 raise ValueError(
                     "stacked models must share this engine model's architecture"
                 )
-        fused = self.backend == "model_axis"
-
-        def run(group: List[Sequential], x: np.ndarray, trunk) -> np.ndarray:
-            if fused:
-                return model_axis.fused_stacked_forward(group, x, self.model, trunk)
-            return np.stack([model.forward(x) for model in group])
 
         def compute() -> np.ndarray:
+            splits = [first_divergence(self.model, model) for model in models]
             chunks = list(self._chunks(batch.shape[0]))
-            # the engine's own model is the unperturbed base the copies were
-            # derived from: the fused path runs each copy from its first
-            # divergent layer on, fed by the base's memoized trunk (one
-            # lookup per call); the per-copy loop runs every copy whole
-            capacity = model_axis.DEFAULT_MAX_MODELS if fused else len(models)
+            # a copy bitwise this model runs whole anyway, so its pass is
+            # the trunk and the call drops it (serve binds its engine to one
+            # of the copies); otherwise the copies are this model's
+            # perturbations, and its trunk serves the next call's too
+            keep = any(splits) and len(self.model.layers) not in splits
             trunks = (
                 self._trunks.get(self.model, batch, self.batch_size, signature)
-                if fused
+                if keep
                 else [None] * len(chunks)
             )
-            outputs = []
-            for start in range(0, len(models), capacity):
-                group = models[start : start + capacity]
-                outputs.append(
-                    np.concatenate(
-                        [
-                            self._dispatch("stacked_forward", run, group, batch[s], trunk)
-                            for s, trunk in zip(chunks, trunks)
-                        ],
-                        axis=1,
+            return np.concatenate(
+                [
+                    self._dispatch(
+                        "stacked_forward", self._run_copies, models, splits, batch[s], trunk
                     )
-                )
-            return np.concatenate(outputs, axis=0)
+                    for s, trunk in zip(chunks, trunks)
+                ],
+                axis=1,
+            )
 
         if self._cache is None:
             return compute()
@@ -454,6 +429,29 @@ class Engine:
         # trial replay) never hashes the copies
         keys = tuple(exact_model_key(model, signature) for model in models)
         return self._memoized_for("stacked_forward", keys, batch, (), compute)
+
+    def _run_copies(
+        self,
+        models: List[Sequential],
+        splits: List[int],
+        x: np.ndarray,
+        trunk: Optional[Tuple[np.ndarray, ...]],
+    ) -> np.ndarray:
+        """Logits of ``models`` on one chunk ``x``, each run from its split
+        layer on the engine model's ``trunk`` (computed here when ``None``
+        and some copy needs it)."""
+        if trunk is None and any(splits):
+            trunk = (x, *self.model.forward_collect(x))
+        outputs = []
+        for model, split in zip(models, splits):
+            if split == 0:
+                outputs.append(model.forward(x))
+                continue
+            out = trunk[split]
+            for layer in model.layers[split:]:
+                out = layer.forward(out)
+            outputs.append(out)
+        return np.stack(outputs)
 
     # -- gradient queries ----------------------------------------------------
     def output_gradients(
@@ -797,17 +795,14 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Engine(model={self.model.name!r}, backend={self.backend!r}, "
-            f"batch_size={self.batch_size}, "
+            f"Engine(model={self.model.name!r}, batch_size={self.batch_size}, "
             f"cache={self.cache_enabled})"
         )
 
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_BATCH_SIZE",
     "Engine",
-    "check_backend",
     "neuron_layer_indices",
     "resolve_engine",
 ]

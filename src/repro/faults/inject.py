@@ -13,7 +13,7 @@ Sites currently instrumented:
 ================== ====================================== =================
 site               where                                   context keys
 ================== ====================================== =================
-``engine.dispatch``   every ``Engine`` call into the model ``op, backend``
+``engine.dispatch``   every ``Engine`` call into the model ``op``
 ``mmap.window``       each ``MmapMaskMatrix`` window read  ``path, window``
 ``layer.forward``     per-layer in ``Sequential.forward``  ``layer, index, model``
 ``campaign.scenario`` per attack group in the runner       ``model, attack``
@@ -22,9 +22,8 @@ site               where                                   context keys
 
 At ``engine.dispatch`` the ``op`` is the engine query making the call:
 ``forward``, ``forward_collect``, ``output_gradients``, ``input_gradients``,
-``loss_parameter_gradients`` or ``stacked_forward`` (one call per chunk and
-copy group); ``backend`` is the engine's backend name, ``numpy`` or
-``model_axis``.
+``loss_parameter_gradients`` or ``stacked_forward`` (one call per chunk,
+for all the copies of the query).
 
 Scheduling is per-fault and deterministic: each time :func:`check` runs
 for a matching site/context the fault's hit counter advances, and the

@@ -15,14 +15,12 @@ Besides the single-sample queries, every layer implements
 ``backward_batch`` — a backward pass that keeps parameter gradients
 *separate per sample* instead of summing them over the batch — and
 :meth:`~repro.nn.model.Sequential.output_gradients_batch` builds the whole
-``(N, num_parameters)`` gradient matrix in one pass.  The model-axis
-:class:`~repro.nn.stacked.StackedSequential` runs many same-architecture
-copies forwards only (trial replay); every gradient query is about one
-model.  These are the primitives of the batched execution layer in
-:mod:`repro.engine`; use an
-:class:`~repro.engine.Engine` (which adds chunking, memoization and the
-fused ``model_axis`` stacked path on top) rather than calling them or raw ``Model.forward``
-directly whenever a model is queried repeatedly or for many samples.
+``(N, num_parameters)`` gradient matrix in one pass.  These are the
+primitives of the batched execution layer in :mod:`repro.engine`; use an
+:class:`~repro.engine.Engine` (which adds chunking, memoization and
+trunk-sharing stacked replay on top) rather than calling them or raw
+``Model.forward`` directly whenever a model is queried repeatedly or for
+many samples.
 """
 
 from repro.nn.activations import (
@@ -76,7 +74,6 @@ from repro.nn.metrics import (
     top_k_accuracy,
 )
 from repro.nn.model import SCALARIZATIONS, Sequential
-from repro.nn.stacked import StackedSequential
 from repro.nn.optimizers import SGD, Adam, Momentum, Optimizer, StepDecay, get_optimizer
 from repro.nn.serialization import (
     load_metadata,
@@ -136,7 +133,6 @@ __all__ = [
     # model
     "SCALARIZATIONS",
     "Sequential",
-    "StackedSequential",
     # optimizers
     "SGD",
     "Adam",

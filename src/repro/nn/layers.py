@@ -239,27 +239,6 @@ class Dense(Layer):
             params.append(self.bias)
         return params
 
-    # -- model-axis (stacked-weight) path -----------------------------------
-    def stacked_forward(
-        self, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Forward over ``M`` same-architecture weight copies in one dispatch.
-
-        ``weight`` has shape ``(M, in, units)`` (this layer's weights stacked
-        along a leading model axis); ``x`` is either a shared ``(N, in)``
-        batch (broadcast across models) or an already-stacked
-        ``(M, N, in)`` tensor.  Returns ``(M, N, units)``.  The batched
-        matmul runs the *same* per-model ``(N, in) @ (in, units)`` GEMMs as
-        :meth:`forward`, so per-model slices are bit-identical to running
-        each copy separately.
-        """
-        z = np.matmul(x, weight)  # broadcasts shared (N, in) across models
-        if bias is not None:
-            z += bias[:, None, :]
-        if self.activation.grad_from_output:
-            return self.activation.forward_inplace(z)
-        return self.activation.forward(z)
-
 
 # ---------------------------------------------------------------------------
 # im2col helpers for convolution and pooling
@@ -511,43 +490,6 @@ class Conv2D(Layer):
         if self.bias is not None:
             params.append(self.bias)
         return params
-
-    # -- model-axis (stacked-weight) path -----------------------------------
-    def stacked_forward(
-        self, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Forward over ``M`` stacked weight copies in one grouped dispatch.
-
-        ``weight`` has shape ``(M, F, C, kh, kw)``; ``x`` is a shared
-        ``(N, C, H, W)`` batch (the patch matrix is gathered *once* and
-        shared by every model) or an already-stacked ``(M, N, C, H, W)``
-        tensor (folded to ``M·N`` images for one im2col gather).  Returns
-        ``(M, N, F, out_h, out_w)``.  The broadcastable matmul decomposes
-        into the same per-model ``(F, K) @ (K, P)`` GEMMs as :meth:`forward`,
-        keeping per-model slices bit-identical.  The patch matrix is
-        dropped right after the matmul, its last read.
-        """
-        m, f = weight.shape[0], weight.shape[1]
-        kh, kw = self.kernel_size
-        pad = self._padding()
-        if x.ndim == 4:  # shared input: one patch matrix for all models
-            n = x.shape[0]
-            cols, out_h, out_w = im2col(x, kh, kw, self.stride, pad)
-            cols_b = cols[None]  # (1, N, K, P)
-        else:  # stacked input: fold the model axis into the image axis
-            n = x.shape[1]
-            folded = x.reshape(m * n, *x.shape[2:])
-            cols, out_h, out_w = im2col(folded, kh, kw, self.stride, pad)
-            cols_b = cols.reshape(m, n, cols.shape[1], cols.shape[2])
-        w_mat = weight.reshape(m, f, -1)
-        z = np.matmul(w_mat[:, None], cols_b)  # (M, N, F, P)
-        del cols, cols_b
-        if bias is not None:
-            z += bias[:, None, :, None]
-        z = z.reshape(m, n, f, out_h, out_w)
-        if self.activation.grad_from_output:
-            return self.activation.forward_inplace(z)
-        return self.activation.forward(z)
 
 
 class _Pool2D(Layer):

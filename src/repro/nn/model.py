@@ -422,10 +422,10 @@ class Sequential:
         Two models share a signature exactly when their layer stacks are
         interchangeable: same layer classes in the same order, same
         activations, same parameter shapes and dtypes, same input shape.
-        This is the compatibility check behind the model-axis stacked
-        execution path (:mod:`repro.nn.stacked`), which fuses many perturbed
-        copies of one model into a single batched dispatch per layer — only
-        weight *values* may differ between stacked copies.
+        This is the compatibility check behind stacked replay
+        (:meth:`repro.engine.Engine.stacked_forward`), which reads equal
+        parameters as equal activations between perturbed copies of one
+        model — only weight *values* may differ between stacked copies.
         """
         if not self._built:
             raise RuntimeError("model has not been built")

@@ -9,7 +9,7 @@ TOML/JSON file (``[serve]`` table) exactly like every other façade object::
     config = ServeConfig(port=8420, coalesce_window_s=0.01)
     config = ServeConfig.load("serve.toml")
 
-The engine-side knobs (backend, batch size, memory budget) stay in
+The engine-side knobs (batch size, memory budget) stay in
 :class:`~repro.api.config.RunConfig`; a service owns one of each.
 """
 

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.attacks.base import ParameterAttack, PerturbationRecord
-from repro.engine import Engine, check_backend, model_axis
+from repro.engine import Engine
 from repro.engine.cache import TrunkCache
 from repro.nn.model import Sequential
 from repro.utils.config import DetectionConfig
@@ -35,6 +35,11 @@ AttackFactory = Callable[[np.random.Generator], ParameterAttack]
 
 #: every attack family the library implements, in table-column order
 ATTACK_NAMES = ("sba", "gda", "random", "bitflip")
+
+#: perturbed copies :func:`replay_trials` builds and replays per
+#: :meth:`Engine.stacked_forward` call: at most this many copies are alive
+#: at once, and each call reads the victim's trunk once for all of them
+REPLAY_GROUP_SIZE = 16
 
 
 def stack_package_prefixes(
@@ -80,18 +85,17 @@ def replay_trials(
     whose row ``t`` flags the tests on which attack ``t``'s copy deviates
     from ``expected`` (:func:`~repro.validation.user.compare_outputs`), and
     each trial's perturbation record.  Copies are built lazily, in groups
-    of :data:`~repro.engine.model_axis.DEFAULT_MAX_MODELS` on the
-    ``model_axis`` backend (one at a time on ``numpy``), and each group
-    replays in one :meth:`Engine.stacked_forward`, so
-    at most one group of copies is alive at a time.  Detection counts,
-    queries-to-decision and discrimination scores are reductions of this
-    matrix.
+    of :data:`REPLAY_GROUP_SIZE`, and each group replays in one
+    :meth:`Engine.stacked_forward`, so at most one group of copies is alive
+    at a time.  Detection counts, queries-to-decision and discrimination
+    scores are reductions of this matrix.
     """
-    group_size = model_axis.DEFAULT_MAX_MODELS if engine.backend == "model_axis" else 1
     attacks = iter(attacks)
     rows: List[np.ndarray] = []
     records: List[PerturbationRecord] = []
-    while outcomes := [attack.apply(engine.model) for attack in islice(attacks, group_size)]:
+    while outcomes := [
+        attack.apply(engine.model) for attack in islice(attacks, REPLAY_GROUP_SIZE)
+    ]:
         observed = engine.stacked_forward([o.model for o in outcomes], tests)
         rows.append(compare_outputs(observed, expected[None], output_atol)[1])
         records.extend(o.record for o in outcomes)
@@ -253,8 +257,6 @@ class DetectionExperiment:
     attack_factories: mapping from attack name to a factory building a fresh
         attack from a per-trial RNG; see :func:`default_attack_factories`.
     config: trial counts, budgets, attack list, tolerance and seed.
-    backend: engine backend the trial replays run on, ``"numpy"`` or
-        ``"model_axis"``; detection counts are bit-identical on both.
     """
 
     def __init__(
@@ -263,11 +265,9 @@ class DetectionExperiment:
         packages: Dict[str, ValidationPackage],
         attack_factories: Dict[str, AttackFactory],
         config: Optional[DetectionConfig] = None,
-        backend: str = "numpy",
     ) -> None:
         if not packages:
             raise ValueError("at least one validation package is required")
-        self.backend = check_backend(backend)
         self.model = model
         self.packages = dict(packages)
         self.attack_factories = dict(attack_factories)
@@ -303,7 +303,7 @@ class DetectionExperiment:
         )
         # perturbed copies are each used for exactly one batch, so the memo
         # cache is off
-        engine = Engine(self.model, backend=self.backend, cache=False)
+        engine = Engine(self.model, cache=False)
         for attack_name, attack_rng in zip(cfg.attacks, attack_rngs):
             factory = self.attack_factories[attack_name]
             logger.info(
@@ -334,14 +334,11 @@ def run_detection_experiment(
     packages: Dict[str, ValidationPackage],
     reference_inputs: np.ndarray,
     config: Optional[DetectionConfig] = None,
-    backend: str = "numpy",
     **factory_kwargs: object,
 ) -> DetectionTable:
     """Convenience wrapper with the paper's default attack set."""
     factories = default_attack_factories(reference_inputs, **factory_kwargs)  # type: ignore[arg-type]
-    return DetectionExperiment(
-        model, packages, factories, config, backend=backend
-    ).run()
+    return DetectionExperiment(model, packages, factories, config).run()
 
 
 __all__ = [
@@ -350,6 +347,7 @@ __all__ = [
     "DetectionCell",
     "DetectionTable",
     "DetectionExperiment",
+    "REPLAY_GROUP_SIZE",
     "default_attack_factories",
     "replay_trials",
     "run_detection_experiment",

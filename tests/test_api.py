@@ -72,7 +72,7 @@ class TestRunConfig:
             RunConfig(engine_cache_size=0).validate()
 
     def test_json_round_trip(self, tmp_path):
-        config = RunConfig(backend="numpy", batch_size=32, seed=7)
+        config = RunConfig(shards=2, batch_size=32, seed=7)
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config.to_dict()))
         assert RunConfig.load(path) == config
@@ -80,13 +80,13 @@ class TestRunConfig:
     @requires_toml
     def test_toml_with_run_table(self, tmp_path):
         path = tmp_path / "run.toml"
-        path.write_text('[run]\nbackend = "numpy"\nbatch_size = 16\n')
+        path.write_text('[run]\nseed = 5\nbatch_size = 16\n')
         assert RunConfig.load(path).batch_size == 16
 
     @requires_toml
     def test_toml_rejects_split_tables(self, tmp_path):
         path = tmp_path / "run.toml"
-        path.write_text('seed = 3\n[run]\nbackend = "numpy"\n')
+        path.write_text('seed = 3\n[run]\nbatch_size = 16\n')
         with pytest.raises(ValueError, match="outside the \\[run\\] table"):
             RunConfig.load(path)
 
@@ -178,7 +178,6 @@ class TestSession:
             engine = s.engine_for(trained_mlp)
             assert engine.batch_size == 8
             assert engine.memory_budget_bytes == 1 << 20
-            assert engine.backend == s.config.backend
 
     def test_closed_session_rejects_use(self, trained_mlp):
         s = Session()
@@ -400,17 +399,19 @@ class TestOneShotHelpers:
 
 
 class TestRetiredOptions:
-    """Options of the removed ``parallel`` backend, the removed ``bench``
-    subcommand, and the removed float32 and engine-retry layers fail
-    loudly, naming the offending value."""
+    """Options of the removed backend choice and ``parallel`` backend, the
+    removed ``bench`` subcommand, and the removed float32 and engine-retry
+    layers fail loudly, naming the offending option or value."""
 
     def test_parallel_backend_options_fail_loudly(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(ValueError, match="unknown backend 'parallel'"):
+        with pytest.raises(TypeError, match="backend"):
             Session(backend="parallel")
-        with pytest.raises(ValueError, match=r"unknown RunConfig fields \['workers'\]"):
+        with pytest.raises(ValueError, match=r"unknown RunConfig fields \['backend', 'workers'\]"):
             RunConfig.from_dict({"backend": "numpy", "workers": 2})
+        with pytest.raises(ValueError, match=r"unknown SweepRequest fields \['backend'\]"):
+            SweepRequest.coerce({"spec": {"attacks": ["sba"]}, "backend": "numpy"})
         with pytest.raises(ValueError, match=r"unknown SweepRequest fields \['workers'\]"):
             SweepRequest.coerce({"spec": {"attacks": ["sba"]}, "workers": 2})
         with pytest.raises(ValueError, match="dispatch_timeout_s"):
@@ -420,6 +421,11 @@ class TestRetiredOptions:
             main([*argv, "--workers", "2"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        for retired in (argv, ["release", "--dataset", "mnist", "--out", "o"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*retired, "--backend", "model_axis"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --backend model_axis" in capsys.readouterr().err
 
     def test_bench_subcommand_is_gone(self, capsys):
         from repro.cli import main

@@ -68,4 +68,4 @@ def test_descriptions_record_signatures(live_surface):
     assert release["kind"] == "function"
     run_config = live_surface["repro.api"]["RunConfig"]
     assert run_config["kind"] == "dataclass"
-    assert "backend" in run_config["fields"]
+    assert "batch_size" in run_config["fields"]

@@ -114,10 +114,10 @@ def dist(tmp_path_factory):
     """One serial and one ``shards=2`` run of the tiny campaign."""
     root = tmp_path_factory.mktemp("dist")
     serial = root / "serial.jsonl"
-    serial_summary = run_campaign(tiny_spec(), str(serial), backend="numpy")
+    serial_summary = run_campaign(tiny_spec(), str(serial))
     assert serial_summary.executed == 4 and serial_summary.failed == 0
     sharded = root / "sharded.jsonl"
-    sharded_summary = run_campaign(tiny_spec(), str(sharded), backend="numpy", shards=SHARDS)
+    sharded_summary = run_campaign(tiny_spec(), str(sharded), shards=SHARDS)
     return {
         "root": root,
         "serial": serial,
@@ -311,12 +311,12 @@ class TestDistributedEndToEnd:
         assert merged  # the gate is vacuous on empty text
 
     def test_resume_executes_zero_scenarios(self, dist):
-        summary = run_campaign(tiny_spec(), str(dist["sharded"]), backend="numpy", shards=SHARDS)
+        summary = run_campaign(tiny_spec(), str(dist["sharded"]), shards=SHARDS)
         assert summary.executed == 0 and summary.skipped == 4
 
     def test_resume_across_shard_boundaries(self, dist):
         # a different shard count still sees every completed digest
-        summary = run_distributed_campaign(tiny_spec(), dist["sharded"], shards=3, backend="numpy")
+        summary = run_distributed_campaign(tiny_spec(), dist["sharded"], shards=3)
         assert summary.executed == 0 and summary.skipped == 4
 
     def test_partial_shard_store_resumes_remainder(self, dist, tmp_path):
@@ -324,7 +324,7 @@ class TestDistributedEndToEnd:
         done = len(ResultStore(source).records())
         base = tmp_path / "store.jsonl"
         shard_store_path(base, 0).write_bytes(source.read_bytes())
-        summary = run_distributed_campaign(tiny_spec(), base, shards=SHARDS, backend="numpy")
+        summary = run_distributed_campaign(tiny_spec(), base, shards=SHARDS)
         assert summary.skipped == done
         assert summary.executed == 4 - done
         merged = merge_stores(find_shard_stores(base))
@@ -333,7 +333,7 @@ class TestDistributedEndToEnd:
     def test_serial_store_participates_in_resume(self, dist, tmp_path):
         base = tmp_path / "store.jsonl"
         base.write_bytes(dist["serial"].read_bytes())
-        summary = run_distributed_campaign(tiny_spec(), base, shards=SHARDS, backend="numpy")
+        summary = run_distributed_campaign(tiny_spec(), base, shards=SHARDS)
         assert summary.executed == 0 and summary.skipped == 4
 
     def test_shards_knob_is_digest_neutral(self):
@@ -342,8 +342,9 @@ class TestDistributedEndToEnd:
         assert plain == sharded
 
     def test_backend_instances_are_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_distributed_campaign(tiny_spec(), tmp_path / "s.jsonl", shards=2, backend=object())
+        # there is no backend choice: any backend argument is rejected
+        with pytest.raises(TypeError, match="backend"):
+            run_distributed_campaign(tiny_spec(), tmp_path / "s.jsonl", shards=2, backend="numpy")
 
 
 class TestWorkerKillChaos:
@@ -351,9 +352,7 @@ class TestWorkerKillChaos:
         plan = FaultPlan()
         plan.kill_worker(worker=1, site="campaign.shard", at=(0,))
         base = tmp_path / "store.jsonl"
-        summary = run_distributed_campaign(
-            tiny_spec(), base, shards=SHARDS, backend="numpy", fault_plan=plan
-        )
+        summary = run_distributed_campaign(tiny_spec(), base, shards=SHARDS, fault_plan=plan)
         assert summary.executed == 4 and summary.failed == 0
         merged = merge_stores(find_shard_stores(base))
         assert merged == compact_store(dist["serial"])
@@ -389,7 +388,6 @@ class TestModelExchange:
         with CampaignRunner(
             spec,
             ResultStore(tmp_path / "s0.jsonl"),
-            backend="numpy",
             progress=first.append,
             model_exchange=ModelExchange(exchange_dir),
         ) as runner:
@@ -402,7 +400,6 @@ class TestModelExchange:
         with CampaignRunner(
             spec,
             ResultStore(tmp_path / "s1.jsonl"),
-            backend="numpy",
             progress=second.append,
             model_exchange=ModelExchange(exchange_dir),
         ) as runner:

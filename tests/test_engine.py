@@ -5,7 +5,7 @@ per-sample reference implementations — activation masks, output gradients,
 input gradients, neuron masks and coverage aggregates — to 1e-8 on both
 Table-I architectures (the Tanh MNIST CNN and the ReLU CIFAR CNN, width-
 scaled for test speed) plus the small unit-test models, along with the memo
-cache, chunking and backend-name behaviour.
+cache and chunking behaviour.
 """
 
 import numpy as np
@@ -276,8 +276,9 @@ class TestEngineBehaviour:
 
 class TestBackendsAndCache:
     def test_unknown_backend_rejected(self):
+        # there is no backend choice: the option itself is rejected
         model = small_mlp(rng=14)
-        with pytest.raises(ValueError, match="unknown backend 'tpu'; choose from"):
+        with pytest.raises(TypeError, match="backend"):
             Engine(model, backend="tpu")
 
     def test_forward_chunks_by_batch_size(self, monkeypatch):

@@ -8,9 +8,6 @@ their scenarios while an injected mmap fault heals in-run, a plan-free
 re-run must execute exactly the quarantined scenarios and leave a store
 **byte-identical** to the fault-free run, and a deterministically-failing
 scenario must be quarantined and heal on ``resume``.
-
-The campaign gates run on every chaos backend; set ``REPRO_CHAOS_BACKEND``
-(``numpy`` or ``model_axis``) to restrict a CI matrix entry to one.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from repro.campaign import (
 from repro.campaign.__main__ import main as campaign_main
 from repro.coverage.bitmap import MaskMatrix, MmapMaskWriter, quarantine_store
 from repro.engine import Engine
-from repro.engine.model_axis import DEFAULT_MAX_MODELS
 from repro.faults import (
     CampaignAbortedError,
     CircuitOpenError,
@@ -47,14 +43,8 @@ from repro.faults import (
     is_transient,
 )
 from repro.models.zoo import small_mlp
+from repro.validation.detection import REPLAY_GROUP_SIZE
 
-#: backends exercised by the campaign chaos gates; a CI matrix entry narrows
-#: this to one via REPRO_CHAOS_BACKEND
-CHAOS_BACKENDS = (
-    [os.environ["REPRO_CHAOS_BACKEND"]]
-    if os.environ.get("REPRO_CHAOS_BACKEND")
-    else ["numpy", "model_axis"]
-)
 
 
 def tiny_spec(**overrides: object) -> CampaignSpec:
@@ -603,20 +593,17 @@ def baseline(tmp_path_factory):
 
 
 class TestCampaignChaos:
-    @pytest.mark.parametrize("backend", CHAOS_BACKENDS)
-    def test_store_byte_identical_under_injected_faults(self, backend, baseline, tmp_path):
+    def test_store_byte_identical_under_injected_faults(self, baseline, tmp_path):
         """The headline chaos gate: an engine dispatch error quarantines its
         scenarios, one mmap read failure heals in-run, and a plan-free
         re-run of exactly the quarantined scenarios restores every byte."""
         spec = tiny_spec()
-        # trial replay runs ceil(trials / group size) stacked dispatches per
-        # attack group (one copy per group on numpy, DEFAULT_MAX_MODELS on
-        # model_axis), so this ordinal is the last group's first dispatch:
-        # it lands after the package build (whose spilled-mask greedy
-        # selection takes the mmap fault), and a quarantined *last* group
-        # re-appends in the baseline's record order
-        group_size = DEFAULT_MAX_MODELS if backend == "model_axis" else 1
-        per_group = -(-spec.trials // group_size)
+        # trial replay runs ceil(trials / REPLAY_GROUP_SIZE) stacked
+        # dispatches per attack group, so this ordinal is the last group's
+        # first dispatch: it lands after the package build (whose
+        # spilled-mask greedy selection takes the mmap fault), and a
+        # quarantined *last* group re-appends in the baseline's record order
+        per_group = -(-spec.trials // REPLAY_GROUP_SIZE)
         first_of_last = per_group * (len(spec.attacks) - 1)
         plan = FaultPlan()
         plan.raise_error(
@@ -625,12 +612,7 @@ class TestCampaignChaos:
         plan.raise_error("mmap.window", exception="OSError", at=(0,))
         store = tmp_path / "chaos.jsonl"
         with inject.activate(plan):
-            summary = run_campaign(
-                spec,
-                str(store),
-                backend=backend,
-                spill_dir=tmp_path / "spill",
-            )
+            summary = run_campaign(spec, str(store), spill_dir=tmp_path / "spill")
         assert plan.fired("engine.dispatch") == 1, "the chaos plan never fired — gate is vacuous"
         assert plan.fired("mmap.window") == 1
         # the dispatch error is not retried: the last attack group (both
@@ -641,7 +623,7 @@ class TestCampaignChaos:
         assert {(f.stage, f.error) for f in failures} == {("trials", "OSError")}
         quarantined = {f.digest for f in failures}
 
-        resumed = run_campaign(spec, str(store), backend=backend)
+        resumed = run_campaign(spec, str(store))
         assert resumed.failed == 0
         assert {r.digest for r in resumed.records} == quarantined
         assert store.read_bytes() == baseline

@@ -7,7 +7,7 @@ flip check) passes no tape at all.  After any entry point, training and the
 gradient queries included, every ndarray a model references is a
 parameter's value or grad.  Because nothing is shared but the parameters,
 two threads can query one model at once and get the serial results bit for
-bit.  Pinned on both Table-I architectures and on both backend names.
+bit.  Pinned on both Table-I architectures.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 from repro.attacks.base import bias_flat_indices
 from repro.attacks.sba import SingleBiasAttack
 from repro.data.datasets import Dataset
-from repro.engine import BACKENDS, Engine
+from repro.engine import Engine
 from repro.faults import FaultPlan, inject
 from repro.models.training import Trainer, TrainingConfig
 from repro.models.zoo import cifar_cnn, mnist_cnn
@@ -132,17 +132,17 @@ class TestInferenceKeepsNothing:
         model.forward_collect(batch_for(model, 8))
         assert kept(model) == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_engine_forward(self, model, backend):
-        Engine(model, backend=backend, cache=False).forward(batch_for(model, 100))
+    def test_engine_forward(self, model):
+        Engine(model, cache=False).forward(batch_for(model, 100))
         assert kept(model) == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_engine_stacked_forward(self, model, backend):
+    def test_engine_stacked_forward(self, model):
+        # once on a memoized trunk, once with a copy that is the model
         copies = head_copies(model, 3)
-        Engine(model, backend=backend).stacked_forward(copies, batch_for(model, 70))
-        for involved in [model, *copies]:
-            assert kept(involved) == []
+        for stack in (copies, [model.copy(), *copies]):
+            Engine(model).stacked_forward(stack, batch_for(model, 70))
+            for involved in [model, *stack]:
+                assert kept(involved) == []
 
     def test_sba_apply(self, model):
         refs = batch_for(model, 12)

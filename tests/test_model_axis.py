@@ -1,31 +1,33 @@
-"""Tests for the fused ``model_axis`` path (stacked multi-model dispatch).
+"""Tests for stacked replay: many perturbed copies of one model, one query.
 
-The acceptance bar: fusing perturbed copies along a leading model axis must
-be *observably free* — stacked logits, detection tables and greedy
-selections are bit-identical to running each copy through its own engine on
-the ``numpy`` backend, on both Table-I architectures; trial replay matches per-copy ``validate_ip`` and a campaign
-writes the same store bytes on either backend.  Speed is asserted in ``benchmarks/bench_engine.py``;
-correctness lives here.
+The acceptance bar: starting each copy at its first divergent layer on the
+engine model's trunk must be *observably free* — stacked logits, detection
+tables, campaign stores and greedy selections are bit-identical to running
+each copy whole through its own engine, on both Table-I architectures, and
+copies that share the engine model's layers do not run them again.  Speed
+is asserted in ``benchmarks/bench_engine.py``; correctness lives here.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.attacks.base import bias_flat_indices
 from repro.attacks.sba import SingleBiasAttack
-from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign import CampaignRunner, CampaignSpec, ResultStore, run_campaign
 from repro.data.datasets import Dataset
-from repro.engine import Engine, model_axis
-from repro.engine.cache import TrunkCache
-from repro.engine.model_axis import first_divergence, fused_stacked_forward
+from repro.engine import Engine
+from repro.engine.cache import first_divergence
 from repro.models.zoo import cifar_cnn, mnist_cnn
 from repro.nn.activations import get_activation
+from repro.nn.layers import Conv2D
 from repro.nn.model import Sequential
-from repro.nn.stacked import StackedSequential
 from repro.testgen.selection import TrainingSetSelector
 from repro.utils.config import DetectionConfig
+from repro.validation import detection
 from repro.validation.detection import (
     ATTACK_NAMES,
     DetectionExperiment,
@@ -34,6 +36,14 @@ from repro.validation.detection import (
 )
 from repro.validation.user import validate_ip
 from repro.validation.vendor import IPVendor
+
+
+def whole_copy_forward(engine, models, batch):
+    """The reference :meth:`Engine.stacked_forward`: every copy run whole,
+    in ``engine``'s chunks."""
+    return np.stack(
+        [Engine(m, batch_size=engine.batch_size, cache=False).forward(batch) for m in models]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -79,51 +89,38 @@ def head_copies(model, trials, magnitude=10.0):
     return copies
 
 
-class TestStackedSequentialEquivalence:
-    """Stacked outputs == per-model outputs, bit for bit, on both archs."""
+def tiny_campaign_spec(**overrides):
+    """A one-model campaign small enough for tier-1."""
+    fields = dict(
+        name="backend-identity",
+        attacks=ATTACK_NAMES,
+        models=("mnist",),
+        criteria=("default",),
+        strategies=("random",),
+        budgets=(2, 3),
+        trials=5,
+        train_size=24,
+        test_size=12,
+        epochs=1,
+        width_multiplier=0.08,
+        candidate_pool=12,
+        gradient_updates=3,
+        reference_inputs=6,
+    )
+    fields.update(overrides)
+    return CampaignSpec(**fields)
 
-    @pytest.mark.parametrize("arch", ["mnist", "cifar"])
-    def test_forward_bitwise_identical(self, arch, request):
-        model = request.getfixturevalue(f"{arch}_model")
-        pool = request.getfixturevalue(f"{arch}_pool")
-        copies = sba_copies(model, 4) + [model.copy()]
-        stacked = StackedSequential(copies).forward(pool)
-        for m, copy in enumerate(copies):
-            assert np.array_equal(stacked[m], copy.forward(pool, training=False))
 
-    def test_identical_copies_share_one_pass(self, mnist_model, mnist_pool):
-        # all-equal stacks never tile: the output is a broadcast of one pass
-        copies = [mnist_model.copy() for _ in range(3)]
-        out = StackedSequential(copies).forward(mnist_pool[:4])
-        expected = mnist_model.forward(mnist_pool[:4], training=False)
-        for m in range(3):
-            assert np.array_equal(out[m], expected)
-
-    def test_start_mode_resumes_mid_network(self, mnist_model, mnist_pool):
-        # feeding a layer's true input activation with start=<layer> must
-        # reproduce the full forward exactly (the trunk-sharing contract)
-        copies = head_copies(mnist_model, 2)
-        split = first_divergence(mnist_model, copies[0])
-        trunk = mnist_pool[:4]
-        for layer in mnist_model.layers[:split]:
-            trunk = layer.forward(trunk)
-        resumed = StackedSequential(copies, start=split).forward(trunk)
-        full = StackedSequential(copies).forward(mnist_pool[:4])
-        assert np.array_equal(resumed, full)
-
-    def test_validation_errors(self, mnist_model, cifar_model):
-        with pytest.raises(ValueError, match="at least one model"):
-            StackedSequential([])
-        with pytest.raises(ValueError, match="architecture"):
-            StackedSequential([mnist_model, cifar_model])
-        with pytest.raises(ValueError, match="start"):
-            StackedSequential([mnist_model], start=len(mnist_model.layers))
-
-    def test_rejects_a_different_activation(self, mnist_model):
-        copy = mnist_model.copy()
-        copy.layers[0].activation = get_activation("relu")
-        with pytest.raises(ValueError, match="architecture"):
-            StackedSequential([mnist_model, copy])
+def layer_copies(model, magnitude=0.5):
+    """One copy per parameter tensor of every parametric layer, perturbed in
+    that tensor's first entry: every split the architecture has."""
+    copies = []
+    for index, layer in enumerate(model.layers):
+        for p in range(len(layer.parameters())):
+            copy = model.copy()
+            copy.layers[index].parameters()[p].value.flat[0] += magnitude
+            copies.append(copy)
+    return copies
 
 
 class TestFirstDivergence:
@@ -146,62 +143,67 @@ class TestFirstDivergence:
 
 
 class TestModelAxisBackend:
-    def test_numpy_backend_advertises_no_capacity(self, mnist_model, mnist_pool, monkeypatch):
-        # no fused path on numpy: trial replay builds and replays one copy
-        # per stacked dispatch, and DEFAULT_MAX_MODELS on model_axis
-        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 2)
-        sizes = []
-        stacked_forward = Engine.stacked_forward
-
-        def counting(self, models, batch):
-            sizes.append((self.backend, len(models)))
-            return stacked_forward(self, models, batch)
-
-        monkeypatch.setattr(Engine, "stacked_forward", counting)
-        factories = default_attack_factories(mnist_pool[:4])
-        expected = mnist_model.forward(mnist_pool)
-        for backend in ("numpy", "model_axis"):
-            attacks = [factories["sba"](np.random.default_rng(t)) for t in range(3)]
-            engine = Engine(mnist_model, backend=backend, cache=False)
-            replay_trials(engine, attacks, mnist_pool, expected, 0.0)
-        assert sizes == [("numpy", 1)] * 3 + [("model_axis", 2), ("model_axis", 1)]
-
     @pytest.mark.parametrize("arch", ["mnist", "cifar"])
     def test_trunk_grouping_bitwise_identical(self, arch, request):
-        # mixed divergence depths: an identical copy (broadcast of base
-        # logits), head-perturbed copies (deep shared trunk) and SBA copies
-        # on arbitrary layers — all must match per-copy engine forwards
+        # mixed divergence depths: an identical copy (the trunk's logits),
+        # head-perturbed copies (deep shared trunk), SBA copies on arbitrary
+        # layers and a copy perturbed at every parametric layer's weight
+        # and bias — all must match per-copy engine forwards, both when the
+        # trunk is memoized and when a copy bitwise the model computes it
         model = request.getfixturevalue(f"{arch}_model")
         pool = request.getfixturevalue(f"{arch}_pool")
-        copies = (
-            [model.copy()] + head_copies(model, 2) + sba_copies(model, 3)
-        )
-        (trunk,) = TrunkCache().get(model, pool, pool.shape[0])
-        fused = fused_stacked_forward(copies, pool, model, trunk)
-        for m, copy in enumerate(copies):
-            assert np.array_equal(fused[m], Engine(copy, cache=False).forward(pool))
+        perturbed = head_copies(model, 2) + sba_copies(model, 3) + layer_copies(model)
+        splits = {first_divergence(model, copy) for copy in perturbed}
+        param_layers = {i for i, layer in enumerate(model.layers) if layer.parameters()}
+        assert param_layers <= splits
+        for copies, trunks_kept in ((perturbed, 1), ([model.copy()] + perturbed, 0)):
+            engine = Engine(model, batch_size=5, cache=False)
+            stacked = engine.stacked_forward(copies, pool)
+            for m, copy in enumerate(copies):
+                own = Engine(copy, batch_size=5, cache=False).forward(pool)
+                assert stacked[m].tobytes() == own.tobytes()
+            assert len(engine._trunks._cache) == trunks_kept
+
 
 class TestEngineStackedForward:
     def test_engine_dispatch_bitwise_identical(self, mnist_model, mnist_pool):
         copies = sba_copies(mnist_model, 5)
-        loop = Engine(mnist_model, cache=False).stacked_forward(copies, mnist_pool)
-        fused = Engine(
-            mnist_model, backend="model_axis", cache=False
-        ).stacked_forward(copies, mnist_pool)
-        assert np.array_equal(loop, fused)
+        engine = Engine(mnist_model, cache=False)
+        stacked = engine.stacked_forward(copies, mnist_pool)
+        loop = whole_copy_forward(engine, copies, mnist_pool)
+        assert stacked.tobytes() == loop.tobytes()
 
     def test_capacity_grouping_preserves_results(self, mnist_model, mnist_pool, monkeypatch):
-        # more copies than DEFAULT_MAX_MODELS: the engine splits into fused groups
-        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 3)
-        copies = sba_copies(mnist_model, 7)
-        whole = Engine(mnist_model, cache=False).stacked_forward(copies, mnist_pool)
-        grouped = Engine(
-            mnist_model, backend="model_axis", cache=False
-        ).stacked_forward(copies, mnist_pool)
-        assert np.array_equal(whole, grouped)
+        # replay_trials builds copies in groups of REPLAY_GROUP_SIZE, one
+        # stacked query per group: the group size changes no row or record
+        factories = default_attack_factories(mnist_pool[:4])
+        expected = mnist_model.forward(mnist_pool)
+
+        def replay():
+            attacks = [
+                factories[ATTACK_NAMES[t % 4]](np.random.default_rng(t)) for t in range(7)
+            ]
+            engine = Engine(mnist_model, cache=False)
+            rows, records = replay_trials(engine, attacks, mnist_pool, expected, 0.0)
+            return rows, [record.to_dict() for record in records]
+
+        whole = replay()
+        sizes = []
+        stacked_forward = Engine.stacked_forward
+
+        def counting(self, models, batch):
+            sizes.append(len(models))
+            return stacked_forward(self, models, batch)
+
+        monkeypatch.setattr(Engine, "stacked_forward", counting)
+        monkeypatch.setattr(detection, "REPLAY_GROUP_SIZE", 3)
+        grouped = replay()
+        assert sizes == [3, 3, 1]
+        assert np.array_equal(whole[0], grouped[0])
+        assert whole[1] == grouped[1]
 
     def test_memoized_on_digest_tuple(self, mnist_model, mnist_pool):
-        engine = Engine(mnist_model, backend="model_axis")
+        engine = Engine(mnist_model)
         copies = sba_copies(mnist_model, 3)
         first = engine.stacked_forward(copies, mnist_pool)
         hits_before = engine.stats.hits
@@ -221,25 +223,23 @@ class TestEngineStackedForward:
         with pytest.raises(ValueError, match="architecture"):
             engine.stacked_forward([cifar_model], mnist_pool)
 
-    @pytest.mark.parametrize("backend", ["numpy", "model_axis"])
-    def test_rejects_a_different_activation(self, backend, mnist_model, mnist_pool):
+    def test_rejects_a_different_activation(self, mnist_model, mnist_pool):
         # the victim's exact weights behind a relu conv1: parameters alone
-        # read as "the victim itself", so the fused path would have served
+        # read as "the victim itself", so trunk sharing would have served
         # the victim's logits for it
         copy = mnist_model.copy()
         copy.layers[0].activation = get_activation("relu")
         assert first_divergence(mnist_model, copy) == len(mnist_model.layers)
-        engine = Engine(mnist_model, backend=backend, cache=False)
+        engine = Engine(mnist_model, cache=False)
         with pytest.raises(ValueError, match="architecture"):
             engine.stacked_forward([mnist_model.copy(), copy], mnist_pool)
 
-
     @pytest.mark.parametrize("cache", [False, True])
     def test_one_signature_per_model_per_call(self, cache, mnist_model, mnist_pool, monkeypatch):
-        # the engine checks every copy once; the fused stacks and the exact
-        # keys (memo and trunk) reuse that signature
+        # the engine checks every copy once; the exact keys (memo and
+        # trunk) reuse that signature
         copies = sba_copies(mnist_model, 6) + head_copies(mnist_model, 3)
-        engine = Engine(mnist_model, backend="model_axis", cache=cache)
+        engine = Engine(mnist_model, cache=cache)
         counts = {}
         signature = Sequential.architecture_signature
 
@@ -253,8 +253,55 @@ class TestEngineStackedForward:
         assert max(counts.values()) == 1
 
 
+class TestSharedLayersRunOnce:
+    def test_head_copies_run_each_conv_once_per_chunk(self, mnist_model, mnist_pool, monkeypatch):
+        # 8 copies perturbed in the head share every conv with the model:
+        # each Conv2D runs once per chunk (for the trunk), not once per copy
+        calls = []
+        forward = Conv2D.forward
+
+        def counting(self, x, *args, **kwargs):
+            calls.append(self.name)
+            return forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Conv2D, "forward", counting)
+        copies = head_copies(mnist_model, 8)
+        engine = Engine(mnist_model, batch_size=5, cache=False)
+        stacked = engine.stacked_forward(copies, mnist_pool)
+        convs = [layer.name for layer in mnist_model.layers if isinstance(layer, Conv2D)]
+        chunks = -(-len(mnist_pool) // 5)
+        assert sorted(calls) == sorted(convs * chunks)
+        monkeypatch.undo()
+        assert stacked.tobytes() == whole_copy_forward(engine, copies, mnist_pool).tobytes()
+
+    def test_first_layer_copies_peak_like_one_forward(self, mnist_model):
+        # 16 copies perturbed in conv1 share nothing with the model: they
+        # run one after another, so the query peaks near one copy's forward
+        tests = np.random.default_rng(4).random((16, *mnist_model.input_shape))
+        copies = []
+        for i in range(16):
+            copy = mnist_model.copy()
+            copy.layers[0].weight.value.flat[i] += 0.5
+            copies.append(copy)
+        assert {first_divergence(mnist_model, copy) for copy in copies} == {0}
+        engine = Engine(mnist_model, cache=False)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: copies[0].forward(tests))
+        stacked = peak(lambda: engine.stacked_forward(copies, tests))
+        assert stacked <= 2 * one, (stacked, one)
+
+
 class TestConsumerEquivalence:
-    """Detection tables and greedy selections: byte-identical across backends."""
+    """Detection tables, campaign stores and greedy selections: identical to
+    replaying every copy whole."""
 
     @pytest.mark.parametrize("arch", ["mnist", "cifar"])
     def test_detection_table_identical(self, arch, request, monkeypatch):
@@ -268,26 +315,20 @@ class TestConsumerEquivalence:
         config = DetectionConfig(
             trials=7, test_budgets=(2, 4), attacks=("sba", "random"), seed=0
         )
-        rows_np = DetectionExperiment(
-            model, packages, factories, config, backend="numpy"
-        ).run().as_rows()
-        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 4)
-        rows_ma = DetectionExperiment(
-            model, packages, factories, config, backend="model_axis"
-        ).run().as_rows()
-        assert rows_np == rows_ma
+        monkeypatch.setattr(detection, "REPLAY_GROUP_SIZE", 4)
+        rows = DetectionExperiment(model, packages, factories, config).run().as_rows()
+        monkeypatch.setattr(Engine, "stacked_forward", whole_copy_forward)
+        reference = DetectionExperiment(model, packages, factories, config).run().as_rows()
+        assert rows == reference
 
-    @pytest.mark.parametrize("backend", ["numpy", "model_axis"])
-    def test_replay_trials_rows_match_validate_ip(
-        self, backend, mnist_model, mnist_pool, monkeypatch
-    ):
-        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 4)
+    def test_replay_trials_rows_match_validate_ip(self, mnist_model, mnist_pool, monkeypatch):
+        monkeypatch.setattr(detection, "REPLAY_GROUP_SIZE", 4)
         # a loose tolerance lets some copies pass, so rows differ by trial
         package = IPVendor(mnist_model).build_package(mnist_pool[:6], output_atol=0.1)
         factories = default_attack_factories(mnist_pool[:4])
 
         def attacks():
-            # 9 trials: two full model-axis groups of 4 plus a remainder of 1
+            # 9 trials: two full replay groups of 4 plus a remainder of 1
             return [
                 factories[ATTACK_NAMES[t % 4]](np.random.default_rng(t)) for t in range(9)
             ]
@@ -300,7 +341,7 @@ class TestConsumerEquivalence:
             reference_records.append(outcome.record.to_dict())
 
         mismatches, records = replay_trials(
-            Engine(mnist_model, backend=backend, cache=False),
+            Engine(mnist_model, cache=False),
             attacks(),
             package.tests,
             package.expected_outputs,
@@ -312,45 +353,46 @@ class TestConsumerEquivalence:
         assert len({tuple(row) for row in reference_rows}) > 1, "every row alike: vacuous"
 
     def test_campaign_store_identical(self, tmp_path, monkeypatch):
-        spec = CampaignSpec(
-            name="backend-identity",
-            attacks=ATTACK_NAMES,
-            models=("mnist",),
-            criteria=("default",),
-            strategies=("random",),
-            budgets=(2, 3),
-            trials=5,
-            train_size=24,
-            test_size=12,
-            epochs=1,
-            width_multiplier=0.08,
-            candidate_pool=12,
-            gradient_updates=3,
-            reference_inputs=6,
-        )
-        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 2)
+        spec = tiny_campaign_spec()
+        monkeypatch.setattr(detection, "REPLAY_GROUP_SIZE", 2)
         stores = {}
-        for name in ("numpy", "model_axis"):
+        for name in ("trunk", "whole"):
+            if name == "whole":
+                monkeypatch.setattr(Engine, "stacked_forward", whole_copy_forward)
             stores[name] = tmp_path / f"{name}.jsonl"
-            summary = run_campaign(spec, str(stores[name]), backend=name)
+            summary = run_campaign(spec, str(stores[name]))
             assert summary.executed == 8 and summary.failed == 0
-        assert stores["numpy"].read_bytes() == stores["model_axis"].read_bytes()
+        assert stores["trunk"].read_bytes() == stores["whole"].read_bytes()
+
+    def test_retired_backend_keyword_changes_nothing(self, tmp_path):
+        # CampaignRunner still takes the two old names (the benchmark
+        # harness passes one); both write the bytes of no keyword at all
+        spec = tiny_campaign_spec(attacks=("sba",), budgets=(2,))
+        stores = []
+        for kwargs in ({}, {"backend": "numpy"}, {"backend": "model_axis"}):
+            path = tmp_path / f"{len(stores)}.jsonl"
+            with CampaignRunner(spec, ResultStore(path), **kwargs) as runner:
+                assert runner.run().executed == 1
+            stores.append(path.read_bytes())
+        assert stores[0] and stores[1] == stores[0] and stores[2] == stores[0]
+        with pytest.raises(ValueError, match="unknown backend 'tpu'"):
+            CampaignRunner(spec, ResultStore(tmp_path / "x.jsonl"), backend="tpu")
 
     def test_greedy_selection_identical(self, mnist_model, mnist_pool):
         dataset = Dataset(
             images=mnist_pool, labels=np.zeros(len(mnist_pool), dtype=np.int64)
         )
-        numpy_result = TrainingSetSelector(
-            mnist_model, dataset, rng=0, engine=Engine(mnist_model, backend="numpy")
+        memoized = TrainingSetSelector(
+            mnist_model, dataset, rng=0, engine=Engine(mnist_model)
         ).generate(num_tests=6)
-        fused_result = TrainingSetSelector(
+        unmemoized = TrainingSetSelector(
             mnist_model,
             dataset,
             rng=0,
-            engine=Engine(mnist_model, backend="model_axis"),
+            engine=Engine(mnist_model, cache=False),
         ).generate(num_tests=6)
         np.testing.assert_array_equal(
-            numpy_result.dataset_indices, fused_result.dataset_indices
+            memoized.dataset_indices, unmemoized.dataset_indices
         )
-        assert numpy_result.gains == fused_result.gains
-        assert numpy_result.coverage_history == fused_result.coverage_history
+        assert memoized.gains == unmemoized.gains
+        assert memoized.coverage_history == unmemoized.coverage_history

@@ -3,7 +3,8 @@
 The acceptance bar of the refactor: packed greedy selection must pick
 *byte-identical* test sequences (indices, gains, coverage histories) to the
 dense implementation — same argmax tie-breaking — on both Table-I
-architectures, across execution backends, and the packed representation must
+architectures, across memoizing and memo-free engines, and the packed
+representation must
 occupy ≤ 1/8 of the dense mask bytes.  Also covers the satellite fixes:
 recorded dataset indices (duplicate-safe provenance), explicit availability
 instead of the ``-1.0`` gain sentinel, and validation-package format v2 with
@@ -145,33 +146,32 @@ class TestPackedGreedyEquivalence:
 
 
 class TestBackendDeterminism:
-    """Selection order identical across backends × representations."""
+    """Selection order and masks identical across engines (memoizing and
+    memo-free) × representations."""
 
     def test_selection_order_matches_across_backends(self, mnist_model, mnist_pool):
         dataset = Dataset(
             images=mnist_pool, labels=np.zeros(len(mnist_pool), dtype=np.int64)
         )
         single = TrainingSetSelector(
-            mnist_model, dataset, rng=0, engine=Engine(mnist_model, backend="numpy")
+            mnist_model, dataset, rng=0, engine=Engine(mnist_model)
         ).generate(num_tests=6)
 
-        fused = TrainingSetSelector(
+        unmemoized = TrainingSetSelector(
             mnist_model,
             dataset,
             rng=0,
-            engine=Engine(mnist_model, backend="model_axis"),
+            engine=Engine(mnist_model, cache=False),
         ).generate(num_tests=6)
 
-        np.testing.assert_array_equal(single.dataset_indices, fused.dataset_indices)
-        assert single.gains == fused.gains
-        assert single.coverage_history == fused.coverage_history
+        np.testing.assert_array_equal(single.dataset_indices, unmemoized.dataset_indices)
+        assert single.gains == unmemoized.gains
+        assert single.coverage_history == unmemoized.coverage_history
 
     def test_packed_masks_identical_across_backends(self, mnist_model, mnist_pool):
-        fused = Engine(mnist_model, backend="model_axis").packed_activation_masks(
-            mnist_pool
-        )
+        unmemoized = Engine(mnist_model, cache=False).packed_activation_masks(mnist_pool)
         ref = Engine(mnist_model).packed_activation_masks(mnist_pool)
-        assert fused == ref
+        assert unmemoized == ref
 
     def test_packed_neuron_masks_match_dense_and_backends(
         self, mnist_model, mnist_pool
@@ -179,8 +179,8 @@ class TestBackendDeterminism:
         dense = neuron_activation_masks(mnist_model, mnist_pool)
         packed = Engine(mnist_model).packed_neuron_masks(mnist_pool)
         np.testing.assert_array_equal(packed.dense(), dense)
-        fused = Engine(mnist_model, backend="model_axis").packed_neuron_masks(mnist_pool)
-        assert fused == packed
+        unmemoized = Engine(mnist_model, cache=False).packed_neuron_masks(mnist_pool)
+        assert unmemoized == packed
 
 
 class TestMemoryBudget:

@@ -465,6 +465,36 @@ class TestValidationService:
         assert stats.dispatches == 1
         assert stats.max_stacked == 2
 
+    def test_pooled_engines_hold_no_trunk(self, released):
+        """Each coalesced dispatch binds its engine to one of its copies,
+        so the call reads that copy's own pass as the trunk and drops it:
+        after a burst of copies that share layers with each other, no
+        engine the session pools keeps a trunk."""
+        from repro.attacks import SingleBiasAttack
+
+        ips = [released.model] + [
+            SingleBiasAttack(rng=seed).apply(released.model).model for seed in range(5)
+        ]
+
+        async def main():
+            async with _service() as service:
+                client = AsyncClient(service)
+                outcomes = await asyncio.gather(
+                    *[client.validate({"package": released.package}, ip=ip) for ip in ips]
+                )
+                engines = list(service.session._engines.values())
+                return outcomes, engines, service.coalescer.stats
+
+        outcomes, engines, stats = asyncio.run(main())
+        assert stats.max_stacked > 1, "nothing coalesced: vacuous"
+        assert engines
+        for engine in engines:
+            assert len(engine._trunks._cache) == 0
+        for outcome, ip in zip(outcomes, ips):
+            serial = validate_ip(ip, released.package)
+            assert outcome.mismatched_indices == serial.mismatched_indices
+            assert outcome.max_output_deviation == serial.max_output_deviation
+
     def test_low_bit_copy_is_not_deduped(self, released):
         """A copy one low bit away from the clean model (invisible to the
         rounded parameter digest) gets its own slice of the dispatch, not
@@ -516,8 +546,7 @@ class TestValidationService:
         assert stats.dispatches == 2 and stats.max_stacked == 1
         assert stats.fallbacks == 0  # grouping, not error recovery, split them
 
-    @pytest.mark.parametrize("backend", ["numpy", "model_axis"])
-    def test_same_weights_other_activation_gets_its_own_verdict(self, released, backend):
+    def test_same_weights_other_activation_gets_its_own_verdict(self, released):
         """A copy with the clean model's exact weights behind a relu conv1
         is another model: it never shares the clean model's dispatch, and
         every concurrent verdict matches ``validate_ip`` on its own IP."""
@@ -530,7 +559,7 @@ class TestValidationService:
         async def main():
             service = ValidationService(
                 ServeConfig(coalesce_window_s=0.02),
-                run_config=RunConfig(backend=backend, batch_size=SERVE_BATCH_SIZE),
+                run_config=RunConfig(batch_size=SERVE_BATCH_SIZE),
             )
             async with service:
                 client = AsyncClient(service)

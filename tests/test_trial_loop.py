@@ -25,15 +25,14 @@ from repro.attacks import (
     apply_record,
     bias_flat_indices,
 )
-from repro.engine import Engine, model_axis
-from repro.engine.cache import TrunkCache, exact_model_key
-from repro.engine.model_axis import first_divergence
+from repro.engine import Engine
+from repro.engine.cache import TrunkCache, exact_model_key, first_divergence
 from repro.models.zoo import mnist_cnn
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.serialization import parameter_digest
-from repro.nn.stacked import StackedSequential
 from repro.nn.tensor import bit_pattern
 from repro.registry import registry
+from repro.validation import detection
 from repro.validation.detection import default_attack_factories, replay_trials
 
 SEEDS = range(50)
@@ -214,8 +213,8 @@ class TestAttackCopiesAreTheirOwnModels:
 class TestVictimTrunk:
     def test_warm_trunk_replays_bit_for_bit(self, victim, monkeypatch):
         model, refs, tests = victim
-        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 3)
-        engine = Engine(model, backend="model_axis", cache=False)
+        monkeypatch.setattr(detection, "REPLAY_GROUP_SIZE", 3)
+        engine = Engine(model, cache=False)
         factories = default_attack_factories(refs)
         expected = model.forward(tests)
         results = []
@@ -269,7 +268,7 @@ class TestVictimTrunk:
     def test_in_place_mutation_gets_a_fresh_trunk(self, victim):
         model, _, tests = victim
         base = model.copy()
-        engine = Engine(base, backend="model_axis", cache=False)
+        engine = Engine(base, cache=False)
         head = bias_flat_indices(base)[-1]
 
         def head_copy():
@@ -288,17 +287,16 @@ class TestVictimTrunk:
         assert engine._trunks.stats.misses == 3
 
 
-    def test_a_many_chunk_batch_is_one_entry(self, victim, monkeypatch):
+    def test_a_many_chunk_batch_is_one_entry(self, victim):
         model, _, tests = victim
-        monkeypatch.setattr(model_axis, "DEFAULT_MAX_MODELS", 2)
-        engine = Engine(model, backend="model_axis", batch_size=2, cache=False)
+        engine = Engine(model, batch_size=2, cache=False)
         head = bias_flat_indices(model)[-1]
         copies = []
         for delta in (1.0, 2.0, 3.0):
             copy = model.copy()
             copy.parameter_view().add_scalar(int(head), delta)
             copies.append(copy)
-        # six 2-row chunks and two capacity groups per call
+        # six 2-row chunks per call
         for _ in range(2):
             stacked = engine.stacked_forward(copies, tests)
             for m, copy in enumerate(copies):
@@ -323,11 +321,13 @@ class TestSignedZeroDiverges:
         copy = victim.copy()
         copy.layers[conv3].bias.value[0] = -0.0
         assert first_divergence(victim, copy) == conv3
-        assert StackedSequential([victim, copy])._first_diff == conv3
 
         tests = np.random.default_rng(3).random((6, *victim.input_shape))
-        stacked = Engine(victim, backend="model_axis", cache=False).stacked_forward(
+        stacked = Engine(victim, cache=False).stacked_forward(
             [copy, victim.copy()], tests
         )
         assert same_bits(stacked[0], copy.forward(tests))
         assert same_bits(stacked[1], victim.forward(tests))
+        # alone, the copy reads the memoized trunk instead
+        alone = Engine(victim, cache=False).stacked_forward([copy], tests)
+        assert same_bits(alone[0], copy.forward(tests))
