@@ -43,6 +43,7 @@ from repro.faults import (
     is_transient,
 )
 from repro.models.zoo import small_mlp
+from repro.validation import detection
 from repro.validation.detection import REPLAY_GROUP_SIZE
 
 
@@ -592,18 +593,28 @@ def baseline(tmp_path_factory):
     return path.read_bytes()
 
 
+#: Replay group sizes named after the retired backends: ``numpy`` replayed
+#: one copy per stacked call, ``model_axis`` a group of them.
+CHAOS_GROUPINGS = {"numpy": 1, "model_axis": REPLAY_GROUP_SIZE}
+
+
 class TestCampaignChaos:
-    def test_store_byte_identical_under_injected_faults(self, baseline, tmp_path):
+    @pytest.mark.parametrize("backend", ["numpy", "model_axis"])
+    def test_store_byte_identical_under_injected_faults(
+        self, backend, baseline, tmp_path, monkeypatch
+    ):
         """The headline chaos gate: an engine dispatch error quarantines its
         scenarios, one mmap read failure heals in-run, and a plan-free
         re-run of exactly the quarantined scenarios restores every byte."""
         spec = tiny_spec()
-        # trial replay runs ceil(trials / REPLAY_GROUP_SIZE) stacked
-        # dispatches per attack group, so this ordinal is the last group's
-        # first dispatch: it lands after the package build (whose
-        # spilled-mask greedy selection takes the mmap fault), and a
-        # quarantined *last* group re-appends in the baseline's record order
-        per_group = -(-spec.trials // REPLAY_GROUP_SIZE)
+        group_size = CHAOS_GROUPINGS[backend]
+        monkeypatch.setattr(detection, "REPLAY_GROUP_SIZE", group_size)
+        # trial replay runs ceil(trials / group size) stacked dispatches per
+        # attack group, so this ordinal is the last group's first dispatch:
+        # it lands after the package build (whose spilled-mask greedy
+        # selection takes the mmap fault), and a quarantined *last* group
+        # re-appends in the baseline's record order
+        per_group = -(-spec.trials // group_size)
         first_of_last = per_group * (len(spec.attacks) - 1)
         plan = FaultPlan()
         plan.raise_error(

@@ -7,7 +7,8 @@ flip check) passes no tape at all.  After any entry point, training and the
 gradient queries included, every ndarray a model references is a
 parameter's value or grad.  Because nothing is shared but the parameters,
 two threads can query one model at once and get the serial results bit for
-bit.  Pinned on both Table-I architectures.
+bit.  Pinned on both Table-I architectures, and on both routes a copy
+takes through stacked replay.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.attacks.base import bias_flat_indices
 from repro.attacks.sba import SingleBiasAttack
 from repro.data.datasets import Dataset
 from repro.engine import Engine
+from repro.engine.cache import first_divergence
 from repro.faults import FaultPlan, inject
 from repro.models.training import Trainer, TrainingConfig
 from repro.models.zoo import cifar_cnn, mnist_cnn
@@ -72,18 +74,23 @@ def kept(model) -> list:
     return found
 
 
-def head_copies(model, count):
-    """Copies perturbed on distinct output-head biases, plus one on the first
-    layer, so the fused path runs both a late and a whole-network group."""
+#: The two routes through :meth:`Engine.stacked_forward`, named after the
+#: retired backends whose replay each now stands for: ``numpy`` ran every
+#: copy whole, ``model_axis`` started the copies on the model's trunk.
+ROUTES = ["numpy", "model_axis"]
+
+
+def route_copies(model, route, count):
+    """Copies that take ``route``: perturbed in the first layer (each runs
+    whole) or on distinct output-head biases (each runs on the trunk)."""
     biases = bias_flat_indices(model)
     copies = []
     for i in range(count):
         copy = model.copy()
-        copy.parameter_view().add_scalar(int(biases[-1 - i]), 5.0)
+        index = i if route == "numpy" else int(biases[-1 - i])
+        copy.parameter_view().add_scalar(index, 0.5 if route == "numpy" else 5.0)
         copies.append(copy)
-    first = model.copy()
-    first.parameter_view().add_scalar(0, 0.5)
-    return copies + [first]
+    return copies
 
 
 def test_the_scan_sees_a_stray_array(model):
@@ -132,13 +139,23 @@ class TestInferenceKeepsNothing:
         model.forward_collect(batch_for(model, 8))
         assert kept(model) == []
 
-    def test_engine_forward(self, model):
-        Engine(model, cache=False).forward(batch_for(model, 100))
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_engine_forward(self, model, route):
+        # on a fresh engine, and on one that holds a memoized trunk
+        engine = Engine(model, cache=False)
+        if route == "model_axis":
+            engine.stacked_forward(route_copies(model, route, 2), batch_for(model, 100))
+            assert len(engine._trunks._cache) == 1
+        engine.forward(batch_for(model, 100))
         assert kept(model) == []
 
-    def test_engine_stacked_forward(self, model):
-        # once on a memoized trunk, once with a copy that is the model
-        copies = head_copies(model, 3)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_engine_stacked_forward(self, model, route):
+        # once with the trunk kept or unneeded, once with a copy that is
+        # the model (its own pass is the trunk, dropped on return)
+        copies = route_copies(model, route, 3)
+        splits = {first_divergence(model, copy) for copy in copies}
+        assert (splits == {0}) == (route == "numpy")
         for stack in (copies, [model.copy(), *copies]):
             Engine(model).stacked_forward(stack, batch_for(model, 70))
             for involved in [model, *stack]:

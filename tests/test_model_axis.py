@@ -111,6 +111,11 @@ def tiny_campaign_spec(**overrides):
     return CampaignSpec(**fields)
 
 
+#: Replay group sizes named after the retired backends: ``numpy`` replayed
+#: one copy per stacked call, ``model_axis`` a group of them.
+GROUPINGS = {"numpy": 1, "model_axis": 4}
+
+
 def layer_copies(model, magnitude=0.5):
     """One copy per parameter tensor of every parametric layer, perturbed in
     that tensor's first entry: every split the architecture has."""
@@ -223,16 +228,22 @@ class TestEngineStackedForward:
         with pytest.raises(ValueError, match="architecture"):
             engine.stacked_forward([cifar_model], mnist_pool)
 
-    def test_rejects_a_different_activation(self, mnist_model, mnist_pool):
+    @pytest.mark.parametrize("backend", ["numpy", "model_axis"])
+    def test_rejects_a_different_activation(self, backend, mnist_model, mnist_pool):
         # the victim's exact weights behind a relu conv1: parameters alone
         # read as "the victim itself", so trunk sharing would have served
-        # the victim's logits for it
+        # the victim's logits for it; rejected beside copies that run whole
+        # (numpy) and beside copies that start on the trunk (model_axis)
         copy = mnist_model.copy()
         copy.layers[0].activation = get_activation("relu")
         assert first_divergence(mnist_model, copy) == len(mnist_model.layers)
+        others = (
+            layer_copies(mnist_model)[:1] if backend == "numpy" else head_copies(mnist_model, 2)
+        )
         engine = Engine(mnist_model, cache=False)
+        engine.stacked_forward(others, mnist_pool)
         with pytest.raises(ValueError, match="architecture"):
-            engine.stacked_forward([mnist_model.copy(), copy], mnist_pool)
+            engine.stacked_forward([*others, copy], mnist_pool)
 
     @pytest.mark.parametrize("cache", [False, True])
     def test_one_signature_per_model_per_call(self, cache, mnist_model, mnist_pool, monkeypatch):
@@ -321,14 +332,17 @@ class TestConsumerEquivalence:
         reference = DetectionExperiment(model, packages, factories, config).run().as_rows()
         assert rows == reference
 
-    def test_replay_trials_rows_match_validate_ip(self, mnist_model, mnist_pool, monkeypatch):
-        monkeypatch.setattr(detection, "REPLAY_GROUP_SIZE", 4)
+    @pytest.mark.parametrize("backend", ["numpy", "model_axis"])
+    def test_replay_trials_rows_match_validate_ip(
+        self, backend, mnist_model, mnist_pool, monkeypatch
+    ):
+        monkeypatch.setattr(detection, "REPLAY_GROUP_SIZE", GROUPINGS[backend])
         # a loose tolerance lets some copies pass, so rows differ by trial
         package = IPVendor(mnist_model).build_package(mnist_pool[:6], output_atol=0.1)
         factories = default_attack_factories(mnist_pool[:4])
 
         def attacks():
-            # 9 trials: two full replay groups of 4 plus a remainder of 1
+            # 9 trials: nine groups of 1, or two of 4 plus a remainder of 1
             return [
                 factories[ATTACK_NAMES[t % 4]](np.random.default_rng(t)) for t in range(9)
             ]

@@ -546,19 +546,28 @@ class TestValidationService:
         assert stats.dispatches == 2 and stats.max_stacked == 1
         assert stats.fallbacks == 0  # grouping, not error recovery, split them
 
-    def test_same_weights_other_activation_gets_its_own_verdict(self, released):
+    @pytest.mark.parametrize("backend", ["numpy", "model_axis"])
+    def test_same_weights_other_activation_gets_its_own_verdict(self, released, backend):
         """A copy with the clean model's exact weights behind a relu conv1
         is another model: it never shares the clean model's dispatch, and
-        every concurrent verdict matches ``validate_ip`` on its own IP."""
+        every concurrent verdict matches ``validate_ip`` on its own IP.
+        The clean model's dispatch also carries a copy that runs whole
+        (perturbed in conv1, ``numpy``) or one that starts on the clean
+        model's trunk (perturbed in the head, ``model_axis``)."""
+        from repro.attacks.base import bias_flat_indices
         from repro.nn.activations import get_activation
 
         relu = released.model.copy()
         relu.layers[0].activation = get_activation("relu")
-        ips = [released.model, relu]
+        perturbed = released.model.copy()
+        index = 0 if backend == "numpy" else int(bias_flat_indices(perturbed)[-1])
+        perturbed.parameter_view().add_scalar(index, 0.5)
+        ips = [released.model, relu, perturbed]
 
         async def main():
+            # a window wide enough that the perturbed copy always joins
             service = ValidationService(
-                ServeConfig(coalesce_window_s=0.02),
+                ServeConfig(coalesce_window_s=0.25),
                 run_config=RunConfig(batch_size=SERVE_BATCH_SIZE),
             )
             async with service:
@@ -570,12 +579,12 @@ class TestValidationService:
 
         outcomes, stats = asyncio.run(main())
         serial = [validate_ip(ip, released.package) for ip in ips]
-        assert [s.passed for s in serial] == [True, False]
+        assert [s.passed for s in serial[:2]] == [True, False]
         for outcome, reference in zip(outcomes, serial):
             assert outcome.passed is reference.passed
             assert outcome.mismatched_indices == reference.mismatched_indices
             assert outcome.max_output_deviation == reference.max_output_deviation
-        assert stats.dispatches == 2 and stats.max_stacked == 1
+        assert stats.dispatches == 2 and stats.max_stacked == 2
 
     def test_supplied_run_config_batch_size_is_pinned(self):
         service = ValidationService(run_config=RunConfig(batch_size=64))
