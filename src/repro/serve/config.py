@@ -47,15 +47,19 @@ class ServeConfig(TableSerde):
         Master switch for the cross-request batching coalescer; off, every
         validate dispatches alone (the benchmark's baseline mode).
     coalesce_window_s:
-        How long the first validate of a batch waits for co-travellers
-        before the merged dispatch fires.  Zero still merges whatever is
-        queued at flush time (pure in-flight dedup).
+        How long the first validate of a batch holds it for co-travellers
+        before it queues for the dispatch lane.  At the default ``0.0`` a
+        batch dispatches as soon as the lane is free (one event-loop yield
+        when it is idle), and validates arriving while a dispatch is in
+        flight ride the next one.  A positive window is the only way to
+        promise one dispatch per burst of identical requests.
     max_stacked_models:
-        Cap on distinct models fused into one stacked dispatch; arrivals
-        beyond it flush immediately and start a new batch.
+        Cap on distinct models fused into one stacked dispatch; a batch that
+        reaches it closes and is ready at once, and later arrivals start a
+        new batch.
     tenant_stack_limit:
         Cross-tenant fairness: at most this many of one tenant's models
-        share a stacked dispatch; the excess waits for the next window
+        share a stacked dispatch; the excess waits for the next dispatch
         (``fairness_evictions`` in ``/stats`` counts the deferrals), so one
         tenant's wide sweep cannot fill ``max_stacked_models`` and starve
         co-tenants.  ``None`` (the default) disables the cap.
@@ -91,7 +95,7 @@ class ServeConfig(TableSerde):
     tenant_burst: int = 16
     retry_after_s: float = 1.0
     coalesce: bool = True
-    coalesce_window_s: float = 0.01
+    coalesce_window_s: float = 0.0
     max_stacked_models: int = 8
     tenant_stack_limit: Optional[int] = None
     executor_workers: int = 2

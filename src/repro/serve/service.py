@@ -13,7 +13,11 @@ concurrently for many tenants:
 * **coalescing** — model-backed validates route through the
   :class:`~repro.serve.coalescer.BatchingCoalescer`, which merges
   concurrent requests on one package into single stacked dispatches
-  (bit-identical per-model slices, see the coalescer docs); the group key
+  (bit-identical per-model slices, see the coalescer docs).  It is work
+  conserving: a group dispatches as soon as the coalescer's lane is free,
+  and whatever arrives while a dispatch is in flight rides the next one
+  (``coalesce_window_s`` defaults to 0; a positive window still holds each
+  group that long for co-travellers).  The group key
   pairs the package fingerprint with the model's **architecture
   signature** (input shape plus per-layer types and output shapes), so
   only stack-compatible models fuse — a shape-tampered IP dispatches
@@ -22,7 +26,9 @@ concurrently for many tenants:
 * **worker tier** — CPU-bound Session work runs on a
   :class:`~concurrent.futures.ThreadPoolExecutor` via
   ``loop.run_in_executor``, keeping the event loop responsive; engine
-  dispatches run one at a time on a single dispatch lane (one lock).
+  work runs one call at a time under one dispatch lock.  The coalescer
+  keeps at most one of its dispatches in flight, so it never parks a
+  second dispatch on the lock inside a worker thread.
   Inference keeps no state on a model, so a second lane would return the
   same bytes; the lane count is a scheduling choice, and the gradient
   queries that accumulate into ``Parameter.grad`` still need one lane per
@@ -145,10 +151,11 @@ class ValidationService:
             thread_name_prefix="repro-serve",
         )
         # one dispatch lane: coalescing, not thread fan-out, is how this
-        # service scales.  Inference would be bit-stable on two lanes (a
-        # model keeps no per-pass state), but queries that accumulate into
-        # Parameter.grad would not, and a second lane is a scheduling change
-        # to measure with the adaptive coalescer
+        # service scales.  The coalescer gates its own dispatches on one
+        # lane, so this lock only orders a coalesced dispatch against raw
+        # queries, releases and sweeps.  Inference would be bit-stable on
+        # two lanes (a model keeps no per-pass state), but queries that
+        # accumulate into Parameter.grad would not
         self._dispatch_lock = threading.Lock()
         # package fingerprints are content hashes over the full test payload;
         # the same (immutable, integrity-digested) package object is replayed

@@ -377,6 +377,159 @@ class TestBatchingCoalescer:
         assert len(dispatched) == 1
         assert stats.deduped == 1
 
+    # -- the lane: one dispatch in flight, ready groups queue for it ---------
+
+    def _held(self, dispatched, **kwargs):
+        """A coalescer whose dispatches wait on ``lane.release``; ``lane``
+        records the largest number of dispatches in flight at once."""
+        lane = type("Lane", (), {})()
+        lane.release = asyncio.Event()
+        lane.started = asyncio.Event()
+        lane.in_flight = lane.max_in_flight = 0
+
+        async def dispatch(package, models):
+            dispatched.append(list(models))
+            lane.in_flight += 1
+            lane.max_in_flight = max(lane.max_in_flight, lane.in_flight)
+            lane.started.set()
+            await lane.release.wait()
+            await asyncio.sleep(0.001)
+            lane.in_flight -= 1
+            return np.arange(len(models), dtype=float).reshape(-1, 1, 1)
+
+        return BatchingCoalescer(dispatch, **kwargs), lane
+
+    def test_lone_submit_at_zero_window_dispatches_without_timer(self):
+        dispatched = []
+        coalescer, lane = self._held(dispatched)
+        assert coalescer.window_s == 0.0  # the default
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_later = loop.call_later
+            loop.call_later = lambda *a, **k: timers.append(a) or call_later(*a, **k)
+            task = asyncio.create_task(
+                coalescer.submit("fp", self.FakePackage(), "d0", "m0")
+            )
+            yields = 0
+            while not lane.started.is_set():
+                await asyncio.sleep(0)
+                yields += 1
+                assert yields <= 5, "the lone submit never reached the lane"
+            assert timers == []
+            lane.release.set()
+            await task
+
+        asyncio.run(main())
+        assert dispatched == [["m0"]]
+        assert coalescer.stats.lane_waits == 0
+
+    def test_arrivals_during_a_dispatch_ride_the_next_one(self):
+        dispatched = []
+        coalescer, lane = self._held(dispatched, window_s=0.0)
+        package = self.FakePackage()
+
+        async def main():
+            first = asyncio.create_task(coalescer.submit("fp", package, "d0", "m0"))
+            await lane.started.wait()
+            riders = []
+            for i in (1, 2, 3):
+                riders.append(
+                    asyncio.create_task(
+                        coalescer.submit("fp", package, f"d{i}", f"m{i}")
+                    )
+                )
+                await asyncio.sleep(0.002)
+            lane.release.set()
+            return await asyncio.gather(first, *riders)
+
+        results = asyncio.run(main())
+        assert dispatched == [["m0"], ["m1", "m2", "m3"]]
+        assert [float(r[0, 0]) for r in results] == [0.0, 0.0, 1.0, 2.0]
+        assert coalescer.stats.lane_waits == 1
+        assert coalescer.stats.max_stacked == 3
+
+    def test_group_keys_share_one_lane_in_ready_order(self):
+        dispatched = []
+        coalescer, lane = self._held(dispatched)
+
+        async def main():
+            first = asyncio.create_task(
+                coalescer.submit("a", self.FakePackage(), "d0", "a0")
+            )
+            await lane.started.wait()
+            later = []
+            for key, model in (("b", "b0"), ("a", "a1")):
+                later.append(
+                    asyncio.create_task(
+                        coalescer.submit(key, self.FakePackage(), "d1", model)
+                    )
+                )
+                await asyncio.sleep(0.002)
+            lane.release.set()
+            await asyncio.gather(first, *later)
+
+        asyncio.run(main())
+        assert dispatched == [["a0"], ["b0"], ["a1"]]
+        assert lane.max_in_flight == 1
+        assert coalescer.stats.lane_waits == 2
+
+    def test_full_group_closes_while_the_lane_is_busy(self):
+        dispatched = []
+        coalescer, lane = self._held(dispatched, max_models=2)
+        package = self.FakePackage()
+
+        async def main():
+            tasks = [asyncio.create_task(coalescer.submit("fp", package, "d0", "m0"))]
+            await lane.started.wait()
+            for i in (1, 2, 3):
+                tasks.append(
+                    asyncio.create_task(
+                        coalescer.submit("fp", package, f"d{i}", f"m{i}")
+                    )
+                )
+                await asyncio.sleep(0.002)
+            lane.release.set()
+            await asyncio.gather(*tasks)
+
+        asyncio.run(main())
+        # m1 and m2 filled their group, so m3 opened a new one behind it
+        assert dispatched == [["m0"], ["m1", "m2"], ["m3"]]
+        assert lane.max_in_flight == 1
+        assert coalescer.stats.lane_waits == 2
+
+    def test_drain_with_the_lane_held_resolves_every_queued_future(self):
+        dispatched = []
+        # a window far too long to matter: drain must not wait it out
+        coalescer, lane = self._held(dispatched, max_models=2, window_s=5.0)
+
+        async def main():
+            package = self.FakePackage()
+            submits = [
+                ("fp", "d0", "m0"),
+                ("fp", "d1", "m1"),
+                ("fp", "d2", "m2"),
+                ("other", "d0", "o0"),
+            ]
+            tasks = [
+                asyncio.create_task(coalescer.submit(key, package, digest, model))
+                for key, digest, model in submits
+            ]
+            await lane.started.wait()
+            drain = asyncio.create_task(coalescer.drain())
+            await asyncio.sleep(0.01)
+            assert not drain.done() and not any(t.done() for t in tasks)
+            lane.release.set()
+            await asyncio.wait_for(drain, timeout=2.0)
+            assert all(t.done() for t in tasks)
+            return [t.result() for t in tasks]
+
+        results = asyncio.run(main())
+        assert dispatched == [["m0", "m1"], ["m2"], ["o0"]]
+        assert [float(r[0, 0]) for r in results] == [0.0, 1.0, 0.0, 0.0]
+        assert lane.max_in_flight == 1
+
 
 # ---------------------------------------------------------------------------
 # the service: coalesced validates, byte identity, quotas, drain
@@ -493,6 +646,57 @@ class TestValidationService:
         for outcome, ip in zip(outcomes, ips):
             serial = validate_ip(ip, released.package)
             assert outcome.mismatched_indices == serial.mismatched_indices
+            assert outcome.max_output_deviation == serial.max_output_deviation
+
+    def test_default_config_staggered_arrivals_match_validate_ip(self, released):
+        """The shipped default (no window: a batch dispatches as soon as the
+        lane is free) against serial ``validate_ip``: clean duplicates and
+        SBA/GDA copies arriving at staggered offsets, so some ride an
+        in-flight dispatch's successor and some find the lane idle."""
+        from repro.validation import default_attack_factories
+
+        factories = default_attack_factories(released.package.tests)
+        copies = [
+            factories[name](np.random.default_rng(seed)).apply(released.model).model
+            for name in ("sba", "gda")
+            for seed in (0, 1)
+        ]
+        clean = released.model
+        # (offset in seconds, ip): duplicates of the clean model spread
+        # across the stream, copies interleaved between them
+        arrivals = [
+            (0.0, clean),
+            (0.0, copies[0]),
+            (0.001, clean),
+            (0.002, copies[2]),
+            (0.004, copies[1]),
+            (0.004, clean),
+            (0.008, copies[3]),
+            (0.012, clean),
+            (0.012, copies[0]),
+            (0.030, clean),
+        ]
+
+        async def main():
+            async with ValidationService() as service:
+                assert service.config.coalesce_window_s == 0.0
+                client = AsyncClient(service)
+
+                async def arrive(offset, ip):
+                    await asyncio.sleep(offset)
+                    return await client.validate({"package": released.package}, ip=ip)
+
+                outcomes = await asyncio.gather(*(arrive(o, ip) for o, ip in arrivals))
+                return outcomes, service.coalescer.stats
+
+        outcomes, stats = asyncio.run(main())
+        assert stats.requests == len(arrivals)
+        assert stats.dispatches <= stats.requests
+        for outcome, (_, ip) in zip(outcomes, arrivals):
+            serial = validate_ip(ip, released.package)
+            assert outcome.passed is serial.passed
+            assert outcome.mismatched_indices == serial.mismatched_indices
+            # float equality, not approx: every dispatch is byte-identical
             assert outcome.max_output_deviation == serial.max_output_deviation
 
     def test_low_bit_copy_is_not_deduped(self, released):
