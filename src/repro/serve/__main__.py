@@ -35,8 +35,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--window", type=float, default=None, dest="coalesce_window_s",
-        help="seconds a batch waits for co-travellers before it queues for "
-        "the dispatch lane (default 0: dispatch as soon as the lane is free)",
+        help="seconds a batch waits for co-travellers before it dispatches "
+        "(default 0: after one event-loop yield)",
     )
     parser.add_argument(
         "--no-coalesce", action="store_true",

@@ -24,27 +24,22 @@ coalescer instead:
   bit-identical to running model ``m`` alone, so coalescing is invisible in
   the response bytes.
 
-Dispatches run on **one lane** the coalescer owns: at most one of its
-dispatches is in flight at a time.  A group becomes *ready* when its window
-(``window_s``) ends or when it reaches ``max_models``; a ready group takes
-the lane as soon as the lane is free, and ready groups queue for it in FIFO
-order across group keys.  A group stays open to joiners until it actually
-takes the lane, so whatever arrives while a dispatch is in flight rides the
-next dispatch — the adaptive batching of Clipper (Crankshaw et al., NSDI
-2017) and the continuous batching of Orca (Yu et al., OSDI 2022).  At the
-default ``window_s=0`` a request that finds the lane idle dispatches after
-one event-loop yield; a positive window still holds each group that long
-for co-travellers.  Everything here runs on the event loop; the dispatch
-callable is the only thing that touches worker threads.
+The first request of a group opens a **coalescing window**
+(``window_s``); co-travellers arriving inside it join the batch, and the
+group flushes early when it reaches ``max_models``.  The default window is
+zero: a group flushes after one event-loop yield, so requests already
+queued on the loop still share a dispatch, but none waits on a timer.
+A positive window is the only way to promise one dispatch per burst.
+Everything here runs on the event loop; the dispatch callable is the only
+thing that touches worker threads.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Deque, Dict, List, Sequence, Tuple
+from typing import Awaitable, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -86,10 +81,10 @@ class CoalescerStats:
     #: held ``max_per_tenant`` slots in the open group (cross-tenant
     #: fairness: one tenant's wide sweep cannot fill ``max_models``)
     fairness_evictions: int = 0
-    #: dispatches whose group became ready while another dispatch held the
-    #: lane (so they queued for it)
+    #: dispatches started while another of this coalescer's dispatches was
+    #: in flight (the service runs one at a time, so these queued for it)
     lane_waits: int = 0
-    #: total seconds a coalescer dispatch held the lane
+    #: total seconds during which at least one dispatch was in flight
     lane_busy_s: float = 0.0
 
     @property
@@ -131,45 +126,37 @@ class _Group:
     entries: "Dict[str, Tuple[object, asyncio.Future, str]]" = field(
         default_factory=dict
     )
-    #: per-tenant-capped spillover, seated in the successor group when this
-    #: one takes the lane: (digest, model, future, tenant) in arrival order
+    #: per-tenant-capped spillover, dispatched by the successor group:
+    #: (digest, model, future, tenant) in arrival order
     overflow: "List[Tuple[str, object, asyncio.Future, str]]" = field(
         default_factory=list
     )
-    #: the window's end (``call_soon`` at a zero window, else ``call_later``)
-    timer: "asyncio.Handle | None" = None
-    #: window ended or ``max_models`` reached: queued for, or on, the lane
-    ready: bool = False
+    flush_task: "asyncio.Task | None" = None
 
 
 class BatchingCoalescer:
-    """Merge concurrent validates into stacked engine dispatches on one lane.
+    """Merge concurrent validates into stacked engine dispatches.
 
     Parameters
     ----------
     dispatch:
         Async callable running one stacked forward; the service routes it
-        through the worker tier.  The coalescer never has two of its own
-        calls in flight.
+        through the worker tier and serialises engine access.
     window_s:
-        How long a group's first request holds the group for co-travellers
-        before it is ready for the lane.  Zero (the default) makes a group
-        ready after one event-loop yield, so it dispatches at once when the
-        lane is idle and otherwise collects joiners until the lane frees.
+        Coalescing window opened by a group's first request.  Zero (the
+        default) still yields to the event loop once, so a burst of
+        already-queued requests coalesces even with no deliberate delay.
     max_models:
-        A group holding this many distinct models is ready at once and closes
-        to joiners; later arrivals open a new group.
+        Flush early once a group holds this many distinct models.
     max_per_tenant:
         Cross-tenant fairness cap: at most this many of one tenant's
         entries share a stacked dispatch; the excess is deferred (counted
-        in ``fairness_evictions``) to the successor group, opened when this
-        one takes the lane, so a single tenant's wide sweep cannot fill
-        ``max_models`` and starve co-tenants of the batch. ``None``
-        disables the cap.
+        in ``fairness_evictions``) to the successor group's window, so a
+        single tenant's wide sweep cannot fill ``max_models`` and starve
+        co-tenants of the batch. ``None`` disables the cap.
     enabled:
-        Off, every submit dispatches alone, straight to ``dispatch`` (the
-        benchmark baseline); stats keep counting so the two modes stay
-        comparable.
+        Off, every submit dispatches alone (the benchmark baseline); stats
+        keep counting so the two modes stay comparable.
     """
 
     def __init__(
@@ -192,17 +179,16 @@ class BatchingCoalescer:
         self.max_per_tenant = max_per_tenant
         self.enabled = bool(enabled)
         self.stats = CoalescerStats()
-        #: groups still open to joiners, one per group key
         self._groups: Dict[str, _Group] = {}
-        #: ready groups waiting for the lane, oldest first
-        self._queue: "Deque[Tuple[str, _Group]]" = deque()
-        #: ``perf_counter`` when the lane was taken; ``None`` while it is free
-        self._lane_since: "float | None" = None
         #: (group key, model digest) → in-flight result future; entries
         #: live until their dispatch resolves, so late duplicates of a
         #: running dispatch still dedup instead of re-dispatching
         self._futures: Dict[Tuple[str, str], asyncio.Future] = {}
         self._tasks: "set[asyncio.Task]" = set()
+        #: dispatches in flight, and when that count last left zero (the
+        #: ``lane_waits`` / ``lane_busy_s`` stats)
+        self._in_flight = 0
+        self._busy_since = 0.0
 
     async def submit(
         self,
@@ -218,8 +204,8 @@ class BatchingCoalescer:
         fingerprint plus the model's architecture signature, so everything
         sharing a key is stack-compatible.  Identical concurrent submits
         (same key, same digest) share one dispatch; distinct digests on the
-        same key fuse into the key's next stacked dispatch.  ``tenant``
-        feeds the per-dispatch fairness cap (``max_per_tenant``).
+        same key fuse into one stacked dispatch after the coalescing window.
+        ``tenant`` feeds the per-dispatch fairness cap (``max_per_tenant``).
         """
         self.stats.requests += 1
         if not self.enabled:
@@ -235,95 +221,75 @@ class BatchingCoalescer:
             self.stats.deduped += 1
             return await asyncio.shield(existing)
 
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        group = self._groups.get(group_key)
+        if group is None:
+            group = _Group(package=package)
+            self._groups[group_key] = group
+            group.flush_task = loop.create_task(self._flush_after_window(group_key))
+        future: asyncio.Future = loop.create_future()
         self._futures[key] = future
-        group = self._groups.get(group_key) or self._open(group_key, package)
-        self._join(group_key, group, digest, model, future, tenant)
+        joined = self._join(group, digest, model, future, tenant)
+        if joined and len(group.entries) >= self.max_models:
+            self._flush(group_key)
         # shielded: one timed-out waiter must not cancel the shared result
         return await asyncio.shield(future)
 
-    def _open(self, group_key: str, package: ValidationPackage) -> _Group:
-        """A new open group for ``group_key``, ready when its window ends."""
-        loop = asyncio.get_running_loop()
-        group = _Group(package=package)
-        self._groups[group_key] = group
-        if self.window_s > 0:
-            group.timer = loop.call_later(
-                self.window_s, self._ready, group_key, group
-            )
-        else:
-            group.timer = loop.call_soon(self._ready, group_key, group)
-        return group
-
     def _join(
         self,
-        group_key: str,
         group: _Group,
         digest: str,
         model: object,
         future: asyncio.Future,
         tenant: str,
-    ) -> None:
+    ) -> bool:
         """Seat an entry in ``group``, or defer it when its tenant is at cap.
 
-        Deferred entries ride the group's ``overflow`` into the successor
-        group that :meth:`_take_lane` opens, keeping their already-registered
-        dedup future alive the whole time.  A group that fills up to
-        ``max_models`` closes to joiners and is ready at once.
+        Returns ``True`` when the entry joined the open dispatch; deferred
+        entries (``False``) ride the group's ``overflow`` into the successor
+        group that :meth:`_flush` opens, keeping their already-registered
+        dedup future alive the whole time.
         """
         if self.max_per_tenant is not None:
             seated = sum(1 for _, _, t in group.entries.values() if t == tenant)
             if seated >= self.max_per_tenant:
                 self.stats.fairness_evictions += 1
                 group.overflow.append((digest, model, future, tenant))
-                return
+                return False
         group.entries[digest] = (model, future, tenant)
-        if len(group.entries) >= self.max_models:
-            self._close(group_key, group)
-            self._ready(group_key, group)
+        return True
 
-    def _close(self, group_key: str, group: _Group) -> None:
-        """Stop ``group`` taking joiners (a no-op once it is closed)."""
-        if self._groups.get(group_key) is group:
-            del self._groups[group_key]
-
-    def _ready(self, group_key: str, group: _Group) -> None:
-        """Hand ``group`` to the lane: now if it is free, else queue it."""
-        if group.ready:
+    async def _flush_after_window(self, group_key: str) -> None:
+        try:
+            await asyncio.sleep(self.window_s)
+        except asyncio.CancelledError:
             return
-        group.ready = True
-        group.timer.cancel()
-        if self._lane_since is None:
-            self._take_lane(group_key, group)
-        else:
-            self.stats.lane_waits += 1
-            self._queue.append((group_key, group))
+        self._flush(group_key, from_window=True)
 
-    def _take_lane(self, group_key: str, group: _Group) -> None:
-        """Close ``group`` and start its dispatch on the (free) lane."""
-        self._close(group_key, group)
-        self._lane_since = time.perf_counter()
-        # fairness-deferred entries join the key's open group (or a fresh
-        # one, also once that group fills up), so they ride the key's next
-        # dispatch
-        for digest, model, future, tenant in group.overflow:
-            successor = self._groups.get(group_key) or self._open(
-                group_key, group.package
+    def _flush(self, group_key: str, from_window: bool = False) -> None:
+        group = self._groups.pop(group_key, None)
+        if group is None:
+            return
+        if not from_window and group.flush_task is not None:
+            group.flush_task.cancel()
+        loop = asyncio.get_running_loop()
+        if group.overflow:
+            # fairness-deferred entries open the successor group immediately,
+            # with its own window, so they wait at most one extra dispatch
+            successor = _Group(package=group.package)
+            self._groups[group_key] = successor
+            successor.flush_task = loop.create_task(
+                self._flush_after_window(group_key)
             )
-            self._join(group_key, successor, digest, model, future, tenant)
-        task = asyncio.get_running_loop().create_task(
-            self._run_dispatch(group_key, group)
-        )
+            for digest, model, future, tenant in group.overflow:
+                self._join(successor, digest, model, future, tenant)
+        task = loop.create_task(self._run_dispatch(group_key, group))
         # keep a strong reference until done (asyncio only holds weak ones)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
-
-    def _release_lane(self) -> None:
-        """Free the lane and hand it to the oldest ready group, if any."""
-        self.stats.lane_busy_s += time.perf_counter() - self._lane_since
-        self._lane_since = None
-        if self._queue:
-            self._take_lane(*self._queue.popleft())
+        successor = self._groups.get(group_key)
+        if successor is not None and len(successor.entries) >= self.max_models:
+            self._flush(group_key)
 
     async def _run_dispatch(self, group_key: str, group: _Group) -> None:
         digests = list(group.entries)
@@ -331,6 +297,11 @@ class BatchingCoalescer:
         self.stats.dispatches += 1
         self.stats.stacked_models += len(models)
         self.stats.max_stacked = max(self.stats.max_stacked, len(models))
+        if self._in_flight:
+            self.stats.lane_waits += 1
+        else:
+            self._busy_since = time.perf_counter()
+        self._in_flight += 1
         if len(models) > 1:
             logger.info(
                 "coalesced dispatch: %d models on group %s",
@@ -376,17 +347,19 @@ class BatchingCoalescer:
         finally:
             for digest in digests:
                 self._futures.pop((group_key, digest), None)
-            self._release_lane()
+            self._in_flight -= 1
+            if not self._in_flight:
+                self.stats.lane_busy_s += time.perf_counter() - self._busy_since
 
     async def drain(self) -> None:
-        """Make every open group ready and wait until the lane has run them all.
+        """Flush every open window and wait for in-flight dispatches.
 
-        Loops because a group with fairness-deferred overflow opens a
-        successor group when it takes the lane, which must dispatch too.
+        Loops because flushing a group with fairness-deferred overflow opens
+        a successor group, which must flush (and dispatch) too.
         """
         while self._groups or self._tasks:
-            for group_key, group in list(self._groups.items()):
-                self._ready(group_key, group)
+            for group_key in list(self._groups):
+                self._flush(group_key)
             while self._tasks:
                 await asyncio.gather(*list(self._tasks), return_exceptions=True)
 

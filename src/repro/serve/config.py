@@ -47,16 +47,15 @@ class ServeConfig(TableSerde):
         Master switch for the cross-request batching coalescer; off, every
         validate dispatches alone (the benchmark's baseline mode).
     coalesce_window_s:
-        How long the first validate of a batch holds it for co-travellers
-        before it queues for the dispatch lane.  At the default ``0.0`` a
-        batch dispatches as soon as the lane is free (one event-loop yield
-        when it is idle), and validates arriving while a dispatch is in
-        flight ride the next one.  A positive window is the only way to
-        promise one dispatch per burst of identical requests.
+        How long the first validate of a batch waits for co-travellers
+        before the merged dispatch fires.  At the default ``0.0`` a batch
+        fires after one event-loop yield: validates already queued on the
+        loop still merge, and none waits on a timer.  A positive window is
+        the only way to promise one dispatch per burst of identical
+        requests.
     max_stacked_models:
-        Cap on distinct models fused into one stacked dispatch; a batch that
-        reaches it closes and is ready at once, and later arrivals start a
-        new batch.
+        Cap on distinct models fused into one stacked dispatch; arrivals
+        beyond it flush immediately and start a new batch.
     tenant_stack_limit:
         Cross-tenant fairness: at most this many of one tenant's models
         share a stacked dispatch; the excess waits for the next dispatch

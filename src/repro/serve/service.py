@@ -13,11 +13,9 @@ concurrently for many tenants:
 * **coalescing** — model-backed validates route through the
   :class:`~repro.serve.coalescer.BatchingCoalescer`, which merges
   concurrent requests on one package into single stacked dispatches
-  (bit-identical per-model slices, see the coalescer docs).  It is work
-  conserving: a group dispatches as soon as the coalescer's lane is free,
-  and whatever arrives while a dispatch is in flight rides the next one
-  (``coalesce_window_s`` defaults to 0; a positive window still holds each
-  group that long for co-travellers).  The group key
+  (bit-identical per-model slices, see the coalescer docs).  Its window
+  (``coalesce_window_s``) defaults to 0: a group dispatches after one
+  event-loop yield, so no request waits on a timer.  The group key
   pairs the package fingerprint with the model's **architecture
   signature** (input shape plus per-layer types and output shapes), so
   only stack-compatible models fuse — a shape-tampered IP dispatches
@@ -26,9 +24,7 @@ concurrently for many tenants:
 * **worker tier** — CPU-bound Session work runs on a
   :class:`~concurrent.futures.ThreadPoolExecutor` via
   ``loop.run_in_executor``, keeping the event loop responsive; engine
-  work runs one call at a time under one dispatch lock.  The coalescer
-  keeps at most one of its dispatches in flight, so it never parks a
-  second dispatch on the lock inside a worker thread.
+  dispatches run one at a time on a single dispatch lane (one lock).
   Inference keeps no state on a model, so a second lane would return the
   same bytes; the lane count is a scheduling choice, and the gradient
   queries that accumulate into ``Parameter.grad`` still need one lane per
@@ -151,11 +147,12 @@ class ValidationService:
             thread_name_prefix="repro-serve",
         )
         # one dispatch lane: coalescing, not thread fan-out, is how this
-        # service scales.  The coalescer gates its own dispatches on one
-        # lane, so this lock only orders a coalesced dispatch against raw
-        # queries, releases and sweeps.  Inference would be bit-stable on
-        # two lanes (a model keeps no per-pass state), but queries that
-        # accumulate into Parameter.grad would not
+        # service scales.  A coalesced dispatch that finds the lane busy
+        # waits here in a worker thread (``lane_waits`` in /stats counts
+        # them).  Inference would be bit-stable on two lanes (a model keeps
+        # no per-pass state), but queries that accumulate into
+        # Parameter.grad would not, and a second lane is a scheduling change
+        # to measure on a load that keeps this one busy
         self._dispatch_lock = threading.Lock()
         # package fingerprints are content hashes over the full test payload;
         # the same (immutable, integrity-digested) package object is replayed

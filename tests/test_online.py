@@ -592,40 +592,6 @@ class TestCoalescerFairness:
         assert len(dispatched) == 1
         assert coalescer.stats.fairness_evictions == 0
 
-    def test_deferred_entries_never_overfill_a_group(self):
-        """Overflow seated when its group takes the lane opens a fresh group
-        once the key's open one is full, so no dispatch exceeds max_models."""
-        from repro.serve import BatchingCoalescer
-
-        dispatched = []
-        release = asyncio.Event()
-
-        async def dispatch(package, models):
-            dispatched.append(list(models))
-            await release.wait()
-            return np.zeros((len(models), 1, 1))
-
-        coalescer = BatchingCoalescer(dispatch, max_models=3, max_per_tenant=1)
-        package = self.FakePackage()
-
-        async def main():
-            tasks = [asyncio.create_task(coalescer.submit("x", package, "x0", "x0"))]
-            await asyncio.sleep(0.005)  # x0 now holds the lane
-            # a2 and b2 are deferred by the cap; c1 fills the group; d1 and
-            # e1 open the key's next group while the first one still waits
-            for name in ("a1", "a2", "b1", "b2", "c1", "d1", "e1"):
-                tasks.append(
-                    asyncio.create_task(
-                        coalescer.submit("fp", package, name, name, tenant=name[0])
-                    )
-                )
-            await asyncio.sleep(0.005)
-            release.set()
-            await asyncio.gather(*tasks)
-
-        asyncio.run(main())
-        assert dispatched == [["x0"], ["a1", "b1", "c1"], ["d1", "e1", "a2"], ["b2"]]
-
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             self._coalescer([], max_per_tenant=0)
@@ -639,10 +605,13 @@ class TestCoalescerFairness:
 
         hold = 0.02
         dispatched = []
+        started = asyncio.Event()
+        release = asyncio.Event()
 
         async def dispatch(package, models):
             dispatched.append(list(models))
-            await asyncio.sleep(hold)
+            started.set()
+            await release.wait()
             return np.zeros((len(models), 1, 1))
 
         coalescer = BatchingCoalescer(dispatch)
@@ -652,19 +621,23 @@ class TestCoalescerFairness:
 
         async def main():
             first = asyncio.create_task(coalescer.submit("fp-a", package, "d0", "m0"))
-            await asyncio.sleep(hold / 4)  # m0 now holds the lane
-            await asyncio.gather(
-                first,
-                coalescer.submit("fp-a", package, "d1", "m1"),
-                coalescer.submit("fp-b", package, "d0", "m2"),
-            )
+            await started.wait()  # m0 is in flight until release
+            later = [
+                asyncio.create_task(coalescer.submit("fp-a", package, "d1", "m1")),
+                asyncio.create_task(coalescer.submit("fp-b", package, "d0", "m2")),
+            ]
+            for _ in range(10):
+                await asyncio.sleep(0)  # m1 and m2 reach dispatch
+            await asyncio.sleep(hold)
+            release.set()
+            await asyncio.gather(first, *later)
 
         asyncio.run(main())
         stats = coalescer.stats.to_dict()
         assert dispatched == [["m0"], ["m1"], ["m2"]]
-        # both later groups became ready while m0's dispatch held the lane
+        # both later dispatches started while m0's was in flight
         assert stats["lane_waits"] == 2
-        assert stats["lane_busy_s"] >= 3 * hold
+        assert stats["lane_busy_s"] >= hold
 
 
 # ---------------------------------------------------------------------------

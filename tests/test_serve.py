@@ -377,24 +377,20 @@ class TestBatchingCoalescer:
         assert len(dispatched) == 1
         assert stats.deduped == 1
 
-    # -- the lane: one dispatch in flight, ready groups queue for it ---------
+    # -- dispatches held on an event ----------------------------------------
 
     def _held(self, dispatched, **kwargs):
-        """A coalescer whose dispatches wait on ``lane.release``; ``lane``
-        records the largest number of dispatches in flight at once."""
+        """A coalescer whose dispatches wait on ``lane.release``;
+        ``lane.started`` is set by the first one."""
         lane = type("Lane", (), {})()
         lane.release = asyncio.Event()
         lane.started = asyncio.Event()
-        lane.in_flight = lane.max_in_flight = 0
 
         async def dispatch(package, models):
             dispatched.append(list(models))
-            lane.in_flight += 1
-            lane.max_in_flight = max(lane.max_in_flight, lane.in_flight)
             lane.started.set()
             await lane.release.wait()
             await asyncio.sleep(0.001)
-            lane.in_flight -= 1
             return np.arange(len(models), dtype=float).reshape(-1, 1, 1)
 
         return BatchingCoalescer(dispatch, **kwargs), lane
@@ -425,81 +421,7 @@ class TestBatchingCoalescer:
         assert dispatched == [["m0"]]
         assert coalescer.stats.lane_waits == 0
 
-    def test_arrivals_during_a_dispatch_ride_the_next_one(self):
-        dispatched = []
-        coalescer, lane = self._held(dispatched, window_s=0.0)
-        package = self.FakePackage()
-
-        async def main():
-            first = asyncio.create_task(coalescer.submit("fp", package, "d0", "m0"))
-            await lane.started.wait()
-            riders = []
-            for i in (1, 2, 3):
-                riders.append(
-                    asyncio.create_task(
-                        coalescer.submit("fp", package, f"d{i}", f"m{i}")
-                    )
-                )
-                await asyncio.sleep(0.002)
-            lane.release.set()
-            return await asyncio.gather(first, *riders)
-
-        results = asyncio.run(main())
-        assert dispatched == [["m0"], ["m1", "m2", "m3"]]
-        assert [float(r[0, 0]) for r in results] == [0.0, 0.0, 1.0, 2.0]
-        assert coalescer.stats.lane_waits == 1
-        assert coalescer.stats.max_stacked == 3
-
-    def test_group_keys_share_one_lane_in_ready_order(self):
-        dispatched = []
-        coalescer, lane = self._held(dispatched)
-
-        async def main():
-            first = asyncio.create_task(
-                coalescer.submit("a", self.FakePackage(), "d0", "a0")
-            )
-            await lane.started.wait()
-            later = []
-            for key, model in (("b", "b0"), ("a", "a1")):
-                later.append(
-                    asyncio.create_task(
-                        coalescer.submit(key, self.FakePackage(), "d1", model)
-                    )
-                )
-                await asyncio.sleep(0.002)
-            lane.release.set()
-            await asyncio.gather(first, *later)
-
-        asyncio.run(main())
-        assert dispatched == [["a0"], ["b0"], ["a1"]]
-        assert lane.max_in_flight == 1
-        assert coalescer.stats.lane_waits == 2
-
-    def test_full_group_closes_while_the_lane_is_busy(self):
-        dispatched = []
-        coalescer, lane = self._held(dispatched, max_models=2)
-        package = self.FakePackage()
-
-        async def main():
-            tasks = [asyncio.create_task(coalescer.submit("fp", package, "d0", "m0"))]
-            await lane.started.wait()
-            for i in (1, 2, 3):
-                tasks.append(
-                    asyncio.create_task(
-                        coalescer.submit("fp", package, f"d{i}", f"m{i}")
-                    )
-                )
-                await asyncio.sleep(0.002)
-            lane.release.set()
-            await asyncio.gather(*tasks)
-
-        asyncio.run(main())
-        # m1 and m2 filled their group, so m3 opened a new one behind it
-        assert dispatched == [["m0"], ["m1", "m2"], ["m3"]]
-        assert lane.max_in_flight == 1
-        assert coalescer.stats.lane_waits == 2
-
-    def test_drain_with_the_lane_held_resolves_every_queued_future(self):
+    def test_drain_with_a_dispatch_held_resolves_every_open_future(self):
         dispatched = []
         # a window far too long to matter: drain must not wait it out
         coalescer, lane = self._held(dispatched, max_models=2, window_s=5.0)
@@ -528,7 +450,6 @@ class TestBatchingCoalescer:
         results = asyncio.run(main())
         assert dispatched == [["m0", "m1"], ["m2"], ["o0"]]
         assert [float(r[0, 0]) for r in results] == [0.0, 1.0, 0.0, 0.0]
-        assert lane.max_in_flight == 1
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +570,11 @@ class TestValidationService:
             assert outcome.max_output_deviation == serial.max_output_deviation
 
     def test_default_config_staggered_arrivals_match_validate_ip(self, released):
-        """The shipped default (no window: a batch dispatches as soon as the
-        lane is free) against serial ``validate_ip``: clean duplicates and
-        SBA/GDA copies arriving at staggered offsets, so some ride an
-        in-flight dispatch's successor and some find the lane idle."""
+        """The shipped default (no window: a batch dispatches after one
+        event-loop yield) against serial ``validate_ip``: clean duplicates
+        and SBA/GDA copies arriving at staggered offsets, so some share a
+        dispatch, some attach to an in-flight one and some find the service
+        idle."""
         from repro.validation import default_attack_factories
 
         factories = default_attack_factories(released.package.tests)
