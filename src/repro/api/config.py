@@ -123,7 +123,7 @@ class RunConfig(TableSerde):
         Optional directory where packed-mask matrices are spilled to disk as
         memory-mapped stores (:class:`repro.coverage.MmapMaskMatrix`)
         instead of being materialised in RAM; greedy selection then
-        iterates mmap windows under ``memory_budget_bytes``.
+        streams row windows of the store under ``memory_budget_bytes``.
     engine_cache_size:
         LRU capacity of the session's engine pool, keyed on each model's
         exact parameter bytes (:func:`repro.engine.cache.exact_model_key`).

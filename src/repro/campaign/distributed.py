@@ -286,24 +286,7 @@ def _worker_main(
                             ("done", shard, unit_index, summary.executed, summary.failed)
                         )
                     except Exception as exc:  # noqa: BLE001 — quarantine the unit
-                        failed = 0
-                        for scenario in unit.scenarios:
-                            if scenario.digest in store:
-                                continue
-                            prior = store.get_failure(scenario.digest)
-                            attempts = (prior.attempts if prior is not None else 0) + 1
-                            store.append_failure(
-                                FailureRecord.from_exception(
-                                    scenario.digest,
-                                    scenario.axes_dict(),
-                                    scenario.seed,
-                                    exc,
-                                    stage="unit",
-                                    attempts=attempts,
-                                    campaign=spec.name,
-                                )
-                            )
-                            failed += 1
+                        failed = runner._quarantine(unit.scenarios, "unit", exc)
                         results.send(("done", shard, unit_index, 0, failed))
     except (KeyboardInterrupt, SystemExit, BrokenPipeError):  # broken pipe: parent gone
         pass

@@ -207,11 +207,13 @@ class CampaignRunner:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _quarantine(self, scenarios: Sequence[Scenario], stage: str, exc: Exception) -> None:
+    def _quarantine(self, scenarios: Sequence[Scenario], stage: str, exc: Exception) -> int:
         """Record ``scenarios`` as failed instead of aborting the campaign.
 
-        Raises :class:`CampaignAbortedError` once this run's quarantine count
-        exceeds ``max_failures`` — the blast-radius bound.
+        Returns how many were quarantined: scenarios already stored as
+        successes are skipped.  Raises :class:`CampaignAbortedError` once this
+        run's quarantine count exceeds ``max_failures`` — the blast-radius
+        bound.
         """
         # an error can land mid-group after some of its scenarios were
         # already appended as successes — those stay successes
@@ -239,6 +241,7 @@ class CampaignRunner:
                 f"{len(self._failures)} scenarios quarantined, exceeding "
                 f"--max-failures={self.max_failures}"
             ) from exc
+        return len(scenarios)
 
     # -- shared-work preparation --------------------------------------------
     def _prepare_model(self, model_name: str):

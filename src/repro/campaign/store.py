@@ -250,17 +250,9 @@ class ResultStore:
                     )
                     drops = True
                     continue
-                if failure.digest in self._failures:
+                if self._drop_failure(failure.digest):
                     # later failure supersedes the earlier one (attempt count
                     # advanced); drop the old line on repair
-                    self._entries = [
-                        e
-                        for e in self._entries
-                        if not (
-                            isinstance(e[0], FailureRecord)
-                            and e[0].digest == failure.digest
-                        )
-                    ]
                     drops = True
                 self._failures[failure.digest] = failure
                 self._entries.append((failure, line))
@@ -280,17 +272,8 @@ class ResultStore:
                 )
                 self._entries.append((None, line))
                 continue
-            if record.digest in self._failures:
+            if self._drop_failure(record.digest):
                 # the retry succeeded: drop the quarantine line on repair
-                del self._failures[record.digest]
-                self._entries = [
-                    e
-                    for e in self._entries
-                    if not (
-                        isinstance(e[0], FailureRecord)
-                        and e[0].digest == record.digest
-                    )
-                ]
                 drops = True
             self._records.append(record)
             self._digests.add(record.digest)
@@ -306,6 +289,20 @@ class ResultStore:
 
     def _rebuild_text(self) -> str:
         return "".join(line + "\n" for _, line in self._entries)
+
+    def _drop_failure(self, digest: str) -> bool:
+        """Forget ``digest``'s failure and its entry; True when it had one.
+
+        The line stays in the file until the entries are next rewritten.
+        """
+        if self._failures.pop(digest, None) is None:
+            return False
+        self._entries = [
+            e
+            for e in self._entries
+            if not (isinstance(e[0], FailureRecord) and e[0].digest == digest)
+        ]
+        return True
 
     def __len__(self) -> int:
         return len(self._records)
@@ -372,16 +369,7 @@ class ResultStore:
                 f"digest {record.digest[:12]} is already in the store; "
                 "completed scenarios must be skipped, not re-appended"
             )
-        if record.digest in self._failures:
-            del self._failures[record.digest]
-            self._entries = [
-                e
-                for e in self._entries
-                if not (
-                    isinstance(e[0], FailureRecord)
-                    and e[0].digest == record.digest
-                )
-            ]
+        if self._drop_failure(record.digest):
             self._pending_repair = self._rebuild_text()
         line = record.to_json_line()
         self._append_line(line)
@@ -400,15 +388,7 @@ class ResultStore:
                 f"digest {failure.digest[:12]} already succeeded; "
                 "a completed scenario cannot be quarantined"
             )
-        if failure.digest in self._failures:
-            self._entries = [
-                e
-                for e in self._entries
-                if not (
-                    isinstance(e[0], FailureRecord)
-                    and e[0].digest == failure.digest
-                )
-            ]
+        if self._drop_failure(failure.digest):
             self._pending_repair = self._rebuild_text()
         line = failure.to_json_line()
         self._append_line(line)

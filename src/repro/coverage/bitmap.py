@@ -31,23 +31,17 @@ packing is lossless, popcounts equal dense ``sum`` counts bit for bit, and
 (first index wins), so packed greedy selection picks byte-identical test
 sequences.
 
-The module is pure NumPy with no dependency on the rest of the library
-(except the dependency-free :mod:`repro.faults` chaos hooks), so the engine
-can use the packing primitives without layering cycles.
+The module is pure NumPy with no dependency on the rest of the library, so
+the engine can use the packing primitives without layering cycles.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from repro.faults import inject as _inject
-
-logger = logging.getLogger("repro.coverage.bitmap")
 
 #: bits per storage word
 WORD_BITS = 64
@@ -283,7 +277,11 @@ class MaskMatrix:
     Stores one packed mask per candidate; 1/8 the bytes of the dense boolean
     matrix.  Provides the greedy loop's primitives: per-candidate marginal
     gain counts against a covered map, deterministic argmax with dense
-    tie-breaking, and union over rows.
+    tie-breaking, and union over rows.  The primitives iterate row windows
+    of :meth:`_window_rows` rows: in RAM that is one window of every row,
+    and the disk-backed :class:`MmapMaskMatrix` bounds it by a byte budget.
+    Every primitive is an integer popcount or a bitwise OR, so results are
+    exact whatever the window size.
     """
 
     __slots__ = ("nbits", "words")
@@ -373,10 +371,23 @@ class MaskMatrix:
     def take(self, indices: Sequence[int]) -> "MaskMatrix":
         return MaskMatrix(self.nbits, self.words[np.asarray(indices, dtype=np.int64)])
 
+    # -- row windows -----------------------------------------------------------
+    def _window_rows(self) -> int:
+        """Rows per window of the coverage primitives (≥ 1): every row."""
+        return max(1, len(self))
+
+    def _windows(self) -> Iterator[slice]:
+        step = self._window_rows()
+        for start in range(0, len(self), step):
+            yield slice(start, min(start + step, len(self)))
+
     # -- coverage primitives ---------------------------------------------------
     def counts(self) -> np.ndarray:
         """Per-candidate set-bit counts, shape ``(N,)``."""
-        return popcount_rows(self.words)
+        out = np.empty(len(self), dtype=np.int64)
+        for s in self._windows():
+            out[s] = popcount_rows(self.words[s])
+        return out
 
     def fractions(self) -> np.ndarray:
         """Per-candidate coverage VC(x) — ``counts / nbits``."""
@@ -386,9 +397,10 @@ class MaskMatrix:
 
     def union(self) -> CoverageMap:
         """OR over all candidate masks (the test set's covered map)."""
-        if len(self) == 0:
-            return CoverageMap(self.nbits)
-        return CoverageMap(self.nbits, np.bitwise_or.reduce(self.words, axis=0))
+        acc = np.zeros(num_words(self.nbits), dtype=np.uint64)
+        for s in self._windows():
+            np.bitwise_or(acc, np.bitwise_or.reduce(self.words[s], axis=0), out=acc)
+        return CoverageMap(self.nbits, acc)
 
     def marginal_counts(self, covered: CoverageMap) -> np.ndarray:
         """Per-candidate newly-covered-bit counts against ``covered`` (Eq. 7).
@@ -400,7 +412,11 @@ class MaskMatrix:
             raise ValueError(
                 f"covered mask has {covered.nbits} bits, expected {self.nbits}"
             )
-        return popcount_rows(self.words & ~covered.words[None, :])
+        inverted = ~covered.words
+        out = np.empty(len(self), dtype=np.int64)
+        for s in self._windows():
+            out[s] = popcount_rows(self.words[s] & inverted[None, :])
+        return out
 
     def best_candidate(
         self, covered: CoverageMap, available: Optional[np.ndarray] = None
@@ -443,11 +459,6 @@ class MaskMatrix:
             f"MaskMatrix(candidates={len(self)}, nbits={self.nbits}, "
             f"packed={self.nbytes}B, dense={self.dense_nbytes}B)"
         )
-
-
-#: transient window-read retries (with a fresh mapping each time) before an
-#: mmap I/O error propagates out of a streamed coverage query
-DEFAULT_READ_RETRIES = 2
 
 
 def quarantine_store(path: Union[str, Path]) -> Path:
@@ -554,18 +565,21 @@ class MmapMaskMatrix(MaskMatrix):
 
     Candidate pools the size of the full training set exceed RAM even
     packed; this store streams Algorithm 1's ``popcount(candidate &
-    ~covered)`` from disk instead.  The coverage primitives the greedy loop
-    calls (:meth:`counts`, :meth:`union`, :meth:`marginal_counts` — and
-    therefore the inherited :meth:`best_candidate`) iterate fixed-size row
-    windows bounded by ``memory_budget_bytes``, so resident memory stays at
-    one window's words plus its popcount temporaries while results remain
-    byte-identical to the in-RAM matrix.
+    ~covered)`` from disk instead.  The inherited coverage primitives
+    (:meth:`counts`, :meth:`union`, :meth:`marginal_counts` — and therefore
+    :meth:`best_candidate`) iterate row windows bounded by
+    ``memory_budget_bytes``, so resident memory stays at one window's words
+    plus its popcount temporaries while results remain byte-identical to
+    the in-RAM matrix.
 
     Construct via :meth:`open` (existing store) or
-    :class:`MmapMaskWriter` (streaming build).
+    :class:`MmapMaskWriter` (streaming build).  A store truncated while it
+    is mapped raises SIGBUS on the next page-in, which no handler in the
+    process can catch; a torn store found at :meth:`open` is rejected, and
+    the engine quarantines and rebuilds it.
     """
 
-    __slots__ = ("path", "memory_budget_bytes", "read_retries")
+    __slots__ = ("path", "memory_budget_bytes")
 
     def __init__(
         self,
@@ -573,23 +587,16 @@ class MmapMaskMatrix(MaskMatrix):
         words: np.ndarray,
         path: Optional[Path] = None,
         memory_budget_bytes: Optional[int] = None,
-        read_retries: int = DEFAULT_READ_RETRIES,
     ) -> None:
         if memory_budget_bytes is not None and memory_budget_bytes <= 0:
             raise ValueError("memory_budget_bytes must be positive")
-        if read_retries < 0:
-            raise ValueError("read_retries must be >= 0")
         super().__init__(nbits, words)
         self.path = path
         self.memory_budget_bytes = memory_budget_bytes
-        self.read_retries = int(read_retries)
 
     @classmethod
     def open(
-        cls,
-        path: Union[str, Path],
-        memory_budget_bytes: Optional[int] = None,
-        read_retries: int = DEFAULT_READ_RETRIES,
+        cls, path: Union[str, Path], memory_budget_bytes: Optional[int] = None
     ) -> "MmapMaskMatrix":
         """Map an existing store, validating its header and size.
 
@@ -624,92 +631,14 @@ class MmapMaskMatrix(MaskMatrix):
             offset=MMAP_HEADER_BYTES,
             shape=(rows, num_words(nbits)),
         )
-        return cls(
-            nbits,
-            words,
-            path=path,
-            memory_budget_bytes=memory_budget_bytes,
-            read_retries=read_retries,
-        )
+        return cls(nbits, words, path=path, memory_budget_bytes=memory_budget_bytes)
 
-    # -- windowed iteration ---------------------------------------------------
     def _window_rows(self) -> int:
         """Rows per streamed window under the memory budget (≥ 1)."""
         if self.memory_budget_bytes is None:
-            return max(1, len(self))
+            return super()._window_rows()
         row_bytes = num_words(self.nbits) * WORD_BYTES
         return max(1, int(self.memory_budget_bytes) // max(1, row_bytes))
-
-    def _windows(self) -> Iterable[slice]:
-        step = self._window_rows()
-        for start in range(0, len(self), step):
-            yield slice(start, min(start + step, len(self)))
-
-    def _remap(self) -> None:
-        """Re-open the backing memmap (retry path after a failed page-in)."""
-        rows = self.words.shape[0]
-        self.words = np.memmap(
-            self.path,
-            dtype="<u8",
-            mode="r",
-            offset=MMAP_HEADER_BYTES,
-            shape=(rows, num_words(self.nbits)),
-        )
-
-    def _read_window(self, s: slice, ordinal: int) -> np.ndarray:
-        """Copy one row window out of the mapping, retrying transient I/O.
-
-        A failed page-in (stale NFS handle, transient device error — or an
-        injected ``mmap.window`` fault from the chaos plan) surfaces as
-        :class:`OSError`; the mapping is re-opened and the window re-read up
-        to :attr:`read_retries` times before the error propagates.
-        """
-        attempts = 0
-        while True:
-            try:
-                if _inject.active():
-                    _inject.check("mmap.window", window=ordinal, path=str(self.path))
-                return np.asarray(self.words[s], dtype=np.uint64)
-            except OSError as exc:
-                if self.path is None or attempts >= self.read_retries:
-                    raise
-                attempts += 1
-                logger.warning(
-                    "retrying mmap window %d of %s after read failure (%s)",
-                    ordinal,
-                    self.path,
-                    exc,
-                )
-                self._remap()
-
-    # -- streamed coverage primitives ----------------------------------------
-    def counts(self) -> np.ndarray:
-        out = np.empty(len(self), dtype=np.int64)
-        for i, s in enumerate(self._windows()):
-            out[s] = popcount_rows(self._read_window(s, i))
-        return out
-
-    def union(self) -> CoverageMap:
-        if len(self) == 0:
-            return CoverageMap(self.nbits)
-        acc = np.zeros(num_words(self.nbits), dtype=np.uint64)
-        for i, s in enumerate(self._windows()):
-            window = self._read_window(s, i)
-            np.bitwise_or(acc, np.bitwise_or.reduce(window, axis=0), out=acc)
-        return CoverageMap(self.nbits, acc)
-
-    def marginal_counts(self, covered: CoverageMap) -> np.ndarray:
-        # best_candidate routes through this override, so the whole greedy
-        # loop streams windows — the dense word matrix is never resident
-        if covered.nbits != self.nbits:
-            raise ValueError(
-                f"covered mask has {covered.nbits} bits, expected {self.nbits}"
-            )
-        inverted = ~covered.words
-        out = np.empty(len(self), dtype=np.int64)
-        for i, s in enumerate(self._windows()):
-            out[s] = popcount_rows(self._read_window(s, i) & inverted[None, :])
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -816,7 +745,6 @@ class CoverageCriterion:
 
 
 __all__ = [
-    "DEFAULT_READ_RETRIES",
     "MMAP_HEADER_BYTES",
     "MMAP_MAGIC",
     "WORD_BITS",

@@ -30,23 +30,14 @@ new neurons.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.coverage.bitmap import CoverageCriterion, MaskMatrix, PackedCoverageTracker
 from repro.engine import Engine, neuron_layer_indices, resolve_engine
-from repro.nn.layers import ActivationLayer, Conv2D, Dense
+from repro.engine.engine import NEURON_LAYER_TYPES
 from repro.nn.model import Sequential
-
-
-def _covered_layer_indices(model: Sequential) -> List[int]:
-    """Indices of layers whose outputs count as neurons.
-
-    Delegates to :func:`repro.engine.neuron_layer_indices`, the single
-    definition shared with the batched execution engine.
-    """
-    return neuron_layer_indices(model)
 
 
 def count_neurons(model: Sequential) -> int:
@@ -55,9 +46,9 @@ def count_neurons(model: Sequential) -> int:
         raise RuntimeError("model has not been built")
     total = 0
     shape = model.input_shape
-    for i, layer in enumerate(model.layers):
+    for layer in model.layers:
         shape = layer.output_shape(shape)
-        if isinstance(layer, (Conv2D, Dense, ActivationLayer)):
+        if isinstance(layer, NEURON_LAYER_TYPES):
             total += int(np.prod(shape))
     return total
 
@@ -75,7 +66,7 @@ def neuron_activation_mask(
     if model.input_shape is not None and x.shape == model.input_shape:
         x = x[None, ...]
     outputs = model.forward_collect(x)
-    indices = set(_covered_layer_indices(model))
+    indices = set(neuron_layer_indices(model))
     parts = []
     for i, out in enumerate(outputs):
         if i in indices:

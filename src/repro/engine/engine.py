@@ -58,8 +58,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.engine.cache import (
-    DEFAULT_CACHE_BYTES,
-    DEFAULT_CACHE_ENTRIES,
     BatchResultCache,
     CacheStats,
     TrunkCache,
@@ -106,20 +104,20 @@ def _checked_scalarization(scal: str) -> str:
     return scal
 
 
+#: layers whose outputs count as neurons: the single definition shared by
+#: the engine and :mod:`repro.coverage.neuron_coverage`
+NEURON_LAYER_TYPES = (Conv2D, Dense, ActivationLayer)
+
+
 def neuron_layer_indices(model: Sequential) -> List[int]:
     """Indices of layers whose outputs count as neurons.
 
     "Neurons" are the scalar post-activation outputs of every layer that has
     parameters or applies a non-linearity (convolution feature-map cells,
     dense units, standalone activations); pooling/flatten outputs introduce
-    no new neurons.  This is the single definition shared by the engine and
-    :mod:`repro.coverage.neuron_coverage`.
+    no new neurons (:data:`NEURON_LAYER_TYPES`).
     """
-    indices = [
-        i
-        for i, layer in enumerate(model.layers)
-        if isinstance(layer, (Conv2D, Dense, ActivationLayer))
-    ]
+    indices = [i for i, layer in enumerate(model.layers) if isinstance(layer, NEURON_LAYER_TYPES)]
     if not indices:
         raise ValueError("model has no neuron-bearing layers")
     return indices
@@ -143,20 +141,18 @@ class Engine:
     cache:
         Whether to memoize results.  Disable for models whose parameters
         change on every call (e.g. inside attack loops) to skip the hashing
-        work.
-    cache_entries:
-        LRU entry capacity of the memo cache.
-    cache_bytes:
-        LRU byte budget of the memo cache (per-sample gradient matrices for
-        large pools dominate; least-recently-used entries are evicted once
-        the budget is exceeded).
+        work.  The memo is an LRU bounded at
+        :data:`~repro.engine.cache.DEFAULT_CACHE_ENTRIES` entries and
+        :data:`~repro.engine.cache.DEFAULT_CACHE_BYTES` bytes (per-sample
+        gradient matrices for large pools dominate; least-recently-used
+        entries are evicted once the budget is exceeded).
     memory_budget_bytes:
         Default transient-buffer cap for the streaming packed-mask queries
         (:meth:`packed_activation_masks` / :meth:`packed_neuron_masks`);
         per-call ``memory_budget_bytes`` arguments override it.  ``None``
         leaves chunking governed by ``batch_size`` alone.  When masks spill
-        to disk, the same budget also bounds the mmap window the greedy
-        selection streams through.
+        to disk, the same budget also bounds the row window the greedy
+        selection streams the store through.
     spill_dir:
         Default directory for disk-spilled packed-mask stores
         (:class:`~repro.coverage.bitmap.MmapMaskMatrix`); per-call
@@ -174,8 +170,6 @@ class Engine:
         criterion: Optional[object] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         cache: bool = True,
-        cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
         memory_budget_bytes: Optional[int] = None,
         spill_dir: Optional[Union[str, Path]] = None,
     ) -> None:
@@ -196,9 +190,7 @@ class Engine:
         self.criterion = criterion
         self.batch_size = int(batch_size)
         self.memory_budget_bytes = memory_budget_bytes
-        self._cache: Optional[BatchResultCache] = (
-            BatchResultCache(cache_entries, cache_bytes) if cache else None
-        )
+        self._cache: Optional[BatchResultCache] = BatchResultCache() if cache else None
         # the model's per-layer activations on a batch, kept whatever
         # ``cache`` says: every stacked replay of its perturbed copies reuses
         # them (keyed on the exact parameter bytes, never the rounded digest)

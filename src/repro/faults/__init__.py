@@ -9,9 +9,9 @@ them without cycles:
   enforces it for :class:`repro.online.RemoteModel`'s transport, the one
   place where I/O really fails.  In-process engine calls are not retried.
 * :mod:`repro.faults.inject` — the deterministic fault-plan API driving
-  ``tests/test_faults.py``: kill campaign shard worker N at unit K, raise
-  IOError on the Jth mmap window read, add latency to a named layer's
-  forward.
+  ``tests/test_faults.py``: kill or stall campaign shard worker N at unit
+  K, raise an error at the Jth engine dispatch, add latency to a named
+  layer's forward.
 """
 
 from repro.faults.errors import (

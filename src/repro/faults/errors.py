@@ -2,11 +2,12 @@
 
 Two families matter operationally:
 
-* **Transient** failures — an I/O window tore, a connection or timer timed
-  out — are worth retrying.  A remote transport retries them under a
+* **Transient** failures — a connection or timer timed out — are worth
+  retrying.  A remote transport retries them under a
   :class:`~repro.faults.FaultPolicy`, whose circuit breaker raises
-  :class:`CircuitOpenError` past its threshold; a memory-mapped mask window
-  read re-maps and retries on its own.
+  :class:`CircuitOpenError` past its threshold.  Nothing in-process retries:
+  a memory-mapped mask store torn under its mapping is a SIGBUS, not an
+  exception.
 * **Logic** failures — bad shapes, unknown ops, assertion-grade bugs —
   propagate immediately: retrying a deterministic error only hides it.
 

@@ -14,7 +14,6 @@ Sites currently instrumented:
 site               where                                   context keys
 ================== ====================================== =================
 ``engine.dispatch``   every ``Engine`` call into the model ``op``
-``mmap.window``       each ``MmapMaskMatrix`` window read  ``path, window``
 ``layer.forward``     per-layer in ``Sequential.forward``  ``layer, index, model``
 ``campaign.scenario`` per attack group in the runner       ``model, attack``
 ``campaign.shard``    per pulled unit in a shard worker    ``shard, model, attack``

@@ -11,7 +11,10 @@ from repro.coverage import (
     neuron_activation_mask,
     neuron_coverage,
 )
+from repro.engine import neuron_layer_indices
 from repro.models.zoo import small_cnn, small_mlp
+from repro.nn.layers import Flatten, MaxPool2D
+from repro.nn.model import Sequential
 
 
 class TestCounting:
@@ -26,6 +29,14 @@ class TestCounting:
         )
         # conv output 3x8x8, dense 8, logits 5 (pooling/flatten add none)
         assert count_neurons(model) == 3 * 8 * 8 + 8 + 5
+
+    def test_count_neurons_without_neuron_layers(self):
+        # counting shares the engine's rule, but an empty count is 0 where
+        # the engine's layer lookup refuses the model
+        model = Sequential([MaxPool2D(2), Flatten()]).build((1, 4, 4))
+        assert count_neurons(model) == 0
+        with pytest.raises(ValueError, match="no neuron-bearing layers"):
+            neuron_layer_indices(model)
 
 
 class TestMask:

@@ -3,7 +3,8 @@
 Covers the shard-store naming scheme, the work-stealing plan, the canonical
 byte-stable merge/compact pipeline, end-to-end ``--shards`` runs (byte
 identity vs the serial runner, zero-re-execution resume across shard
-boundaries, SIGKILL-of-a-worker chaos), the digest-keyed
+boundaries, SIGKILL-of-a-worker chaos, stall detection, the restart budget
+and a worker's quarantine of a unit that raises), the digest-keyed
 :class:`ModelExchange`, spill-store garbage collection, and the satellite
 concurrent-writer gate: two processes appending to distinct shard stores —
 one hard-killed mid-append — whose merge is byte-identical to a
@@ -37,7 +38,7 @@ from repro.campaign.distributed import (
 )
 from repro.campaign.gc import gc_spill
 from repro.campaign.store import FailureRecord, ResultStore, ScenarioRecord
-from repro.faults import FaultPlan
+from repro.faults import CampaignAbortedError, FaultPlan
 
 SHARDS = 2
 
@@ -356,6 +357,80 @@ class TestWorkerKillChaos:
         assert summary.executed == 4 and summary.failed == 0
         merged = merge_stores(find_shard_stores(base))
         assert merged == compact_store(dist["serial"])
+
+
+class TestShardSupervision:
+    """Stall detection, the restart budget, and a unit that raises."""
+
+    def test_stalled_worker_is_killed_and_respawned(self, dist, tmp_path):
+        plan = FaultPlan()
+        plan.stall_worker(worker=1, site="campaign.shard", at=(0,))
+        base = tmp_path / "store.jsonl"
+        messages = []
+        summary = run_distributed_campaign(
+            tiny_spec(),
+            base,
+            shards=SHARDS,
+            fault_plan=plan,
+            stall_timeout_s=3.0,
+            progress=messages.append,
+        )
+        assert any("[shard 1] stalled for more than" in m for m in messages)
+        assert any("[shard 1] respawned worker" in m for m in messages)
+        assert summary.executed == 4 and summary.failed == 0
+        assert merge_stores(find_shard_stores(base)) == compact_store(dist["serial"])
+
+    def test_exhausted_restart_budget_retires_the_shard(self, dist, tmp_path):
+        plan = FaultPlan()
+        plan.kill_worker(worker=1, site="campaign.shard", at=(0,))
+        base = tmp_path / "store.jsonl"
+        messages = []
+        summary = run_distributed_campaign(
+            tiny_spec(),
+            base,
+            shards=SHARDS,
+            fault_plan=plan,
+            max_restarts=0,
+            progress=messages.append,
+        )
+        assert any("[shard 1] restart budget exhausted" in m for m in messages)
+        assert not any("respawned worker" in m for m in messages)
+        # shard 0 drains the retired shard's unit
+        assert summary.executed == 4 and summary.failed == 0
+        assert [p.name for p in find_shard_stores(base)] == ["store.shard0.jsonl"]
+        assert merge_stores(find_shard_stores(base)) == compact_store(dist["serial"])
+
+    def test_every_worker_dead_aborts(self, tmp_path):
+        plan = FaultPlan()
+        for shard in range(SHARDS):
+            # one check fires at most one fault: address each to its shard
+            plan.kill_worker(worker=shard, site="campaign.shard", at=(0,), shard=shard)
+        with pytest.raises(CampaignAbortedError, match="restart budget is exhausted"):
+            run_distributed_campaign(
+                tiny_spec(),
+                tmp_path / "store.jsonl",
+                shards=SHARDS,
+                fault_plan=plan,
+                max_restarts=0,
+            )
+
+    def test_raising_unit_is_quarantined_then_heals_on_resume(self, dist, tmp_path, monkeypatch):
+        def broken(self, model_name, model_pending):
+            raise RuntimeError("unit bug")
+
+        # forked workers inherit the patched class
+        monkeypatch.setattr(CampaignRunner, "_run_model", broken)
+        base = tmp_path / "store.jsonl"
+        summary = run_distributed_campaign(tiny_spec(), base, shards=SHARDS)
+        assert summary.executed == 0 and summary.failed == 4
+        failures = [f for path in find_shard_stores(base) for f in ResultStore(path).failures()]
+        assert len(failures) == 4
+        assert {(f.stage, f.attempts, f.error) for f in failures} == {("unit", 1, "RuntimeError")}
+
+        monkeypatch.undo()
+        resumed = run_distributed_campaign(tiny_spec(), base, shards=SHARDS)
+        assert resumed.executed == 4 and resumed.failed == 0
+        assert merge_stores(find_shard_stores(base)) == compact_store(dist["serial"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Chaos suite for the fault-tolerant execution layer.
 
 Covers the ``repro.faults`` primitives (policy, retry controller, injection
-plans), the engine's fail-fast dispatch, mmap read retries and corrupt-store
-quarantine, the result store's failure records and torn-line recovery, and
-the campaign-level chaos gates: injected dispatch failures must quarantine
-their scenarios while an injected mmap fault heals in-run, a plan-free
-re-run must execute exactly the quarantined scenarios and leave a store
-**byte-identical** to the fault-free run, and a deterministically-failing
-scenario must be quarantined and heal on ``resume``.
+plans), the engine's fail-fast dispatch, corrupt-store quarantine, the
+result store's failure records and torn-line recovery, and the
+campaign-level chaos gates: injected dispatch failures must quarantine
+their scenarios, a plan-free re-run must execute exactly the quarantined
+scenarios and leave a store **byte-identical** to the fault-free run, and a
+deterministically-failing scenario must be quarantined and heal on
+``resume``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.__main__ import main as campaign_main
-from repro.coverage.bitmap import MaskMatrix, MmapMaskWriter, quarantine_store
+from repro.coverage.bitmap import quarantine_store
 from repro.engine import Engine
 from repro.faults import (
     CampaignAbortedError,
@@ -347,37 +347,11 @@ class TestEngineFaults:
 
 
 # ---------------------------------------------------------------------------
-# mmap read retries + spill quarantine
+# spill-store quarantine
 # ---------------------------------------------------------------------------
 
 
 class TestMmapFaults:
-    @pytest.fixture()
-    def store(self, tmp_path):
-        dense = MaskMatrix.from_dense(
-            np.random.default_rng(3).random((12, 70)) > 0.5
-        )
-        with MmapMaskWriter(tmp_path / "store.masks", dense.nbits) as writer:
-            writer.append(dense.words)
-            return dense, writer.close(memory_budget_bytes=num_bytes_per_row(dense))
-
-    def test_transient_window_read_heals(self, store):
-        dense, mmap_store = store
-        plan = FaultPlan()
-        plan.raise_error("mmap.window", exception="OSError", at=(0,))
-        with inject.activate(plan):
-            counts = mmap_store.counts()
-        np.testing.assert_array_equal(counts, dense.counts())
-        assert plan.fired("mmap.window") == 1
-
-    def test_read_retries_exhaust(self, store):
-        _, mmap_store = store
-        mmap_store.read_retries = 0
-        plan = FaultPlan()
-        plan.raise_error("mmap.window", exception="OSError", at=(0,))
-        with inject.activate(plan), pytest.raises(OSError):
-            mmap_store.counts()
-
     def test_quarantine_store_moves_to_sidecar(self, tmp_path):
         path = tmp_path / "corrupt.masks"
         path.write_bytes(b"garbage")
@@ -408,10 +382,6 @@ class TestMmapFaults:
         quarantined = list((tmp_path / "quarantine").iterdir())
         assert len(quarantined) == 1
         assert quarantined[0].name == store_path.name
-
-
-def num_bytes_per_row(masks: MaskMatrix) -> int:
-    return masks.words.shape[1] * 8
 
 
 # ---------------------------------------------------------------------------
@@ -604,28 +574,26 @@ class TestCampaignChaos:
         self, backend, baseline, tmp_path, monkeypatch
     ):
         """The headline chaos gate: an engine dispatch error quarantines its
-        scenarios, one mmap read failure heals in-run, and a plan-free
-        re-run of exactly the quarantined scenarios restores every byte."""
+        scenarios, and a plan-free re-run of exactly the quarantined
+        scenarios restores every byte."""
         spec = tiny_spec()
         group_size = CHAOS_GROUPINGS[backend]
         monkeypatch.setattr(detection, "REPLAY_GROUP_SIZE", group_size)
         # trial replay runs ceil(trials / group size) stacked dispatches per
         # attack group, so this ordinal is the last group's first dispatch:
-        # it lands after the package build (whose spilled-mask greedy
-        # selection takes the mmap fault), and a quarantined *last* group
-        # re-appends in the baseline's record order
+        # it lands after the package build (whose greedy selection streams
+        # the spilled masks), and a quarantined *last* group re-appends in
+        # the baseline's record order
         per_group = -(-spec.trials // group_size)
         first_of_last = per_group * (len(spec.attacks) - 1)
         plan = FaultPlan()
         plan.raise_error(
             "engine.dispatch", exception="OSError", op="stacked_forward", at=(first_of_last,)
         )
-        plan.raise_error("mmap.window", exception="OSError", at=(0,))
         store = tmp_path / "chaos.jsonl"
         with inject.activate(plan):
             summary = run_campaign(spec, str(store), spill_dir=tmp_path / "spill")
         assert plan.fired("engine.dispatch") == 1, "the chaos plan never fired — gate is vacuous"
-        assert plan.fired("mmap.window") == 1
         # the dispatch error is not retried: the last attack group (both
         # budgets) is quarantined, the first one completes
         assert summary.failed == 2 and summary.executed == 2

@@ -336,20 +336,36 @@ class TestMmapMaskStore:
         assert np.array_equal(mmap_covered.words, dense_covered.words)
 
     def test_streamed_primitives_match_dense(self, dense_masks, tmp_path):
+        # the one shared implementation is checked against plain dense NumPy,
+        # never against itself: windows of one row (the most windows), of
+        # three (a partial last window), of every row, and the in-RAM matrix
         path = tmp_path / "store.masks"
+        row_bytes = num_words(dense_masks.nbits) * 8
         with MmapMaskWriter(path, dense_masks.nbits) as writer:
             writer.append(dense_masks.words)
-            # one row per window: maximum number of partial windows
-            store = writer.close(
-                memory_budget_bytes=num_words(dense_masks.nbits) * 8
-            )
-        assert store._window_rows() == 1
-        np.testing.assert_array_equal(store.counts(), dense_masks.counts())
-        assert np.array_equal(store.union().words, dense_masks.union().words)
+            writer.close()
+        matrices = [dense_masks]
+        for rows in (1, 3, None):
+            budget = rows * row_bytes if rows is not None else None
+            store = MmapMaskMatrix.open(path, memory_budget_bytes=budget)
+            assert store._window_rows() == (rows or len(dense_masks))
+            matrices.append(store)
+        assert dense_masks._window_rows() == len(dense_masks)
+
+        dense = dense_masks.dense()
         covered = dense_masks.row(3)
-        np.testing.assert_array_equal(
-            store.marginal_counts(covered), dense_masks.marginal_counts(covered)
-        )
+        gains = (dense & ~covered.dense()).sum(1)
+        available = np.ones(len(dense), dtype=bool)
+        available[int(np.argmax(gains))] = False
+        candidates = np.flatnonzero(available)
+        for masks in matrices:
+            np.testing.assert_array_equal(masks.counts(), dense.sum(1))
+            np.testing.assert_array_equal(masks.union().dense(), dense.any(0))
+            np.testing.assert_array_equal(masks.marginal_counts(covered), gains)
+            best = int(np.argmax(gains))
+            assert masks.best_candidate(covered) == (best, int(gains[best]))
+            best = int(candidates[np.argmax(gains[candidates])])
+            assert masks.best_candidate(covered, available) == (best, int(gains[best]))
 
     def test_window_not_dividing_rows(self, dense_masks, tmp_path):
         # 64 rows streamed in windows of 3: the final window is partial
