@@ -72,15 +72,14 @@ class Session:
     under one re-entrant lock, so concurrent callers (the
     :mod:`repro.serve` worker tier) can share a session without corrupting
     its LRUs.  The *compute* they hand back is not serialised here, and
-    need not be for inference and the input-gradient and per-sample
-    gradient queries: engines memoize through the thread-safe
-    :class:`~repro.engine.cache.BatchResultCache`, and a model keeps no
-    per-pass state (each call owns its tape), so concurrent queries of one
-    model return the serial results bit for bit.  The queries that
-    accumulate into ``Parameter.grad`` (training,
-    ``loss_parameter_gradients``, ``output_gradients``) do share state, and
-    callers must serialise those per model.  The serving layer still runs
-    one dispatch at a time (see :mod:`repro.serve.service`).
+    need not be for inference or any gradient query: engines memoize
+    through the thread-safe :class:`~repro.engine.cache.BatchResultCache`,
+    a model keeps no per-pass state (each call owns its tape), and a
+    backward pass returns its gradients instead of storing them, so
+    concurrent queries of one model return the serial results bit for
+    bit.  Training writes parameter values, so it is the one call that
+    callers must serialise per model.  The serving layer still runs one
+    dispatch at a time (see :mod:`repro.serve.service`).
     """
 
     def __init__(

@@ -38,6 +38,7 @@ from repro.attacks.base import (
 )
 from repro.engine.cache import TrunkCache
 from repro.nn.model import PREDICT_BATCH_SIZE, Sequential
+from repro.nn.tensor import ParameterView
 from repro.utils.rng import RngLike
 
 
@@ -78,15 +79,12 @@ class SingleBiasAttack(ParameterAttack):
         )
         self.max_attempts = int(max_attempts)
 
-    def _candidate_scale(self, model: Sequential, flat_index: int) -> float:
-        """Value scale of the tensor owning ``flat_index`` (with a floor)."""
-        view = model.parameter_view()
-        tensor_idx, _ = view.locate(flat_index)
-        values = view.parameters[tensor_idx].value
+    @staticmethod
+    def _candidate_scale(view: ParameterView, flat_index: int, weights_rms: float) -> float:
+        """Value scale of the tensor owning ``flat_index``, floored at the
+        whole model's RMS ``weights_rms`` and at 0.1."""
+        values = view.parameters[view.locate(flat_index)[0]].value
         rms = float(np.sqrt(np.mean(values**2)))
-        weights_rms = float(
-            np.sqrt(np.mean(np.concatenate([p.value.ravel() for p in view.parameters]) ** 2))
-        )
         return max(rms, weights_rms, 0.1)
 
     def _perturb(self, model: Sequential) -> PerturbationRecord:
@@ -108,13 +106,16 @@ class SingleBiasAttack(ParameterAttack):
                 idx for idx, layer in enumerate(model.layers) for _ in layer.parameters()
             ]
 
+        # every failed attempt restores its value bit for bit, so the whole
+        # model's RMS is the same for all of them
+        weights_rms = float(np.sqrt(np.mean(view.flat_values() ** 2)))
         magnitude = self.magnitude
         # this draw is never used, but removing it would shift every trial's
         # random stream (and so every recorded SBA perturbation)
         self._rng.choice(biases)
         for attempt in range(self.max_attempts):
             chosen = int(self._rng.choice(biases))
-            scale = self._candidate_scale(model, chosen)
+            scale = self._candidate_scale(view, chosen, weights_rms)
             sign = 1.0 if self._rng.random() < 0.5 else -1.0
             delta = sign * magnitude * scale
             original = view.get_scalar(chosen)

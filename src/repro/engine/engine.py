@@ -129,8 +129,7 @@ class Engine:
     Parameters
     ----------
     model:
-        The built model this engine serves.  The engine never mutates it
-        (parameter gradients are read out per sample, not accumulated).
+        The built model this engine serves.  The engine never mutates it.
     criterion:
         Default activation criterion for :meth:`activation_masks`; resolved
         with :func:`repro.coverage.activation.default_criterion_for` when

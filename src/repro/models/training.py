@@ -87,16 +87,15 @@ class Trainer:
             for images, labels in train.batches(
                 cfg.batch_size, shuffle=cfg.shuffle, rng=rng
             ):
-                model.zero_grad()
                 tape: list = []
                 logits = model.forward(images, training=True, tape=tape)
                 loss, grad = loss_fn.value_and_grad(logits, labels)
                 # the network-input gradient is never read here
-                model.backward(grad, tape, need_input_grad=False)
+                _, grads = model.backward(grad, tape, need_input_grad=False)
                 # the step's record goes now: the optimizer step, the next
                 # step's forward and the epoch's evaluation run without it
                 del tape
-                optimizer.step(model.parameters())
+                optimizer.step(model.parameters(), grads)
                 epoch_losses.append(loss)
                 correct += int(np.sum(np.argmax(logits, axis=1) == labels))
                 seen += len(labels)

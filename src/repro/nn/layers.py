@@ -7,29 +7,30 @@ on a *tape* the caller owns, in the functional vector-Jacobian style of
 Frostig et al., "Compiling machine learning programs via high-level
 tracing" (SysML 2018): ``forward(x, tape=record)`` writes into the dict
 ``record`` what ``backward(grad_out, record)`` reads, and ``backward``
+returns
 
-* accumulates gradients into its :class:`~repro.nn.tensor.Parameter` objects
-  (needed by training, the GDA attack and the parameter-coverage metric), and
-* returns the gradient with respect to the layer input (needed to chain the
+* the gradient with respect to the layer input (needed to chain the
   backward pass and, at the network input, by the gradient-based test
-  generation of Algorithm 2).
+  generation of Algorithm 2), and
+* one gradient per parameter (needed by training, the GDA attack and the
+  parameter-coverage metric).
 
 A caller that reads only one of the two skips the other (see
 :meth:`Layer.backward`).
 
 Inference never runs ``backward``, so it passes no tape: the same kernels and
-bitwise the same output, with nothing stored anywhere.  Because no pass
-leaves state on a layer, one model can serve several threads at once (only
-``Parameter.grad`` accumulation is shared).
+bitwise the same output, with nothing stored anywhere.  Parameters hold
+values only and no pass leaves state on a layer, so one model can serve
+several threads at once.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-#: alias for the ``(input_gradient, per_sample_parameter_gradients)`` pair
-#: returned by :meth:`Layer.backward_batch`
-BatchBackwardResult = Tuple["np.ndarray", List["np.ndarray"]]
+#: alias for the ``(input_gradient, parameter_gradients)`` pair returned by
+#: :meth:`Layer.backward` and :meth:`Layer.backward_batch`
+BackwardResult = Tuple[Optional["np.ndarray"], List["np.ndarray"]]
 
 #: one layer's record of a recording forward: what its backward reads
 Tape = Dict[str, object]
@@ -81,29 +82,31 @@ class Layer:
         tape: Tape,
         need_input_grad: bool = True,
         need_param_grads: bool = True,
-    ) -> Optional[np.ndarray]:
-        """Chain ``grad_out`` back through the layer; returns the input gradient.
+    ) -> BackwardResult:
+        """Chain ``grad_out`` back through the layer.
 
-        ``tape`` is the dict a recording :meth:`forward` filled; it is only
-        read, so one tape can be backpropagated any number of times.
+        Returns ``(input_grad, param_grads)``: the gradient with respect to
+        the layer input, and one gradient per entry of :meth:`parameters`
+        (in the same order), summed over the batch.  ``tape`` is the dict a
+        recording :meth:`forward` filled; it is only read, so one tape can
+        be backpropagated any number of times.
 
-        Parameter gradients accumulate into ``Parameter.grad`` unless
-        ``need_param_grads`` is false; ``need_input_grad=False`` skips the
-        input gradient and returns ``None``.  Parameterless layers ignore
-        both flags: their backward *is* the input gradient.
+        ``need_input_grad=False`` skips the input gradient and returns
+        ``None`` in its place; ``need_param_grads=False`` skips the parameter
+        gradients and returns ``[]``.  Parameterless layers ignore both
+        flags: their backward *is* the input gradient, and their parameter
+        gradients are ``[]``.
         """
         raise NotImplementedError
 
     def backward_batch(
         self, grad_out: np.ndarray, tape: Tape, need_input_grad: bool = True
-    ) -> BatchBackwardResult:
-        """Backward pass that keeps parameter gradients separate per sample.
+    ) -> BackwardResult:
+        """:meth:`backward`, with parameter gradients kept per sample.
 
         Returns ``(grad_input, per_sample_grads)`` where ``per_sample_grads``
         holds one array of shape ``(N, *param.shape)`` per entry of
-        :meth:`parameters` (in the same order).  Unlike :meth:`backward`,
-        nothing is accumulated into ``Parameter.grad`` — the per-sample
-        gradients are returned to the caller, which is what the batched
+        :meth:`parameters` (in the same order), which is what the batched
         execution engine needs to build activation masks for a whole
         candidate pool in one pass.
 
@@ -120,16 +123,12 @@ class Layer:
                 f"{self.__class__.__name__} has parameters but does not "
                 "implement backward_batch"
             )
-        return self.backward(grad_out, tape), []
+        return self.backward(grad_out, tape)
 
     # -- parameters --------------------------------------------------------------
     def parameters(self) -> List[Parameter]:
         """Learnable parameters of this layer (possibly empty)."""
         return []
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.__class__.__name__}(name={self.name!r})"
@@ -210,19 +209,21 @@ class Dense(Layer):
         tape: Tape,
         need_input_grad: bool = True,
         need_param_grads: bool = True,
-    ) -> Optional[np.ndarray]:
+    ) -> BackwardResult:
         x, z, y = tape["x"], tape["z"], tape["y"]
         grad_z = self.activation.backward(z, y, grad_out)
         assert self.weight is not None
+        grads = []
         if need_param_grads:
-            self.weight.grad += x.T @ grad_z
+            grads.append(x.T @ grad_z)
             if self.bias is not None:
-                self.bias.grad += grad_z.sum(axis=0)
-        return grad_z @ self.weight.value.T if need_input_grad else None
+                grads.append(grad_z.sum(axis=0))
+        grad_in = grad_z @ self.weight.value.T if need_input_grad else None
+        return grad_in, grads
 
     def backward_batch(
         self, grad_out: np.ndarray, tape: Tape, need_input_grad: bool = True
-    ) -> BatchBackwardResult:
+    ) -> BackwardResult:
         x, z, y = tape["x"], tape["z"], tape["y"]
         grad_z = self.activation.backward(z, y, grad_out)
         assert self.weight is not None
@@ -425,7 +426,7 @@ class Conv2D(Layer):
         tape: Tape,
         need_input_grad: bool = True,
         need_param_grads: bool = True,
-    ) -> Optional[np.ndarray]:
+    ) -> BackwardResult:
         z, y, x_shape = tape["z"], tape["y"], tape["x_shape"]
         n = x_shape[0]
         kh, kw = self.kernel_size
@@ -434,23 +435,24 @@ class Conv2D(Layer):
         grad_z_mat = grad_z.reshape(n, self.filters, -1)  # (N, F, P)
 
         assert self.weight is not None
+        grads = []
         if need_param_grads:
             # the per-sample (N, F, P) @ (N, P, K) products of backward_batch,
             # summed over samples: batched BLAS, and no copy of cols
             grad_w = np.matmul(grad_z_mat, tape["cols"].transpose(0, 2, 1)).sum(axis=0)
-            self.weight.grad += grad_w.reshape(self.weight.value.shape)
+            grads.append(grad_w.reshape(self.weight.value.shape))
             if self.bias is not None:
-                self.bias.grad += grad_z_mat.sum(axis=(0, 2))
+                grads.append(grad_z_mat.sum(axis=(0, 2)))
         if not need_input_grad:
-            return None
+            return None, grads
         # BLAS sums in its own order: CHANGES.md's numeric contract, not bitwise, holds it
         w_mat = self.weight.value.reshape(self.filters, -1)
         grad_cols = np.matmul(w_mat.T, grad_z_mat)  # (N, K, P)
-        return col2im(grad_cols, x_shape, kh, kw, self.stride, self._padding())
+        return col2im(grad_cols, x_shape, kh, kw, self.stride, self._padding()), grads
 
     def backward_batch(
         self, grad_out: np.ndarray, tape: Tape, need_input_grad: bool = True
-    ) -> BatchBackwardResult:
+    ) -> BackwardResult:
         cols, z, y, x_shape = tape["cols"], tape["z"], tape["y"], tape["x_shape"]
         n = x_shape[0]
         kh, kw = self.kernel_size
@@ -565,7 +567,7 @@ class MaxPool2D(_Pool2D):
                 np.copyto(index, k, where=take)
         return out
 
-    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> BackwardResult:
         index, x_shape = tape["index"], tape["x_shape"]
         grad_out = grad_out.reshape(index.shape)
         # the gradient buffer follows the gradient dtype: hardcoding float64
@@ -574,7 +576,7 @@ class MaxPool2D(_Pool2D):
         grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
         for k, tap in enumerate(self._taps(x_shape)):
             grad_x[tap] += np.where(index == k, grad_out, 0)
-        return grad_x
+        return grad_x, []
 
 
 class AvgPool2D(_Pool2D):
@@ -608,14 +610,14 @@ class AvgPool2D(_Pool2D):
             tape["x_shape"] = x.shape
         return out
 
-    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> BackwardResult:
         x_shape = tape["x_shape"]
         taps = self._taps(x_shape)
         grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
         grad = grad_out.reshape(grad_x[taps[0]].shape) / len(taps)
         for tap in taps:
             grad_x[tap] += grad
-        return grad_x
+        return grad_x, []
 
 
 class Flatten(Layer):
@@ -634,8 +636,8 @@ class Flatten(Layer):
             tape["x_shape"] = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> np.ndarray:
-        return grad_out.reshape(tape["x_shape"])
+    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> BackwardResult:
+        return grad_out.reshape(tape["x_shape"]), []
 
 
 class Dropout(Layer):
@@ -659,9 +661,9 @@ class Dropout(Layer):
             tape["mask"] = mask
         return x if mask is None else x * mask
 
-    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> BackwardResult:
         mask = tape["mask"]
-        return grad_out if mask is None else grad_out * mask
+        return (grad_out if mask is None else grad_out * mask), []
 
 
 class ActivationLayer(Layer):
@@ -679,12 +681,12 @@ class ActivationLayer(Layer):
             tape.update(x=x, y=y)
         return y
 
-    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> np.ndarray:
-        return self.activation.backward(tape["x"], tape["y"], grad_out)
+    def backward(self, grad_out: np.ndarray, tape: Tape, **_flags: bool) -> BackwardResult:
+        return self.activation.backward(tape["x"], tape["y"], grad_out), []
 
 
 __all__ = [
-    "BatchBackwardResult",
+    "BackwardResult",
     "Layer",
     "Dense",
     "Conv2D",

@@ -16,11 +16,9 @@ three gradient queries used throughout the library:
 A model holds its layers and their parameters, nothing else.  A recording
 :meth:`Sequential.forward` fills a tape the caller passes in (a list that
 receives one record per layer), and :meth:`Sequential.backward` reads it
-back.  Each gradient query makes its own tape, which dies when the query
-returns, so between calls a model keeps no activation, and several threads
-can query one model at once; only ``Parameter.grad`` accumulation
-(:meth:`~Sequential.loss_parameter_gradients`,
-:meth:`~Sequential.output_gradients`, training) is shared.
+back and returns its gradients.  Each gradient query makes its own tape,
+which dies when the query returns, so between calls a model keeps no
+activation and no gradient, and several threads can query one model at once.
 """
 
 from __future__ import annotations
@@ -124,10 +122,6 @@ class Sequential:
         """Total number of scalar parameters."""
         return sum(p.size for p in self.parameters())
 
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
     # -- forward / backward ----------------------------------------------------------
     def forward(
         self, x: np.ndarray, training: bool = False, tape: Optional[List[Tape]] = None
@@ -190,27 +184,37 @@ class Sequential:
         tape: List[Tape],
         need_input_grad: bool = True,
         need_param_grads: bool = True,
-    ) -> Optional[np.ndarray]:
-        """Backpropagate an output gradient; returns the input gradient.
+    ) -> Tuple[Optional[np.ndarray], List[np.ndarray]]:
+        """Backpropagate an output gradient.
 
+        Returns ``(input_gradient, param_grads)``, with one gradient per
+        entry of :meth:`parameters`, in that order, summed over the batch.
         ``tape`` is the list a recording :meth:`forward` filled; it is only
-        read, so it can be backpropagated more than once.  Parameter
-        gradients are *accumulated*; call :meth:`zero_grad` first if fresh
-        gradients are required.  ``need_param_grads=False`` leaves every
-        ``Parameter.grad`` untouched; ``need_input_grad=False`` lets the bottom
-        layer skip its input gradient and returns ``None``.  What is computed
-        is bitwise the same as with both flags on.
+        read, so it can be backpropagated more than once.
+        ``need_param_grads=False`` computes no parameter gradient and returns
+        ``[]``; ``need_input_grad=False`` lets the bottom layer skip its input
+        gradient and returns ``None``.  What is computed is bitwise the same
+        as with both flags on.
         """
+        return self._reverse(
+            "backward", grad_out, tape, need_input_grad, need_param_grads=need_param_grads
+        )
+
+    def _reverse(
+        self, method: str, grad: np.ndarray, tape: List[Tape], need_input_grad: bool, **flags
+    ) -> Tuple[Optional[np.ndarray], List[np.ndarray]]:
+        """The reverse layer loop of :meth:`backward` and :meth:`backward_batch`:
+        calls each layer's ``method``, top to bottom, and returns the input
+        gradient and the parameter gradients in :meth:`parameters` order."""
         self._check_tape(tape)
-        grad = grad_out
+        per_layer: List[List[np.ndarray]] = []
         for i in range(len(self.layers) - 1, -1, -1):
-            grad = self.layers[i].backward(
-                grad,
-                tape[i],
-                need_input_grad=(i > 0 or need_input_grad),
-                need_param_grads=need_param_grads,
+            grad, grads = getattr(self.layers[i], method)(
+                grad, tape[i], need_input_grad=(i > 0 or need_input_grad), **flags
             )
-        return grad if need_input_grad else None
+            per_layer.append(grads)
+        params = [g for grads in reversed(per_layer) for g in grads]
+        return (grad if need_input_grad else None), params
 
     def backward_batch(
         self, grad_out: np.ndarray, tape: List[Tape], need_input_grad: bool = True
@@ -219,28 +223,20 @@ class Sequential:
 
         Returns ``(input_gradient, per_sample_grads)`` where ``per_sample_grads``
         has shape ``(N, num_parameters)``: row ``n`` is the flat parameter
-        gradient attributable to sample ``n`` alone.  Nothing is accumulated
-        into ``Parameter.grad``, so no :meth:`zero_grad` is needed around this
-        call.  This is the primitive the batched execution engine
-        (:mod:`repro.engine`) builds activation masks from.
+        gradient attributable to sample ``n`` alone.  This is the primitive
+        the batched execution engine (:mod:`repro.engine`) builds activation
+        masks from.
 
         With ``need_input_grad=False`` the bottom layer skips its input-
         gradient computation and the returned input gradient is ``None``.
         ``tape`` is as for :meth:`backward`.
         """
-        self._check_tape(tape)
         grad = np.asarray(grad_out)
         if grad.dtype not in (np.float32, np.float64):
             grad = grad.astype(np.float64)
         n = grad.shape[0]
-        per_layer: List[List[np.ndarray]] = []
-        for i in range(len(self.layers) - 1, -1, -1):
-            grad, grads = self.layers[i].backward_batch(
-                grad, tape[i], need_input_grad=(i > 0 or need_input_grad)
-            )
-            per_layer.append(grads)
-        per_layer.reverse()
-        parts = [g.reshape(n, -1) for grads in per_layer for g in grads]
+        grad, grads = self._reverse("backward_batch", grad, tape, need_input_grad)
+        parts = [g.reshape(n, -1) for g in grads]
         if parts:
             per_sample = np.concatenate(parts, axis=1)
         else:
@@ -306,16 +302,12 @@ class Sequential:
         """Loss value and flat parameter gradient of a loss for a batch.
 
         Inference-mode forward; the bottom layer skips its input gradient.
-        ``Parameter.grad`` is zero on return.
         """
-        self.zero_grad()
         tape: List[Tape] = []
         logits = self.forward(x, tape=tape)
         value, grad = get_loss(loss).value_and_grad(logits, targets)
-        self.backward(grad, tape, need_input_grad=False)
-        flat = self.parameter_view().flat_grads()
-        self.zero_grad()
-        return value, flat
+        _, grads = self.backward(grad, tape, need_input_grad=False)
+        return value, np.concatenate([g.ravel() for g in grads])
 
     def input_gradient(
         self, x: np.ndarray, targets: np.ndarray, loss: str | Loss = "cross_entropy"
@@ -323,13 +315,13 @@ class Sequential:
         """Loss value and gradient of the loss with respect to the input batch.
 
         Used by Algorithm 2 (gradient-based test generation).  Runs an
-        input-only backward: no parameter gradient is computed, and
-        ``Parameter.grad`` is left exactly as it was.
+        input-only backward: no parameter gradient is computed.
         """
         tape: List[Tape] = []
         logits = self.forward(x, training=True, tape=tape)
         value, grad = get_loss(loss).value_and_grad(logits, targets)
-        return value, self.backward(grad, tape, need_param_grads=False)
+        grad_x, _ = self.backward(grad, tape, need_param_grads=False)
+        return value, grad_x
 
     def output_gradients(
         self, x: np.ndarray, scalarization: str = "sum"
@@ -349,7 +341,6 @@ class Sequential:
                 f"unknown scalarization {scalarization!r}; choose from {SCALARIZATIONS}"
             )
         sample = self._as_single_batch(x)
-        self.zero_grad()
         tape: List[Tape] = []
         logits = self.forward(sample, tape=tape)
         grad_out = np.zeros_like(logits)
@@ -358,10 +349,8 @@ class Sequential:
         else:
             idx = int(np.argmax(logits[0]))
             grad_out[0, idx] = 1.0
-        self.backward(grad_out, tape, need_input_grad=False)
-        flat = self.parameter_view().flat_grads()
-        self.zero_grad()
-        return flat
+        _, grads = self.backward(grad_out, tape, need_input_grad=False)
+        return np.concatenate([g.ravel() for g in grads])
 
     # -- copying / state ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:

@@ -1,8 +1,8 @@
 """First-order optimisers for training the substrate models.
 
-All optimisers operate on lists of :class:`~repro.nn.tensor.Parameter`
-objects, consuming the gradients accumulated by the model's backward pass and
-updating ``param.value`` in place.
+All optimisers take a list of :class:`~repro.nn.tensor.Parameter` objects
+and the matching gradients the model's backward pass returned, and update
+``param.value`` in place.
 """
 
 from __future__ import annotations
@@ -26,13 +26,15 @@ class Optimizer:
         self.weight_decay = float(weight_decay)
         self.iterations = 0
 
-    def step(self, parameters: List[Parameter]) -> None:
-        """Apply one update to every trainable parameter."""
+    def step(self, parameters: List[Parameter], grads: List[np.ndarray]) -> None:
+        """Apply one update to every trainable parameter; ``grads[i]`` is the
+        gradient of ``parameters[i]``."""
+        if len(grads) != len(parameters):
+            raise ValueError(f"{len(grads)} gradients for {len(parameters)} parameters")
         self.iterations += 1
-        for p in parameters:
+        for p, grad in zip(parameters, grads):
             if not p.trainable:
                 continue
-            grad = p.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * p.value
             self._update(p, grad)

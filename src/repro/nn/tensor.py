@@ -2,15 +2,15 @@
 
 The framework is layer-based rather than tape-based: each layer implements an
 explicit ``forward``/``backward`` pair, and learnable state is held in
-:class:`Parameter` objects that carry a value and an accumulated gradient.
-Everything the paper's method needs — parameter gradients for the coverage
-metric, input gradients for the gradient-based test generation and the GDA
-attack — is produced by these explicit backward passes.
+:class:`Parameter` objects that carry values only.  Everything the paper's
+method needs — parameter gradients for the coverage metric and the GDA
+attack, input gradients for the gradient-based test generation — is
+returned by these explicit backward passes to the caller that asked.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -27,15 +27,12 @@ def bit_pattern(array: np.ndarray) -> np.ndarray:
 
 
 class Parameter:
-    """A learnable tensor with an accumulated gradient.
+    """A learnable tensor.
 
     Attributes
     ----------
     value:
         The parameter values, a float64 ndarray.
-    grad:
-        Gradient of the current scalar objective with respect to ``value``.
-        Shaped like ``value``; zeroed by :meth:`zero_grad`.
     name:
         Human-readable identifier, e.g. ``"conv1/weight"``.  Names are used by
         the serialisation code, the coverage bookkeeping and the attacks to
@@ -46,7 +43,7 @@ class Parameter:
         output).
     """
 
-    __slots__ = ("value", "grad", "name", "trainable")
+    __slots__ = ("value", "name", "trainable")
 
     def __init__(
         self,
@@ -55,7 +52,6 @@ class Parameter:
         trainable: bool = True,
     ) -> None:
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
         self.name = name
         self.trainable = trainable
 
@@ -69,15 +65,9 @@ class Parameter:
         """Number of scalar parameters in this tensor."""
         return int(self.value.size)
 
-    def zero_grad(self) -> None:
-        """Reset the accumulated gradient to zero in place."""
-        self.grad.fill(0.0)
-
     def copy(self) -> "Parameter":
-        """Deep copy of value and gradient."""
-        clone = Parameter(self.value.copy(), name=self.name, trainable=self.trainable)
-        clone.grad = self.grad.copy()
-        return clone
+        """Deep copy of the value."""
+        return Parameter(self.value.copy(), name=self.name, trainable=self.trainable)
 
     def assign(self, new_value: np.ndarray) -> None:
         """Overwrite the parameter value, checking shape compatibility."""
@@ -135,14 +125,10 @@ class ParameterView:
     def __iter__(self) -> Iterator[Parameter]:
         return iter(self._params)
 
-    # -- flat value / grad access -------------------------------------------
+    # -- flat value access ----------------------------------------------------
     def flat_values(self) -> np.ndarray:
         """Concatenate all parameter values into one flat vector (copy)."""
         return np.concatenate([p.value.ravel() for p in self._params])
-
-    def flat_grads(self) -> np.ndarray:
-        """Concatenate all parameter gradients into one flat vector (copy)."""
-        return np.concatenate([p.grad.ravel() for p in self._params])
 
     def set_flat_values(self, flat: np.ndarray) -> None:
         """Scatter a flat vector back into the individual parameter tensors."""

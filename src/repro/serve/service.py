@@ -25,10 +25,9 @@ concurrently for many tenants:
   :class:`~concurrent.futures.ThreadPoolExecutor` via
   ``loop.run_in_executor``, keeping the event loop responsive; engine
   dispatches run one at a time on a single dispatch lane (one lock).
-  Inference keeps no state on a model, so a second lane would return the
-  same bytes; the lane count is a scheduling choice, and the gradient
-  queries that accumulate into ``Parameter.grad`` still need one lane per
-  model (the Session docstring's concurrency contract);
+  Neither inference nor a gradient query keeps state on a model, so a
+  second lane would return the same bytes; the lane count is a
+  scheduling choice (the Session docstring's concurrency contract);
 * **draining** — :meth:`drain` stops admitting, lets in-flight work finish
   inside ``drain_timeout_s``, flushes the coalescer and closes the session
   (the HTTP layer calls it from its SIGTERM handler).
@@ -149,10 +148,9 @@ class ValidationService:
         # one dispatch lane: coalescing, not thread fan-out, is how this
         # service scales.  A coalesced dispatch that finds the lane busy
         # waits here in a worker thread (``lane_waits`` in /stats counts
-        # them).  Inference would be bit-stable on two lanes (a model keeps
-        # no per-pass state), but queries that accumulate into
-        # Parameter.grad would not, and a second lane is a scheduling change
-        # to measure on a load that keeps this one busy
+        # them).  Every query would be bit-stable on two lanes (a model
+        # keeps no per-pass state and no gradient), but a second lane is a
+        # scheduling change to measure on a load that keeps this one busy
         self._dispatch_lock = threading.Lock()
         # package fingerprints are content hashes over the full test payload;
         # the same (immutable, integrity-digested) package object is replayed

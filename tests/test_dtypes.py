@@ -33,7 +33,6 @@ def _float32_copy(model):
     copy = model.copy()
     for param in copy.parameters():
         param.value = param.value.astype(np.float32)
-        param.grad = np.zeros_like(param.value)
     return copy
 
 
@@ -45,8 +44,14 @@ class TestDtypeFollowingKernels:
         model = small_cnn(activation=activation, rng=5)
         shadow = _float32_copy(model)
         x = _pool(model, 3, seed=15).astype(np.float32)
-        y = shadow.forward(x)
+        tape = []
+        y = shadow.forward(x, tape=tape)
         assert y.dtype == np.float32
+        # the summed backward returns float32 input and parameter gradients
+        grad_x, param_grads = shadow.backward(np.ones_like(y), tape)
+        assert grad_x.dtype == np.float32
+        assert len(param_grads) == len(shadow.parameters())
+        assert all(g.dtype == np.float32 for g in param_grads)
         # the full batched backward (conv, maxpool scatter, dense) follows
         grads = shadow.output_gradients_batch(x)
         assert grads.dtype == np.float32
@@ -59,7 +64,8 @@ class TestDtypeFollowingKernels:
         x = np.random.default_rng(0).random((2, 3, 8, 8)).astype(np.float32)
         tape = {}
         out = pool.forward(x, tape=tape)
-        grad = pool.backward(np.ones_like(out), tape)
+        grad, param_grads = pool.backward(np.ones_like(out), tape)
+        assert param_grads == []
         assert out.dtype == np.float32
         assert grad.dtype == np.float32
 

@@ -5,9 +5,10 @@ reads onto a tape the caller owns, and inference (``predict``,
 ``Engine.forward``, ``Engine.stacked_forward``, ``forward_collect`` and SBA's
 flip check) passes no tape at all.  After any entry point, training and the
 gradient queries included, every ndarray a model references is a
-parameter's value or grad.  Because nothing is shared but the parameters,
-two threads can query one model at once and get the serial results bit for
-bit.  Pinned on both Table-I architectures, and on both routes a copy
+parameter's value: a backward pass returns its gradients to the caller.
+Because nothing is shared but the parameter values, two threads can query
+one model at once, for inference or any gradient, and get the serial
+results bit for bit.  Pinned on both Table-I architectures, and on both routes a copy
 takes through stacked replay.
 """
 
@@ -46,10 +47,10 @@ def batch_for(model, rows, seed=0):
 
 
 def kept(model) -> list:
-    """Every ndarray ``model`` references that is not a parameter's value
-    or grad, by path: a scan of the model's and every layer's ``vars()``,
-    through containers and nested objects."""
-    allowed = {id(a) for p in model.parameters() for a in (p.value, p.grad)}
+    """Every ndarray ``model`` references that is not a parameter's value,
+    by path: a scan of the model's and every layer's ``vars()``, through
+    containers and nested objects."""
+    allowed = {id(p.value) for p in model.parameters()}
     found: list = []
     seen: set = set()
 
@@ -215,6 +216,8 @@ class TestOneModelAcrossThreads:
         return [
             lambda: model.output_gradients_batch(x),
             lambda: model.input_gradient(x, labels)[1],
+            lambda: model.loss_parameter_gradients(x, labels)[1],
+            lambda: model.output_gradients(x[0]),
             lambda: model.predict(x),
         ]
 

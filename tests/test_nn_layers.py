@@ -26,8 +26,8 @@ def _check_layer_gradients(layer, x, rtol=1e-5, atol=1e-7):
     tape = {}
     y = layer.forward(x, tape=tape)
     grad_out = np.ones_like(y)
-    layer.zero_grad()
-    grad_in = layer.backward(grad_out, tape)
+    grad_in, param_grads = layer.backward(grad_out, tape)
+    assert len(param_grads) == len(layer.parameters())
 
     eps = 1e-6
 
@@ -46,8 +46,8 @@ def _check_layer_gradients(layer, x, rtol=1e-5, atol=1e-7):
         np.testing.assert_allclose(grad_in[idx], numeric, rtol=rtol, atol=atol)
 
     # parameter gradients on a handful of entries per parameter
-    for param in layer.parameters():
-        analytic = param.grad.copy()
+    for param, analytic in zip(layer.parameters(), param_grads):
+        assert analytic.shape == param.value.shape
         flat_idx = rng.choice(param.size, size=min(10, param.size), replace=False)
         for fi in flat_idx:
             idx = np.unravel_index(fi, param.value.shape)
@@ -185,7 +185,7 @@ class TestPooling:
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         tape = {}
         pool.forward(x, tape=tape)
-        grad = pool.backward(np.array([[[[5.0]]]]), tape)
+        grad, _ = pool.backward(np.array([[[[5.0]]]]), tape)
         expected = np.zeros_like(x)
         expected[0, 0, 1, 1] = 5.0
         np.testing.assert_allclose(grad, expected)
@@ -196,7 +196,7 @@ class TestPooling:
         tape = {}
         out = pool.forward(x, tape=tape)
         assert out[0, 0, 0, 0] == pytest.approx(2.5)
-        grad = pool.backward(np.array([[[[4.0]]]]), tape)
+        grad, _ = pool.backward(np.array([[[[4.0]]]]), tape)
         np.testing.assert_allclose(grad, np.ones_like(x))
 
     def test_maxpool_gradients_numeric(self):
@@ -248,7 +248,7 @@ def _assert_pool_matches_reference(x, pool_size=2, stride=None, seed=0, kind=Max
     out = pool.forward(x, tape=tape)
     assert vars(pool) == state
     grad_out = np.random.default_rng(seed).normal(size=out.shape).astype(x.dtype)
-    grad_x = pool.backward(grad_out, tape)
+    grad_x, _ = pool.backward(grad_out, tape)
     want_out, want_grad = _REFERENCES[kind](x, pool.pool_size, pool.stride, grad_out)
     for got, want in ((plain, want_out), (out, want_out), (grad_x, want_grad)):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -352,8 +352,9 @@ class TestFlattenDropoutActivationLayer:
         tape = {}
         y = flat.forward(x, tape=tape)
         assert y.shape == (2, 48)
-        back = flat.backward(np.ones_like(y), tape)
+        back, param_grads = flat.backward(np.ones_like(y), tape)
         assert back.shape == x.shape
+        assert param_grads == []
 
     def test_flatten_output_shape(self):
         assert Flatten().output_shape((3, 4, 4)) == (48,)

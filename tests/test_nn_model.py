@@ -72,12 +72,12 @@ class TestForwardBackward:
         y = np.array([0, 3])
         loss_fn = SoftmaxCrossEntropy()
 
-        model.zero_grad()
         tape = []
         logits = model.forward(x, training=True, tape=tape)
         _, grad = loss_fn.value_and_grad(logits, y)
-        model.backward(grad, tape)
-        analytic = model.parameter_view().flat_grads()
+        _, grads = model.backward(grad, tape)
+        assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+        analytic = np.concatenate([g.ravel() for g in grads])
 
         eps = 1e-6
         view = model.parameter_view()
@@ -124,10 +124,13 @@ class TestGradientQueries:
     def test_output_gradients_shape_and_reset(self):
         model = _tiny_cnn()
         x = np.random.default_rng(3).random((1, 8, 8))
+        values = model.parameter_view().flat_values()
         grads = model.output_gradients(x)
         assert grads.shape == (model.num_parameters(),)
-        # the query must not leave stale gradients behind
-        assert np.all(model.parameter_view().flat_grads() == 0.0)
+        # the query leaves nothing behind: the model is bitwise unchanged,
+        # and a second query returns the same bytes, not an accumulation
+        assert model.parameter_view().flat_values().tobytes() == values.tobytes()
+        assert model.output_gradients(x).tobytes() == grads.tobytes()
 
     def test_output_gradients_accepts_batched_single_sample(self):
         model = _tiny_cnn()
@@ -188,35 +191,42 @@ class TestBackwardFlags:
         model = _two_conv_cnn(rng=1)
         x, y = self._batch()
         value, grad = model.input_gradient(x, y)
-        model.zero_grad()
         tape = []
         logits = model.forward(x, training=True, tape=tape)
         ref_value, grad_logits = SoftmaxCrossEntropy().value_and_grad(logits, y)
-        ref = model.backward(grad_logits, tape)
+        ref, _ = model.backward(grad_logits, tape)
         assert value == ref_value
         assert grad.dtype == ref.dtype and grad.tobytes() == ref.tobytes()
 
     def test_input_gradient_leaves_parameter_grads_untouched(self):
+        """An input-only backward computes no parameter gradient and leaves
+        every parameter value as it was."""
         model = _two_conv_cnn(rng=2)
-        rng = np.random.default_rng(3)
-        for p in model.parameters():
-            p.grad[...] = rng.normal(size=p.grad.shape)
-        seeded = [p.grad.copy() for p in model.parameters()]
-        model.input_gradient(*self._batch(seed=4))
-        for p, before in zip(model.parameters(), seeded):
-            assert p.grad.tobytes() == before.tobytes(), p.name
+        x, y = self._batch(seed=4)
+        before = [p.value.copy() for p in model.parameters()]
+        model.input_gradient(x, y)
+        for p, want in zip(model.parameters(), before):
+            assert p.value.tobytes() == want.tobytes(), p.name
+        tape = []
+        _, grad_logits = SoftmaxCrossEntropy().value_and_grad(
+            model.forward(x, training=True, tape=tape), y
+        )
+        full, _ = model.backward(grad_logits, tape)
+        grad_x, grads = model.backward(grad_logits, tape, need_param_grads=False)
+        assert grads == []
+        assert grad_x.tobytes() == full.tobytes()
 
     def test_backward_without_input_grad_returns_none_and_same_param_grads(self):
         model = _two_conv_cnn(rng=5)
         x, y = self._batch(seed=6)
         tape = []
         _, grad_logits = SoftmaxCrossEntropy().value_and_grad(model.forward(x, tape=tape), y)
-        model.zero_grad()
-        model.backward(grad_logits, tape)
-        full = model.parameter_view().flat_grads()
-        model.zero_grad()
-        assert model.backward(grad_logits, tape, need_input_grad=False) is None
-        assert model.parameter_view().flat_grads().tobytes() == full.tobytes()
+        _, full = model.backward(grad_logits, tape)
+        grad_x, grads = model.backward(grad_logits, tape, need_input_grad=False)
+        assert grad_x is None
+        assert len(grads) == len(full) == len(model.parameters())
+        for got, want in zip(grads, full):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_trainer_fit_matches_full_backward_reference_bitwise(self):
         images, labels = self._batch(seed=7, n=20)
@@ -231,12 +241,11 @@ class TestBackwardFlags:
         rng = as_generator(cfg.seed)
         for _ in range(cfg.epochs):
             for batch, targets in train.batches(cfg.batch_size, shuffle=cfg.shuffle, rng=rng):
-                reference.zero_grad()
                 tape = []
                 logits = reference.forward(batch, training=True, tape=tape)
                 _, grad = loss_fn.value_and_grad(logits, targets)
-                reference.backward(grad, tape)
-                optimizer.step(reference.parameters())
+                _, grads = reference.backward(grad, tape)
+                optimizer.step(reference.parameters(), grads)
         for got, want in zip(trained.parameters(), reference.parameters()):
             assert got.value.tobytes() == want.value.tobytes(), got.name
 
@@ -269,6 +278,23 @@ class TestState:
         x = np.random.default_rng(0).random((1, 1, 8, 8))
         # clone still computes (structure intact)
         assert clone.forward(x).shape == (1, 4)
+
+    def test_copy_allocates_only_parameter_values(self):
+        """A copy's traced peak is its parameter values and small change:
+        no per-parameter buffer rides along (a trial copies its victim)."""
+        import tracemalloc
+
+        from repro.models.zoo import mnist_cnn
+
+        model = mnist_cnn(width_multiplier=1.0, rng=0)
+        values = sum(p.value.nbytes for p in model.parameters())
+        tracemalloc.start()
+        try:
+            model.copy()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * values, peak / values
 
     def test_pickling_a_warm_model_ships_no_caches(self):
         """A model whose layers hold forward caches (it was just trained or

@@ -14,18 +14,15 @@ def _quadratic_params():
 
 def _step_quadratic(optimizer, params, steps):
     for _ in range(steps):
-        for p in params:
-            p.zero_grad()
-            p.grad += p.value  # gradient of 0.5 * ||p||^2
-        optimizer.step(params)
+        # gradient of 0.5 * ||p||^2
+        optimizer.step(params, [p.value.copy() for p in params])
     return params[0].value
 
 
 class TestSGD:
     def test_single_step_update_rule(self):
         params = [Parameter(np.array([1.0]), name="p")]
-        params[0].grad += np.array([2.0])
-        SGD(learning_rate=0.1).step(params)
+        SGD(learning_rate=0.1).step(params, [np.array([2.0])])
         np.testing.assert_allclose(params[0].value, [0.8])
 
     def test_converges_on_quadratic(self):
@@ -34,14 +31,20 @@ class TestSGD:
 
     def test_skips_frozen_parameters(self):
         frozen = Parameter(np.array([1.0]), trainable=False)
-        frozen.grad += 5.0
-        SGD(learning_rate=0.1).step([frozen])
+        SGD(learning_rate=0.1).step([frozen], [np.array([5.0])])
         assert frozen.value[0] == 1.0
 
     def test_weight_decay_shrinks_parameters(self):
         p = Parameter(np.array([1.0]))
-        SGD(learning_rate=0.1, weight_decay=1.0).step([p])
+        SGD(learning_rate=0.1, weight_decay=1.0).step([p], [np.zeros(1)])
         assert p.value[0] < 1.0
+
+    def test_rejects_gradients_that_do_not_match_the_parameters(self):
+        p = Parameter(np.array([1.0]))
+        optimizer = SGD(learning_rate=0.1)
+        with pytest.raises(ValueError, match="2 gradients for 1 parameters"):
+            optimizer.step([p], [np.ones(1), np.ones(1)])
+        assert p.value[0] == 1.0 and optimizer.iterations == 0
 
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(ValueError):
@@ -77,8 +80,7 @@ class TestAdam:
 
     def test_first_step_size_close_to_learning_rate(self):
         p = Parameter(np.array([1.0]))
-        p.grad += np.array([10.0])
-        Adam(learning_rate=0.1).step([p])
+        Adam(learning_rate=0.1).step([p], [np.array([10.0])])
         # bias correction makes the first step approximately lr * sign(grad)
         assert p.value[0] == pytest.approx(0.9, abs=1e-3)
 

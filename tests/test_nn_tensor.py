@@ -1,4 +1,4 @@
-"""Tests for Parameter and ParameterView (flat indexing, assignment, grads)."""
+"""Tests for Parameter and ParameterView (flat indexing, assignment)."""
 
 import numpy as np
 import pytest
@@ -13,13 +13,6 @@ class TestParameter:
         assert p.value.dtype == np.float64
         assert p.shape == (2, 2)
         assert p.size == 4
-
-    def test_grad_starts_at_zero_and_zero_grad_resets(self):
-        p = Parameter(np.ones((3,)))
-        assert np.all(p.grad == 0.0)
-        p.grad += 2.0
-        p.zero_grad()
-        assert np.all(p.grad == 0.0)
 
     def test_assign_checks_shape(self):
         p = Parameter(np.zeros((2, 3)), name="w")
@@ -49,9 +42,7 @@ class TestParameter:
         p = Parameter(np.ones((2,)), name="orig")
         q = p.copy()
         q.value[0] = 5.0
-        q.grad[1] = 3.0
         assert p.value[0] == 1.0
-        assert p.grad[1] == 0.0
         assert q.name == "orig"
 
 
@@ -109,14 +100,6 @@ class TestParameterView:
         assert b.value[1] == 42.0
         view.add_scalar(0, 1.5)
         assert a.value[0, 0] == 1.5
-
-    def test_flat_grads_reflects_parameter_grads(self):
-        a, b, view = self._make_view()
-        a.grad[:] = 1.0
-        b.grad[:] = 2.0
-        flat = view.flat_grads()
-        assert np.all(flat[:6] == 1.0)
-        assert np.all(flat[6:] == 2.0)
 
     def test_tensor_slices(self):
         _, _, view = self._make_view()

@@ -68,7 +68,8 @@ def assert_same_record(got: PerturbationRecord, want: PerturbationRecord) -> Non
 
 
 def plain_sba(model, seed, refs, magnitude=10.0, max_attempts=5) -> PerturbationRecord:
-    """SBA without trunks: a full predict per attempt, undo by subtraction."""
+    """SBA without trunks: a full predict per attempt, undo by subtraction,
+    and the scale recomputed from the whole model at every attempt."""
     attack = SingleBiasAttack(magnitude, refs, max_attempts, rng=np.random.default_rng(seed))
     rng = attack._rng
     copy = model.copy()
@@ -79,7 +80,12 @@ def plain_sba(model, seed, refs, magnitude=10.0, max_attempts=5) -> Perturbation
     delta = 0.0
     for _ in range(max_attempts):
         chosen = int(rng.choice(biases))
-        scale = attack._candidate_scale(copy, chosen)
+        values = view.parameters[view.locate(chosen)[0]].value
+        scale = max(
+            float(np.sqrt(np.mean(values**2))),
+            float(np.sqrt(np.mean(view.flat_values() ** 2))),
+            0.1,
+        )
         sign = 1.0 if rng.random() < 0.5 else -1.0
         delta = sign * magnitude * scale
         view.add_scalar(chosen, delta)
