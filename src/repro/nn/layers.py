@@ -320,7 +320,8 @@ class Conv2D(Layer):
 
     Weights have shape ``(filters, in_channels, kh, kw)``; inputs and outputs
     use the ``(N, C, H, W)`` layout.  Implemented with im2col so the forward
-    and backward passes are large matrix multiplications.
+    and backward passes are large matrix multiplications.  ``backward`` and
+    ``backward_batch`` run one input-gradient kernel (bitwise equal results).
     """
 
     def __init__(
@@ -420,6 +421,31 @@ class Conv2D(Layer):
             tape.update(z=z, y=y)
         return y
 
+    def _grad_z(
+        self, grad_out: np.ndarray, tape: Tape, need_input_grad: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``grad_z`` as ``(N, F, P)`` and, if asked, the input gradient: a
+        stride-1 full correlation of the stride-dilated ``grad_z`` with the
+        flipped kernels, cropped by the padding (an ``im2col`` and one
+        matmul, with no ``col2im`` accumulation) for every conv shape."""
+        z, y, (n, c, h, w) = tape["z"], tape["y"], tape["x_shape"]
+        grad_z = self.activation.backward(z, y, grad_out)
+        grad_z_mat = grad_z.reshape(n, self.filters, -1)  # (N, F, P)
+        if not need_input_grad:
+            return grad_z_mat, None
+        (kh, kw), s, pad = self.kernel_size, self.stride, self._padding()
+        out_h, out_w = z.shape[2:]
+        padded_shape = (n, self.filters, h + 2 * pad + kh - 1, w + 2 * pad + kw - 1)
+        dilated = np.zeros(padded_shape, grad_z.dtype)
+        dilated[:, :, kh - 1 : kh - 1 + s * out_h : s, kw - 1 : kw - 1 + s * out_w : s] = grad_z
+        cropped = dilated[:, :, pad : pad + h + kh - 1, pad : pad + w + kw - 1]
+        gcols, _, _ = im2col(cropped, kh, kw, 1, 0)  # (N, F*kh*kw, H*W)
+        assert self.weight is not None
+        w_flip = self.weight.value[:, :, ::-1, ::-1]  # (F, C, kh, kw)
+        w_flip_mat = w_flip.transpose(1, 0, 2, 3).reshape(c, -1)
+        grad_x = np.matmul(w_flip_mat, gcols)  # (C, F*kh*kw) @ (N, ., P)
+        return grad_z_mat, grad_x.reshape(n, c, h, w)
+
     def backward(
         self,
         grad_out: np.ndarray,
@@ -427,65 +453,31 @@ class Conv2D(Layer):
         need_input_grad: bool = True,
         need_param_grads: bool = True,
     ) -> BackwardResult:
-        z, y, x_shape = tape["z"], tape["y"], tape["x_shape"]
-        n = x_shape[0]
-        kh, kw = self.kernel_size
-
-        grad_z = self.activation.backward(z, y, grad_out)
-        grad_z_mat = grad_z.reshape(n, self.filters, -1)  # (N, F, P)
-
+        grad_z, grad_x = self._grad_z(grad_out, tape, need_input_grad)
         assert self.weight is not None
         grads = []
         if need_param_grads:
             # the per-sample (N, F, P) @ (N, P, K) products of backward_batch,
-            # summed over samples: batched BLAS, and no copy of cols
-            grad_w = np.matmul(grad_z_mat, tape["cols"].transpose(0, 2, 1)).sum(axis=0)
+            # summed over samples.  One (F, N*P) @ (N*P, K) GEMM (tensordot)
+            # measured 1.5-4x slower at 8 and 32 images on the Table-I convs
+            grad_w = np.matmul(grad_z, tape["cols"].transpose(0, 2, 1)).sum(axis=0)
             grads.append(grad_w.reshape(self.weight.value.shape))
             if self.bias is not None:
-                grads.append(grad_z_mat.sum(axis=(0, 2)))
-        if not need_input_grad:
-            return None, grads
-        # BLAS sums in its own order: CHANGES.md's numeric contract, not bitwise, holds it
-        w_mat = self.weight.value.reshape(self.filters, -1)
-        grad_cols = np.matmul(w_mat.T, grad_z_mat)  # (N, K, P)
-        return col2im(grad_cols, x_shape, kh, kw, self.stride, self._padding()), grads
+                grads.append(grad_z.sum(axis=(0, 2)))
+        return grad_x, grads
 
     def backward_batch(
         self, grad_out: np.ndarray, tape: Tape, need_input_grad: bool = True
     ) -> BackwardResult:
-        cols, z, y, x_shape = tape["cols"], tape["z"], tape["y"], tape["x_shape"]
-        n = x_shape[0]
-        kh, kw = self.kernel_size
-        pad = self._padding()
-
-        grad_z = self.activation.backward(z, y, grad_out)
-        grad_z_mat = grad_z.reshape(n, self.filters, -1)  # (N, F, P)
-
+        grad_z, grad_x = self._grad_z(grad_out, tape, need_input_grad)
         assert self.weight is not None
-        w_mat = self.weight.value.reshape(self.filters, -1)
         # contract only over patch positions, keeping the sample axis; matmul
         # dispatches to batched BLAS where an equivalent einsum would not
-        grad_w = np.matmul(grad_z_mat, cols.transpose(0, 2, 1))  # (N, F, K)
-        grads = [grad_w.reshape(n, *self.weight.value.shape)]
+        grad_w = np.matmul(grad_z, tape["cols"].transpose(0, 2, 1))  # (N, F, K)
+        grads = [grad_w.reshape(grad_z.shape[0], *self.weight.value.shape)]
         if self.bias is not None:
-            grads.append(grad_z_mat.sum(axis=2))
-
-        if not need_input_grad:
-            return None, grads
-        _, _, h, w = x_shape
-        flip_pad = kh - 1 - pad
-        if self.stride == 1 and kh == kw and flip_pad >= 0:
-            # input gradient as a *full correlation* of grad_z with the
-            # spatially flipped kernels: an im2col gather plus one batched
-            # matmul, with no col2im accumulation at all
-            grad_z_img = grad_z_mat.reshape(n, self.filters, *z.shape[2:])
-            gcols, _, _ = im2col(grad_z_img, kh, kw, 1, flip_pad)
-            w_flip = self.weight.value[:, :, ::-1, ::-1]  # (F, C, kh, kw)
-            w_flip_mat = w_flip.transpose(1, 0, 2, 3).reshape(x_shape[1], -1)
-            grad_x = np.matmul(w_flip_mat, gcols)  # (C, F*kh*kw) @ (N, ., P)
-            return grad_x.reshape(n, x_shape[1], h, w), grads
-        grad_cols = np.matmul(w_mat.T, grad_z_mat)  # (N, K, P)
-        return col2im(grad_cols, x_shape, kh, kw, self.stride, pad), grads
+            grads.append(grad_z.sum(axis=2))
+        return grad_x, grads
 
     def parameters(self) -> List[Parameter]:
         params = [self.weight] if self.weight is not None else []

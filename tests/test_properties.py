@@ -110,11 +110,20 @@ def test_col2im_is_bitwise_equal_to_scatter_add(kernel, stride, padding, dtype):
         assert got.tobytes() == want.tobytes()  # signed zeros included
 
 
-def _conv_after_forward(kernel, stride, padding, dtype, n=3, c=2, h=7, w=6, filters=4):
-    """A built linear ``Conv2D`` in ``dtype`` after one training forward:
-    ``(conv, x, grad_out, tape)``."""
-    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
-    conv = Conv2D(filters, kernel, stride=stride, padding=padding, activation=None)
+# the conv backward grid's edges for the transposed-convolution crop: stride
+# 3, padding 2 on kernel 2 (padding > k - 1) and a non-square (3, 2) kernel
+CONV_KERNELS = [2, 3, pytest.param((3, 2), id="3x2")]
+
+
+def _kernel_hw(kernel):
+    return (kernel, kernel) if isinstance(kernel, int) else kernel
+
+
+def _conv_after_forward(kh, kw, stride, padding, dtype, n=3, c=2, h=7, w=6, filters=4):
+    """A built linear ``kh × kw`` ``Conv2D`` in ``dtype`` after one training
+    forward: ``(conv, x, grad_out, tape)``."""
+    rng = np.random.default_rng(kh * 100 + stride * 10 + padding)
+    conv = Conv2D(filters, (kh, kw), stride=stride, padding=padding, activation=None)
     conv.build((c, h, w), rng)
     for param in conv.parameters():
         param.value = rng.normal(size=param.value.shape).astype(dtype)
@@ -124,21 +133,22 @@ def _conv_after_forward(kernel, stride, padding, dtype, n=3, c=2, h=7, w=6, filt
     return conv, x, rng.normal(size=out.shape).astype(dtype), tape
 
 
-@pytest.mark.parametrize("kernel", [2, 3])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("kernel", CONV_KERNELS)
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_conv_backward_matches_einsum_reference(kernel, stride, padding, dtype):
     """Weight, bias and input gradients agree with the einsum contraction."""
-    conv, x, grad_out, tape = _conv_after_forward(kernel, stride, padding, dtype)
+    kh, kw = _kernel_hw(kernel)
+    conv, x, grad_out, tape = _conv_after_forward(kh, kw, stride, padding, dtype)
     grad_x, (grad_w, grad_b) = conv.backward(grad_out, tape)
 
-    cols, _, _ = im2col(x, kernel, kernel, stride, padding)
+    cols, _, _ = im2col(x, kh, kw, stride, padding)
     grad_z = grad_out.reshape(x.shape[0], conv.filters, -1)
     w_mat = conv.weight.value.reshape(conv.filters, -1)
     want_w = np.einsum("nfp,nkp->fk", grad_z, cols).reshape(conv.weight.value.shape)
     want_cols = np.einsum("fk,nfp->nkp", w_mat, grad_z)
-    want_x = col2im(want_cols, x.shape, kernel, kernel, stride, padding)
+    want_x = col2im(want_cols, x.shape, kh, kw, stride, padding)
 
     # entries that cancel to near zero get the tolerance of the largest one
     rtol = 1e-12 if dtype == np.float64 else 1e-5
@@ -151,21 +161,35 @@ def test_conv_backward_matches_einsum_reference(kernel, stride, padding, dtype):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
 
-@pytest.mark.parametrize("kernel", [2, 3])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("kernel", CONV_KERNELS)
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_conv_weight_gradient_is_bitwise_sum_of_per_sample_gradients(
     kernel, stride, padding, dtype
 ):
     """``backward`` sums the very per-sample products ``backward_batch`` returns."""
-    conv, _, grad_out, tape = _conv_after_forward(kernel, stride, padding, dtype)
+    conv, _, grad_out, tape = _conv_after_forward(*_kernel_hw(kernel), stride, padding, dtype)
     _, per_sample = conv.backward_batch(grad_out, tape, need_input_grad=False)
     grad_x, (grad_w, _) = conv.backward(grad_out, tape, need_input_grad=False)
     assert grad_x is None
     want = per_sample[0].sum(axis=0)
     assert grad_w.dtype == want.dtype
     assert grad_w.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", CONV_KERNELS)
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv_input_gradient_is_bitwise_in_both_backwards(kernel, stride, padding, dtype):
+    """``backward`` and ``backward_batch`` run one input-gradient kernel."""
+    conv, _, grad_out, tape = _conv_after_forward(*_kernel_hw(kernel), stride, padding, dtype)
+    want, _ = conv.backward_batch(grad_out, tape)
+    grad_x, grads = conv.backward(grad_out, tape, need_param_grads=False)
+    assert grads == []
+    assert grad_x.dtype == want.dtype == dtype
+    assert grad_x.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
