@@ -27,9 +27,8 @@ re-run in a fresh session reproduces its artefacts exactly.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from repro.api.requests import (
     ValidationOutcome,
 )
 from repro.engine import Engine
-from repro.engine.cache import exact_model_key
+from repro.engine.cache import BatchResultCache, CacheStats, exact_model_key
 from repro.nn.model import Sequential
 from repro.utils.logging import get_logger
 
@@ -64,22 +63,24 @@ class Session:
 
     Engines built by the session share its batch size and memory budget;
     they are memoizing and pooled per exact model key, so repeated requests
-    against the same trained model reuse cached gradient/mask matrices.  Sessions are context managers — leaving the
-    ``with`` block drops the cached engines.
+    against the same trained model reuse cached gradient/mask matrices.
+    Sessions are context managers — leaving the ``with`` block drops the
+    cached engines.
 
     **Concurrency contract.**  A session's *bookkeeping* is thread-safe: the
-    engine pool, the prepared-experiment cache and :meth:`close` all run
-    under one re-entrant lock, so concurrent callers (the
-    :mod:`repro.serve` worker tier) can share a session without corrupting
-    its LRUs.  The *compute* they hand back is not serialised here, and
-    need not be for inference or any gradient query: engines memoize
-    through the thread-safe :class:`~repro.engine.cache.BatchResultCache`,
-    a model keeps no per-pass state (each call owns its tape), and a
-    backward pass returns its gradients instead of storing them, so
-    concurrent queries of one model return the serial results bit for
-    bit.  Training writes parameter values, so it is the one call that
-    callers must serialise per model.  The serving layer still runs one
-    dispatch at a time (see :mod:`repro.serve.service`).
+    engine pool and the prepared-experiment cache are thread-safe
+    :class:`~repro.engine.cache.BatchResultCache` LRUs, and :meth:`close`
+    and :meth:`prepare`'s train-once run under one re-entrant lock, so
+    concurrent callers (the :mod:`repro.serve` worker tier) can share a
+    session without corrupting its pools.  The *compute* they hand back is
+    not serialised here, and need not be for inference or any gradient
+    query: engines memoize through the thread-safe cache too, a model
+    keeps no per-pass state (each call owns its tape), and a backward pass
+    returns its gradients instead of storing them, so concurrent queries of
+    one model return the serial results bit for bit.  Training writes
+    parameter values, so it is the one call that callers must serialise per
+    model.  The serving layer still runs one dispatch at a time (see
+    :mod:`repro.serve.service`).
     """
 
     def __init__(
@@ -93,13 +94,13 @@ class Session:
             from repro.registry import discover_entry_points
 
             discover_entry_points()
-        self._engines: "OrderedDict[Tuple[str, object], Engine]" = OrderedDict()
-        self._prepared: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
+        self._engines = BatchResultCache(max_entries=config.engine_cache_size)
+        self._prepared = BatchResultCache(max_entries=config.prepared_cache_size)
         # resolved once: every remote transport the session builds shares it
         self._fault_policy = self.config.fault_policy()
         self._closed = False
-        # guards both LRUs and close() (see the class docstring's
-        # concurrency contract); re-entrant because release()
+        # guards the closed flag and prepare()'s train-once (see the class
+        # docstring's concurrency contract); re-entrant because release()
         # calls prepare() and engine_for() while conceptually one operation
         self._lock = threading.RLock()
 
@@ -143,7 +144,6 @@ class Session:
                 raise RuntimeError("session is closed")
             engine = self._engines.get(key)
             if engine is not None and engine.model is model:
-                self._engines.move_to_end(key)
                 return engine
             cfg = self.config
             engine = Engine(
@@ -153,23 +153,13 @@ class Session:
                 memory_budget_bytes=cfg.memory_budget_bytes,
                 spill_dir=cfg.spill_dir,
             )
-            self._engines[key] = engine
-            self._engines.move_to_end(key)
-            while len(self._engines) > cfg.engine_cache_size:
-                self._engines.popitem(last=False)
+            self._engines.put(key, engine)
             return engine
 
     def engine_stats(self):
         """Merged :class:`~repro.engine.cache.CacheStats` across the pooled
         engines — the serving layer's ``/stats`` cache counters."""
-        from repro.engine.cache import CacheStats
-
-        with self._lock:
-            engines = list(self._engines.values())
-        merged = CacheStats()
-        for engine in engines:
-            merged = merged.merge(engine.stats)
-        return merged
+        return CacheStats().merge(*[engine.stats for engine in self._engines.values()])
 
     # -- preparation ---------------------------------------------------------
     def prepare(
@@ -202,7 +192,6 @@ class Session:
                 raise RuntimeError("session is closed")
             prepared = self._prepared.get(key)
             if prepared is not None:
-                self._prepared.move_to_end(key)
                 return prepared
 
             rng = derive_scenario_seed(self.config.seed, "prepare", dataset, seed)
@@ -217,10 +206,7 @@ class Session:
                 epochs=epochs,
                 rng=rng,
             )
-            self._prepared[key] = prepared
-            self._prepared.move_to_end(key)
-            while len(self._prepared) > self.config.prepared_cache_size:
-                self._prepared.popitem(last=False)
+            self._prepared.put(key, prepared)
             return prepared
 
     # -- the three paper operations ------------------------------------------

@@ -31,6 +31,11 @@ class PerturbationRecord:
     deltas: value added to each modified parameter (new − old).
     parameter_names: the owning parameter-tensor name per modified index.
     metadata: attack-specific extras (e.g. the SBA target magnitude).
+    values: the value the attack wrote to each modified parameter, or
+        ``None`` for a record that knows only its deltas.  Adding a delta
+        back need not give the written value (``o + (f − o)`` may round
+        away from ``f``), so :func:`apply_record` writes ``values`` when
+        they are known; every built-in attack fills them.
     """
 
     attack: str
@@ -38,15 +43,20 @@ class PerturbationRecord:
     deltas: np.ndarray
     parameter_names: List[str] = field(default_factory=list)
     metadata: Dict[str, float] = field(default_factory=dict)
+    values: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.flat_indices = np.asarray(self.flat_indices, dtype=np.int64)
         self.deltas = np.asarray(self.deltas, dtype=np.float64)
-        if self.flat_indices.shape != self.deltas.shape:
-            raise ValueError(
-                "flat_indices and deltas must have the same shape, got "
-                f"{self.flat_indices.shape} and {self.deltas.shape}"
-            )
+        if self.values is not None:
+            self.values = np.asarray(self.values, dtype=np.float64)
+        for name in ("deltas", "values"):
+            array = getattr(self, name)
+            if array is not None and array.shape != self.flat_indices.shape:
+                raise ValueError(
+                    f"flat_indices and {name} must have the same shape, got "
+                    f"{self.flat_indices.shape} and {array.shape}"
+                )
 
     @property
     def num_modified(self) -> int:
@@ -67,13 +77,17 @@ class PerturbationRecord:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form, for audit logs and out-of-band replay
-        (round-trip through :meth:`from_dict` + :func:`apply_record`)."""
+        (round-trip through :meth:`from_dict` + :func:`apply_record`).
+        Floats serialise by ``repr``, so ``values`` and ``deltas`` come back
+        bit for bit and the replayed copy is the attack's own; ``values``
+        is ``None`` for a record without them."""
         return {
             "attack": self.attack,
             "flat_indices": [int(i) for i in self.flat_indices],
             "deltas": [float(d) for d in self.deltas],
             "parameter_names": list(self.parameter_names),
             "metadata": {k: float(v) for k, v in self.metadata.items()},
+            "values": None if self.values is None else [float(v) for v in self.values],
         }
 
     @classmethod
@@ -85,6 +99,7 @@ class PerturbationRecord:
             deltas=np.asarray(data["deltas"], dtype=np.float64),
             parameter_names=list(data.get("parameter_names", [])),  # type: ignore[arg-type]
             metadata=dict(data.get("metadata", {})),  # type: ignore[arg-type]
+            values=data.get("values"),  # type: ignore[arg-type]
         )
 
 
@@ -129,12 +144,18 @@ def apply_record(model: Sequential, record: PerturbationRecord) -> Sequential:
     """Apply a previously captured perturbation record to a copy of ``model``.
 
     Useful for replaying the exact same fault against several defence
-    configurations.
+    configurations.  A record with ``values`` writes them, so applying an
+    attack's record to its victim rebuilds the attack's copy bit for bit;
+    a record without them adds its ``deltas``.
     """
     victim = model.copy()
     view = victim.parameter_view()
-    for idx, delta in zip(record.flat_indices, record.deltas):
-        view.add_scalar(int(idx), float(delta))
+    if record.values is None:
+        for idx, delta in zip(record.flat_indices, record.deltas):
+            view.add_scalar(int(idx), float(delta))
+    else:
+        for idx, value in zip(record.flat_indices, record.values):
+            view.set_scalar(int(idx), float(value))
     return victim
 
 

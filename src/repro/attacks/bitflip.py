@@ -70,6 +70,7 @@ class BitFlipAttack(ParameterAttack):
         k = min(self.num_parameters, total)
         chosen = self._rng.choice(total, size=k, replace=False)
 
+        values = np.zeros(k, dtype=np.float64)
         deltas = np.zeros(k, dtype=np.float64)
         flipped_bits = []
         for j, idx in enumerate(chosen):
@@ -84,6 +85,7 @@ class BitFlipAttack(ParameterAttack):
                 bit = 63
                 new_value = flip_bit(original, bit)
             view.set_scalar(int(idx), new_value)
+            values[j] = new_value
             deltas[j] = new_value - original
             flipped_bits.append(bit)
 
@@ -93,6 +95,7 @@ class BitFlipAttack(ParameterAttack):
             deltas=deltas,
             parameter_names=[parameter_name_of(model, int(i)) for i in chosen],
             metadata={"bits": float(flipped_bits[0]) if flipped_bits else -1.0},
+            values=values,
         )
 
 

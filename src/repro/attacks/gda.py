@@ -111,10 +111,12 @@ class GradientDescentAttack(ParameterAttack):
             if int(engine.predict_classes(x)[0]) != label:
                 break
 
-        deltas = view.flat_values()[chosen] - original[chosen]
+        values = view.flat_values()[chosen]
+        deltas = values - original[chosen]
         # drop parameters the clipping left untouched
         touched = np.abs(deltas) > 0
         chosen = chosen[touched]
+        values = values[touched]
         deltas = deltas[touched]
         return PerturbationRecord(
             attack=self.attack_name,
@@ -125,6 +127,7 @@ class GradientDescentAttack(ParameterAttack):
                 "target_index": float(idx),
                 "original_label": float(label),
             },
+            values=values,
         )
 
 

@@ -63,6 +63,7 @@ class RandomPerturbation(ParameterAttack):
             deltas=deltas,
             parameter_names=[parameter_name_of(model, int(i)) for i in chosen],
             metadata={"relative_std": self.relative_std},
+            values=flat[chosen],
         )
 
 

@@ -139,6 +139,7 @@ class SingleBiasAttack(ParameterAttack):
             deltas=np.array([delta]),
             parameter_names=[parameter_name_of(model, chosen)],
             metadata={"magnitude": magnitude},
+            values=np.array([view.get_scalar(chosen)]),
         )
 
 
@@ -148,13 +149,9 @@ def _classes_from(
     """Predicted classes of ``model`` on the trunks' inputs, running only
     layers ``start`` onwards (every earlier layer must equal the trunks'
     model bit for bit).  An inference pass: nothing stays on ``model``."""
-    classes = []
-    for trunk in trunks:
-        out = trunk[start]
-        for layer in model.layers[start:]:
-            out = layer.forward(out)
-        classes.append(np.argmax(out, axis=1))
-    return np.concatenate(classes)
+    return np.concatenate(
+        [np.argmax(model._run(trunk[start], start=start), axis=1) for trunk in trunks]
+    )
 
 
 __all__ = ["SingleBiasAttack"]

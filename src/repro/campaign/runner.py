@@ -28,7 +28,6 @@ results for the scenarios it still has to run.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -41,6 +40,7 @@ from repro.faults import CampaignAbortedError, inject
 from repro.coverage.activation import resolve_criterion
 from repro.coverage.bitmap import CoverageMap
 from repro.engine import Engine
+from repro.engine.cache import BatchResultCache
 from repro.models.zoo import MODEL_LEARNING_RATES
 from repro.registry import registry
 from repro.testgen.strategies import build_generator
@@ -190,7 +190,7 @@ class CampaignRunner:
         self._failures: List[FailureRecord] = []
         #: per-model shared work, retained across run() calls:
         #: model name -> (prepared, engine, {package key: package})
-        self._model_cache: "OrderedDict[str, tuple]" = OrderedDict()
+        self._model_cache = BatchResultCache(max_entries=MODEL_CACHE_SLOTS)
 
     def _emit(self, message: str) -> None:
         logger.info("%s", message)
@@ -384,16 +384,13 @@ class CampaignRunner:
         """
         cached = self._model_cache.get(model_name)
         if cached is not None:
-            self._model_cache.move_to_end(model_name)
             return cached
         prepared = self._prepare_model(model_name)
         # one memoizing engine per model: package generation for every
         # (criterion, strategy) shares its mask/gradient cache
         engine = Engine(prepared.model, spill_dir=self.spill_dir)
         context = (prepared, engine, {})
-        self._model_cache[model_name] = context
-        while len(self._model_cache) > MODEL_CACHE_SLOTS:
-            self._model_cache.popitem(last=False)
+        self._model_cache.put(model_name, context)
         return context
 
     def _run_model(

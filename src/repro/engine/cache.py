@@ -13,7 +13,10 @@ This module provides the pieces that make those revisits free:
   trunk memo, the on-disk mask stores, the session's engine pool and the
   serve coalescer's dedup);
 * :class:`BatchResultCache` — a small bounded LRU mapping from those keys to
-  computed arrays, with hit/miss statistics for observability;
+  computed arrays, with hit/miss statistics for observability; it is also
+  the one LRU behind every other in-process pool (the session's engines and
+  prepared experiments, the campaign runner's models, serve's query
+  models);
 * :class:`TrunkCache` — a bounded memo of a model's per-layer activations on
   a batch (its *trunk*), keyed on the exact parameter bytes, which the
   trial loop reuses across every perturbed copy of one victim;
@@ -209,6 +212,11 @@ class BatchResultCache:
                 _, evicted = self._entries.popitem(last=False)
                 self._nbytes -= _value_nbytes(evicted)
                 self.stats.evictions += 1
+
+    def values(self) -> List[Any]:
+        """A snapshot of the cached values, least recently used first."""
+        with self._lock:
+            return list(self._entries.values())
 
     def clear(self) -> None:
         with self._lock:

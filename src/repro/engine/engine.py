@@ -433,16 +433,12 @@ class Engine:
         and some copy needs it)."""
         if trunk is None and any(splits):
             trunk = (x, *self.model.forward_collect(x))
-        outputs = []
-        for model, split in zip(models, splits):
-            if split == 0:
-                outputs.append(model.forward(x))
-                continue
-            out = trunk[split]
-            for layer in model.layers[split:]:
-                out = layer.forward(out)
-            outputs.append(out)
-        return np.stack(outputs)
+        return np.stack(
+            [
+                model.forward(x) if split == 0 else model._run(trunk[split], start=split)
+                for model, split in zip(models, splits)
+            ]
+        )
 
     # -- gradient queries ----------------------------------------------------
     def output_gradients(

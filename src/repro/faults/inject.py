@@ -14,10 +14,15 @@ Sites currently instrumented:
 site               where                                   context keys
 ================== ====================================== =================
 ``engine.dispatch``   every ``Engine`` call into the model ``op``
-``layer.forward``     per-layer in ``Sequential.forward``  ``layer, index, model``
+``layer.forward``     each layer ``Sequential._run`` runs  ``layer, index, model``
 ``campaign.scenario`` per attack group in the runner       ``model, attack``
 ``campaign.shard``    per pulled unit in a shard worker    ``shard, model, attack``
 ================== ====================================== =================
+
+``layer.forward`` sees every layer a model runs, inference or training,
+including the suffix layers a perturbed copy runs from its victim's trunk
+(:meth:`~repro.engine.Engine.stacked_forward`, SBA's flip check); layers
+whose output is read from the trunk do not run and are not checked.
 
 At ``engine.dispatch`` the ``op`` is the engine query making the call:
 ``forward``, ``forward_collect``, ``output_gradients``, ``input_gradients``,

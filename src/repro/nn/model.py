@@ -150,16 +150,20 @@ class Sequential:
     def _run(
         self,
         x: np.ndarray,
-        training: bool,
-        tape: Optional[List[Tape]],
+        training: bool = False,
+        tape: Optional[List[Tape]] = None,
         outputs: Optional[List[np.ndarray]] = None,
+        start: int = 0,
     ) -> np.ndarray:
-        """The layer loop of :meth:`forward`; appends each layer's output to
+        """The one layer loop: runs layers ``start`` onwards on ``x``, the
+        input of layer ``start`` (a copy that starts on its victim's trunk
+        passes the trunk entry there), and appends each layer's output to
         ``outputs`` when given."""
         if tape is not None:
             tape[:] = [{} for _ in self.layers]
         out = x
-        for index, layer in enumerate(self.layers):
+        for index in range(start, len(self.layers)):
+            layer = self.layers[index]
             if _inject.active():
                 # chaos-plan hook: latency/exception faults addressed to a
                 # named layer's forward ("layer.forward" site)

@@ -5,7 +5,9 @@ the endpoint's logits" — and :class:`RemoteModel` layers the client-side
 economics on top: micro-batching, deterministic retry/backoff through the
 existing :class:`repro.faults.FaultPolicy` machinery, token-bucket rate
 limiting (:class:`repro.serve.quota.TokenBucket`), and a response cache
-keyed by input fingerprint so a repeated fingerprint is never re-billed.
+keyed on each input row's exact bytes
+(:func:`repro.engine.cache.array_fingerprint`), so a repeated input is never
+re-billed and an input that differs in any bit is always sent.
 Every billable event lands in the :class:`QueryLedger`, which merges into
 validation stats.
 
@@ -20,7 +22,6 @@ while logic errors (HTTP 4xx) propagate as ``ValueError`` immediately.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 import urllib.error
@@ -31,6 +32,7 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 
 from repro.api.wire import envelope, open_envelope
+from repro.engine.cache import array_fingerprint
 from repro.faults.policy import FaultPolicy, RetryController
 from repro.registry import register, registry
 from repro.serve.quota import TokenBucket
@@ -173,13 +175,6 @@ class HttpTransport:
         }
 
 
-def _fingerprint(row: np.ndarray) -> str:
-    """Cache key for one input row — same rounding rule as the package digest."""
-    return hashlib.sha256(
-        np.ascontiguousarray(np.round(row, 12)).tobytes()
-    ).hexdigest()
-
-
 class RemoteModel:
     """A metered remote endpoint as a :data:`~repro.validation.user.BlackBoxIP`.
 
@@ -227,7 +222,7 @@ class RemoteModel:
             batch = batch.reshape(1, -1)
         started = time.perf_counter()
         try:
-            keys = [_fingerprint(row) for row in batch]
+            keys = [array_fingerprint(row) for row in batch]
             rows: Dict[int, np.ndarray] = {}
             missing = []
             for i, key in enumerate(keys):

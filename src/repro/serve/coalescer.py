@@ -8,12 +8,14 @@ exploits, so the service funnels every model-backed validate through this
 coalescer instead:
 
 * requests are grouped by an opaque **group key** the service derives from
-  the package fingerprint
-  (:meth:`~repro.validation.package.ValidationPackage.digest` — same tests,
-  same references) *and* the model's architecture signature, so only
-  stack-compatible models ever share a dispatch (a shape-tampered IP gets
-  its own single-model dispatch and scores as tampering, never as an
-  error that fails innocent co-travellers);
+  the exact bytes of the package's tests
+  (:func:`~repro.engine.cache.array_fingerprint` — a dispatch reads nothing
+  else of the package, so packages that differ only in references, masks
+  or metadata share a group and are still scored apart) *and* the model's
+  architecture signature, so only stack-compatible models ever share a
+  dispatch (a shape-tampered IP gets its own single-model dispatch and
+  scores as tampering, never as an error that fails innocent
+  co-travellers);
 * within a group, requests are keyed by the IP's **digest**, the hash of
   its exact parameter bytes (:func:`~repro.engine.cache.exact_model_key`):
   two requests for the same digest share one future (in-flight dedup — the
@@ -200,7 +202,7 @@ class BatchingCoalescer:
     ) -> np.ndarray:
         """Observed logits for ``model`` on ``package``'s tests.
 
-        ``group_key`` is opaque here; the service builds it from the package
+        ``group_key`` is opaque here; the service builds it from the tests'
         fingerprint plus the model's architecture signature, so everything
         sharing a key is stack-compatible.  Identical concurrent submits
         (same key, same digest) share one dispatch; distinct digests on the

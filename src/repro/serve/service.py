@@ -12,15 +12,17 @@ concurrently for many tenants:
   ``Retry-After`` hint and cost no compute;
 * **coalescing** — model-backed validates route through the
   :class:`~repro.serve.coalescer.BatchingCoalescer`, which merges
-  concurrent requests on one package into single stacked dispatches
+  concurrent requests on the same tests into single stacked dispatches
   (bit-identical per-model slices, see the coalescer docs).  Its window
   (``coalesce_window_s``) defaults to 0: a group dispatches after one
   event-loop yield, so no request waits on a timer.  The group key
-  pairs the package fingerprint with the model's **architecture
-  signature** (input shape plus per-layer types and output shapes), so
-  only stack-compatible models fuse — a shape-tampered IP dispatches
-  alone and scores as tampering instead of erroring out its
-  co-travellers;
+  pairs the exact bytes of the package's tests
+  (:func:`~repro.engine.cache.array_fingerprint`) with the model's
+  **architecture signature** (input shape plus per-layer types and
+  output shapes), so only stack-compatible models fuse — a
+  shape-tampered IP dispatches alone and scores as tampering instead of
+  erroring out its co-travellers — and each request is still scored
+  against its own package;
 * **worker tier** — CPU-bound Session work runs on a
   :class:`~concurrent.futures.ThreadPoolExecutor` via
   ``loop.run_in_executor``, keeping the event loop responsive; engine
@@ -45,10 +47,9 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from repro.api.requests import (
     ValidationOutcome,
 )
 from repro.api.session import BlackBox, Session
-from repro.engine.cache import exact_model_key
+from repro.engine.cache import BatchResultCache, array_fingerprint, exact_model_key
 from repro.nn.model import Sequential
 from repro.serve.coalescer import BatchingCoalescer
 from repro.serve.config import ServeConfig
@@ -76,8 +77,8 @@ logger = get_logger("serve.service")
 #: coalesced dispatches replay tests through the identical op sequence
 SERVE_BATCH_SIZE = 256
 
-#: distinct package objects whose fingerprints stay memoized at once
-_FINGERPRINT_CACHE_SIZE = 32
+#: models loaded for raw ``/v1/query`` inference that stay cached at once
+_QUERY_MODEL_CACHE_SIZE = 32
 
 
 class ServiceDraining(Exception):
@@ -152,19 +153,8 @@ class ValidationService:
         # keeps no per-pass state and no gradient), but a second lane is a
         # scheduling change to measure on a load that keeps this one busy
         self._dispatch_lock = threading.Lock()
-        # package fingerprints are content hashes over the full test payload;
-        # the same (immutable, integrity-digested) package object is replayed
-        # across many requests, so memoize by object identity — the cached
-        # strong reference keeps each id stable while its entry lives
-        self._fingerprints: "OrderedDict[int, Tuple[ValidationPackage, str]]" = (
-            OrderedDict()
-        )
-        self._fingerprint_lock = threading.Lock()
         # models loaded for raw /v1/query inference, keyed by file identity
-        self._query_models: "OrderedDict[Tuple[object, ...], Sequential]" = (
-            OrderedDict()
-        )
-        self._query_model_lock = threading.Lock()
+        self._query_models = BatchResultCache(max_entries=_QUERY_MODEL_CACHE_SIZE)
         self._draining = False
         self._closed = False
         self._started = time.monotonic()
@@ -199,22 +189,6 @@ class ValidationService:
             raise RequestTimeout(
                 f"request exceeded the {timeout:g}s budget"
             ) from None
-
-    def _package_fingerprint(self, package: ValidationPackage) -> str:
-        """Package half of the coalescer group key: ``package.digest()``,
-        memoized per object."""
-        key = id(package)
-        with self._fingerprint_lock:
-            cached = self._fingerprints.get(key)
-            if cached is not None:
-                self._fingerprints.move_to_end(key)
-                return cached[1]
-        fingerprint = package.digest()
-        with self._fingerprint_lock:
-            self._fingerprints[key] = (package, fingerprint)
-            while len(self._fingerprints) > _FINGERPRINT_CACHE_SIZE:
-                self._fingerprints.popitem(last=False)
-        return fingerprint
 
     async def _dispatch_stacked(
         self, package: ValidationPackage, models: Sequence[object]
@@ -270,11 +244,14 @@ class ValidationService:
                 )
             ip = await self._in_executor(self.session.load_ip, req)
         if isinstance(ip, Sequential):
-            package_fp = await self._in_executor(self._package_fingerprint, package)
-            digest = await self._in_executor(exact_model_key, ip)
-            # architecture in the key: only models the engine may stack
-            # together (same layers, activations and shapes) share a group
-            group_key = f"{package_fp}#{ip.architecture_signature()!r}"
+            signature = ip.architecture_signature()
+            tests_fp, digest = await self._in_executor(
+                lambda: (array_fingerprint(package.tests), exact_model_key(ip, signature))
+            )
+            # a dispatch reads only the tests, so packages that share them
+            # share a group; architecture in the key: only models the engine
+            # may stack together (same layers, activations and shapes) do
+            group_key = f"{tests_fp}#{signature!r}"
             observed = await self.coalescer.submit(
                 group_key, package, digest, ip, tenant=tenant
             )
@@ -375,16 +352,10 @@ class ValidationService:
             req.width_multiplier,
             req.input_size,
         )
-        with self._query_model_lock:
-            cached = self._query_models.get(key)
-            if cached is not None:
-                self._query_models.move_to_end(key)
-                return cached
-        model = self.session.load_ip(req)
-        with self._query_model_lock:
-            self._query_models[key] = model
-            while len(self._query_models) > _FINGERPRINT_CACHE_SIZE:
-                self._query_models.popitem(last=False)
+        model = self._query_models.get(key)
+        if model is None:
+            model = self.session.load_ip(req)
+            self._query_models.put(key, model)
         return model
 
     async def release(
@@ -486,10 +457,7 @@ class ValidationService:
         self._draining = True
         self._closed = True
         self._executor.shutdown(wait=True)
-        with self._fingerprint_lock:
-            self._fingerprints.clear()
-        with self._query_model_lock:
-            self._query_models.clear()
+        self._query_models.clear()
         self.session.close()
 
     async def __aenter__(self) -> "ValidationService":

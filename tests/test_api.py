@@ -173,6 +173,23 @@ class TestSession:
             assert s.engine_for(trained_cnn) is e2
             assert s.engine_for(trained_mlp) is not e1
 
+    def test_prepared_lru_re_prepares_an_evicted_key(self, monkeypatch):
+        from repro.analysis import sweep
+
+        calls = []
+
+        def fake_prepare(dataset, **kwargs):
+            calls.append(dataset)
+            return object()
+
+        monkeypatch.setattr(sweep, "prepare_experiment", fake_prepare)
+        with Session(prepared_cache_size=1) as s:
+            first = s.prepare("mnist")
+            assert s.prepare("mnist") is first  # warm reuse
+            s.prepare("cifar")  # evicts mnist
+            assert s.prepare("mnist") is not first
+        assert calls == ["mnist", "cifar", "mnist"]
+
     def test_engines_inherit_config(self, trained_mlp):
         with Session(batch_size=8, memory_budget_bytes=1 << 20) as s:
             engine = s.engine_for(trained_mlp)

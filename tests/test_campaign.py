@@ -512,6 +512,25 @@ class TestRunner:
         with pytest.raises(ValueError, match="is empty"):
             CampaignRunner(tiny_spec(attacks=()), store)
 
+    def test_model_pool_re_prepares_an_evicted_model(self, tmp_path):
+        from types import SimpleNamespace
+
+        from repro.campaign.runner import MODEL_CACHE_SLOTS
+
+        runner = CampaignRunner(tiny_spec(), ResultStore(tmp_path / "s.jsonl"))
+        prepared = []
+
+        def fake_prepare(model_name):
+            prepared.append(model_name)
+            return SimpleNamespace(model=small_mlp(rng=0))
+
+        runner._prepare_model = fake_prepare
+        names = [f"m{i}" for i in range(MODEL_CACHE_SLOTS + 1)]
+        contexts = [runner._model_context(name) for name in names]
+        assert runner._model_context(names[-1]) is contexts[-1]  # still pooled
+        assert runner._model_context(names[0]) is not contexts[0]  # evicted
+        assert prepared == names + [names[0]]
+
 
 # ---------------------------------------------------------------------------
 # aggregation + CLI

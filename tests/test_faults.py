@@ -345,6 +345,23 @@ class TestEngineFaults:
         with inject.activate(plan), pytest.raises(OSError):
             engine.forward(batch)
 
+    def test_layer_site_sees_the_layers_a_copy_runs_on_the_trunk(self, model, batch):
+        """A copy that diverges at the output layer runs only that layer on
+        the victim's warm trunk; ``layer.forward`` sees it there once, as in
+        the copy's own forward."""
+        engine = Engine(model, cache=False)
+        copy = model.copy()
+        copy.layers[-1].bias.value[0] += 1.0
+        engine.stacked_forward([copy], batch)  # warms the victim's trunk
+        fired = []
+        for run in (lambda: engine.stacked_forward([copy], batch), lambda: copy.forward(batch)):
+            plan = FaultPlan()
+            plan.latency("layer.forward", 0.0, layer=copy.layers[-1].name)
+            with inject.activate(plan):
+                run()
+            fired.append(plan.fired("layer.forward"))
+        assert fired == [1, 1]
+
 
 # ---------------------------------------------------------------------------
 # spill-store quarantine

@@ -295,6 +295,20 @@ class TestRemoteModel:
         assert remote.ledger.cache_hits == package.num_tests
         assert remote.cache_size == package.num_tests
 
+    def test_cache_is_keyed_on_exact_input_bytes(self, trained_cnn, package):
+        """An input 1e-14 away from a cached one, in one pixel, is sent on:
+        the answer is the model's own logits for it, not the cached row's."""
+        remote = RemoteModel(CallableTransport(trained_cnn.predict))
+        x = package.tests[:1]
+        y = x.copy()
+        y.reshape(-1)[100] += 1e-14
+        remote(x)
+        assert remote(y).tobytes() == trained_cnn.predict(y).tobytes()
+        assert remote.ledger.queries_sent == 2
+        assert remote.ledger.cache_hits == 0
+        assert remote(y).tobytes() == trained_cnn.predict(y).tobytes()
+        assert remote.ledger.cache_hits == 1
+
     def test_cache_disabled_rebills(self, trained_cnn, package):
         fn, calls = self._counted(trained_cnn)
         remote = RemoteModel(CallableTransport(fn), cache=False)

@@ -13,6 +13,7 @@ pytest-asyncio is not a dependency — async tests run their event loop via
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import signal
 import subprocess
@@ -24,7 +25,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import ReleaseRequest, RunConfig, Session, ValidateRequest
+from repro.api import (
+    ReleaseRequest,
+    RunConfig,
+    Session,
+    ValidateRequest,
+    ValidationOutcome,
+)
 from repro.engine import Engine
 from repro.nn.layers import Dense
 from repro.serve import (
@@ -644,6 +651,96 @@ class TestValidationService:
         assert serial.max_output_deviation > 0.0  # the flip moves the outputs
         assert low_bit.max_output_deviation == serial.max_output_deviation
         assert clean.max_output_deviation == 0.0
+
+    def test_equal_digest_packages_are_scored_on_their_own_tests(self, released):
+        """Two packages whose rounded digests agree, but whose tests differ
+        by 1e-14 in one pixel, never share a dispatch: each verdict is
+        ``validate_ip`` on its own package, field for field."""
+        model, a = released.model, released.package
+        tests = a.tests.copy()
+        tests.reshape(-1)[100] += 1e-14
+        b = dataclasses.replace(a, tests=tests, expected_outputs=model.predict(tests))
+        assert a.digest() == b.digest()
+        assert a.tests.tobytes() != b.tests.tobytes()
+
+        async def main():
+            async with _service(coalesce_window_s=0.05) as service:
+                client = AsyncClient(service)
+                return await asyncio.gather(
+                    client.validate({"package": a}, ip=model),
+                    client.validate({"package": b}, ip=model),
+                )
+
+        outcomes = asyncio.run(main())
+        for outcome, package in zip(outcomes, (a, b)):
+            serial = validate_ip(model, package)
+            assert outcome == ValidationOutcome.from_report(serial, package)
+        assert outcomes[1].max_output_deviation == 0.0
+
+    def test_packages_sharing_tests_share_a_dispatch_not_a_verdict(self, released):
+        """A dispatch reads only the tests: a package with the same tests
+        but other references and metadata joins the same dispatch (and the
+        same model's future) and is still scored against its own
+        references."""
+        model, clean = released.model, released.package
+        forged = dataclasses.replace(
+            clean,
+            expected_outputs=clean.expected_outputs + 1.0,
+            metadata={"vendor": "other"},
+        )
+
+        async def main():
+            async with _service(coalesce_window_s=0.05) as service:
+                client = AsyncClient(service)
+                outcomes = await asyncio.gather(
+                    client.validate({"package": clean}, ip=model),
+                    client.validate({"package": forged}, ip=model),
+                )
+                return outcomes, service.coalescer.stats
+
+        outcomes, stats = asyncio.run(main())
+        assert stats.dispatches == 1 and stats.deduped == 1
+        for outcome, package in zip(outcomes, (clean, forged)):
+            serial = validate_ip(model, package)
+            assert outcome == ValidationOutcome.from_report(serial, package)
+        assert outcomes[0].passed and outcomes[1].detected
+
+    def test_query_model_pool_reloads_republished_files(self, tmp_path, monkeypatch):
+        """A raw-query model is reloaded when its file is republished (new
+        size or mtime), and the pool keeps at most 32 models."""
+        service = _service()
+        loads = []
+
+        def fake_load(req):
+            loads.append(req.model_path)
+            return object()
+
+        monkeypatch.setattr(service.session, "load_ip", fake_load)
+
+        def query_model(path):
+            return service._query_model({"model_path": str(path)})
+
+        path = tmp_path / "model.npz"
+        path.write_bytes(b"v1")
+        try:
+            first = query_model(path)
+            assert query_model(path) is first
+            path.write_bytes(b"v2, longer")
+            second = query_model(path)
+            assert second is not first
+            stat = path.stat()
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+            third = query_model(path)
+            assert third is not second
+            for i in range(40):
+                other = tmp_path / f"other{i}.npz"
+                other.write_bytes(b"x")
+                query_model(other)
+            assert len(service._query_models) == 32
+            assert query_model(path) is not third  # evicted, so reloaded
+            assert len(loads) == 3 + 40 + 1
+        finally:
+            service.close()
 
     def test_mixed_architectures_never_fuse(self, released):
         """Different architectures on one package must not share a stacked

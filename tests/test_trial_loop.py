@@ -13,6 +13,8 @@ in-process identity keys are exact.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -187,13 +189,19 @@ class TestRecordsMatchThePlainLoop:
 
 
 class TestRecordsRebuildTheirCopies:
-    @pytest.mark.parametrize("attack", ["sba", "gda", "random"])
+    @pytest.mark.parametrize("attack", registry.names("attacks"))
     def test_apply_record_is_exact(self, victim, attack):
+        """The record, and its JSON round trip, rebuild the attack's copy
+        bit for bit (a bit flip ``f`` of ``o`` need not equal
+        ``o + (f - o)``, so the record carries the values written)."""
         model, refs, _ = victim
         factory = default_attack_factories(refs)[attack]
         for seed in SEEDS:
             outcome = factory(np.random.default_rng(seed)).apply(model)
-            assert models_equal(apply_record(model, outcome.record), outcome.model), seed
+            record = outcome.record
+            replayed = PerturbationRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+            assert models_equal(apply_record(model, record), outcome.model), seed
+            assert models_equal(apply_record(model, replayed), outcome.model), seed
 
 
 class TestAttackCopiesAreTheirOwnModels:
