@@ -8,7 +8,9 @@ Usage::
 Runs ``python -m repro release`` for each entry of :data:`RELEASES` (mnist
 and cifar at width 0.125 with the ``combined`` strategy, plus one mnist
 release each with the ``gradient``, ``selection`` and ``neuron``
-strategies), then prints one line per array of its
+strategies, and one cifar release with ``--measure-discrimination``, whose
+``discrimination`` scores replay every registered attack), then prints one
+line per array of its
 ``package.npz`` and ``model.npz`` (the releases themselves go to a temporary
 directory)::
 
@@ -38,6 +40,7 @@ RELEASES = {
     "mnist-gradient": ["--dataset", "mnist", "--tests", "6", "--strategy", "gradient"],
     "mnist-selection": ["--dataset", "mnist", "--tests", "8", "--strategy", "selection"],
     "mnist-neuron": ["--dataset", "mnist", "--tests", "8", "--strategy", "neuron"],
+    "cifar-discrimination": ["--dataset", "cifar", "--tests", "8", "--measure-discrimination"],
 }
 
 FILES = ("package.npz", "model.npz")

@@ -22,7 +22,6 @@ from repro.attacks.base import (
     PerturbationRecord,
     apply_record,
     bias_flat_indices,
-    parameter_name_of,
     revert_record,
     weight_flat_indices,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "PerturbationRecord",
     "apply_record",
     "bias_flat_indices",
-    "parameter_name_of",
     "revert_record",
     "weight_flat_indices",
     "BitFlipAttack",

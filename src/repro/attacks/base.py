@@ -11,12 +11,13 @@ can measure whether a given set of functional tests exposes the change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.engine.cache import TrunkCache
 from repro.nn.model import Sequential
+from repro.nn.tensor import ParameterView
 from repro.utils.rng import RngLike, as_generator
 
 
@@ -139,6 +140,33 @@ class ParameterAttack:
         """Modify ``model`` in place and describe the modification."""
         raise NotImplementedError
 
+    def _record(
+        self,
+        view: ParameterView,
+        flat_indices: np.ndarray,
+        deltas: np.ndarray,
+        metadata: Dict[str, float],
+    ) -> PerturbationRecord:
+        """The record of a perturbation already written through ``view``:
+        each index's owning tensor name and the value the copy now holds
+        there are read back from the view."""
+        flat_indices = np.asarray(flat_indices, dtype=np.int64)
+        parameters = view.parameters
+        names: List[str] = []
+        values = np.empty(flat_indices.shape, dtype=np.float64)
+        for j, idx in enumerate(flat_indices):
+            tensor, local = view.locate(int(idx))
+            names.append(parameters[tensor].name)
+            values[j] = parameters[tensor].value[local]
+        return PerturbationRecord(
+            attack=self.attack_name,
+            flat_indices=flat_indices,
+            deltas=deltas,
+            parameter_names=names,
+            metadata=metadata,
+            values=values,
+        )
+
 
 def apply_record(model: Sequential, record: PerturbationRecord) -> Sequential:
     """Apply a previously captured perturbation record to a copy of ``model``.
@@ -160,7 +188,12 @@ def apply_record(model: Sequential, record: PerturbationRecord) -> Sequential:
 
 
 def revert_record(model: Sequential, record: PerturbationRecord) -> Sequential:
-    """Undo a perturbation record on a copy of ``model``."""
+    """Subtract a record's ``deltas`` from a copy of ``model``.
+
+    Approximate: ``(o + δ) − δ`` need not be ``o``, and a bit flip's delta
+    need not invert it, so the result can differ from the attack's victim
+    in the low bits.  The victim itself is the exact original.
+    """
     victim = model.copy()
     view = victim.parameter_view()
     for idx, delta in zip(record.flat_indices, record.deltas):
@@ -188,13 +221,6 @@ def weight_flat_indices(model: Sequential) -> np.ndarray:
     return np.asarray(indices, dtype=np.int64)
 
 
-def parameter_name_of(model: Sequential, flat_index: int) -> str:
-    """Name of the parameter tensor owning a flat index."""
-    view = model.parameter_view()
-    tensor_idx, _ = view.locate(flat_index)
-    return view.parameters[tensor_idx].name
-
-
 __all__ = [
     "PerturbationRecord",
     "AttackOutcome",
@@ -203,5 +229,4 @@ __all__ = [
     "revert_record",
     "bias_flat_indices",
     "weight_flat_indices",
-    "parameter_name_of",
 ]

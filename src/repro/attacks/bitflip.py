@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.attacks.base import ParameterAttack, PerturbationRecord, parameter_name_of
+from repro.attacks.base import ParameterAttack, PerturbationRecord
 from repro.nn.model import Sequential
 from repro.utils.rng import RngLike
 
@@ -70,7 +70,6 @@ class BitFlipAttack(ParameterAttack):
         k = min(self.num_parameters, total)
         chosen = self._rng.choice(total, size=k, replace=False)
 
-        values = np.zeros(k, dtype=np.float64)
         deltas = np.zeros(k, dtype=np.float64)
         flipped_bits = []
         for j, idx in enumerate(chosen):
@@ -85,17 +84,14 @@ class BitFlipAttack(ParameterAttack):
                 bit = 63
                 new_value = flip_bit(original, bit)
             view.set_scalar(int(idx), new_value)
-            values[j] = new_value
             deltas[j] = new_value - original
             flipped_bits.append(bit)
 
-        return PerturbationRecord(
-            attack=self.attack_name,
-            flat_indices=chosen,
-            deltas=deltas,
-            parameter_names=[parameter_name_of(model, int(i)) for i in chosen],
-            metadata={"bits": float(flipped_bits[0]) if flipped_bits else -1.0},
-            values=values,
+        return self._record(
+            view,
+            chosen,
+            deltas,
+            {"bits": float(flipped_bits[0]) if flipped_bits else -1.0},
         )
 
 

@@ -19,8 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.attacks.base import ParameterAttack, PerturbationRecord, parameter_name_of
-from repro.engine import Engine
+from repro.attacks.base import ParameterAttack, PerturbationRecord
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.utils.rng import RngLike
@@ -58,7 +57,7 @@ class GradientDescentAttack(ParameterAttack):
         rng: RngLike = None,
     ) -> None:
         super().__init__(rng)
-        target_inputs = np.asarray(target_inputs, dtype=np.float64)
+        target_inputs = np.ascontiguousarray(target_inputs, dtype=np.float64)
         if target_inputs.ndim < 2 or target_inputs.shape[0] == 0:
             raise ValueError("target_inputs must be a non-empty batch")
         if num_parameters <= 0:
@@ -79,55 +78,45 @@ class GradientDescentAttack(ParameterAttack):
         idx = int(self._rng.integers(0, self.target_inputs.shape[0]))
         x = self.target_inputs[idx : idx + 1]
         view = model.parameter_view()
-        original = view.flat_values()
-        scale = max(float(np.sqrt(np.mean(original**2))), 1e-3)
+        flat = view.flat_values()
+        scale = max(float(np.sqrt(np.mean(flat**2))), 1e-3)
 
-        # the model's parameters change on every ascent step, so run through
-        # an uncached engine (memoization keys would never repeat anyway)
-        engine = Engine(model, cache=False)
+        # the model's parameters change on every ascent step, so query it
+        # directly: a memo key would never repeat
         loss_fn = SoftmaxCrossEntropy()
-        label = int(engine.predict_classes(x)[0])
+        label = int(np.argmax(model.forward(x), axis=1)[0])
         targets = np.array([label])
 
         # pick the parameters with the largest loss gradient for this input
-        _, grads = engine.loss_parameter_gradients(x, targets, loss_fn)
+        _, grads = model.loss_parameter_gradients(x, targets, loss_fn)
         k = min(self.num_parameters, grads.size)
         chosen = np.argsort(-np.abs(grads))[:k]
 
+        original = flat[chosen]
+        values = original.copy()
         limit = self.max_relative_change * scale
         for step in range(self.max_steps):
             if step:
                 # the first step ascends the gradient that chose the parameters
-                _, grads = engine.loss_parameter_gradients(x, targets, loss_fn)
+                _, grads = model.loss_parameter_gradients(x, targets, loss_fn)
 
-            flat = view.flat_values()
-            flat[chosen] += self.step_size * scale * np.sign(grads[chosen])
+            values += self.step_size * scale * np.sign(grads[chosen])
             # keep the perturbation bounded for stealth
-            flat[chosen] = np.clip(
-                flat[chosen], original[chosen] - limit, original[chosen] + limit
-            )
-            view.set_flat_values(flat)
+            values = np.clip(values, original - limit, original + limit)
+            for i, value in zip(chosen, values):
+                view.set_scalar(int(i), value)
 
-            if int(engine.predict_classes(x)[0]) != label:
+            if int(np.argmax(model.forward(x), axis=1)[0]) != label:
                 break
 
-        values = view.flat_values()[chosen]
-        deltas = values - original[chosen]
+        deltas = values - original
         # drop parameters the clipping left untouched
         touched = np.abs(deltas) > 0
-        chosen = chosen[touched]
-        values = values[touched]
-        deltas = deltas[touched]
-        return PerturbationRecord(
-            attack=self.attack_name,
-            flat_indices=chosen,
-            deltas=deltas,
-            parameter_names=[parameter_name_of(model, int(i)) for i in chosen],
-            metadata={
-                "target_index": float(idx),
-                "original_label": float(label),
-            },
-            values=values,
+        return self._record(
+            view,
+            chosen[touched],
+            deltas[touched],
+            {"target_index": float(idx), "original_label": float(label)},
         )
 
 

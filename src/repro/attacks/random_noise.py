@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.base import ParameterAttack, PerturbationRecord, parameter_name_of
+from repro.attacks.base import ParameterAttack, PerturbationRecord
 from repro.nn.model import Sequential
 from repro.utils.rng import RngLike
 
@@ -54,17 +54,10 @@ class RandomPerturbation(ParameterAttack):
         flat = view.flat_values()
         scale = max(float(np.sqrt(np.mean(flat**2))), 1e-3)
         deltas = self._rng.normal(0.0, self.relative_std * scale, size=k)
-        flat[chosen] += deltas
-        view.set_flat_values(flat)
-
-        return PerturbationRecord(
-            attack=self.attack_name,
-            flat_indices=chosen,
-            deltas=deltas,
-            parameter_names=[parameter_name_of(model, int(i)) for i in chosen],
-            metadata={"relative_std": self.relative_std},
-            values=flat[chosen],
-        )
+        # write only the chosen entries (``chosen`` has no repeats)
+        for idx, value in zip(chosen, flat[chosen] + deltas):
+            view.set_scalar(int(idx), value)
+        return self._record(view, chosen, deltas, {"relative_std": self.relative_std})
 
 
 __all__ = ["RandomPerturbation"]

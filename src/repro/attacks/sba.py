@@ -30,12 +30,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.attacks.base import (
-    ParameterAttack,
-    PerturbationRecord,
-    bias_flat_indices,
-    parameter_name_of,
-)
+from repro.attacks.base import ParameterAttack, PerturbationRecord, bias_flat_indices
 from repro.engine.cache import TrunkCache
 from repro.nn.model import PREDICT_BATCH_SIZE, Sequential
 from repro.nn.tensor import ParameterView
@@ -133,14 +128,7 @@ class SingleBiasAttack(ParameterAttack):
             # out of attempts: keep the last (already restored) choice applied
             view.add_scalar(chosen, delta)
 
-        return PerturbationRecord(
-            attack=self.attack_name,
-            flat_indices=np.array([chosen]),
-            deltas=np.array([delta]),
-            parameter_names=[parameter_name_of(model, chosen)],
-            metadata={"magnitude": magnitude},
-            values=np.array([view.get_scalar(chosen)]),
-        )
+        return self._record(view, [chosen], [delta], {"magnitude": magnitude})
 
 
 def _classes_from(

@@ -218,19 +218,21 @@ class Engine:
         self._trunks.clear()
 
     def _memoized(self, op: str, batch: np.ndarray, extra: tuple, compute):
-        return self._memoized_for(op, exact_model_key(self.model), batch, extra, compute)
+        return self._memoized_for(op, lambda: exact_model_key(self.model), batch, extra, compute)
 
     def _memoized_for(self, op: str, model_key, batch: np.ndarray, extra: tuple, compute):
-        """Memoize under an explicit model key.
+        """Memoize under an explicit model key, ``model_key()``.
 
         The single-model queries key by this engine's exact model key; the
         stacked queries key by the *tuple* of keys of the models in the
         stack, so a repeated stacked query over the same copies is a cache
-        hit while any reordering or perturbation of the set is a miss.
+        hit while any reordering or perturbation of the set is a miss.  The
+        key is built only when the memo is on: an engine without one (every
+        trial replay, the ``cache=False`` coverage helpers) hashes no model.
         """
         if self._cache is None:
             return compute()
-        key = (op, model_key, array_fingerprint(batch), extra)
+        key = (op, model_key(), array_fingerprint(batch), extra)
         value = self._cache.get(key)
         if value is None:
             value = compute()
@@ -414,12 +416,13 @@ class Engine:
                 axis=1,
             )
 
-        if self._cache is None:
-            return compute()
-        # the key tuple is only a memo key: an engine without a memo (every
-        # trial replay) never hashes the copies
-        keys = tuple(exact_model_key(model, signature) for model in models)
-        return self._memoized_for("stacked_forward", keys, batch, (), compute)
+        return self._memoized_for(
+            "stacked_forward",
+            lambda: tuple(exact_model_key(model, signature) for model in models),
+            batch,
+            (),
+            compute,
+        )
 
     def _run_copies(
         self,
@@ -477,7 +480,7 @@ class Engine:
         targets: np.ndarray,
         loss: Union[str, Loss] = "cross_entropy",
     ) -> Tuple[float, np.ndarray]:
-        """Loss value and input-gradient batch (Algorithm 2 / GDA primitive).
+        """Loss value and input-gradient batch (the Algorithm 2 primitive).
 
         Not chunked (batch losses normalise by ``N``) and not memoized: the
         synthesis loop feeds a fresh input every step, so hashing would be
@@ -496,8 +499,9 @@ class Engine:
     ) -> Tuple[float, np.ndarray]:
         """Loss value and flat parameter gradients of a training loss.
 
-        Summed over the batch (ordinary training semantics); used by the GDA
-        attack, which perturbs the model between calls — hence no memoization.
+        Summed over the batch (ordinary training semantics).  Not memoized:
+        a caller that wants this gradient is usually changing the model
+        between calls.
         """
         batch = self._as_batch(batch)
         return self._dispatch(

@@ -7,8 +7,8 @@ passes.  Crucially for the paper's method it exposes
 
 * parameter gradients of a scalarised output ``∇θ F(x)`` (validation
   coverage, Section IV-A),
-* input gradients of a loss (gradient-based test generation, Section IV-C,
-  and the GDA attack), and
+* input gradients of a loss (gradient-based test generation, Section IV-C),
+  and
 * parameter gradients of a loss (training and the GDA attack).
 
 Besides the single-sample queries, every layer implements

@@ -202,6 +202,28 @@ class TestEngineBehaviour:
         engine.forward(images)
         assert engine.stats.requests == 0
 
+    def test_cache_disabled_hashes_no_model(self, monkeypatch):
+        """An engine without a memo reads no memo key, so its forward,
+        output-gradient and in-RAM packed-mask queries never hash the
+        model's parameters."""
+        from repro.engine import engine as engine_module
+
+        model = small_cnn(rng=14)
+        images = _pool(model, 3, seed=25)
+        calls = []
+        exact_model_key = engine_module.exact_model_key
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return exact_model_key(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "exact_model_key", counted)
+        engine = Engine(model, cache=False)
+        engine.forward(images)
+        engine.output_gradients(images)
+        engine.packed_activation_masks(images)
+        assert len(calls) == 0
+
     def test_invalidate_clears_entries(self):
         model = small_mlp(rng=8)
         images = _pool(model, 3, seed=21)

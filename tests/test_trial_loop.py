@@ -31,8 +31,9 @@ from repro.engine import Engine
 from repro.engine.cache import TrunkCache, exact_model_key, first_divergence
 from repro.models.zoo import mnist_cnn
 from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.model import Sequential
 from repro.nn.serialization import parameter_digest
-from repro.nn.tensor import bit_pattern
+from repro.nn.tensor import ParameterView, bit_pattern
 from repro.registry import registry
 from repro.validation import detection
 from repro.validation.detection import default_attack_factories, replay_trials
@@ -172,20 +173,22 @@ class TestRecordsMatchThePlainLoop:
         model, refs, _ = victim
         factories = default_attack_factories(refs)
         calls = []
-        original = Engine.loss_parameter_gradients
+        original = Sequential.loss_parameter_gradients
 
         def counted(self, *args, **kwargs):
             calls.append(1)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(Engine, "loss_parameter_gradients", counted)
+        monkeypatch.setattr(Sequential, "loss_parameter_gradients", counted)
         for seed in SEEDS:
             calls.clear()
             record = factories["gda"](np.random.default_rng(seed)).apply(model).record
+            # counted inside ``apply`` only: the plain loop takes gradients too
+            applied = len(calls)
             want, steps = plain_gda(model, seed, refs)
             assert_same_record(record, want)
             # one gradient per step: the first step reuses the choosing one
-            assert len(calls) == steps
+            assert applied == steps
 
 
 class TestRecordsRebuildTheirCopies:
@@ -202,6 +205,27 @@ class TestRecordsRebuildTheirCopies:
             replayed = PerturbationRecord.from_dict(json.loads(json.dumps(record.to_dict())))
             assert models_equal(apply_record(model, record), outcome.model), seed
             assert models_equal(apply_record(model, replayed), outcome.model), seed
+            # each index's name and value are those the copy holds there
+            view = outcome.model.parameter_view()
+            parameters = view.parameters
+            names = [parameters[view.locate(int(i))[0]].name for i in record.flat_indices]
+            held = np.array([view.get_scalar(int(i)) for i in record.flat_indices])
+            assert record.parameter_names == names, seed
+            assert same_bits(record.values, held), seed
+
+    @pytest.mark.parametrize("attack", registry.names("attacks"))
+    def test_apply_writes_only_what_it_changes(self, victim, attack, monkeypatch):
+        """No attack scatters a whole flat parameter vector back into its
+        copy: each writes the entries it chose, one by one."""
+        model, refs, _ = victim
+
+        def whole_write(self, flat):
+            raise AssertionError("an attack wrote every parameter of its copy")
+
+        monkeypatch.setattr(ParameterView, "set_flat_values", whole_write)
+        factory = default_attack_factories(refs)[attack]
+        for seed in SEEDS:
+            factory(np.random.default_rng(seed)).apply(model)
 
 
 class TestAttackCopiesAreTheirOwnModels:
